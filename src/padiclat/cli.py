@@ -38,8 +38,15 @@ def _ints(text):
     return [int(t) for t in text.replace(",", " ").split()]
 
 
+def _fraction(tok):
+    try:
+        return Fraction(tok)
+    except ZeroDivisionError as exc:
+        raise ValueError(f"bad rational {tok!r}: {exc}")
+
+
 def _fractions(text):
-    return [Fraction(t) for t in text.replace(",", " ").split()]
+    return [_fraction(t) for t in text.replace(",", " ").split()]
 
 
 def _read(path):
@@ -93,7 +100,7 @@ def cmd_keygen(args):
     j = _ints(args.j) if args.j else list(range(n))
     f = _fractions(args.f) if args.f else _random_eisenstein(n, args.p, rng)
     zeta = _fractions(args.zeta) if args.zeta else _random_zeta(n, args.p, rng)
-    delta = Fraction(args.delta) if args.delta else None
+    delta = _fraction(args.delta) if args.delta else None
     kp = keygen(args.p, n, m, j, f, zeta, delta=delta, rng=rng,
                 precision=args.precision)
     _write(args.out, fileio.emit_key_pair(kp))

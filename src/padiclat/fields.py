@@ -6,6 +6,11 @@ is computed from the valuation of the determinant of the multiplication
 matrix, evaluated modulo p^M with full valuation pivoting.  M escalates
 adaptively: a query only pays for as many digits as the answer needs,
 which is what keeps the attack loops cheap at large degree.
+
+One kernel does every such determinant: ``_det_valuation``, a numpy
+elimination over int64 residues while p^(2M) * n < 2^61 and over Python
+ints beyond.  One escalation loop, ``NormEngine.norm_valuation``, picks M
+for absolute values, for :func:`field_norm` and for the lattice oracle.
 """
 
 from __future__ import annotations
@@ -328,116 +333,49 @@ def _element_scale(x: FieldElement) -> int:
     return s
 
 
+def _kernel_dtype(p: int, n: int, digits: int):
+    """int64 while n products of two residues mod p^digits fit below 2^61,
+    Python ints (object dtype) beyond."""
+    return np.int64 if p ** (2 * digits) * n < _INT64_SAFE else object
+
+
 def _mult_rows_mod(ctx: FieldContext, x: FieldElement, digits: int):
     """Rows spanning x*z^j (j = 0..n-1) mod p^digits for p^s * x; returns
     (rows, s).  det(rows) = det of the multiplication matrix of p^s * x."""
     p, n = ctx.p, ctx.n
     s = _element_scale(x)
     mod = p ** digits
-    col = [_scaled_residue(c, s, digits, p) for c in x.coeffs]
-    fbar = ctx._modulus_residues(digits)
-    if p ** (2 * digits) * n < _INT64_SAFE:
-        rows = np.empty((n, n), dtype=np.int64)
-        cv = np.array(col, dtype=np.int64)
-        fb = np.array(fbar, dtype=np.int64)
-        rows[0] = cv
-        for j in range(1, n):
-            top = int(cv[-1])
-            cv = np.roll(cv, 1)
-            cv[0] = 0
-            if top:
-                cv = (cv - top * fb) % mod
-            rows[j] = cv
-        return rows, s
-    rows = [col]
-    for _ in range(n - 1):
-        top = col[-1]
-        col = [0] + col[:-1]
+    dtype = _kernel_dtype(p, n, digits)
+    cv = np.array([_scaled_residue(c, s, digits, p) for c in x.coeffs], dtype=dtype)
+    fb = np.array(ctx._modulus_residues(digits), dtype=dtype)
+    rows = np.empty((n, n), dtype=dtype)
+    rows[0] = cv
+    for j in range(1, n):
+        top = int(cv[-1])
+        cv = np.roll(cv, 1)
+        cv[0] = 0
         if top:
-            col = [(a - top * b) % mod for a, b in zip(col, fbar)]
-        rows.append(col)
+            cv = (cv - top * fb) % mod
+        rows[j] = cv
     return rows, s
 
 
 def _det_valuation(rows, p: int, digits: int):
     """(valuation, unit, unit_digits) of det(rows) computed mod p^digits.
 
-    Pivots on the minimal-valuation entry of the whole remaining block,
-    which keeps every intermediate entry exact mod p^digits.  Raises
-    _Deeper when the block vanishes mod p^digits.
+    ``rows`` is a square integer matrix (array or list of lists).  Pivots
+    on the minimal-valuation entry of the whole remaining block, which
+    keeps every intermediate entry exact mod p^digits.  Raises _Deeper
+    when the block vanishes mod p^digits.
     """
-    if isinstance(rows, np.ndarray):
-        return _det_valuation_np(rows, p, digits)
     n = len(rows)
     mod = p ** digits
-    A = [list(r) for r in rows]
+    A = np.asarray(rows, dtype=_kernel_dtype(p, n, digits)) % mod
     vsum = 0
     units = 1
     sign = 1
     for k in range(n):
-        pv = None
-        pi = pj = -1
-        for i in range(k, n):
-            row = A[i]
-            for j in range(k, n):
-                a = row[j]
-                if a == 0:
-                    continue
-                v = 0
-                while a % p == 0:
-                    a //= p
-                    v += 1
-                if pv is None or v < pv:
-                    pv, pi, pj = v, i, j
-                    if v == 0:
-                        break
-            if pv == 0:
-                break
-        if pv is None:
-            raise _Deeper(vsum + digits)
-        if pi != k:
-            A[k], A[pi] = A[pi], A[k]
-            sign = -sign
-        if pj != k:
-            for row in A:
-                row[k], row[pj] = row[pj], row[k]
-            sign = -sign
-        piv = A[k][k]
-        vsum += pv
-        pshift = p ** pv
-        umod = p ** (digits - pv)
-        u = piv // pshift % umod
-        units = units * u % mod
-        uinv = pow(u, -1, umod)
-        rowk = A[k]
-        for i in range(k + 1, n):
-            rowi = A[i]
-            a = rowi[k]
-            if a == 0:
-                continue
-            f = a // pshift * uinv % umod
-            if f == 0:
-                continue
-            for j in range(k + 1, n):
-                b = rowk[j]
-                if b:
-                    rowi[j] = (rowi[j] - f * b) % mod
-    uprec = digits - vsum
-    if uprec <= 0:
-        return vsum, 1, 0
-    return vsum, sign * units % p ** uprec, uprec
-
-
-def _det_valuation_np(A, p: int, digits: int):
-    n = A.shape[0]
-    mod = p ** digits
-    A = A % mod
-    vsum = 0
-    units = 1
-    sign = 1
-    for k in range(n):
-        sub = A[k:, k:]
-        rem = sub
+        rem = A[k:, k:]
         pv = 0
         while True:
             nz = rem % p != 0
@@ -475,9 +413,9 @@ def _det_valuation_np(A, p: int, digits: int):
 class _NormState:
     __slots__ = ("exact", "lower")
 
-    def __init__(self):
+    def __init__(self, lower: int):
         self.exact = None
-        self.lower = 0
+        self.lower = lower
 
 
 class NormEngine:
@@ -485,7 +423,8 @@ class NormEngine:
 
     Each distinct element pays only for the digits its answer needs;
     partial knowledge (valuation lower bounds) is carried across queries
-    so threshold tests and later exact queries share work.
+    so threshold tests and later exact queries share work.  A fresh
+    engine per query is the uncached form the brute-force oracle uses.
     """
 
     def __init__(self, ctx: FieldContext, digit_cap: int = PRECISION_CAP):
@@ -497,7 +436,8 @@ class NormEngine:
         k = x.key()
         st = self._states.get(k)
         if st is None:
-            st = _NormState()
+            # p^s * x is integral, so v(N(x)) >= -n*s
+            st = _NormState(-self.ctx.n * _element_scale(x))
             self._states[k] = st
         return st
 
@@ -588,25 +528,15 @@ def field_norm(ctx: FieldContext, x: FieldElement) -> PadicScalar:
     part carried to the context precision."""
     if x.is_zero:
         return PadicScalar.zero(ctx.p, ctx.precision)
-    s = _element_scale(x)
-    shift = ctx.n * s
-    digits = ctx.precision + shift + 1
-    while True:
-        try:
-            rows, _ = _mult_rows_mod(ctx, x, digits)
-            v, unit, uprec = _det_valuation(rows, ctx.p, digits)
-        except _Deeper as d:
-            if digits >= PRECISION_CAP:
-                raise PrecisionExhausted(
-                    "norm unit not certified at the precision cap")
-            digits = min(max(2 * digits, d.bound + ctx.precision), PRECISION_CAP)
-            continue
-        if uprec >= ctx.precision:
-            return PadicScalar(ctx.p, ctx.precision, v - shift,
-                               unit % ctx.p ** ctx.precision, None)
-        if digits >= PRECISION_CAP:
-            raise PrecisionExhausted("norm unit not certified at the precision cap")
-        digits = min(v + ctx.precision + 1, PRECISION_CAP)
+    v = NormEngine(ctx).norm_valuation(x)
+    # the determinant of p^s * x has valuation v + n*s; these digits leave
+    # exactly ``precision`` unit digits
+    digits = v + ctx.n * _element_scale(x) + ctx.precision
+    if digits > PRECISION_CAP:
+        raise PrecisionExhausted("norm unit not certified at the precision cap")
+    rows, _ = _mult_rows_mod(ctx, x, digits)
+    _, unit, _ = _det_valuation(rows, ctx.p, digits)
+    return PadicScalar(ctx.p, ctx.precision, v, unit, None)
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,8 @@
 """p-adic lattices: orthogonality, brute-force ground truth, and CVP.
 
 The oracle here is deliberately independent of the reduction algorithms:
-it enumerates digit combinations and reads norms straight off the norm
-engine, so it can referee them.
+it enumerates digit combinations and asks a fresh, uncached norm engine
+for each sum, so it can referee them.
 """
 
 from __future__ import annotations
@@ -79,7 +79,7 @@ def is_orthogonal(ctx: FieldContext, vectors, *, budget: int = DEFAULT_BUDGET,
                 acc = acc + table[d]
                 if expected is None or expected < e:
                     expected = e
-        if _oracle_abs(ctx, acc) != expected:
+        if NormEngine(ctx).abs_value(acc) != expected:
             return False
     return True
 
@@ -124,12 +124,12 @@ def lvp_oracle(ctx: FieldContext, lattice: Lattice, depth: int = 2, *,
                 acc = acc + table[d]
         if acc.is_zero:
             continue
-        e = _oracle_abs(ctx, acc)
+        e = NormEngine(ctx).abs_value(acc)
         if e.exponent not in best:
             best[e.exponent] = acc
     for b in lattice.basis:
         extra = b * p
-        e = _oracle_abs(ctx, extra)
+        e = NormEngine(ctx).abs_value(extra)
         if e.exponent not in best:
             best[e.exponent] = extra
     order = sorted(best)  # ascending exponent = decreasing magnitude
@@ -139,27 +139,6 @@ def lvp_oracle(ctx: FieldContext, lattice: Lattice, depth: int = 2, *,
     lam1, lam2 = AbsValue(order[0]), AbsValue(order[1])
     return OracleResult(lam1, lam2, best[order[1]],
                         tuple(AbsValue(e) for e in order))
-
-
-def _oracle_abs(ctx: FieldContext, x: FieldElement) -> AbsValue:
-    # Uncached on purpose: enumerations visit too many elements to memoize.
-    from .errors import PrecisionExhausted
-    from .fields import PRECISION_CAP, _Deeper, _det_valuation, _element_scale, _mult_rows_mod
-
-    if x.is_zero:
-        return AbsValue.zero()
-    s = _element_scale(x)
-    shift = ctx.n * s
-    digits = 2
-    while True:
-        try:
-            rows, _ = _mult_rows_mod(ctx, x, digits + shift)
-            v, _, _ = _det_valuation(rows, ctx.p, digits + shift)
-            return AbsValue(Fraction(v - shift, ctx.n))
-        except _Deeper:
-            if digits >= PRECISION_CAP:
-                raise PrecisionExhausted("norm valuation beyond the digit cap")
-            digits *= 2
 
 
 def successive_maxima(ctx: FieldContext, lattice: Lattice):

@@ -21,6 +21,7 @@ from fractions import Fraction
 
 from .errors import BudgetExceeded, ReductionFailed, SingularSystem
 from .fields import AbsValue, FieldContext, FieldElement, NormEngine
+from .lattices import _multiples
 
 DEFAULT_BUDGET = 10 ** 7
 
@@ -224,7 +225,7 @@ def find_second_longest_general(ctx: FieldContext, basis, residue_degree: int, *
         exps[0], exps[i0] = exps[i0], exps[0]
     lam1 = exps[0]
     maximal = [B[0]]
-    multiples = [_digit_multiples(B[0], p)]
+    multiples = [_multiples(B[0], p)]
     out = [B[0]]
     reduced = []
     for i in range(1, m):
@@ -244,7 +245,7 @@ def find_second_longest_general(ctx: FieldContext, basis, residue_degree: int, *
                 break
         if hit is None:
             maximal.append(B[i])
-            multiples.append(_digit_multiples(B[i], p))
+            multiples.append(_multiples(B[i], p))
             out.append(B[i])
         else:
             out.append(hit)
@@ -260,11 +261,3 @@ def find_second_longest_general(ctx: FieldContext, basis, residue_degree: int, *
     if lam2 < lam1.scaled(1):
         raise ReductionFailed("second maximum fell below |p*longest|")
     return ReductionResult(lam2, reduced[idx], tuple(out), counter.count)
-
-
-def _digit_multiples(x: FieldElement, p: int):
-    """[0, x, 2x, ..., (p-1)x] built by repeated addition."""
-    out = [x.ctx.zero()]
-    for _ in range(1, p):
-        out.append(out[-1] + x)
-    return out

@@ -283,18 +283,3 @@ def _add(x: PadicScalar, y: PadicScalar, sign: int) -> PadicScalar:
     t = int_valuation(s, p)
     rel = prec - t
     return PadicScalar(p, rel, m + t, (s // p ** t) % p ** rel, None)
-
-
-# Operation-style wrappers matching the workbench's documented surface.
-
-def scalar_from_rational(num: int, den: int, p: int, precision: int = DEFAULT_PRECISION) -> PadicScalar:
-    return PadicScalar.from_rational(num, den, p=p, precision=precision)
-
-
-def scalar_valuation(x: PadicScalar):
-    """Valuation as an int, or None for the zero marker (+infinity)."""
-    return x.valuation
-
-
-def residue_digit(x: PadicScalar) -> int:
-    return x.residue_digit()

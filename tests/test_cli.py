@@ -141,6 +141,17 @@ class TestExitCodes:
         code, _, err = run(capsys, "attack", "uniformizer", "--pub", str(pub))
         assert code == 1 and "ReductionFailed" in err
 
+    @pytest.mark.parametrize("flag, value", [
+        ("--delta", "1/0"),
+        ("--f", "3 0 1/0 3 1"),
+        ("--zeta", "0 1 1/0 0"),
+    ])
+    def test_zero_denominator_is_input_error(self, tmp_path, capsys, flag, value):
+        code, _, err = run(capsys, "keygen", "--p", "3", "--n", "4", "--m", "2",
+                           flag, value, "--seed", "5",
+                           "--out", str(tmp_path / "k.pair"))
+        assert code == 2 and "input error" in err
+
 
 class TestBenchEdges:
     def test_empty_grid(self, tmp_path, capsys):

@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from conftest import TOY_F, random_eisenstein
 from padiclat.errors import (
@@ -135,6 +137,35 @@ class TestNormAndAbs:
             field_norm(sqrt2_ctx, x)
 
 
+# Eisenstein fields of degree <= 4; the first is Q_2[z]/(z^3 - 2)
+THRESHOLD_CTXS = [make_context(2, 64, [-2, 0, 0, 1]),
+                  make_context(3, 64, [3, 0, 1]),
+                  make_context(5, 64, [10, 5, 0, 5, 1])]
+
+
+class TestThresholdQueries:
+    """Threshold tests must agree with exact sizes, also for elements
+    outside the ring of integers (negative norm valuation)."""
+
+    @given(st.sampled_from(range(len(THRESHOLD_CTXS))),
+           st.lists(st.tuples(st.integers(-30, 30), st.integers(0, 2)),
+                    min_size=4, max_size=4),
+           st.integers(-4, 4))
+    @settings(max_examples=300, deadline=None)
+    @example(0, [(1, 1), (0, 0), (0, 0), (0, 0)], 0)  # x = 1/2, v(N(x)) = -3
+    def test_abs_less_than_agrees_with_abs_value(self, which, coeffs, offset):
+        # coefficients a / p^k, so k > 0 makes the element non-integral;
+        # the bound sits offset/(2n) away from |x|, fresh engines each time
+        ctx = THRESHOLD_CTXS[which]
+        x = ctx.element([Fraction(a, ctx.p ** k) for a, k in coeffs[:ctx.n]])
+        if x.is_zero:
+            return
+        v = NormEngine(ctx).norm_valuation(x)
+        bound = AbsValue(Fraction(2 * v + offset, 2 * ctx.n))
+        exact = NormEngine(ctx).abs_value(x)
+        assert NormEngine(ctx).abs_less_than(x, bound) == (exact < bound)
+
+
 class TestAbsValueOrdering:
     def test_order_and_scale(self):
         a, b = AbsValue.of(1, 20), AbsValue.of(1, 10)
@@ -252,8 +283,6 @@ class TestDeterminantEngine:
         return int(det)
 
     def test_valuation_agrees_with_exact(self):
-        import numpy as np
-
         from padiclat.fields import _det_valuation
         from padiclat.scalars import int_valuation
 
@@ -274,12 +303,32 @@ class TestDeterminantEngine:
             assert got_v == v
             unit = det // p ** v
             assert got_u % p ** uprec == unit % p ** uprec
-            # numpy path must agree whenever it applies
-            if p ** (2 * digits) * n < 2 ** 61:
-                np_v, np_u, np_prec = _det_valuation(
-                    np.array(reduced, dtype=np.int64), p, digits)
-                assert (np_v, np_u % p ** min(uprec, np_prec)) == \
-                    (got_v, got_u % p ** min(uprec, np_prec))
+            checked += 1
+
+    def test_valuation_agrees_with_exact_beyond_int64(self):
+        # digit counts past the int64 bound run the same elimination on
+        # Python ints; every unit digit must still match the exact value
+        from padiclat.fields import _det_valuation, _kernel_dtype
+        from padiclat.scalars import int_valuation
+
+        rng = random.Random(321)
+        checked = 0
+        while checked < 100:
+            p = rng.choice([2, 3, 5])
+            n = rng.randrange(2, 6)
+            rows = [[rng.randrange(-10 ** 6, 10 ** 6) for _ in range(n)]
+                    for _ in range(n)]
+            det = self._exact_det(rows)
+            if det == 0:
+                continue
+            v = int_valuation(det, p)
+            digits = v + 40
+            assert _kernel_dtype(p, n, digits) is object
+            mod = p ** digits
+            got_v, got_u, uprec = _det_valuation(
+                [[x % mod for x in r] for r in rows], p, digits)
+            assert (got_v, uprec) == (v, 40)
+            assert got_u == det // p ** v % p ** 40
             checked += 1
 
     def test_vanishing_block_signals_deeper(self):
