@@ -7,10 +7,16 @@ matrix, evaluated modulo p^M with full valuation pivoting.  M escalates
 adaptively: a query only pays for as many digits as the answer needs,
 which is what keeps the attack loops cheap at large degree.
 
-One kernel does every such determinant: ``_det_valuation``, a numpy
+One kernel does every exact valuation: ``_det_valuation``, a numpy
 elimination over int64 residues while p^(2M) * n < 2^61 and over Python
 ints beyond.  One escalation loop, ``NormEngine.norm_valuation``, picks M
 for absolute values, for :func:`field_norm` and for the lattice oracle.
+The one query that needs a single digit, "is N(x) a unit?", is answered
+over GF(p) instead: N(x) mod p = +-Res(F mod p, x mod p), so it is a
+unit exactly when the two residue polynomials are coprime (``_gf_coprime``,
+an O(n^2) Euclid).  Only threshold tests (``NormEngine.norm_exceeds``)
+reach that path; an exact valuation asked of a fresh engine is always a
+determinant, so the brute-force oracle keeps refereeing the gcd.
 """
 
 from __future__ import annotations
@@ -339,11 +345,11 @@ def _kernel_dtype(p: int, n: int, digits: int):
     return np.int64 if p ** (2 * digits) * n < _INT64_SAFE else object
 
 
-def _mult_rows_mod(ctx: FieldContext, x: FieldElement, digits: int):
-    """Rows spanning x*z^j (j = 0..n-1) mod p^digits for p^s * x; returns
-    (rows, s).  det(rows) = det of the multiplication matrix of p^s * x."""
+def _mult_rows_mod(ctx: FieldContext, x: FieldElement, digits: int, s: int):
+    """Rows spanning x*z^j (j = 0..n-1) mod p^digits for p^s * x, where s
+    is ``_element_scale(x)``.  det(rows) = det of the multiplication
+    matrix of p^s * x."""
     p, n = ctx.p, ctx.n
-    s = _element_scale(x)
     mod = p ** digits
     dtype = _kernel_dtype(p, n, digits)
     cv = np.array([_scaled_residue(c, s, digits, p) for c in x.coeffs], dtype=dtype)
@@ -357,16 +363,18 @@ def _mult_rows_mod(ctx: FieldContext, x: FieldElement, digits: int):
         if top:
             cv = (cv - top * fb) % mod
         rows[j] = cv
-    return rows, s
+    return rows
 
 
 def _det_valuation(rows, p: int, digits: int):
     """(valuation, unit, unit_digits) of det(rows) computed mod p^digits.
 
     ``rows`` is a square integer matrix (array or list of lists).  Pivots
-    on the minimal-valuation entry of the whole remaining block, which
-    keeps every intermediate entry exact mod p^digits.  Raises _Deeper
-    when the block vanishes mod p^digits.
+    on the diagonal entry when it is a unit, and otherwise on the
+    minimal-valuation entry of the whole remaining block; either way the
+    pivot has minimal valuation, which keeps every intermediate entry
+    exact mod p^digits.  Raises _Deeper when the block vanishes mod
+    p^digits.
     """
     n = len(rows)
     mod = p ** digits
@@ -375,18 +383,19 @@ def _det_valuation(rows, p: int, digits: int):
     units = 1
     sign = 1
     for k in range(n):
-        rem = A[k:, k:]
-        pv = 0
-        while True:
-            nz = rem % p != 0
-            if nz.any():
-                flat = int(np.argmax(nz))
-                di, dj = divmod(flat, nz.shape[1])
-                break
-            if not rem.any():
-                raise _Deeper(vsum + digits)
-            rem = rem // p
-            pv += 1
+        pv = di = dj = 0
+        if int(A[k, k]) % p == 0:
+            rem = A[k:, k:]
+            while True:
+                nz = rem % p != 0
+                if nz.any():
+                    flat = int(np.argmax(nz))
+                    di, dj = divmod(flat, nz.shape[1])
+                    break
+                if not rem.any():
+                    raise _Deeper(vsum + digits)
+                rem = rem // p
+                pv += 1
         pi, pj = k + di, k + dj
         if pi != k:
             A[[k, pi], :] = A[[pi, k], :]
@@ -410,12 +419,40 @@ def _det_valuation(rows, p: int, digits: int):
     return vsum, sign * units % p ** uprec, uprec
 
 
-class _NormState:
-    __slots__ = ("exact", "lower")
+def _gf_coprime(a, b, p: int) -> bool:
+    """Whether two polynomials over GF(p) (coefficient lists, constant
+    term first, entries in [0, p)) are coprime.  Euclid's algorithm."""
+    a, b = list(a), list(b)
+    while a and a[-1] == 0:
+        a.pop()
+    while b and b[-1] == 0:
+        b.pop()
+    while b:
+        inv = pow(b[-1], -1, p)
+        db = len(b) - 1
+        # a <- a mod b, clearing the top coefficient of a each step
+        for top in range(len(a) - 1, db - 1, -1):
+            q = a.pop() * inv % p
+            if q:
+                off = top - db
+                a[off:top] = [(u - q * w) % p for u, w in zip(a[off:top], b)]
+        while a and a[-1] == 0:
+            a.pop()
+        a, b = b, a
+    return len(a) == 1
 
-    def __init__(self, lower: int):
+
+class _NormState:
+    """What one engine knows of v(N(x)): the exact value once resolved,
+    a lower bound until then, and the scale s making p^s * x integral."""
+
+    __slots__ = ("exact", "lower", "s")
+
+    def __init__(self, s: int, n: int):
         self.exact = None
-        self.lower = lower
+        self.s = s
+        # p^s * x is integral, so v(N(x)) >= -n*s
+        self.lower = -n * s
 
 
 class NormEngine:
@@ -423,7 +460,10 @@ class NormEngine:
 
     Each distinct element pays only for the digits its answer needs;
     partial knowledge (valuation lower bounds) is carried across queries
-    so threshold tests and later exact queries share work.  A fresh
+    so threshold tests and later exact queries share work.  A threshold
+    test that needs a single digit is a GF(p) gcd; ``norm_valuation`` and
+    ``resolve_min_valuation`` never ask for fewer than two digits, so on
+    a fresh engine every exact valuation is a determinant.  A fresh
     engine per query is the uncached form the brute-force oracle uses.
     """
 
@@ -436,18 +476,29 @@ class NormEngine:
         k = x.key()
         st = self._states.get(k)
         if st is None:
-            # p^s * x is integral, so v(N(x)) >= -n*s
-            st = _NormState(-self.ctx.n * _element_scale(x))
+            st = _NormState(_element_scale(x), self.ctx.n)
             self._states[k] = st
         return st
 
     def _attempt(self, x: FieldElement, st: _NormState, digits: int) -> bool:
-        """One determinant evaluation; True when the valuation resolved."""
-        s = _element_scale(x)
-        shift = self.ctx.n * s
+        """One evaluation of ``digits`` norm digits; True when the
+        valuation resolved, else the lower bound rises to at least
+        ``digits``."""
+        ctx = self.ctx
+        p, shift = ctx.p, ctx.n * st.s
+        total = digits + shift
+        if total == 1:
+            # N(p^s x) mod p = +-Res(F mod p, p^s x mod p): one digit of the
+            # determinant is nonzero exactly when the residues are coprime
+            xbar = [_scaled_residue(c, st.s, 1, p) for c in x.coeffs]
+            if _gf_coprime(xbar, ctx._modulus_residues(1) + [1], p):
+                st.exact = -shift
+                return True
+            st.lower = max(st.lower, 1 - shift)
+            return False
         try:
-            rows, s = _mult_rows_mod(self.ctx, x, digits + shift)
-            v, _, _ = _det_valuation(rows, self.ctx.p, digits + shift)
+            rows = _mult_rows_mod(ctx, x, total, st.s)
+            v, _, _ = _det_valuation(rows, p, total)
         except _Deeper as d:
             st.lower = max(st.lower, d.bound - shift)
             return False
@@ -531,10 +582,11 @@ def field_norm(ctx: FieldContext, x: FieldElement) -> PadicScalar:
     v = NormEngine(ctx).norm_valuation(x)
     # the determinant of p^s * x has valuation v + n*s; these digits leave
     # exactly ``precision`` unit digits
-    digits = v + ctx.n * _element_scale(x) + ctx.precision
+    s = _element_scale(x)
+    digits = v + ctx.n * s + ctx.precision
     if digits > PRECISION_CAP:
         raise PrecisionExhausted("norm unit not certified at the precision cap")
-    rows, _ = _mult_rows_mod(ctx, x, digits)
+    rows = _mult_rows_mod(ctx, x, digits, s)
     _, unit, _ = _det_valuation(rows, ctx.p, digits)
     return PadicScalar(ctx.p, ctx.precision, v, unit, None)
 

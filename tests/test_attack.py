@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import random_eisenstein
+from padiclat import bench
 from padiclat.attack import (
     BrokenKey,
     attack_decrypt,
@@ -32,6 +33,21 @@ def random_signature_key(rng, p, n, m, delta=None):
 
 
 class TestRecoverUniformizer:
+    # (n, p, seed) -> (c, abs_count) for gamma = z + c, recorded with a
+    # determinant answering every norm query; no faster kernel may move them
+    PINNED = {(16, 5, 1): (-1, 31), (24, 7, 2): (-6, 107),
+              (32, 5, 3): (-3, 111), (32, 7, 4): (-6, 143)}
+
+    @pytest.mark.parametrize("cell", sorted(PINNED))
+    def test_pinned_recovery_outputs(self, cell):
+        n, p, seed = cell
+        ctx = bench.make_instance(n, p, random.Random(f"pin:{n}:{p}:{seed}"))
+        res = recover_uniformizer(ctx)
+        c, count = self.PINNED[cell]
+        assert res.gamma.key() == ((c, 1), (1, 1)) + ((0, 1),) * (n - 2)
+        assert res.lambda2 == AbsValue.of(1, n)
+        assert res.abs_count == count
+
     def test_quadratic_example(self):
         ctx = make_context(3, 64, [-2, -2, 1])
         res = recover_uniformizer(ctx)

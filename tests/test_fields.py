@@ -5,7 +5,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import TOY_F, random_eisenstein
+from conftest import TOY_F, random_eisenstein, scheme_shaped_lattice
+from padiclat import bench, fields
 from padiclat.errors import (
     NotInSpan,
     NotIntegral,
@@ -24,6 +25,7 @@ from padiclat.fields import (
     is_eisenstein,
     make_context,
 )
+from padiclat.lattices import Lattice, lvp_oracle
 from padiclat.scalars import PadicScalar
 
 
@@ -137,10 +139,17 @@ class TestNormAndAbs:
             field_norm(sqrt2_ctx, x)
 
 
-# Eisenstein fields of degree <= 4; the first is Q_2[z]/(z^3 - 2)
+# Eisenstein fields of degree <= 4, the first is Q_2[z]/(z^3 - 2); then
+# moduli whose reduction mod p is not z^n, so the one-digit threshold test
+# (a GF(p) gcd) meets nontrivial common factors: a benchmark public
+# polynomial, F = (z + 2)^4 mod 5; z^4 + 2, which is (z - 1)(z + 1)(z^2 + 1)
+# mod 3; and an Eisenstein modulus with p | n, where F' = 0 mod p
 THRESHOLD_CTXS = [make_context(2, 64, [-2, 0, 0, 1]),
                   make_context(3, 64, [3, 0, 1]),
-                  make_context(5, 64, [10, 5, 0, 5, 1])]
+                  make_context(5, 64, [10, 5, 0, 5, 1]),
+                  bench.make_instance(4, 5, random.Random(0), 64),
+                  make_context(3, 64, [2, 0, 0, 0, 1]),
+                  make_context(2, 64, [2, 2, 0, 0, 1])]
 
 
 class TestThresholdQueries:
@@ -164,6 +173,58 @@ class TestThresholdQueries:
         bound = AbsValue(Fraction(2 * v + offset, 2 * ctx.n))
         exact = NormEngine(ctx).abs_value(x)
         assert NormEngine(ctx).abs_less_than(x, bound) == (exact < bound)
+
+    def test_one_digit_attempt_matches_determinant(self):
+        # the GF(p) gcd must leave the state a one-digit determinant implies
+        from padiclat.fields import _Deeper, _det_valuation, _mult_rows_mod
+
+        rng = random.Random(17)
+        outcomes = set()
+        for ctx in THRESHOLD_CTXS:
+            p, n = ctx.p, ctx.n
+            for _ in range(150):
+                k = rng.choice([0, 0, 1])  # k > 0: non-integral element
+                x = ctx.element([Fraction(rng.randrange(-2 * p, 2 * p), p ** k)
+                                 for _ in range(n)])
+                if x.is_zero:
+                    continue
+                eng = NormEngine(ctx)
+                st = eng._state(x)
+                resolved = eng._attempt(x, st, 1 - n * st.s)
+                want_exact, want_lower = None, -n * st.s
+                try:
+                    v, _, _ = _det_valuation(_mult_rows_mod(ctx, x, 1, st.s), p, 1)
+                    want_exact = v - n * st.s
+                except _Deeper as d:
+                    want_lower = d.bound - n * st.s
+                assert (st.exact, st.lower) == (want_exact, want_lower)
+                assert resolved == (want_exact is not None)
+                outcomes.add((resolved, st.s > 0))
+        assert len(outcomes) == 4  # units and non-units, both kinds of x
+
+    def test_exact_queries_never_use_the_gcd(self, monkeypatch):
+        # the determinant referees the gcd, so no exact valuation (and no
+        # oracle answer) may be computed by it
+        rng = random.Random(5)
+        ctx, basis, _ = scheme_shaped_lattice(rng, 3, 4, 2)
+        x = basis[0] + basis[1]
+
+        def answers():
+            oracle = lvp_oracle(ctx, Lattice(ctx, basis))
+            return (NormEngine(ctx).abs_value(x),
+                    NormEngine(ctx).resolve_min_valuation(basis),
+                    field_norm(ctx, x),
+                    (oracle.lambda1, oracle.lambda2, oracle.witness, oracle.classes))
+
+        want = answers()
+
+        def forbidden(*args):
+            raise AssertionError("exact query reached the GF(p) gcd")
+
+        monkeypatch.setattr(fields, "_gf_coprime", forbidden)
+        with pytest.raises(AssertionError):
+            NormEngine(ctx).norm_exceeds(ctx.one(), 0)  # the patch is live
+        assert answers() == want
 
 
 class TestAbsValueOrdering:
