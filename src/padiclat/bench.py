@@ -14,7 +14,7 @@ import time
 from dataclasses import dataclass
 
 from .attack import recover_uniformizer
-from .fields import FieldContext, make_context
+from .fields import FieldContext, check_parameters, make_context
 from .scalars import DEFAULT_PRECISION
 
 
@@ -91,6 +91,7 @@ def make_instance(n: int, p: int, rng: random.Random,
                   precision: int = DEFAULT_PRECISION) -> FieldContext:
     """Public polynomial for one benchmark cell: the fixed Eisenstein
     family with a random generator whose linear coefficient is a unit."""
+    check_parameters(p, precision)
     fcoeffs = [p] * n + [1]
     while True:
         zeta = [rng.randrange(p) for _ in range(n)]

@@ -16,6 +16,7 @@ from . import bench as bench_mod
 from . import fileio
 from .attack import attack_decrypt_detailed, forge_signature, recover_uniformizer
 from .errors import PadicError, ParseError, PrecisionExhausted
+from .fields import check_parameters
 from .lattices import Lattice, lvp_oracle
 from .schemes import KeyPair, decrypt, encrypt, keygen, sign, verify
 from .scalars import DEFAULT_PRECISION
@@ -95,6 +96,7 @@ def _random_zeta(n, p, rng):
 
 
 def cmd_keygen(args):
+    check_parameters(args.p, args.precision)
     rng = _rng(args)
     n, m = args.n, args.m
     j = _ints(args.j) if args.j else list(range(n))

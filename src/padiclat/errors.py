@@ -8,7 +8,7 @@ class PadicError(Exception):
 class PrecisionExhausted(PadicError):
     """A result's valuation (or unit digits) cannot be certified at the
     available precision.  Callers may retry at doubled precision up to
-    ``PRECISION_CAP``; see :func:`padiclat.scalars.retry_with_precision`."""
+    ``PRECISION_CAP``."""
 
 
 class DivisionByZero(PadicError):

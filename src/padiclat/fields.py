@@ -166,10 +166,49 @@ class FieldContext:
         return f"FieldContext(p={self.p}, n={self.n}, N={self.precision})"
 
 
+_PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+
+def _is_prime(n: int) -> bool:
+    """Miller-Rabin to the twelve prime bases 2..37: exact below 3.1e23 and
+    a strong probable-prime test beyond, so even a huge p costs only
+    twelve modular powers."""
+    if n < 2:
+        return False
+    for q in _PRIME_BASES:
+        if n % q == 0:
+            return n == q
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in _PRIME_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def check_parameters(p: int, precision: int):
+    """ValueError unless p is a prime and precision at least one digit:
+    valuations loop forever at p = 1 and mean nothing at composite p."""
+    if not _is_prime(p):
+        raise ValueError(f"p = {p} is not a prime")
+    if precision < 1:
+        raise ValueError(f"precision must be at least 1, got {precision}")
+
+
 def make_context(p: int, precision: int, coeffs, ramification=None,
                  residue_degree=None) -> FieldContext:
     """Validated context for the monic integral polynomial ``coeffs``
     (constant term first, leading coefficient last)."""
+    check_parameters(p, precision)
     sc = [c if isinstance(c, PadicScalar)
           else PadicScalar.from_fraction(Fraction(c), p=p, precision=precision)
           for c in coeffs]
@@ -644,46 +683,6 @@ def coordinates_in(ctx: FieldContext, target: FieldElement, vectors,
     if as_fractions:
         return coords
     return [PadicScalar.from_fraction(c, p=p, precision=ctx.precision) for c in coords]
-
-
-def _mult_matrix_exact(ctx: FieldContext, x: FieldElement):
-    """Rows spanning x*z^j over exact rationals (transpose of the
-    multiplication matrix; same determinant and characteristic polynomial)."""
-    n = ctx.n
-    col = x.fractions()
-    fbar = [c.to_fraction() for c in ctx.modulus[:-1]]
-    rows = [col]
-    for _ in range(n - 1):
-        top = col[-1]
-        col = [Fraction(0)] + col[:-1]
-        if top:
-            col = [a - top * b for a, b in zip(col, fbar)]
-        rows.append(col)
-    return rows
-
-
-def char_poly(ctx: FieldContext, x: FieldElement):
-    """Characteristic polynomial of the multiplication-by-x matrix,
-    as scalars with the constant term first (monic, degree n).
-
-    Faddeev-LeVerrier over exact rationals: exact for any element with
-    exact coefficients, and equal to the minimal polynomial whenever x
-    generates the field.
-    """
-    n = ctx.n
-    M = _mult_matrix_exact(ctx, x)
-    A = [[Fraction(0)] * n for _ in range(n)]
-    c = Fraction(1)
-    coeffs = [Fraction(1)]
-    for k in range(1, n + 1):
-        for i in range(n):
-            A[i][i] += c
-        B = [[sum(M[i][t] * A[t][j] for t in range(n)) for j in range(n)] for i in range(n)]
-        c = -sum(B[i][i] for i in range(n)) / k
-        coeffs.append(c)
-        A = B
-    coeffs.reverse()
-    return [PadicScalar.from_fraction(f, p=ctx.p, precision=ctx.precision) for f in coeffs]
 
 
 def is_eisenstein(p: int, coeffs) -> bool:

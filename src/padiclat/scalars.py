@@ -31,21 +31,6 @@ def int_valuation(n: int, p: int) -> int:
     return v
 
 
-def retry_with_precision(fn, start: int = DEFAULT_PRECISION, cap: int = PRECISION_CAP):
-    """Call ``fn(precision)``, doubling the precision on PrecisionExhausted.
-
-    Fails hard (re-raises) once the cap is reached.
-    """
-    n = start
-    while True:
-        try:
-            return fn(n)
-        except PrecisionExhausted:
-            if n >= cap:
-                raise
-            n = min(2 * n, cap)
-
-
 class PadicScalar:
     """An element of Q_p known to finite precision.
 

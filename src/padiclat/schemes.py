@@ -33,7 +33,6 @@ from .fields import (
     FieldContext,
     FieldElement,
     NormEngine,
-    char_poly,
     coordinates_in,
     is_eisenstein,
     make_context,
@@ -149,14 +148,17 @@ def keygen(p: int, n: int, m: int, exponents, eisenstein_coeffs, zeta_over_theta
             "the theta-coefficient of zeta is divisible by p, so zeta does "
             "not generate the ring of integers")
 
-    F = char_poly(theta_ctx, zeta)
-    ctx = make_context(p, precision, F, ramification=n, residue_degree=1)
-
-    # Coordinates of theta^k over the zeta power basis, via the exact
-    # change of basis zeta^i -> theta coordinates.
+    # Every derived quantity is an exact solve over the zeta power basis.
+    # zeta generates K (zeta - a_0 is a uniformizer), so its minimal
+    # polynomial F is the monic relation among 1, zeta, ..., zeta^n, and
+    # the coordinates of theta^k give the private basis.
     zeta_powers = [theta_ctx.one()]
     for _ in range(n - 1):
         zeta_powers.append(zeta_powers[-1] * zeta)
+    top = coordinates_in(theta_ctx, zeta_powers[-1] * zeta, zeta_powers,
+                         as_fractions=True)
+    F = [-c for c in top] + [1]
+    ctx = make_context(p, precision, F, ramification=n, residue_degree=1)
     alpha = []
     for jk in j:
         coords = coordinates_in(theta_ctx, theta_ctx.monomial(jk), zeta_powers,
@@ -201,7 +203,7 @@ def _make_matrix(p, m, matrix, rng, precision):
                 for x in row] for row in rows]
         if any(x is None for row in res for x in row):
             raise BadMatrix("matrix entries must lie in Z_p")
-        if _gf_det(res, p) == 0:
+        if _gf_inverse(res, p) is None:
             raise BadMatrix("matrix determinant is not a unit")
         if any(row[0] == 0 for row in res):
             raise BadMatrix("first column must be all units")
@@ -211,39 +213,20 @@ def _make_matrix(p, m, matrix, rng, precision):
     while True:
         raw = [[rng.randrange(bound) for _ in range(m)] for _ in range(m)]
         res = [[x % p for x in row] for row in raw]
-        if _gf_det(res, p) != 0 and all(row[0] % p for row in raw):
+        if _gf_inverse(res, p) is not None and all(row[0] % p for row in raw):
             return [[PadicScalar.from_fraction(Fraction(x), p=p, precision=precision)
                      for x in row] for row in raw]
 
 
-def _gf_det(rows, p):
-    a = [[x % p for x in row] for row in rows]
-    n = len(a)
-    det = 1
-    for k in range(n):
-        piv = next((i for i in range(k, n) if a[i][k]), None)
-        if piv is None:
-            return 0
-        if piv != k:
-            a[k], a[piv] = a[piv], a[k]
-            det = -det
-        det = det * a[k][k] % p
-        inv = pow(a[k][k], -1, p)
-        for i in range(k + 1, n):
-            f = a[i][k] * inv % p
-            if f:
-                a[i] = [(x - f * y) % p for x, y in zip(a[i], a[k])]
-    return det % p
-
-
 def _gf_inverse(rows, p):
+    """Inverse of a square matrix over GF(p); None when it is singular."""
     n = len(rows)
     a = [[rows[i][j] % p for j in range(n)] + [1 if k == i else 0 for k in range(n)]
          for i in range(n)]
     for k in range(n):
         piv = next((i for i in range(k, n) if a[i][k]), None)
         if piv is None:
-            raise BadMatrix("matrix is singular mod p")
+            return None
         a[k], a[piv] = a[piv], a[k]
         inv = pow(a[k][k], -1, p)
         a[k] = [x * inv % p for x in a[k]]
@@ -409,6 +392,8 @@ def decrypt(sk: PrivateKey, ct: Ciphertext):
     bbar = [c.residue_digit() for c in res.lattice_coords]
     res_rows = [[x.residue_digit() for x in row] for row in sk.matrix]
     inv = _gf_inverse(res_rows, sk.ctx.p)
+    if inv is None:
+        raise BadMatrix("matrix is singular mod p")
     p = sk.ctx.p
     return tuple(sum(bbar[k] * inv[k][i] for k in range(sk.m)) % p
                  for i in range(sk.m))

@@ -152,6 +152,36 @@ class TestExitCodes:
                            "--out", str(tmp_path / "k.pair"))
         assert code == 2 and "input error" in err
 
+    @pytest.mark.parametrize("key, value", [
+        ("p", "1"), ("p", "0"), ("p", "6"), ("precision", "-5"),
+    ])
+    def test_bad_field_parameters_in_key_file(self, tmp_path, capsys, key, value):
+        # z^2 - 6 is Eisenstein at 3 and at 2, so the file is attackable
+        # unless p or precision is invalid; p = 6 must not pass for a prime
+        header = {"p": "3", "n": "2", "m": "1", "precision": "128"}
+        pub = tmp_path / "x.pub"
+
+        def attack(fields):
+            text = "".join(f"{k}={v}\n" for k, v in fields.items())
+            pub.write_text(text + "F= -6 0 1\nbeta.1= 1 0\n")
+            return run(capsys, "attack", "uniformizer", "--pub", str(pub))
+
+        assert attack(header)[0] == 0
+        code, _, err = attack({**header, key: value})
+        assert code == 2 and "input error" in err
+
+    @pytest.mark.parametrize("argv", [
+        ("keygen", "--p", "1", "--n", "2", "--m", "1", "--f", "2 0 1",
+         "--zeta", "0 1"),
+        ("keygen", "--p", "1", "--n", "2", "--m", "1", "--f", "2 0 1"),
+        ("bench", "--n-list", "4", "--p-list", "1"),
+    ])
+    def test_p_one_is_input_error(self, tmp_path, capsys, argv):
+        # at p = 1 valuations never end, nor do the unit-digit sampling
+        # loops (zeta in keygen, make_instance in bench)
+        code, _, err = run(capsys, *argv, "--out", str(tmp_path / "out"))
+        assert code == 2 and "input error" in err
+
 
 class TestBenchEdges:
     def test_empty_grid(self, tmp_path, capsys):

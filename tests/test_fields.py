@@ -18,9 +18,7 @@ from padiclat.fields import (
     AbsValue,
     NormEngine,
     abs_value,
-    char_poly,
     coordinates_in,
-    evaluate_poly,
     field_norm,
     is_eisenstein,
     make_context,
@@ -238,27 +236,6 @@ class TestAbsValueOrdering:
     def test_mul(self):
         assert AbsValue.of(1, 4) * AbsValue.of(1, 4) == AbsValue.of(1, 2)
         assert (AbsValue.zero() * AbsValue.of(1, 2)).is_zero
-
-
-class TestCharPoly:
-    def test_generator_gives_modulus(self, toy_ctx):
-        cp = char_poly(toy_ctx, toy_ctx.gen())
-        assert [c.to_fraction() for c in cp] == [Fraction(c) for c in TOY_F]
-
-    def test_zero_gives_xn(self, sqrt2_ctx):
-        cp = char_poly(sqrt2_ctx, sqrt2_ctx.zero())
-        assert [c.to_fraction() for c in cp] == [0, 0, 1]
-
-    def test_shifted_root(self):
-        ctx = make_context(3, 64, [-3, 0, 1])
-        cp = char_poly(ctx, ctx.element([1, 1]))
-        assert [c.to_fraction() for c in cp] == [-2, -2, 1]
-
-    def test_cayley_hamilton(self, toy_ctx):
-        rng = random.Random(4)
-        x = toy_ctx.element([rng.randrange(-5, 5) for _ in range(20)])
-        cp = char_poly(toy_ctx, x)
-        assert evaluate_poly(toy_ctx, cp, x).is_zero
 
 
 class TestEisenstein:

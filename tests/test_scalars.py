@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from padiclat.errors import DivisionByZero, NotIntegral, PrecisionExhausted
-from padiclat.scalars import PadicScalar, int_valuation, retry_with_precision
+from padiclat.scalars import PadicScalar, int_valuation
 
 APPENDIX_C = 755873885678037304696930874820307
 
@@ -160,25 +160,6 @@ class TestProperties:
 
 
 class TestPrecisionPolicy:
-    def test_retry_doubles_until_cap(self):
-        calls = []
-
-        def flaky(n):
-            calls.append(n)
-            if n < 512:
-                raise PrecisionExhausted("need more")
-            return n
-
-        assert retry_with_precision(flaky, start=128, cap=4096) == 512
-        assert calls == [128, 256, 512]
-
-    def test_retry_fails_hard_at_cap(self):
-        def hopeless(n):
-            raise PrecisionExhausted("never enough")
-
-        with pytest.raises(PrecisionExhausted):
-            retry_with_precision(hopeless, start=1024, cap=4096)
-
     def test_int_valuation(self):
         assert int_valuation(24, 2) == 3
         assert int_valuation(24, 3) == 1

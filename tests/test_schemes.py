@@ -1,3 +1,5 @@
+import dataclasses
+import hashlib
 import random
 from fractions import Fraction
 
@@ -12,7 +14,8 @@ from padiclat.errors import (
     NoiseOutOfRange,
     NotEisenstein,
 )
-from padiclat.fields import AbsValue, NormEngine
+from padiclat.fields import AbsValue, NormEngine, evaluate_poly, make_context
+from padiclat.fileio import emit_key_pair
 from padiclat.schemes import (
     Ciphertext,
     Signature,
@@ -93,6 +96,65 @@ class TestKeygen:
             except DegenerateGenerator:
                 assert zeta[1] % p == 0
         assert abs(accepted / trials - (1 - 1 / p)) < 0.15
+
+
+def _seeded_key_inputs(seed, p, n, m, den):
+    """Exponents, Eisenstein f and generator zeta for a seeded key, plus the
+    rng that keygen goes on to sample its mixing matrix from.  zeta's
+    entries are a/den for a p-unit den; its theta-coefficient is a unit."""
+    rng = random.Random(seed)
+    f = [p * rng.randrange(1, p)] + [p * rng.randrange(p) for _ in range(n - 1)] + [1]
+    while True:
+        zeta = [Fraction(rng.randrange(p * den), den) for _ in range(n)]
+        if zeta[1].numerator % p:
+            break
+    first = [0] + sorted(rng.sample(range(1, n // 2 + 1), m - 1))
+    rest = [x for x in range(n) if x not in first]
+    return first + rest, f, zeta, rng
+
+
+class TestPublicPolynomial:
+    @pytest.mark.parametrize("seed, p, n, m, den", [
+        (100, 2, 2, 1, 1), (101, 2, 5, 2, 3), (102, 2, 8, 3, 5),
+        (103, 3, 3, 2, 1), (104, 3, 6, 3, 4), (105, 3, 8, 4, 2),
+        (106, 5, 4, 2, 1), (107, 5, 5, 3, 6), (108, 5, 7, 2, 2),
+        (109, 3, 7, 3, 1),
+    ])
+    def test_F_is_minimal_polynomial_of_zeta(self, seed, p, n, m, den):
+        # zeta generates K, so a monic degree-n F with F(zeta) = 0 is its
+        # minimal polynomial
+        j, f, zeta, rng = _seeded_key_inputs(seed, p, n, m, den)
+        kp = keygen(p, n, m, j, f, zeta, rng=rng)
+        F = kp.public.ctx.modulus
+        assert len(F) == n + 1 and F[-1].to_fraction() == 1
+        theta_ctx = make_context(p, kp.public.ctx.precision, f)
+        assert evaluate_poly(theta_ctx, F, theta_ctx.element(zeta)).is_zero
+
+    # SHA-256 of the emitted key pair: how keygen computes F must not
+    # change a byte of the key text (parse_key_file compares stored F)
+    @pytest.mark.parametrize("seed, p, n, m, den, sampled, digest", [
+        (1, 3, 14, 6, 1, True,
+         "d65c0ac06f0587238b1ab3d23054eabda313013f0ede854689c57f7929935ff6"),
+        (2, 2, 14, 4, 1, True,
+         "66566a58f08b4074bbdd46354d353f92792ff050c9052f2f8ff4bbdcafb95149"),
+        (3, 5, 6, 3, 6, True,
+         "6521b5d3e16b5080138c5807d03e2a6c79e3c93e2b1e534021b65ce6715a683a"),
+        (4, 3, 8, 4, 4, False,
+         "20825b656c2679a33c28a0673813fbdf35f7c74173fe1460b7494bc0fb1d0127"),
+        (5, 2, 8, 3, 3, True,
+         "ec6e3727cbc78b1a4cec42ada06fc78359896762489c5ce620dcdb7fddcb3566"),
+        (6, 7, 5, 2, 8, False,
+         "8f162494d81cb4a9dc903c133f5a2a7d0726f12a7e1f57287ff148593f95d4e9"),
+    ])
+    def test_pinned_key_pair_digests(self, seed, p, n, m, den, sampled, digest):
+        j, f, zeta, rng = _seeded_key_inputs(seed, p, n, m, den)
+        # explicit: all-ones first column, identity elsewhere (determinant 1)
+        matrix = None if sampled else [
+            [1] + [int(k == i) for k in range(1, m)] for i in range(m)]
+        kp = keygen(p, n, m, j, f, zeta, delta=Fraction(1, 2), rng=rng,
+                    matrix=matrix)
+        text = emit_key_pair(kp)
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 class TestHashToTarget:
@@ -233,6 +295,13 @@ class TestEncryptDecrypt:
             encrypt(mid_key.public, (1,))
         with pytest.raises(ValueError):
             encrypt(mid_key.public, (1, 7))
+
+    def test_singular_matrix_rejected(self, small_key):
+        sk = dataclasses.replace(small_key.private,
+                                 matrix=((small_key.public.ctx.scalar(3),),))
+        ct = encrypt(small_key.public, (1,), noise=small_key.public.ctx.zero())
+        with pytest.raises(BadMatrix):
+            decrypt(sk, ct)
 
     def test_signature_key_cannot_encrypt(self):
         kp = keygen(3, 2, 1, (0, 1), [-3, 0, 1], [1, 1], matrix=[[1]])
