@@ -17,6 +17,15 @@ unit exactly when the two residue polynomials are coprime (``_gf_coprime``,
 an O(n^2) Euclid).  Only threshold tests (``NormEngine.norm_exceeds``)
 reach that path; an exact valuation asked of a fresh engine is always a
 determinant, so the brute-force oracle keeps refereeing the gcd.
+
+Coordinates in a basis (CVP in the schemes and the attack, lattice
+membership, and the key generator's change of generator) come from one
+exact kernel, ``_solve_exact``.  It clears each row's denominators once,
+runs Gauss-Jordan on primitive integer rows (every updated row is divided
+by the gcd of its entries) and turns each coordinate into a Fraction once
+at the end; a block of right-hand sides shares one pass.  The system has a
+unique exact solution, so the pivot rule only affects speed, never an
+output.
 """
 
 from __future__ import annotations
@@ -24,6 +33,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import total_ordering
+from math import gcd, lcm
 
 import numpy as np
 
@@ -43,12 +53,7 @@ def frac_valuation(f: Fraction, p: int):
     """p-adic valuation of a rational; None for 0 (+infinity)."""
     if f == 0:
         return None
-    num, den = f.numerator, f.denominator
-    if num % p == 0:
-        return int_valuation(num, p)
-    if den % p == 0:
-        return -int_valuation(den, p)
-    return 0
+    return int_valuation(f.numerator, p) - int_valuation(f.denominator, p)
 
 
 @total_ordering
@@ -631,58 +636,76 @@ def field_norm(ctx: FieldContext, x: FieldElement) -> PadicScalar:
 
 
 # ---------------------------------------------------------------------------
-# Exact linear algebra over Q_p (requires exact coefficients).
+# Exact linear algebra over Q_p (requires exact coefficients).  One kernel
+# eliminates primitive integer rows; its answer is the unique exact
+# solution, so no pivot rule can change an output.
 # ---------------------------------------------------------------------------
+
+
+def _primitive(row):
+    """The integer row divided by the gcd of its entries."""
+    g = gcd(*row)
+    return row if g <= 1 else [x // g for x in row]
+
+
+def _solve_exact(columns, targets):
+    """Exact coordinates of each target in the span of ``columns``: one
+    list of Fractions per target.  Columns and targets are coefficient
+    lists of rationals (Fractions or ints) of one length.
+
+    Each coordinate row (one per power-basis position) is cleared of
+    denominators once, with the lcm of the row, and eliminated as a
+    primitive integer row: Gauss-Jordan with the update
+    row * (a/g) - pivot_row * (b/g), g = gcd(a, b), then division by the
+    gcd of the row, so entries stay as small as reduced Fractions would
+    without any Fraction arithmetic.  Each coordinate is read off once at
+    the end.  The solution is unique and exact, so the pivot (the nonzero
+    entry of least magnitude, which keeps the multipliers small) cannot
+    change it.  Raises SingularSystem at the first column dependent on the
+    earlier ones and NotInSpan when some target lies outside their span.
+    """
+    cols = list(columns) + list(targets)
+    m = len(columns)
+    rows = []
+    for entries in zip(*cols):
+        den = lcm(*(f.denominator for f in entries))
+        rows.append(_primitive([f.numerator * (den // f.denominator) for f in entries]))
+    n = len(rows)
+    for col in range(m):
+        pivot = min((r for r in range(col, n) if rows[r][col]),
+                    key=lambda r: abs(rows[r][col]), default=None)
+        if pivot is None:
+            raise SingularSystem(f"vector {col} is dependent on the earlier ones")
+        rows[col], rows[pivot] = rows[pivot], rows[col]
+        prow = rows[col]
+        a = prow[col]
+        for r in range(n):
+            row = rows[r]
+            b = row[col]
+            if r == col or not b:
+                continue
+            g = gcd(a, b)
+            sa, sb = a // g, b // g
+            rows[r] = _primitive([sa * x - sb * y for x, y in zip(row, prow)])
+    if any(any(row[m:]) for row in rows[m:]):
+        raise NotInSpan("target lies outside the span of the vectors")
+    return [[Fraction(rows[i][t], rows[i][i]) for i in range(m)]
+            for t in range(m, len(cols))]
 
 
 def coordinates_in(ctx: FieldContext, target: FieldElement, vectors,
                    as_fractions: bool = False):
     """Coordinates of ``target`` in the Q_p-span of ``vectors``.
 
-    Gaussian elimination over exact rationals with max-absolute-value
-    (minimal valuation) pivoting.  Raises SingularSystem for dependent
-    vectors and NotInSpan when the system is inconsistent.
+    A one-target call into ``_solve_exact``: exact Gauss-Jordan on
+    primitive integer rows.  The solution is unique, so the pivot rule
+    cannot change it.  Raises SingularSystem for dependent vectors (naming
+    the first) and NotInSpan when the system is inconsistent.
     """
-    vectors = list(vectors)
-    m = len(vectors)
-    cols = [v.fractions() for v in vectors]
-    rhs = target.fractions()
-    n = ctx.n
-    rows = [[cols[j][i] for j in range(m)] + [rhs[i]] for i in range(n)]
-    p = ctx.p
-    perm_rows = list(range(n))
-    for col in range(m):
-        pivot = None
-        pv = None
-        for r in range(col, n):
-            a = rows[r][col]
-            if a == 0:
-                continue
-            v = frac_valuation(a, p)
-            if pv is None or v < pv:
-                pivot, pv = r, v
-        if pivot is None:
-            raise SingularSystem(f"vector {col} is dependent on the earlier ones")
-        rows[col], rows[pivot] = rows[pivot], rows[col]
-        prow = rows[col]
-        inv = 1 / prow[col]
-        for r in range(n):
-            if r == col:
-                continue
-            a = rows[r][col]
-            if a == 0:
-                continue
-            f = a * inv
-            row = rows[r]
-            for c in range(col, m + 1):
-                row[c] -= f * prow[c]
-    for r in range(m, n):
-        if rows[r][m] != 0:
-            raise NotInSpan("target lies outside the span of the vectors")
-    coords = [rows[i][m] / rows[i][i] for i in range(m)]
+    coords = _solve_exact([v.fractions() for v in vectors], [target.fractions()])[0]
     if as_fractions:
         return coords
-    return [PadicScalar.from_fraction(c, p=p, precision=ctx.precision) for c in coords]
+    return [PadicScalar.from_fraction(c, p=ctx.p, precision=ctx.precision) for c in coords]
 
 
 def is_eisenstein(p: int, coeffs) -> bool:

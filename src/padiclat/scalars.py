@@ -20,7 +20,10 @@ PRECISION_CAP = 4096
 
 
 def int_valuation(n: int, p: int) -> int:
-    """p-adic valuation of a nonzero integer."""
+    """p-adic valuation of a nonzero integer; ValueError for p < 2, where
+    the division loop would never end (p = 1) or divide by zero."""
+    if p < 2:
+        raise ValueError(f"p must be at least 2, got {p}")
     if n == 0:
         raise ValueError("valuation of 0 is +infinity")
     v = 0

@@ -33,6 +33,7 @@ from .fields import (
     FieldContext,
     FieldElement,
     NormEngine,
+    _solve_exact,
     coordinates_in,
     is_eisenstein,
     make_context,
@@ -148,22 +149,19 @@ def keygen(p: int, n: int, m: int, exponents, eisenstein_coeffs, zeta_over_theta
             "the theta-coefficient of zeta is divisible by p, so zeta does "
             "not generate the ring of integers")
 
-    # Every derived quantity is an exact solve over the zeta power basis.
-    # zeta generates K (zeta - a_0 is a uniformizer), so its minimal
-    # polynomial F is the monic relation among 1, zeta, ..., zeta^n, and
-    # the coordinates of theta^k give the private basis.
+    # Every derived quantity comes from one exact block solve over the zeta
+    # power basis.  zeta generates K (zeta - a_0 is a uniformizer), so its
+    # minimal polynomial F is the monic relation among 1, zeta, ..., zeta^n,
+    # and the coordinates of theta^k give the private basis.
     zeta_powers = [theta_ctx.one()]
     for _ in range(n - 1):
         zeta_powers.append(zeta_powers[-1] * zeta)
-    top = coordinates_in(theta_ctx, zeta_powers[-1] * zeta, zeta_powers,
-                         as_fractions=True)
+    targets = [(zeta_powers[-1] * zeta).fractions()]
+    targets += [[int(i == k) for i in range(n)] for k in range(n)]  # theta^0..theta^(n-1)
+    top, *theta_coords = _solve_exact([z.fractions() for z in zeta_powers], targets)
     F = [-c for c in top] + [1]
     ctx = make_context(p, precision, F, ramification=n, residue_degree=1)
-    alpha = []
-    for jk in j:
-        coords = coordinates_in(theta_ctx, theta_ctx.monomial(jk), zeta_powers,
-                                as_fractions=True)
-        alpha.append(ctx.element(coords))
+    alpha = [ctx.element(theta_coords[jk]) for jk in j]
 
     A = _make_matrix(p, m, matrix, rng, precision)
     beta = []
@@ -213,7 +211,7 @@ def _make_matrix(p, m, matrix, rng, precision):
     while True:
         raw = [[rng.randrange(bound) for _ in range(m)] for _ in range(m)]
         res = [[x % p for x in row] for row in raw]
-        if _gf_inverse(res, p) is not None and all(row[0] % p for row in raw):
+        if all(row[0] % p for row in raw) and _gf_inverse(res, p) is not None:
             return [[PadicScalar.from_fraction(Fraction(x), p=p, precision=precision)
                      for x in row] for row in raw]
 

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import random
 from fractions import Fraction
@@ -154,3 +155,31 @@ class TestForgery:
             ct = encrypt(kp.public, pt, rng=rng)
             res = broken.closest(ct.vector)
             assert not res.distance > AbsValue.of(Fraction(1, 2))
+
+
+class TestPinnedAttackOutputs:
+    # SHA-256 of the attack's decryptions (plaintext and public-basis
+    # coordinates) and of a forged signature for seeded keys, recorded with
+    # a per-entry Fraction elimination behind every exact solve
+    @pytest.mark.parametrize("seed, p, n, m, digest", [
+        (11, 3, 14, 6,
+         "79e9d5d62fe53b224103e6c46020b2e9695a72c571b84f553f31d0940879f29d"),
+        (12, 3, 14, 6,
+         "755b67542b11caa868620472f169377c2e09ab27aa747929b49fa79c8ae2a452"),
+        (13, 2, 14, 4,
+         "9b7fcf84d538f93b7c4d20c69777b243e0767c33f85c1faed9d0d48359ddaa25"),
+        (14, 2, 14, 4,
+         "858f228956c73d38f367683ae97c602ca1422080b9f2f32927703b42e0f8895c"),
+    ])
+    def test_pinned_attack_decrypt_and_forgery(self, seed, p, n, m, digest):
+        rng = random.Random(seed)
+        kp = random_signature_key(rng, p, n, m, delta=Fraction(1, 2))
+        broken = BrokenKey.from_public(kp.public)
+        record = []
+        for _ in range(2):
+            ct = encrypt(kp.public, [rng.randrange(p) for _ in range(m)], rng=rng)
+            res = attack_decrypt_detailed(kp.public, ct, broken=broken)
+            record.append((res.plaintext, tuple(c.key() for c in res.basis_coords)))
+        sig = forge_signature(kp.public, b"pinned", rng=rng)
+        record.append((sig.salt.hex(), sig.vector.key()))
+        assert hashlib.sha256(repr(record).encode()).hexdigest() == digest

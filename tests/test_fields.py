@@ -17,6 +17,7 @@ from padiclat.errors import (
 from padiclat.fields import (
     AbsValue,
     NormEngine,
+    _solve_exact,
     abs_value,
     coordinates_in,
     field_norm,
@@ -292,6 +293,85 @@ class TestCoordinates:
         target = z * Fraction(1, 2)
         coords = coordinates_in(sqrt2_ctx, target, [z], as_fractions=True)
         assert coords == [Fraction(1, 2)]
+
+    @staticmethod
+    def _random_system(rng):
+        """(ctx, columns, coordinate lists, phi) for a random system:
+        n <= 12, 1 <= m <= n, entries whose denominators are and are not
+        divisible by p, and coordinates outside Z_p.  When m < n every
+        column lies in the hyperplane phi . v = 0 (phi[-1] = 1), so
+        anything off it is outside their span; ``phi`` is None when m = n."""
+        p = rng.choice([2, 3, 5])
+        n = rng.randrange(2, 13)
+        m = rng.randrange(1, n + 1)
+        ctx = make_context(p, 32, random_eisenstein(rng, p, n))
+
+        def entry(spread):
+            den = p ** rng.randrange(3) * rng.choice([1, p + 1])
+            return Fraction(rng.randrange(-spread, spread + 1), den)
+
+        phi = None if m == n else [entry(5) for _ in range(n - 1)] + [Fraction(1)]
+        cols = []
+        for _ in range(m):
+            v = [entry(9) for _ in range(n)]
+            if phi is not None:
+                v[-1] = -sum(a * b for a, b in zip(phi, v[:-1]))
+            cols.append(v)
+        coords = [[entry(20) for _ in range(m)] for _ in range(3)]
+        return ctx, cols, coords, phi
+
+    @staticmethod
+    def _combine(ctx, cols, coeffs):
+        return ctx.element([sum(c * v[i] for c, v in zip(coeffs, cols))
+                            for i in range(ctx.n)])
+
+    def test_random_systems_recombine_and_block_solve(self):
+        rng = random.Random(2025)
+        for _ in range(60):
+            ctx, cols, coords, _ = self._random_system(rng)
+            vectors = [ctx.element(v) for v in cols]
+            targets = [self._combine(ctx, cols, c) for c in coords]
+            one_by_one = [coordinates_in(ctx, t, vectors, as_fractions=True)
+                          for t in targets]
+            # the vectors are independent (no SingularSystem), so the exact
+            # recombination pins the unique answer
+            for t, got in zip(targets, one_by_one):
+                assert self._combine(ctx, cols, got) == t
+            assert one_by_one == coords
+            assert _solve_exact(cols, [t.fractions() for t in targets]) == one_by_one
+            scalars = coordinates_in(ctx, targets[0], vectors)
+            assert [c.to_fraction() for c in scalars] == one_by_one[0]
+
+    def test_random_dependent_vector_is_named(self):
+        rng = random.Random(2026)
+        for _ in range(40):
+            ctx, cols, coords, _ = self._random_system(rng)
+            k = rng.randrange(len(cols))
+            # vector k becomes a combination of the earlier ones (zero for k = 0)
+            weights = [Fraction(rng.randrange(-4, 5), ctx.p) for _ in range(k)]
+            cols[k] = [sum((w * v[i] for w, v in zip(weights, cols)), Fraction(0))
+                       for i in range(ctx.n)]
+            vectors = [ctx.element(v) for v in cols]
+            target = self._combine(ctx, cols, coords[0])
+            with pytest.raises(SingularSystem, match=f"^vector {k} is dependent"):
+                coordinates_in(ctx, target, vectors)
+
+    def test_random_target_outside_span(self):
+        rng = random.Random(2027)
+        checked = 0
+        while checked < 40:
+            ctx, cols, coords, phi = self._random_system(rng)
+            if phi is None:
+                continue
+            vectors = [ctx.element(v) for v in cols]
+            inside = self._combine(ctx, cols, coords[0])
+            # off the hyperplane: phi . e_last = 1
+            outside = inside + ctx.monomial(ctx.n - 1, Fraction(rng.randrange(1, 9), ctx.p))
+            with pytest.raises(NotInSpan):
+                coordinates_in(ctx, outside, vectors)
+            with pytest.raises(NotInSpan):
+                _solve_exact(cols, [inside.fractions(), outside.fractions()])
+            checked += 1
 
 
 class TestDeterminantEngine:

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from padiclat.errors import DivisionByZero, NotIntegral, PrecisionExhausted
+from padiclat.fields import frac_valuation
 from padiclat.scalars import PadicScalar, int_valuation
 
 APPENDIX_C = 755873885678037304696930874820307
@@ -33,6 +34,15 @@ class TestConstruction:
     def test_denominator_zero_rejected(self):
         with pytest.raises(ZeroDivisionError):
             PadicScalar.from_rational(1, 0, p=2)
+
+    @pytest.mark.parametrize("p", [1, 0, -3])
+    def test_p_below_two_rejected(self, p):
+        # p = 1 used to divide forever, p = 0 to divide by zero
+        for x in (Fraction(3), Fraction(1, 2), Fraction(-9, 7)):
+            with pytest.raises(ValueError, match="p must be at least 2"):
+                PadicScalar.from_fraction(x, p=p, precision=8)
+            with pytest.raises(ValueError, match="p must be at least 2"):
+                frac_valuation(x, p)
 
     def test_from_window_requires_unit(self):
         with pytest.raises(ValueError):

@@ -157,6 +157,35 @@ class TestPublicPolynomial:
         assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
+class TestPinnedSolveOutputs:
+    # SHA-256 of what sign, verify and decrypt return for seeded keys,
+    # recorded with a per-entry Fraction elimination behind every exact
+    # solve: no faster solver may change a single output
+    @pytest.mark.parametrize("seed, p, n, m, digest", [
+        (11, 3, 14, 6,
+         "14f7ccc2dc23350dde9418c60300c2a0652afb461cb25b88108d24052f607321"),
+        (12, 3, 14, 6,
+         "638c61d84cd10e5b5a274d2094d344f32f3210e2f4346e355db36745ebb04eef"),
+        (13, 2, 14, 4,
+         "061dd001bb52da5e0b070236d95d3ef40457e013dc13bb4fa4eb1b6bdede79fb"),
+        (14, 2, 14, 4,
+         "1702425418196fa4f9bbaa53a2f8da2e6d828406bbc16b8edb376401ecb5d29a"),
+    ])
+    def test_pinned_sign_verify_decrypt(self, seed, p, n, m, digest):
+        j, f, zeta, rng = _seeded_key_inputs(seed, p, n, m, 1)
+        kp = keygen(p, n, m, j, f, zeta, delta=Fraction(1, 2), rng=rng)
+        record = []
+        for i in range(2):
+            msg = b"pin%d" % i
+            sig = sign(kp.private, kp.public, msg, rng=rng)
+            ct = encrypt(kp.public, [rng.randrange(p) for _ in range(m)], rng=rng)
+            record.append((sig.salt.hex(), sig.vector.key(),
+                           verify(kp.public, msg, sig),
+                           verify(kp.public, msg + b"!", sig),
+                           decrypt(kp.private, ct)))
+        assert hashlib.sha256(repr(record).encode()).hexdigest() == digest
+
+
 class TestHashToTarget:
     def test_deterministic(self, mid_key):
         pk = mid_key.public
