@@ -14,7 +14,7 @@ import time
 from dataclasses import dataclass
 
 from .attack import recover_uniformizer
-from .fields import FieldContext, check_parameters, make_context
+from .fields import FieldContext, _int_mul_mod, check_parameters, make_context
 from .scalars import DEFAULT_PRECISION
 
 
@@ -33,24 +33,6 @@ class BenchRow:
 CSV_HEADER = "n,p,rep,wall_ms,abs_count"
 
 
-def _poly_mul_mod(a, b, fbar, p_pow):
-    n = len(fbar)
-    prod = [0] * (2 * n - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                if bj:
-                    prod[i + j] = (prod[i + j] + ai * bj) % p_pow
-    for k in range(2 * n - 2, n - 1, -1):
-        c = prod[k]
-        if c:
-            base = k - n
-            for i in range(n):
-                if fbar[i]:
-                    prod[base + i] = (prod[base + i] - c * fbar[i]) % p_pow
-    return prod[:n]
-
-
 def _minimal_poly_mod(p, digits, fcoeffs, zeta):
     """Minimal polynomial of zeta over the Eisenstein field, with integer
     coefficients exact mod p^digits (ascending, monic).
@@ -67,7 +49,8 @@ def _minimal_poly_mod(p, digits, fcoeffs, zeta):
     cur = powers[0]
     z = [c % mod for c in zeta]
     for _ in range(n):
-        cur = _poly_mul_mod(cur, z, fbar, mod)
+        # F is integral, so the exact product needs no scale
+        cur = [c % mod for c in _int_mul_mod(cur, z, fbar)]
         powers.append(cur)
     # solve sum x_k * powers[k] = powers[n] over Z/p^digits
     rows = [[powers[k][i] for k in range(n)] + [powers[n][i]] for i in range(n)]

@@ -1,7 +1,13 @@
 """Arithmetic in K = Q_p[x]/(F(x)).
 
 Elements are coefficient vectors over :class:`PadicScalar` in the power
-basis of the formal root.  The extended absolute value |x| = |N(x)|^(1/n)
+basis of the formal root.  Exact element arithmetic runs on integer
+vectors: a product clears each operand's denominators once, multiplies
+and reduces by F over Python ints (``_int_mul_mod``, the one polynomial
+multiplier, which ``bench`` shares), and sums, differences and scalar
+multiples combine the exact rationals directly; either way each output
+scalar is built once.  Only elements with a truncated coefficient take
+the per-scalar loop.  The extended absolute value |x| = |N(x)|^(1/n)
 is computed from the valuation of the determinant of the multiplication
 matrix, evaluated modulo p^M with full valuation pivoting.  M escalates
 adaptively: a query only pays for as many digits as the answer needs,
@@ -30,6 +36,7 @@ output.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import total_ordering
@@ -110,7 +117,7 @@ class FieldContext:
     """
 
     __slots__ = ("p", "n", "precision", "modulus", "ramification",
-                 "residue_degree", "_res_cache")
+                 "residue_degree", "_res_cache", "_int_modulus")
 
     def __init__(self, p, precision, modulus, ramification=None, residue_degree=None):
         self.p = p
@@ -120,6 +127,11 @@ class FieldContext:
         self.ramification = ramification
         self.residue_degree = residue_degree
         self._res_cache = {}
+        # the non-leading coefficients as (integer vector, lcm of their
+        # denominators) for exact products; None sends every product
+        # through the per-scalar loop
+        fbar = _exact_fracs(self, self.modulus[:-1])
+        self._int_modulus = None if fbar is None else _clear_denominators(fbar)
 
     # -- element constructors ------------------------------------------
 
@@ -268,13 +280,13 @@ class FieldElement:
         if not isinstance(other, FieldElement):
             return NotImplemented
         self._check(other)
-        return FieldElement(self.ctx, tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
+        return _elem_combine(self, other, operator.add)
 
     def __sub__(self, other):
         if not isinstance(other, FieldElement):
             return NotImplemented
         self._check(other)
-        return FieldElement(self.ctx, tuple(a - b for a, b in zip(self.coeffs, other.coeffs)))
+        return _elem_combine(self, other, operator.sub)
 
     def __neg__(self):
         return FieldElement(self.ctx, tuple(-a for a in self.coeffs))
@@ -285,7 +297,10 @@ class FieldElement:
             return _elem_mul(self, other)
         if isinstance(other, (int, Fraction, PadicScalar)):
             s = self.ctx.scalar(other)
-            return FieldElement(self.ctx, tuple(c * s for c in self.coeffs))
+            a, b = _exact_fracs(self.ctx, self.coeffs), _exact_fracs(self.ctx, (s,))
+            if a is None or b is None:
+                return FieldElement(self.ctx, tuple(c * s for c in self.coeffs))
+            return _from_fracs(self.ctx, [c * b[0] for c in a])
         return NotImplemented
 
     __rmul__ = __mul__
@@ -316,8 +331,84 @@ class FieldElement:
         return "FieldElement(" + (" + ".join(parts) if parts else "0") + ")"
 
 
+# ---------------------------------------------------------------------------
+# Exact element arithmetic on integer vectors.  An element whose
+# coefficients are all exact (and carry the context's prime and precision)
+# is a vector of Fractions; a product clears each operand's denominators
+# once, multiplies and reduces over Python ints, and builds each output
+# scalar once.  Elements with a truncated coefficient take the per-scalar
+# loop, whose windows and PrecisionExhausted it alone can track.
+# ---------------------------------------------------------------------------
+
+
+def _exact_fracs(ctx: FieldContext, scalars):
+    """The scalars' rationals when every one is exact with the context's
+    prime and precision, else None."""
+    p, precision = ctx.p, ctx.precision
+    out = []
+    for c in scalars:
+        f = c._frac
+        if f is None or c.p != p or c.precision != precision:
+            return None
+        out.append(f)
+    return out
+
+
+def _from_fracs(ctx: FieldContext, fracs) -> FieldElement:
+    p, precision = ctx.p, ctx.precision
+    return FieldElement(ctx, tuple(PadicScalar.from_fraction(f, p=p, precision=precision)
+                                   for f in fracs))
+
+
+def _elem_combine(x: FieldElement, y: FieldElement, op) -> FieldElement:
+    """Coefficient-wise x op y (op adds or subtracts)."""
+    ctx = x.ctx
+    a, b = _exact_fracs(ctx, x.coeffs), _exact_fracs(ctx, y.coeffs)
+    if a is None or b is None:
+        return FieldElement(ctx, tuple(map(op, x.coeffs, y.coeffs)))
+    return _from_fracs(ctx, map(op, a, b))
+
+
+def _clear_denominators(fracs):
+    """(integer vector, d) with fracs = vector / d, d the lcm of the
+    denominators."""
+    d = lcm(*(f.denominator for f in fracs))
+    return [f.numerator * (d // f.denominator) for f in fracs], d
+
+
+def _int_mul_mod(a, b, fbar, fden=1):
+    """Product of two integer coefficient vectors modulo the monic
+    z^n + fbar(z)/fden (fbar an integer vector of length n), over Python
+    ints: returns r with a*b = r / fden^(n-1) mod F (so r is the product
+    itself when F is integral).
+
+    The product is scaled by fden^(n-1) up front; the top coefficient at
+    the s-th reduction step is then divisible by fden^(n-s), so each step
+    divides it by fden exactly and no Fraction is ever formed.
+    """
+    n = len(fbar)
+    prod = [0] * (2 * n - 1)
+    for i, ai in enumerate(a):
+        if ai:
+            prod[i:i + n] = [u + ai * v for u, v in zip(prod[i:i + n], b)]
+    if fden != 1:
+        scale = fden ** (n - 1)
+        prod = [u * scale for u in prod]
+    for k in range(2 * n - 2, n - 1, -1):
+        c = prod[k] // fden
+        if c:
+            prod[k - n:k] = [u - c * f for u, f in zip(prod[k - n:k], fbar)]
+    return prod[:n]
+
+
 def _elem_mul(x: FieldElement, y: FieldElement) -> FieldElement:
     ctx = x.ctx
+    xf, yf = _exact_fracs(ctx, x.coeffs), _exact_fracs(ctx, y.coeffs)
+    if xf is not None and yf is not None and ctx._int_modulus is not None:
+        (xn, xd), (yn, yd) = _clear_denominators(xf), _clear_denominators(yf)
+        fbar, fden = ctx._int_modulus
+        den = xd * yd * fden ** (ctx.n - 1)
+        return _from_fracs(ctx, [Fraction(r, den) for r in _int_mul_mod(xn, yn, fbar, fden)])
     n = ctx.n
     zero = PadicScalar.zero(ctx.p, ctx.precision)
     prod = [zero] * (2 * n - 1)
@@ -396,17 +487,18 @@ def _mult_rows_mod(ctx: FieldContext, x: FieldElement, digits: int, s: int):
     p, n = ctx.p, ctx.n
     mod = p ** digits
     dtype = _kernel_dtype(p, n, digits)
-    cv = np.array([_scaled_residue(c, s, digits, p) for c in x.coeffs], dtype=dtype)
     fb = np.array(ctx._modulus_residues(digits), dtype=dtype)
     rows = np.empty((n, n), dtype=dtype)
-    rows[0] = cv
+    rows[0] = [_scaled_residue(c, s, digits, p) for c in x.coeffs]
     for j in range(1, n):
-        top = int(cv[-1])
-        cv = np.roll(cv, 1)
-        cv[0] = 0
+        # row j is z * row j-1: shift up one degree, fold z^n back with F
+        prev, row = rows[j - 1], rows[j]
+        top = int(prev[-1])
+        row[0] = 0
+        row[1:] = prev[:-1]
         if top:
-            cv = (cv - top * fb) % mod
-        rows[j] = cv
+            row -= top * fb
+            row %= mod
     return rows
 
 
@@ -668,8 +760,7 @@ def _solve_exact(columns, targets):
     m = len(columns)
     rows = []
     for entries in zip(*cols):
-        den = lcm(*(f.denominator for f in entries))
-        rows.append(_primitive([f.numerator * (den // f.denominator) for f in entries]))
+        rows.append(_primitive(_clear_denominators(entries)[0]))
     n = len(rows)
     for col in range(m):
         pivot = min((r for r in range(col, n) if rows[r][col]),

@@ -4,9 +4,12 @@ A scalar is stored as ``unit * p**valuation`` where the unit is a canonical
 integer in ``[1, p**precision)`` coprime to p; the value is therefore known
 modulo ``p**(valuation + precision)``.  Scalars built from rationals also
 carry the exact rational, which lets later arithmetic certify valuations
-under arbitrarily deep cancellation.  Scalars stripped of that payload
-(see :meth:`PadicScalar.truncated`) fall back to windowed arithmetic and
-raise :class:`PrecisionExhausted` when a cancellation runs past the window.
+under arbitrarily deep cancellation.  Such a scalar computes its unit (a
+modular inverse mod p**precision) on demand, the first time it is read,
+and keeps it: exact arithmetic combines the rationals and rarely needs
+it.  Scalars stripped of that payload (see :meth:`PadicScalar.truncated`)
+fall back to windowed arithmetic and raise :class:`PrecisionExhausted`
+when a cancellation runs past the window.
 """
 
 from __future__ import annotations
@@ -42,14 +45,33 @@ class PadicScalar:
     modulo p to the smaller of the two precisions.
     """
 
-    __slots__ = ("p", "precision", "valuation", "unit", "_frac")
+    __slots__ = ("p", "precision", "valuation", "_unit", "_frac")
 
     def __init__(self, p, precision, valuation, unit, _frac=None):
+        # ``unit`` may be None for an exact scalar: it is derived from the
+        # rational when first read
         self.p = p
         self.precision = precision
         self.valuation = valuation
-        self.unit = unit
+        self._unit = unit
         self._frac = _frac
+
+    @property
+    def unit(self):
+        """Canonical unit digits; None for the zero marker."""
+        u = self._unit
+        if u is None and self.valuation is not None:
+            p, v = self.p, self.valuation
+            # the rational is reduced, so p divides its numerator (v > 0)
+            # or its denominator (v < 0), never both
+            num, den = self._frac.numerator, self._frac.denominator
+            if v > 0:
+                num //= p ** v
+            elif v < 0:
+                den //= p ** -v
+            mod = p ** self.precision
+            u = self._unit = num * pow(den, -1, mod) % mod
+        return u
 
     # -- construction -------------------------------------------------
 
@@ -67,17 +89,11 @@ class PadicScalar:
 
     @classmethod
     def from_fraction(cls, frac: Fraction, *, p: int, precision: int = DEFAULT_PRECISION) -> "PadicScalar":
-        if frac == 0:
+        num = frac.numerator
+        if num == 0:
             return cls.zero(p, precision)
-        num, den = frac.numerator, frac.denominator
-        vn = int_valuation(num, p)
-        vd = int_valuation(den, p)
-        v = vn - vd
-        num //= p ** vn
-        den //= p ** vd
-        mod = p ** precision
-        unit = num * pow(den, -1, mod) % mod
-        return cls(p, precision, v, unit, frac)
+        v = int_valuation(num, p) - int_valuation(frac.denominator, p)
+        return cls(p, precision, v, None, frac)
 
     @classmethod
     def from_window(cls, p, precision, valuation, unit) -> "PadicScalar":
@@ -174,9 +190,10 @@ class PadicScalar:
     def __neg__(self):
         if self.is_zero:
             return self
+        if self._frac is not None:
+            return PadicScalar(self.p, self.precision, self.valuation, None, -self._frac)
         mod = self.p ** self.precision
-        frac = -self._frac if self._frac is not None else None
-        return PadicScalar(self.p, self.precision, self.valuation, (-self.unit) % mod, frac)
+        return PadicScalar(self.p, self.precision, self.valuation, (-self.unit) % mod, None)
 
     def __mul__(self, other):
         other = self._coerce(other)

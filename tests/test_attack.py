@@ -68,6 +68,26 @@ class TestRecoverUniformizer:
             assert res.lambda2 == AbsValue.of(1, n)
 
 
+class TestBenchInstances:
+    # (n, p, seed) -> SHA-256 of the public modulus bench.make_instance
+    # draws, recorded before its polynomial products moved onto the
+    # integer kernel shared with element multiplication
+    PINNED = {
+        (8, 2, 1): "c9c159842447f979f54fa47881fe80e53c2af360befab94abc33ed86d444e006",
+        (16, 3, 2): "4c8900de59f8ebdc2f794b836b1fc286f8b2696f2dcdf3ed8391abb5a2b3881b",
+        (32, 5, 3): "66f5d8c2a791cc0387abf017641471f3d6d3f90b7f2b81bb0bd70b8a235b50f1",
+        (64, 5, 4): "94e03c738d9337499cb310876489252c9245bfb411382d04b47e3b45dfe05e4d",
+        (64, 7, 5): "088fe596c4e93c00d8e123aef599279a95bab9eb9a13fde4d38aaa0f983bd7d1",
+    }
+
+    @pytest.mark.parametrize("cell", sorted(PINNED))
+    def test_pinned_moduli(self, cell):
+        n, p, seed = cell
+        ctx = bench.make_instance(n, p, random.Random(seed))
+        text = ",".join(str(c.to_fraction()) for c in ctx.modulus)
+        assert hashlib.sha256(text.encode()).hexdigest() == self.PINNED[cell]
+
+
 class TestShortcut:
     def test_quadratic_shift(self):
         ctx = make_context(3, 64, [-2, -2, 1])

@@ -1,3 +1,4 @@
+import hashlib
 import random
 from fractions import Fraction
 
@@ -65,6 +66,136 @@ class TestElementArithmetic:
     def test_pow(self, sqrt2_ctx):
         z = sqrt2_ctx.gen()
         assert z ** 4 == sqrt2_ctx.element([4, 0])
+
+
+def _schoolbook_mul(a, b, modulus):
+    """Reference product of two Fraction vectors reduced by the monic
+    modulus (Fractions, constant term first), one term at a time."""
+    n = len(modulus) - 1
+    prod = [Fraction(0)] * (2 * n - 1)
+    for i in range(n):
+        for j in range(n):
+            prod[i + j] += a[i] * b[j]
+    for k in range(2 * n - 2, n - 1, -1):
+        for i in range(n):
+            prod[k - n + i] -= prod[k] * modulus[i]
+        prod[k] = Fraction(0)
+    return prod[:n]
+
+
+def _random_coefficient(rng, p, zero_rate=0.3):
+    """0, or a/d with d a power of p, p-free, or both (non-integral and
+    non-p-adic-unit denominators alike)."""
+    if rng.random() < zero_rate:
+        return Fraction(0)
+    free = rng.choice([d for d in range(1, 12) if d % p])
+    den = rng.choice([1, p, p ** 3, free, p * free])
+    return Fraction(rng.randrange(-p ** 5, p ** 5), den)
+
+
+class TestExactElementArithmetic:
+    """Exact products, sums and scalar multiples against a Fraction
+    schoolbook reference; truncated operands against a transcript."""
+
+    @staticmethod
+    def _contexts(rng, count):
+        for k in range(count):
+            p = rng.choice([2, 3, 5])
+            n = rng.randrange(2, 11)
+            if k % 2:
+                # p-free denominators: F is integral over Z_p but not over Z
+                free = [d for d in range(1, 12) if d % p]
+                coeffs = [Fraction(rng.randrange(-50, 50), rng.choice(free))
+                          for _ in range(n)] + [1]
+            else:
+                coeffs = random_eisenstein(rng, p, n)
+            yield make_context(p, rng.choice([8, 64]), coeffs)
+
+    def test_matches_schoolbook_reference(self):
+        rng = random.Random(2718)
+        checked = 0
+        for ctx in self._contexts(rng, 80):
+            p, n = ctx.p, ctx.n
+            modulus = [c.to_fraction() for c in ctx.modulus]
+            for _ in range(4):
+                a = [_random_coefficient(rng, p) for _ in range(n)]
+                b = [_random_coefficient(rng, p, rng.choice([0.3, 1.0])) for _ in range(n)]
+                x, y = ctx.element(a), ctx.element(b)
+                s = _random_coefficient(rng, p)
+                want = {
+                    "x*y": _schoolbook_mul(a, b, modulus),
+                    "y*x": _schoolbook_mul(b, a, modulus),
+                    "x+y": [u + v for u, v in zip(a, b)],
+                    "x-y": [u - v for u, v in zip(a, b)],
+                    "x*s": [u * s for u in a],
+                }
+                got = {
+                    "x*y": x * y, "y*x": y * x, "x+y": x + y, "x-y": x - y,
+                    "x*s": x * s,
+                }
+                for scalar in (s.numerator if s.denominator == 1 else s, ctx.scalar(s)):
+                    assert (x * scalar).fractions() == want["x*s"]
+                    assert (scalar * x).fractions() == want["x*s"]
+                for op, z in got.items():
+                    assert z.fractions() == want[op], op
+                    ref = ctx.element(want[op])
+                    assert z == ref and z.key() == ref.key()
+                    assert all(c.p == p and c.precision == ctx.precision
+                               and c.unit == r.unit for c, r in zip(z.coeffs, ref.coeffs))
+                checked += 1
+        assert checked == 320
+
+    def test_mixed_primes_and_contexts_raise(self):
+        ctx3 = make_context(3, 32, [3, 0, 1])
+        ctx5 = make_context(5, 32, [5, 0, 1])
+        x = ctx3.element([1, Fraction(1, 3)])
+        y = ctx5.element([1, 1])
+        for op in (lambda: x * PadicScalar.from_fraction(Fraction(2), p=5, precision=32),
+                   lambda: x * y, lambda: x + y, lambda: x - y,
+                   lambda: x * ctx3.element([PadicScalar.from_fraction(Fraction(1), p=5), 0])):
+            with pytest.raises(ValueError):
+                op()
+
+    def test_other_precision_keeps_the_smaller(self):
+        # a scalar of another precision takes the per-scalar path
+        ctx = make_context(3, 32, [3, 0, 1])
+        x = ctx.element([1, Fraction(1, 3)])
+        z = x * PadicScalar.from_fraction(Fraction(2), p=3, precision=8)
+        assert z.fractions() == [2, Fraction(2, 3)]
+        assert [c.precision for c in z.coeffs] == [8, 8]
+
+    # SHA-256 of the transcript below, recorded while every element product
+    # still ran the per-scalar loop
+    TRUNCATED_SHA256 = "4ffe8eb05a93019f477e8628fd2c5c10a758460134da58fd08c10e6f42c20f57"
+
+    def test_truncated_operands_pinned(self):
+        rng = random.Random(66)
+        lines = []
+        for _ in range(60):
+            p = rng.choice([2, 3, 5])
+            n = rng.randrange(2, 7)
+            ctx = make_context(p, rng.choice([3, 6, 12]), random_eisenstein(rng, p, n))
+
+            def scalar(truncate):
+                c = ctx.scalar(Fraction(rng.randrange(-p ** 3, p ** 3), rng.choice([1, 1, p])))
+                return c.truncated() if not c.is_zero and rng.random() < truncate else c
+
+            x = ctx.element([scalar(0.5) for _ in range(n)])
+            y = ctx.element([scalar(rng.choice([0.0, 0.5])) for _ in range(n)])
+            s = scalar(0.5)
+            ops = {"x*y": lambda: x * y, "y*x": lambda: y * x, "x+y": lambda: x + y,
+                   "x-y": lambda: x - y, "x-x": lambda: x - x, "x*s": lambda: x * s,
+                   "x*x": lambda: x * x}
+            for name, op in ops.items():
+                try:
+                    z = op()
+                except PrecisionExhausted as exc:
+                    lines.append(f"{name} PrecisionExhausted {exc}")
+                else:
+                    lines.append(name + " " + " ".join(f"{c!r}{c.key()!r}" for c in z.coeffs))
+        assert any("PrecisionExhausted" in line for line in lines)
+        digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+        assert digest == self.TRUNCATED_SHA256
 
 
 class TestNormAndAbs:

@@ -1,3 +1,4 @@
+import hashlib
 import random
 from fractions import Fraction
 
@@ -190,3 +191,79 @@ class TestPrecisionPolicy:
             x = PadicScalar.from_rational(n, d, p=5, precision=12)
             if not x.is_zero:
                 assert 1 <= x.unit < 5 ** 12 and x.unit % 5 != 0
+
+
+def _unit_cases():
+    """Seeded (p, precision, fraction) triples: negative, non-integral and
+    p-divisible numerators and denominators, and zero."""
+    rng = random.Random(41)
+    cases = [(2, 8, Fraction(0)), (3, 4, Fraction(-1, 9)), (5, 1, Fraction(25, 7))]
+    for _ in range(300):
+        p = rng.choice([2, 3, 5, 7])
+        precision = rng.choice([1, 4, 16, 128])
+        f = Fraction(rng.randrange(-10 ** 6, 10 ** 6), rng.randrange(1, 10 ** 4))
+        cases.append((p, precision, f * Fraction(p) ** rng.randrange(-3, 4)))
+    return cases
+
+
+def _outcome(fn):
+    """repr of fn() or the name of the exception it raises."""
+    try:
+        return repr(fn())
+    except (NotIntegral, PrecisionExhausted, ValueError) as exc:
+        return type(exc).__name__
+
+
+class TestUnitsOnDemand:
+    def test_lazy_unit_matches_eager_formula(self):
+        for p, precision, f in _unit_cases():
+            def fresh():
+                return PadicScalar.from_fraction(f, p=p, precision=precision)
+            if f == 0:
+                assert fresh().unit is None and (-fresh()).unit is None
+                continue
+            num, den = f.numerator, f.denominator
+            num //= p ** int_valuation(num, p)
+            den //= p ** int_valuation(den, p)
+            mod = p ** precision
+            want = num * pow(den, -1, mod) % mod
+            x = fresh()
+            assert x.unit == want and x.unit == want  # first and cached read
+            assert (-fresh()).unit == (-want) % mod
+            assert (-x).unit == (-want) % mod
+            assert fresh().truncated().unit == want
+            # an arithmetic result computes its unit from its own rational
+            y = fresh() * 3 + 1
+            assert y == PadicScalar.from_fraction(f * 3 + 1, p=p, precision=precision)
+
+    # SHA-256 of the transcript below, recorded while units were still
+    # computed eagerly in from_fraction
+    TRANSCRIPT_SHA256 = "f7d0ea4cf60ff2e4691fb9909b14fd0f1deaed31a95bc324666601c28abb729a"
+
+    def test_observable_behaviour_pinned(self):
+        # every query starts from a fresh scalar, so none of them can lean
+        # on a unit another query computed first
+        lines = []
+        for p, precision, f in _unit_cases():
+            def fresh(frac=f, prec=precision):
+                return PadicScalar.from_fraction(frac, p=p, precision=prec)
+            lines += [repr(fresh()), repr(fresh().key()), repr(-fresh()),
+                      repr((-fresh()).key()), repr(-(-fresh())),
+                      _outcome(lambda: fresh().residue_digit())]
+            lines += [_outcome(lambda d=d: fresh().residue(d)) for d in (1, 3, precision + 2)]
+            lines += [repr(fresh() == fresh(prec=2 * precision)),
+                      repr(fresh() == fresh(frac=f + 1)),
+                      repr(fresh() == -fresh())]
+            if f == 0:
+                continue
+            near = f + Fraction(p) ** (fresh().valuation + precision)  # same digits
+            t = fresh().truncated()
+            lines += [repr(hash(fresh())), repr(hash(-fresh())),
+                      repr(fresh() == fresh(frac=near)), repr(hash(fresh(frac=near))),
+                      repr(t), repr(t.key()), repr(hash(t)), repr(-t),
+                      repr(t == fresh()), repr(fresh() == t),
+                      repr(fresh().truncated() == fresh(frac=near)),
+                      _outcome(t.residue_digit)]
+            lines += [_outcome(lambda d=d: t.residue(d)) for d in (1, 3, precision + 2)]
+        digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+        assert digest == self.TRANSCRIPT_SHA256
