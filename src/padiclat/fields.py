@@ -13,16 +13,19 @@ matrix, evaluated modulo p^M with full valuation pivoting.  M escalates
 adaptively: a query only pays for as many digits as the answer needs,
 which is what keeps the attack loops cheap at large degree.
 
-One kernel does every exact valuation: ``_det_valuation``, a numpy
-elimination over int64 residues while p^(2M) * n < 2^61 and over Python
-ints beyond.  One escalation loop, ``NormEngine.norm_valuation``, picks M
-for absolute values, for :func:`field_norm` and for the lattice oracle.
-The one query that needs a single digit, "is N(x) a unit?", is answered
-over GF(p) instead: N(x) mod p = +-Res(F mod p, x mod p), so it is a
-unit exactly when the two residue polynomials are coprime (``_gf_coprime``,
-an O(n^2) Euclid).  Only threshold tests (``NormEngine.norm_exceeds``)
-reach that path; an exact valuation asked of a fresh engine is always a
-determinant, so the brute-force oracle keeps refereeing the gcd.
+One kernel does every exact valuation: ``_det_valuation``, one numpy
+elimination over a stack of matrices (a single matrix is a stack of one),
+over int64 residues while p^(2M) * n < 2^61 and over Python ints beyond.
+One escalation loop, ``_norm_valuations``, picks M for a batch of
+elements: ``NormEngine.norm_valuation`` runs it for one element (absolute
+values and :func:`field_norm`), the brute-force lattice oracle for a
+whole chunk of digit sums at once.  The one query that needs a single
+digit, "is N(x) a unit?", is answered over GF(p) instead:
+N(x) mod p = +-Res(F mod p, x mod p), so it is a unit exactly when the
+two residue polynomials are coprime (``_gf_coprime``, an O(n^2) Euclid).
+Only threshold tests (``NormEngine.norm_exceeds``) reach that path; an
+exact valuation is always a determinant, so the brute-force oracle keeps
+refereeing the gcd.
 
 Coordinates in a basis (CVP in the schemes and the attack, lattice
 membership, and the key generator's change of generator) come from one
@@ -54,6 +57,9 @@ from .errors import (
 from .scalars import PRECISION_CAP, PadicScalar, int_valuation
 
 _INT64_SAFE = 2 ** 61
+# up to this many row and column swaps per step, basic indexing (one matrix
+# at a time) beats a fancy-indexed gather and scatter
+_FEW_SWAPS = 4
 
 
 def frac_valuation(f: Fraction, p: int):
@@ -480,79 +486,190 @@ def _kernel_dtype(p: int, n: int, digits: int):
     return np.int64 if p ** (2 * digits) * n < _INT64_SAFE else object
 
 
-def _mult_rows_mod(ctx: FieldContext, x: FieldElement, digits: int, s: int):
-    """Rows spanning x*z^j (j = 0..n-1) mod p^digits for p^s * x, where s
-    is ``_element_scale(x)``.  det(rows) = det of the multiplication
-    matrix of p^s * x."""
+def _mult_rows_mod(ctx: FieldContext, x, digits: int, s: int = 0):
+    """Rows spanning x*z^j (j = 0..n-1) mod p^digits.
+
+    ``x`` is either a FieldElement, giving the n x n rows of p^s * x with
+    s = ``_element_scale(x)``, or a stack of residue vectors mod p^digits
+    (B x n integers), giving a B x n x n stack.  det(rows) = det of the
+    multiplication matrix of (p^s times) the element.
+    """
     p, n = ctx.p, ctx.n
+    if isinstance(x, FieldElement):
+        return _mult_rows_mod(ctx, [[_scaled_residue(c, s, digits, p) for c in x.coeffs]],
+                              digits)[0]
     mod = p ** digits
     dtype = _kernel_dtype(p, n, digits)
-    fb = np.array(ctx._modulus_residues(digits), dtype=dtype)
-    rows = np.empty((n, n), dtype=dtype)
-    rows[0] = [_scaled_residue(c, s, digits, p) for c in x.coeffs]
+    fold = -np.array(ctx._modulus_residues(digits), dtype=dtype)
+    first = np.asarray(x, dtype=dtype)
+    rows = np.empty((len(first), n, n), dtype=dtype)
+    rows[:, 0] = first
     for j in range(1, n):
-        # row j is z * row j-1: shift up one degree, fold z^n back with F
-        prev, row = rows[j - 1], rows[j]
-        top = int(prev[-1])
-        row[0] = 0
-        row[1:] = prev[:-1]
-        if top:
-            row -= top * fb
-            row %= mod
+        # row j is z * row j-1: fold z^n back with F, shift up one degree
+        prev, row = rows[:, j - 1], rows[:, j]
+        np.multiply(prev[:, -1:], fold, out=row)
+        row[:, 1:] += prev[:, :-1]
+        row %= mod
     return rows
 
 
-def _det_valuation(rows, p: int, digits: int):
-    """(valuation, unit, unit_digits) of det(rows) computed mod p^digits.
+def _pivot_search(blocks, sel, p: int, mod: int):
+    """For the blocks ``sel`` of a stack, none with a unit top-left entry
+    (entries are residues mod ``mod``, not necessarily reduced), as lists:
+    the flat index of the first entry of minimal valuation, that
+    valuation, and whether the block vanishes mod ``mod`` (then the other
+    two are meaningless).  The last two are None when every block holds a
+    unit."""
+    # the first unit in row-major order lies in the first row when that
+    # row holds one; its index is then positive, as the top-left entry is
+    # not a unit
+    first = blocks[:, 0] if len(sel) == len(blocks) else blocks[sel, 0]
+    where = (first % p != 0).argmax(axis=1).tolist()
+    if all(where):
+        return where, None, None
+    if len(sel) < len(blocks):
+        blocks = blocks[sel]
+    blocks %= mod  # in place: a view of the stack keeps equivalent residues
+    flat = blocks.reshape(len(blocks), -1)
+    # a block's gcd has the minimal valuation of its entries; it is 0 only
+    # when the block vanishes
+    gcds = np.gcd.reduce(flat, axis=1).tolist()
+    level = [int_valuation(g, p) if g else 0 for g in gcds]
+    above = np.array([p ** (v + 1) for v in level], dtype=flat.dtype)
+    where = (flat % above[:, None] != 0).argmax(axis=1).tolist()
+    return where, level, [g == 0 for g in gcds]
 
-    ``rows`` is a square integer matrix (array or list of lists).  Pivots
-    on the diagonal entry when it is a unit, and otherwise on the
-    minimal-valuation entry of the whole remaining block; either way the
-    pivot has minimal valuation, which keeps every intermediate entry
-    exact mod p^digits.  Raises _Deeper when the block vanishes mod
-    p^digits.
+
+def _swap(A, k: int, rows, cols):
+    """Swap row k (then column k) of stack A with row i (column j) of
+    matrix b, for each (b, i) in ``rows`` ((b, j) in ``cols``), on the
+    remaining block.  A few matrices are swapped one by one with basic
+    indexing; more take one gather and one scatter each way."""
+    if len(rows) + len(cols) <= _FEW_SWAPS:
+        for b, i in rows:
+            A[b, k, k:], A[b, i, k:] = A[b, i, k:], A[b, k, k:].copy()
+        for b, j in cols:
+            A[b, k:, k], A[b, k:, j] = A[b, k:, j], A[b, k:, k].copy()
+        return
+    if rows:
+        b = [[x] for x, _ in rows]
+        A[b, [[k, i] for _, i in rows], k:] = A[b, [[i, k] for _, i in rows], k:]
+    if cols:
+        b = [[x] for x, _ in cols]
+        A[b, k:, [[k, j] for _, j in cols]] = A[b, k:, [[j, k] for _, j in cols]]
+
+
+def _det_valuation(rows, p: int, digits: int):
+    """Valuation of det(rows) computed mod p^digits, for one matrix or a
+    stack of them.
+
+    ``rows`` is a square integer matrix (array or list of lists) or a
+    B x n x n stack.  Each step pivots every matrix on its diagonal entry
+    when that is a unit (in place, with no search and no swap when the
+    whole stack has one) and otherwise on the first minimal-valuation
+    entry of its remaining block; either way the pivot has minimal
+    valuation, which keeps every intermediate entry exact mod p^digits.
+    A matrix whose block vanishes mod p^digits has valuation at least
+    vsum + digits (its _Deeper bound); an identity block then carries it
+    through the remaining steps.  Only the pivot row and column are
+    reduced each step: the block takes at most n products of two
+    residues, which ``_kernel_dtype`` keeps in range.
+
+    One matrix: returns (valuation, unit, unit_digits) and raises _Deeper.
+    A stack: returns lists (v, deeper), per matrix the valuation, or where
+    ``deeper`` is set, the _Deeper bound.
     """
-    n = len(rows)
+    A = np.asarray(rows, dtype=_kernel_dtype(p, len(rows[0]), digits))
+    single = A.ndim == 2
+    n = A.shape[-1]
     mod = p ** digits
-    A = np.asarray(rows, dtype=_kernel_dtype(p, n, digits)) % mod
-    vsum = 0
-    units = 1
-    sign = 1
+    A = A.reshape(-1, n, n) % mod
+    del rows  # the elimination works on its own copy
+    vsum = [0] * len(A)
+    deeper = [False] * len(A)
+    sign = unit = 1  # of a single matrix
     for k in range(n):
-        pv = di = dj = 0
-        if int(A[k, k]) % p == 0:
-            rem = A[k:, k:]
-            while True:
-                nz = rem % p != 0
-                if nz.any():
-                    flat = int(np.argmax(nz))
-                    di, dj = divmod(flat, nz.shape[1])
+        units = A[:, k, k].tolist()  # not reduced: only their residues matter
+        shift = None
+        sel = [b for b, u in enumerate(units) if u % p == 0]
+        if sel:
+            where, pv, gone = _pivot_search(A[:, k:, k:], sel, p, mod)
+            if gone is not None and any(gone):
+                dead = [b for b, g in zip(sel, gone) if g]
+                for b in dead:
+                    vsum[b] += digits
+                    deeper[b] = True
+                if all(deeper):
                     break
-                if not rem.any():
-                    raise _Deeper(vsum + digits)
-                rem = rem // p
-                pv += 1
-        pi, pj = k + di, k + dj
-        if pi != k:
-            A[[k, pi], :] = A[[pi, k], :]
-            sign = -sign
-        if pj != k:
-            A[:, [k, pj]] = A[:, [pj, k]]
-            sign = -sign
-        piv = int(A[k, k])
-        vsum += pv
-        pshift = p ** pv
-        umod = p ** (digits - pv)
-        u = piv // pshift % umod
-        units = units * u % mod
-        uinv = pow(u, -1, umod)
+                A[dead, k:, k:] = np.eye(n - k, dtype=np.int64)
+                where = [0 if g else w for w, g in zip(where, gone)]
+                pv = [0 if g else v for v, g in zip(pv, gone)]
+            r = n - k
+            row_swaps = [(b, k + w // r) for b, w in zip(sel, where) if w >= r]
+            col_swaps = [(b, k + w % r) for b, w in zip(sel, where) if w % r]
+            _swap(A, k, row_swaps, col_swaps)
+            if single:
+                sign *= (-1) ** (len(row_swaps) + len(col_swaps))
+            units = A[:, k, k].tolist()
+            if pv is not None and any(pv):
+                shift = [1] * len(A)
+                for b, v in zip(sel, pv):
+                    vsum[b] += v
+                    shift[b] = p ** v
+                units = [u % mod // d for u, d in zip(units, shift)]
+                shift = np.array(shift, dtype=A.dtype)[:, None]
+        if single:
+            unit = unit * units[0] % mod
         if k + 1 < n:
-            f = (A[k + 1:, k] // pshift) * uinv % umod
-            A[k + 1:, k + 1:] = (A[k + 1:, k + 1:] - np.outer(f, A[k, k + 1:])) % mod
-    uprec = digits - vsum
+            col = A[:, k + 1:, k] % mod
+            if shift is not None:
+                col //= shift
+            if len(units) == 1:
+                inv = pow(units[0], -1, mod)
+            else:
+                inv = np.array([pow(u, -1, mod) for u in units], dtype=A.dtype)[:, None]
+            # f is exact mod p^(digits - pv) and row k is divisible by p^pv,
+            # so each product is exact mod p^digits
+            f = col * inv % mod
+            A[:, k + 1:, k + 1:] -= f[:, :, None] * (A[:, k, None, k + 1:] % mod)
+    if not single:
+        return vsum, deeper
+    v = vsum[0]
+    if deeper[0]:
+        raise _Deeper(v)
+    uprec = digits - v
     if uprec <= 0:
-        return vsum, 1, 0
-    return vsum, sign * units % p ** uprec, uprec
+        return v, 1, 0
+    return v, sign * unit % p ** uprec, uprec
+
+
+def _norm_valuations(ctx: FieldContext, residues, count: int, shift: int,
+                     digits: int, cap: int):
+    """Exact v(N(x_i)) for ``count`` elements with p^s * x_i integral,
+    shift = n*s: the one escalation loop.
+
+    ``residues(idx, total)`` returns the residue vectors mod p^total of
+    p^s * x_i for the elements still open (a list of indices).  Every
+    open element is eliminated at ``digits`` norm digits in one stack;
+    only the matrices that come back _Deeper go on, at twice the digits,
+    until ``cap``, past which PrecisionExhausted.  Returns a list.
+    """
+    p = ctx.p
+    out = [0] * count
+    todo = list(range(count))
+    while todo:
+        total = digits + shift
+        v, deeper = _det_valuation(_mult_rows_mod(ctx, residues(todo, total), total),
+                                   p, total)
+        for i, vi in zip(todo, v):
+            out[i] = vi - shift  # a _Deeper bound is overwritten once resolved
+        todo = [i for i, d in zip(todo, deeper) if d]
+        if todo and digits >= cap:
+            raise PrecisionExhausted(
+                f"norm valuation not certified within {cap} digits "
+                "(element extremely small, or modulus reducible)")
+        digits = min(2 * digits, cap)
+    return out
 
 
 def _gf_coprime(a, b, p: int) -> bool:
@@ -599,8 +716,7 @@ class NormEngine:
     so threshold tests and later exact queries share work.  A threshold
     test that needs a single digit is a GF(p) gcd; ``norm_valuation`` and
     ``resolve_min_valuation`` never ask for fewer than two digits, so on
-    a fresh engine every exact valuation is a determinant.  A fresh
-    engine per query is the uncached form the brute-force oracle uses.
+    a fresh engine every exact valuation is a determinant.
     """
 
     def __init__(self, ctx: FieldContext, digit_cap: int = PRECISION_CAP):
@@ -647,13 +763,13 @@ class NormEngine:
             return None
         st = self._state(x)
         if st.exact is None:
-            digits = max(2, st.lower + 1)
-            while not self._attempt(x, st, digits):
-                if digits >= self.digit_cap:
-                    raise PrecisionExhausted(
-                        f"norm valuation not certified within {self.digit_cap} "
-                        "digits (element extremely small, or modulus reducible)")
-                digits = min(2 * digits, self.digit_cap)
+            p, s = self.ctx.p, st.s
+
+            def residues(_, total):
+                return [[_scaled_residue(c, s, total, p) for c in x.coeffs]]
+
+            st.exact = _norm_valuations(self.ctx, residues, 1, self.ctx.n * s,
+                                        max(2, st.lower + 1), self.digit_cap)[0]
         return st.exact
 
     def norm_exceeds(self, x: FieldElement, bound: int) -> bool:

@@ -1,8 +1,14 @@
 """p-adic lattices: orthogonality, brute-force ground truth, and CVP.
 
 The oracle here is deliberately independent of the reduction algorithms:
-it enumerates digit combinations and asks a fresh, uncached norm engine
-for each sum, so it can referee them.
+it enumerates every digit combination and resolves each sum's exact norm
+valuation from determinants alone (no norm engine, no cache and never the
+GF(p) gcd), so it can referee them.  The enumeration is vectorized: the
+vectors are cleared of denominators once, each chunk of digit tuples
+(taken in product order) becomes integer rows by one product with that
+integer basis, and one batched escalation (``fields._norm_valuations``)
+eliminates the chunk's multiplication matrices as one stack.  Only the
+first witness of each norm class becomes a field element.
 """
 
 from __future__ import annotations
@@ -11,18 +17,29 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
+import numpy as np
+
 from .errors import BudgetExceeded, ClassCollision, OracleInconclusive
 from .fields import (
+    _INT64_SAFE,
     AbsValue,
     FieldContext,
     FieldElement,
     NormEngine,
+    _clear_denominators,
+    _from_fracs,
+    _kernel_dtype,
+    _norm_valuations,
     coordinates_in,
     frac_valuation,
 )
-from .scalars import PadicScalar
+from .scalars import PRECISION_CAP, PadicScalar, int_valuation
 
 DEFAULT_BUDGET = 10 ** 7
+
+# digit tuples per batch: bounds the enumeration's memory (its stacks take
+# about 1.3 KB per tuple at n = 6)
+_CHUNK = 64
 
 
 @dataclass(frozen=True)
@@ -68,27 +85,68 @@ def is_orthogonal(ctx: FieldContext, vectors, *, budget: int = DEFAULT_BUDGET,
         raise BudgetExceeded(
             f"exhaustive orthogonality check needs p^{m} = {ctx.p ** m} "
             f"combinations, budget is {budget}")
-    mults = [_multiples(v, ctx.p) for v in vectors]
-    for combo in itertools.product(range(ctx.p), repeat=m):
-        if 1 not in combo:
-            continue
-        acc = ctx.zero()
-        expected = None
-        for d, table, e in zip(combo, mults, exps):
-            if d:
-                acc = acc + table[d]
-                if expected is None or expected < e:
-                    expected = e
-        if NormEngine(ctx).abs_value(acc) != expected:
+    sums = _IntegerSums(ctx, vectors, ctx.p - 1)
+    # expected v(N(sum)): the least valuation among its nonzero terms
+    want = np.array([int(e.exponent * ctx.n) for e in exps])
+    for tuples in _digit_tuples(ctx.p, m):
+        tuples = tuples[(tuples == 1).any(axis=1)]
+        rows = sums.rows(tuples)
+        if not np.count_nonzero(rows, axis=1).all():
+            return False
+        expected = np.where(tuples != 0, want, np.iinfo(np.int64).max).min(axis=1)
+        if (np.array(sums.valuations(rows)) != expected).any():
             return False
     return True
 
 
-def _multiples(x: FieldElement, count: int):
-    out = [x.ctx.zero()]
-    for _ in range(1, count):
-        out.append(out[-1] + x)
-    return out
+def _digit_tuples(span: int, m: int):
+    """Every tuple of range(span)^m in ``itertools.product`` order, as
+    int64 arrays of at most _CHUNK rows."""
+    weights = span ** np.arange(m - 1, -1, -1, dtype=np.int64)
+    total = span ** m
+    for start in range(0, total, _CHUNK):
+        index = np.arange(start, min(start + _CHUNK, total), dtype=np.int64)
+        yield index[:, None] // weights % span
+
+
+class _IntegerSums:
+    """Vectors cleared of denominators once: the sum of digit multiples
+    sum_i t_i v_i is the integer row t @ basis over one denominator D.
+
+    Rows are int64 while no such sum (digits up to ``largest``) can reach
+    the kernel's 2^61 bound, Python ints beyond.  Raises
+    PrecisionExhausted for a vector with truncated coefficients.
+    """
+
+    def __init__(self, ctx: FieldContext, vectors, largest: int):
+        self.ctx = ctx
+        n = ctx.n
+        ints, self.den = _clear_denominators([f for v in vectors for f in v.fractions()])
+        rows = [ints[i:i + n] for i in range(0, len(ints), n)]
+        bound = largest * max(sum(abs(r[j]) for r in rows) for j in range(n))
+        self.basis = np.array(rows, dtype=np.int64 if bound < _INT64_SAFE else object)
+        # D = p^t * D' with D' a unit, so p^t * (row / D) = row / D' is integral
+        self.t = int_valuation(self.den, ctx.p)
+        self.unit_den = self.den // ctx.p ** self.t
+
+    def rows(self, tuples):
+        return tuples.astype(self.basis.dtype) @ self.basis
+
+    def valuations(self, rows):
+        """Exact v(N(row / D)) for each nonzero integer row, as a list."""
+        p, n = self.ctx.p, self.ctx.n
+
+        def residues(idx, total):
+            mod = p ** total
+            r = rows[idx]
+            if _kernel_dtype(p, n, total) is object:
+                r = r.astype(object)
+            return r % mod * pow(self.unit_den, -1, mod) % mod
+
+        return _norm_valuations(self.ctx, residues, len(rows), n * self.t, 2, PRECISION_CAP)
+
+    def element(self, row) -> FieldElement:
+        return _from_fracs(self.ctx, [Fraction(int(c), self.den) for c in row])
 
 
 @dataclass(frozen=True)
@@ -115,23 +173,16 @@ def lvp_oracle(ctx: FieldContext, lattice: Lattice, depth: int = 2, *,
         raise BudgetExceeded(
             f"enumeration p^{depth * m} exceeds budget {budget}")
     span = p ** depth
-    tables = [_multiples(b, span) for b in lattice.basis]
+    sums = _IntegerSums(ctx, lattice.basis, max(span - 1, p))
     best: dict = {}
-    for combo in itertools.product(range(span), repeat=m):
-        acc = ctx.zero()
-        for d, table in zip(combo, tables):
-            if d:
-                acc = acc + table[d]
-        if acc.is_zero:
-            continue
-        e = NormEngine(ctx).abs_value(acc)
-        if e.exponent not in best:
-            best[e.exponent] = acc
-    for b in lattice.basis:
-        extra = b * p
-        e = NormEngine(ctx).abs_value(extra)
-        if e.exponent not in best:
-            best[e.exponent] = extra
+    # every digit tuple in product order, then the vectors p*b_i
+    for tuples in itertools.chain(_digit_tuples(span, m), [p * np.eye(m, dtype=np.int64)]):
+        rows = sums.rows(tuples)
+        rows = rows[np.count_nonzero(rows, axis=1) > 0]
+        for v, i in zip(*np.unique(sums.valuations(rows), return_index=True)):
+            e = Fraction(int(v), ctx.n)
+            if e not in best:
+                best[e] = sums.element(rows[i])
     order = sorted(best)  # ascending exponent = decreasing magnitude
     if len(order) < 2:
         raise OracleInconclusive(

@@ -21,7 +21,6 @@ from fractions import Fraction
 
 from .errors import BudgetExceeded, ReductionFailed, SingularSystem
 from .fields import AbsValue, FieldContext, FieldElement, NormEngine
-from .lattices import _multiples
 
 DEFAULT_BUDGET = 10 ** 7
 
@@ -190,6 +189,14 @@ def orthogonalize(ctx: FieldContext, basis, *, engine: NormEngine | None = None)
         if not b < a:
             raise ReductionFailed("output norms are not strictly decreasing")
     return OrthoResult(tuple(B), final, counter.count)
+
+
+def _multiples(x: FieldElement, count: int):
+    """0, x, 2x, ..., (count - 1) x."""
+    out = [x.ctx.zero()]
+    for _ in range(1, count):
+        out.append(out[-1] + x)
+    return out
 
 
 def find_second_longest_general(ctx: FieldContext, basis, residue_degree: int, *,

@@ -33,6 +33,9 @@ from .fields import (
     FieldContext,
     FieldElement,
     NormEngine,
+    _clear_denominators,
+    _exact_fracs,
+    _from_fracs,
     _solve_exact,
     coordinates_in,
     is_eisenstein,
@@ -164,12 +167,23 @@ def keygen(p: int, n: int, m: int, exponents, eisenstein_coeffs, zeta_over_theta
     alpha = [ctx.element(theta_coords[jk]) for jk in j]
 
     A = _make_matrix(p, m, matrix, rng, precision)
+    # beta_i = sum_k A_ik alpha_k as one integer dot product per vector:
+    # alpha[:m] share one denominator, each row of A has its own
+    alpha_ints, alpha_den = _clear_denominators(
+        [c for jk in j[:m] for c in theta_coords[jk]])
+    alpha_ints = [alpha_ints[k * n:(k + 1) * n] for k in range(m)]
     beta = []
     for row in A:
-        acc = ctx.zero()
-        for a, al in zip(row, alpha[:m]):
-            acc = acc + al * a
-        beta.append(acc)
+        fracs = _exact_fracs(ctx, row)
+        if fracs is None:  # an entry not exact at this precision: element arithmetic
+            acc = ctx.zero()
+            for a, al in zip(row, alpha[:m]):
+                acc = acc + al * a
+            beta.append(acc)
+            continue
+        ints, den = _clear_denominators(fracs)
+        vec = [sum(a * v[i] for a, v in zip(ints, alpha_ints)) for i in range(n)]
+        beta.append(_from_fracs(ctx, [Fraction(x, den * alpha_den) for x in vec]))
     engine = NormEngine(ctx)
     for b in beta:
         if engine.norm_valuation(b) != 0:

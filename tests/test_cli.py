@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 from padiclat.cli import main
@@ -103,6 +105,27 @@ class TestOracleAndBench:
         code, out, _ = run(capsys, "oracle", "lvp", "--pub", str(pub))
         assert code == 0
         assert out.startswith("lambda1_exponent=0")
+
+    @pytest.mark.parametrize("p, n, m, lambda2, digest", [
+        ("2", "6", "3", "1/6",
+         "08c16916f7f31fa166d20b21ebefc89d6c8895b8904b1ab1478e7caa3f09007e"),
+        ("3", "6", "2", "1/6",
+         "c992120aefb5698b1517b7fe7b603ebc2a13e2fd89bac40223893418f992bcdd"),
+        ("5", "4", "2", "1/4",
+         "7287d8dc2edfea36959b6b2391b5d7fbcff64814a4452734a94c5624eb99a7b0"),
+    ])
+    def test_oracle_lvp_pinned_output(self, tmp_path, capsys, p, n, m, lambda2, digest):
+        # keys with large p-free denominators, whose digit sums overflow
+        # int64: the whole output, witness included, is pinned
+        pair = tmp_path / "k.pair"
+        pub = tmp_path / "k.pub"
+        code, _, _ = run(capsys, "keygen", "--p", p, "--n", n, "--m", m, "--seed", "11",
+                         "--precision", "128", "--out", str(pair), "--public-out", str(pub))
+        assert code == 0
+        code, out, _ = run(capsys, "oracle", "lvp", "--pub", str(pub))
+        assert code == 0
+        assert out.splitlines()[:2] == ["lambda1_exponent=0", f"lambda2_exponent={lambda2}"]
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
     def test_bench_small(self, tmp_path, capsys):
         out_file = tmp_path / "bench.csv"

@@ -2,11 +2,12 @@ import hashlib
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import TOY_F, random_eisenstein, scheme_shaped_lattice
+from conftest import TOY_F, random_eisenstein, random_unimodular, scheme_shaped_lattice
 from padiclat import bench, fields
 from padiclat.errors import (
     NotInSpan,
@@ -598,3 +599,87 @@ class TestDeterminantEngine:
             got = field_norm(sqrt2_ctx, x)
             want = PadicScalar.from_rational(a * a - 2 * b * b, 1, p=2, precision=64)
             assert got == want
+
+
+class TestStackedDeterminant:
+    """One elimination over a stack of matrices against one call per
+    matrix and against exact determinants."""
+
+    @staticmethod
+    def _matmul(a, b):
+        return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in a]
+
+    def _scaled(self, rng, p, exps):
+        # U diag(p^e) V with U, V unimodular mod p: valuation exactly sum(e)
+        n = len(exps)
+        u, w = random_unimodular(rng, p, n), random_unimodular(rng, p, n)
+        d = [[p ** e if i == k else 0 for k in range(n)] for i, e in enumerate(exps)]
+        return self._matmul(self._matmul(u, d), w)
+
+    @pytest.mark.parametrize("p, digits, dtype", [
+        (2, 4, np.int64),
+        (3, 3, np.int64),
+        (5, 3, np.int64),
+        (2, 40, object),
+        (3, 30, object),
+    ])
+    def test_stack_matches_single_calls_and_exact(self, p, digits, dtype):
+        from padiclat.fields import _Deeper, _det_valuation, _kernel_dtype
+        from padiclat.scalars import int_valuation
+
+        n = 4
+        assert _kernel_dtype(p, n, digits) is dtype
+        rng = random.Random(f"stack:{p}:{digits}")
+        mod = p ** digits
+        mats, exps = [], []
+        for i in range(40):
+            # an exponent of ``digits`` makes the block vanish: _Deeper
+            e = [0 if i % 8 == 0 else rng.choice((0, 0, 1, rng.randrange(digits), digits))
+                 for _ in range(n)]
+            mats.append(self._scaled(rng, p, e))
+            exps.append(e)
+        reduced = [[[x % mod for x in r] for r in m] for m in mats]
+        v, deeper = _det_valuation(np.array(reduced, dtype=object), p, digits)
+        outcomes = set()
+        for m, red, e, got, deep in zip(mats, reduced, exps, v, deeper):
+            det = TestDeterminantEngine._exact_det(m)
+            want = int_valuation(det, p)
+            assert want == sum(e)
+            try:
+                single, unit, uprec = _det_valuation(red, p, digits)
+            except _Deeper as d:
+                assert deep and got == d.bound <= want and want >= digits
+            else:
+                assert not deep and got == single == want
+                assert unit == (det // p ** want % p ** uprec if uprec else 1)
+            outcomes.add((deep, max(e) > 0))
+        # resolved and _Deeper matrices in one stack, with unit pivots and
+        # with pivots of higher valuation among the resolved ones
+        assert outcomes >= {(True, True), (False, True), (False, False)}
+
+    @pytest.mark.parametrize("p, digits", [(3, 2), (5, 3), (2, 40)])
+    def test_unit_diagonal_needs_no_search(self, p, digits, monkeypatch):
+        from padiclat.fields import _det_valuation
+
+        def forbidden(*args):
+            raise AssertionError("unit-diagonal stack reached the pivot search")
+
+        monkeypatch.setattr(fields, "_pivot_search", forbidden)
+        rng = random.Random(f"unit-diagonal:{p}")
+        n = 6
+        mod = p ** digits
+        mats = []
+        for _ in range(10):
+            # unit lower times unit upper triangular: every leading minor is
+            # a unit, so every step's diagonal entry is one
+            lower = [[rng.randrange(1, p) if i == k else rng.randrange(-50, 50) if k < i else 0
+                      for k in range(n)] for i in range(n)]
+            upper = [[rng.randrange(1, p) if i == k else rng.randrange(-50, 50) if k > i else 0
+                      for k in range(n)] for i in range(n)]
+            mats.append(self._matmul(lower, upper))
+        reduced = [[[x % mod for x in r] for r in m] for m in mats]
+        v, deeper = _det_valuation(np.array(reduced, dtype=object), p, digits)
+        assert not any(deeper) and not any(v)
+        for m, red in zip(mats, reduced):
+            det = TestDeterminantEngine._exact_det(m)
+            assert _det_valuation(red, p, digits) == (0, det % mod, digits)

@@ -1,11 +1,19 @@
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
 
 from conftest import scheme_shaped_lattice
-from padiclat.errors import BudgetExceeded, ClassCollision, OracleInconclusive
-from padiclat.fields import AbsValue, NormEngine
+from oracle_reference import is_orthogonal_reference, lvp_oracle_reference
+from padiclat import lattices
+from padiclat.errors import (
+    BudgetExceeded,
+    ClassCollision,
+    OracleInconclusive,
+    PrecisionExhausted,
+)
+from padiclat.fields import AbsValue, FieldElement, NormEngine
 from padiclat.lattices import (
     Lattice,
     complete_orthogonal,
@@ -104,6 +112,97 @@ class TestOracle:
         lat = Lattice(sqrt2_ctx, [sqrt2_ctx.one()])
         with pytest.raises(OracleInconclusive):
             lvp_oracle(sqrt2_ctx, lat, depth=0)
+
+
+def _outputs(res):
+    return (res.lambda1, res.lambda2, res.witness.fractions(), res.classes)
+
+
+def _reference_outputs(ctx, basis, depth=2):
+    lam1, lam2, witness, classes = lvp_oracle_reference(ctx, basis, depth)
+    return (lam1, lam2, witness.fractions(), classes)
+
+
+class TestOracleDifferential:
+    """The chunked, batched enumeration against the per-sum loop it
+    replaced (``oracle_reference``), on seeded cells."""
+
+    @pytest.mark.parametrize("p, n, m, depth, scale", [
+        (2, 3, 2, 2, 1),
+        (3, 4, 2, 1, 1),
+        (2, 4, 2, 3, 1),
+        (5, 4, 2, 1, 1),
+        (2, 4, 2, 2, Fraction(1, 4)),    # p-power denominators
+        (3, 3, 2, 2, Fraction(5, 9)),
+        (3, 4, 2, 2, Fraction(1, 7)),    # p-free denominators
+        (5, 3, 1, 3, Fraction(2, 11)),
+        (3, 4, 3, 2, 1),                 # 729 tuples: several chunks
+        (2, 5, 3, 3, Fraction(3, 2)),    # 512 tuples, p-power denominators
+    ])
+    def test_matches_per_sum_loop(self, p, n, m, depth, scale):
+        rng = random.Random(f"oracle-diff:{p}:{n}:{m}:{depth}")
+        for _ in range(2):
+            ctx, basis, _ = scheme_shaped_lattice(rng, p, n, m)
+            # mixed denominators: only some vectors are rescaled
+            basis = [b * scale if i % 2 == 0 else b for i, b in enumerate(basis)]
+            got = lvp_oracle(ctx, Lattice(ctx, basis), depth)
+            assert _outputs(got) == _reference_outputs(ctx, basis, depth)
+            assert isinstance(got.witness, FieldElement)
+
+    @pytest.mark.parametrize("p", [2, 3])
+    def test_dependent_basis_skips_zero_sums(self, p):
+        # b0 and -b0 cancel whenever their digits agree; b0 + b1 and -b1
+        # likewise
+        rng = random.Random(f"oracle-dependent:{p}")
+        ctx, basis, _ = scheme_shaped_lattice(rng, p, 4, 2)
+        b0, b1 = basis
+        for dependent in ([b0, -b0, b1], [b0 + b1, -b1 * Fraction(1, p), b1]):
+            got = lvp_oracle(ctx, Lattice(ctx, dependent))
+            assert _outputs(got) == _reference_outputs(ctx, dependent)
+
+    def test_chunk_boundaries_do_not_matter(self, monkeypatch):
+        rng = random.Random("oracle-chunks")
+        ctx, basis, _ = scheme_shaped_lattice(rng, 3, 4, 3)
+        want = _outputs(lvp_oracle(ctx, Lattice(ctx, basis)))
+        for chunk in (1, 7, 100):
+            monkeypatch.setattr(lattices, "_CHUNK", chunk)
+            assert _outputs(lvp_oracle(ctx, Lattice(ctx, basis))) == want
+
+    def test_is_orthogonal_matches_per_sum_loop(self):
+        rng = random.Random(41)
+        seen = set()
+        for _ in range(16):
+            p = rng.choice([2, 3, 5])
+            n = rng.randrange(2, 5)
+            ctx, basis, _ = scheme_shaped_lattice(rng, p, n, rng.randrange(1, min(n, 3) + 1))
+            scale = rng.choice([1, Fraction(1, p), Fraction(1, 7)])
+            vectors = [basis[0] * scale] + basis[1:] + [ctx.monomial(0)]
+            want = is_orthogonal_reference(ctx, vectors)
+            assert is_orthogonal(ctx, vectors, force_exhaustive=True) == want
+            seen.add(want)
+        assert seen == {True, False}
+
+    def test_truncated_basis_raises(self, sqrt2_ctx):
+        one, z = sqrt2_ctx.one(), sqrt2_ctx.gen()
+        b = one + z * 3
+        truncated = FieldElement(sqrt2_ctx, tuple(c.truncated() for c in b.coeffs))
+        with pytest.raises(PrecisionExhausted):
+            lvp_oracle(sqrt2_ctx, Lattice(sqrt2_ctx, [one, truncated]))
+
+    def test_memory_stays_bounded(self):
+        # 5^6 = 15625 tuples at n = 6: their multiplication matrices alone
+        # take 4.5 MB, the chunked enumeration never holds more than a chunk
+        rng = random.Random("oracle-memory")
+        ctx, basis, _ = scheme_shaped_lattice(rng, 5, 6, 3)
+        lattice = Lattice(ctx, basis)
+        lvp_oracle(ctx, lattice)
+        tracemalloc.start()
+        try:
+            lvp_oracle(ctx, lattice)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_500_000
 
 
 class TestSuccessiveMaxima:
