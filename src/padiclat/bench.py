@@ -14,7 +14,7 @@ import time
 from dataclasses import dataclass
 
 from .attack import recover_uniformizer
-from .fields import FieldContext, _int_mul_mod, check_parameters, make_context
+from .fields import FieldContext, _int_mul_mod, check_degree, check_parameters, make_context
 from .scalars import DEFAULT_PRECISION
 
 
@@ -75,6 +75,7 @@ def make_instance(n: int, p: int, rng: random.Random,
     """Public polynomial for one benchmark cell: the fixed Eisenstein
     family with a random generator whose linear coefficient is a unit."""
     check_parameters(p, precision)
+    check_degree(n)
     fcoeffs = [p] * n + [1]
     while True:
         zeta = [rng.randrange(p) for _ in range(n)]

@@ -6,9 +6,9 @@ class PadicError(Exception):
 
 
 class PrecisionExhausted(PadicError):
-    """A result's valuation (or unit digits) cannot be certified at the
-    available precision.  Callers may retry at doubled precision up to
-    ``PRECISION_CAP``."""
+    """A norm valuation, or the unit digits of a ``field_norm``, cannot be
+    certified within ``PRECISION_CAP`` digits.  The norm escalation already
+    doubles its digits up to that cap."""
 
 
 class DivisionByZero(PadicError):

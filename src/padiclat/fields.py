@@ -6,8 +6,8 @@ vectors: a product clears each operand's denominators once, multiplies
 and reduces by F over Python ints (``_int_mul_mod``, the one polynomial
 multiplier, which ``bench`` shares), and sums, differences and scalar
 multiples combine the exact rationals directly; either way each output
-scalar is built once.  Only elements with a truncated coefficient take
-the per-scalar loop.  The extended absolute value |x| = |N(x)|^(1/n)
+scalar is built once, at the smallest precision among the operands and
+the context.  The extended absolute value |x| = |N(x)|^(1/n)
 is computed from the valuation of the determinant of the multiplication
 matrix, evaluated modulo p^M with full valuation pivoting.  M escalates
 adaptively: a query only pays for as many digits as the answer needs,
@@ -134,10 +134,9 @@ class FieldContext:
         self.residue_degree = residue_degree
         self._res_cache = {}
         # the non-leading coefficients as (integer vector, lcm of their
-        # denominators) for exact products; None sends every product
-        # through the per-scalar loop
-        fbar = _exact_fracs(self, self.modulus[:-1])
-        self._int_modulus = None if fbar is None else _clear_denominators(fbar)
+        # denominators) for exact products
+        (fbar,), _ = _exact_fracs(self, self.modulus[:-1])
+        self._int_modulus = _clear_denominators(fbar)
 
     # -- element constructors ------------------------------------------
 
@@ -227,6 +226,13 @@ def check_parameters(p: int, precision: int):
         raise ValueError(f"precision must be at least 1, got {precision}")
 
 
+def check_degree(n: int):
+    """ValueError unless the field degree n is at least 2: samplers read a
+    generator's linear coefficient."""
+    if n < 2:
+        raise ValueError(f"degree must be at least 2, got {n}")
+
+
 def make_context(p: int, precision: int, coeffs, ramification=None,
                  residue_degree=None) -> FieldContext:
     """Validated context for the monic integral polynomial ``coeffs``
@@ -235,8 +241,7 @@ def make_context(p: int, precision: int, coeffs, ramification=None,
     sc = [c if isinstance(c, PadicScalar)
           else PadicScalar.from_fraction(Fraction(c), p=p, precision=precision)
           for c in coeffs]
-    if len(sc) < 3:
-        raise ValueError("degree must be at least 2")
+    check_degree(len(sc) - 1)
     lead = sc[-1]
     if lead.is_zero or lead.valuation != 0 or lead.unit % lead.p ** lead.precision != 1:
         raise NotMonic("leading coefficient must be 1")
@@ -259,24 +264,12 @@ class FieldElement:
     def is_zero(self) -> bool:
         return all(c.is_zero for c in self.coeffs)
 
-    @property
-    def is_exact(self) -> bool:
-        return all(c.is_exact or c.is_zero for c in self.coeffs)
-
     def key(self):
         return tuple(c.key() for c in self.coeffs)
 
     def fractions(self) -> list[Fraction]:
-        """Exact coefficient vector; PrecisionExhausted on truncated input."""
-        out = []
-        for c in self.coeffs:
-            if c.is_zero:
-                out.append(Fraction(0))
-            elif c.is_exact:
-                out.append(c.to_fraction())
-            else:
-                raise PrecisionExhausted("element has truncated coefficients")
-        return out
+        """Exact coefficient vector."""
+        return [c.to_fraction() for c in self.coeffs]
 
     def _check(self, other: "FieldElement"):
         if not self.ctx.same_structure(other.ctx):
@@ -302,11 +295,8 @@ class FieldElement:
             self._check(other)
             return _elem_mul(self, other)
         if isinstance(other, (int, Fraction, PadicScalar)):
-            s = self.ctx.scalar(other)
-            a, b = _exact_fracs(self.ctx, self.coeffs), _exact_fracs(self.ctx, (s,))
-            if a is None or b is None:
-                return FieldElement(self.ctx, tuple(c * s for c in self.coeffs))
-            return _from_fracs(self.ctx, [c * b[0] for c in a])
+            (a, (b,)), precision = _exact_fracs(self.ctx, self.coeffs, (self.ctx.scalar(other),))
+            return _from_fracs(self.ctx, [c * b for c in a], precision)
         return NotImplemented
 
     __rmul__ = __mul__
@@ -338,41 +328,41 @@ class FieldElement:
 
 
 # ---------------------------------------------------------------------------
-# Exact element arithmetic on integer vectors.  An element whose
-# coefficients are all exact (and carry the context's prime and precision)
-# is a vector of Fractions; a product clears each operand's denominators
-# once, multiplies and reduces over Python ints, and builds each output
-# scalar once.  Elements with a truncated coefficient take the per-scalar
-# loop, whose windows and PrecisionExhausted it alone can track.
+# Exact element arithmetic on integer vectors.  An element is a vector of
+# Fractions; a product clears each operand's denominators once, multiplies
+# and reduces over Python ints, and builds each output scalar once.
 # ---------------------------------------------------------------------------
 
 
-def _exact_fracs(ctx: FieldContext, scalars):
-    """The scalars' rationals when every one is exact with the context's
-    prime and precision, else None."""
+def _exact_fracs(ctx: FieldContext, *operands):
+    """The rationals of each operand (a sequence of scalars), and the
+    precision of a result built from them: the smallest among the
+    operands' scalars and the context.  ValueError for a scalar of
+    another prime."""
     p, precision = ctx.p, ctx.precision
     out = []
-    for c in scalars:
-        f = c._frac
-        if f is None or c.p != p or c.precision != precision:
-            return None
-        out.append(f)
-    return out
+    for scalars in operands:
+        fracs = []
+        for c in scalars:
+            if c.p != p:
+                raise ValueError("mixed primes")
+            if c.precision < precision:
+                precision = c.precision
+            fracs.append(c._frac)
+        out.append(fracs)
+    return out, precision
 
 
-def _from_fracs(ctx: FieldContext, fracs) -> FieldElement:
-    p, precision = ctx.p, ctx.precision
+def _from_fracs(ctx: FieldContext, fracs, precision: int) -> FieldElement:
+    p = ctx.p
     return FieldElement(ctx, tuple(PadicScalar.from_fraction(f, p=p, precision=precision)
                                    for f in fracs))
 
 
 def _elem_combine(x: FieldElement, y: FieldElement, op) -> FieldElement:
     """Coefficient-wise x op y (op adds or subtracts)."""
-    ctx = x.ctx
-    a, b = _exact_fracs(ctx, x.coeffs), _exact_fracs(ctx, y.coeffs)
-    if a is None or b is None:
-        return FieldElement(ctx, tuple(map(op, x.coeffs, y.coeffs)))
-    return _from_fracs(ctx, map(op, a, b))
+    (a, b), precision = _exact_fracs(x.ctx, x.coeffs, y.coeffs)
+    return _from_fracs(x.ctx, map(op, a, b), precision)
 
 
 def _clear_denominators(fracs):
@@ -409,32 +399,12 @@ def _int_mul_mod(a, b, fbar, fden=1):
 
 def _elem_mul(x: FieldElement, y: FieldElement) -> FieldElement:
     ctx = x.ctx
-    xf, yf = _exact_fracs(ctx, x.coeffs), _exact_fracs(ctx, y.coeffs)
-    if xf is not None and yf is not None and ctx._int_modulus is not None:
-        (xn, xd), (yn, yd) = _clear_denominators(xf), _clear_denominators(yf)
-        fbar, fden = ctx._int_modulus
-        den = xd * yd * fden ** (ctx.n - 1)
-        return _from_fracs(ctx, [Fraction(r, den) for r in _int_mul_mod(xn, yn, fbar, fden)])
-    n = ctx.n
-    zero = PadicScalar.zero(ctx.p, ctx.precision)
-    prod = [zero] * (2 * n - 1)
-    for i, a in enumerate(x.coeffs):
-        if a.is_zero:
-            continue
-        for j, b in enumerate(y.coeffs):
-            if b.is_zero:
-                continue
-            prod[i + j] = prod[i + j] + a * b
-    fbar = ctx.modulus[:-1]
-    for k in range(2 * n - 2, n - 1, -1):
-        c = prod[k]
-        if c.is_zero:
-            continue
-        for i in range(n):
-            if not fbar[i].is_zero:
-                prod[k - n + i] = prod[k - n + i] - c * fbar[i]
-        prod[k] = zero
-    return FieldElement(ctx, tuple(prod[:n]))
+    (xf, yf), precision = _exact_fracs(ctx, x.coeffs, y.coeffs)
+    (xn, xd), (yn, yd) = _clear_denominators(xf), _clear_denominators(yf)
+    fbar, fden = ctx._int_modulus
+    den = xd * yd * fden ** (ctx.n - 1)
+    return _from_fracs(ctx, [Fraction(r, den) for r in _int_mul_mod(xn, yn, fbar, fden)],
+                       precision)
 
 
 # ---------------------------------------------------------------------------
@@ -453,22 +423,14 @@ def _scaled_residue(c: PadicScalar, shift: int, digits: int, p: int) -> int:
     """Residue of c * p^shift mod p^digits (the product must be integral)."""
     if c.is_zero:
         return 0
+    f = c.to_fraction()
+    num, den = f.numerator, f.denominator
+    vd = int_valuation(den, p) if den % p == 0 else 0
+    den //= p ** vd
+    t = shift - vd
+    num = num * p ** t if t >= 0 else num // p ** (-t)
     mod = p ** digits
-    if c.is_exact:
-        f = c.to_fraction()
-        num, den = f.numerator, f.denominator
-        vd = int_valuation(den, p) if den % p == 0 else 0
-        den //= p ** vd
-        t = shift - vd
-        num = num * p ** t if t >= 0 else num // p ** (-t)
-        return num * pow(den, -1, mod) % mod
-    v = c.valuation + shift
-    if v < 0:
-        raise ValueError("scale too small for negative valuation")
-    if v + c.precision < digits:
-        raise PrecisionExhausted(
-            f"need {digits} digits, coefficient only carries {v + c.precision}")
-    return c.unit * p ** v % mod
+    return num * pow(den, -1, mod) % mod
 
 
 def _element_scale(x: FieldElement) -> int:
@@ -828,7 +790,11 @@ def abs_value(ctx: FieldContext, x: FieldElement, engine: NormEngine | None = No
 
 def field_norm(ctx: FieldContext, x: FieldElement) -> PadicScalar:
     """Norm N(x) = det of the multiplication-by-x matrix, with the unit
-    part carried to the context precision."""
+    part carried to the context precision.
+
+    The result is the rational unit * p^v, v = v(N(x)), with ``unit`` the
+    determinant's unit digits mod p^precision: its digits up to
+    v + precision are N(x)'s, those past it the representative's."""
     if x.is_zero:
         return PadicScalar.zero(ctx.p, ctx.precision)
     v = NormEngine(ctx).norm_valuation(x)
@@ -840,7 +806,8 @@ def field_norm(ctx: FieldContext, x: FieldElement) -> PadicScalar:
         raise PrecisionExhausted("norm unit not certified at the precision cap")
     rows = _mult_rows_mod(ctx, x, digits, s)
     _, unit, _ = _det_valuation(rows, ctx.p, digits)
-    return PadicScalar(ctx.p, ctx.precision, v, unit, None)
+    return PadicScalar.from_fraction(unit * Fraction(ctx.p) ** v, p=ctx.p,
+                                     precision=ctx.precision)
 
 
 # ---------------------------------------------------------------------------

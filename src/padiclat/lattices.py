@@ -114,8 +114,7 @@ class _IntegerSums:
     sum_i t_i v_i is the integer row t @ basis over one denominator D.
 
     Rows are int64 while no such sum (digits up to ``largest``) can reach
-    the kernel's 2^61 bound, Python ints beyond.  Raises
-    PrecisionExhausted for a vector with truncated coefficients.
+    the kernel's 2^61 bound, Python ints beyond.
     """
 
     def __init__(self, ctx: FieldContext, vectors, largest: int):
@@ -146,7 +145,8 @@ class _IntegerSums:
         return _norm_valuations(self.ctx, residues, len(rows), n * self.t, 2, PRECISION_CAP)
 
     def element(self, row) -> FieldElement:
-        return _from_fracs(self.ctx, [Fraction(int(c), self.den) for c in row])
+        return _from_fracs(self.ctx, [Fraction(int(c), self.den) for c in row],
+                           self.ctx.precision)
 
 
 @dataclass(frozen=True)
@@ -166,7 +166,10 @@ def lvp_oracle(ctx: FieldContext, lattice: Lattice, depth: int = 2, *,
     Enumerates every sum a_i * b_i with a_i below p^depth, plus the vectors
     p*b_i, and returns the largest norm, the largest norm strictly below it
     with the first witness attaining it, and all norm classes seen.
+    ValueError for a negative depth.
     """
+    if depth < 0:
+        raise ValueError(f"depth must be nonnegative, got {depth}")
     m = lattice.rank
     p = ctx.p
     if p ** (depth * m) > budget:

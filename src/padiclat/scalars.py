@@ -1,22 +1,20 @@
-"""Exact finite-precision arithmetic in Q_p.
+"""Exact arithmetic in Q_p.
 
-A scalar is stored as ``unit * p**valuation`` where the unit is a canonical
-integer in ``[1, p**precision)`` coprime to p; the value is therefore known
-modulo ``p**(valuation + precision)``.  Scalars built from rationals also
-carry the exact rational, which lets later arithmetic certify valuations
-under arbitrarily deep cancellation.  Such a scalar computes its unit (a
-modular inverse mod p**precision) on demand, the first time it is read,
-and keeps it: exact arithmetic combines the rationals and rarely needs
-it.  Scalars stripped of that payload (see :meth:`PadicScalar.truncated`)
-fall back to windowed arithmetic and raise :class:`PrecisionExhausted`
-when a cancellation runs past the window.
+A scalar is an exact rational together with its prime p, its p-adic
+valuation and a precision N.  Arithmetic combines the rationals, so every
+valuation is certified under arbitrarily deep cancellation.  The unit
+digits (the rational divided by p**valuation, modulo p**N; a modular
+inverse) are computed on demand, the first time they are read, and kept:
+only equality, hashing, residue digits and repr read them.  Two scalars compare
+equal when their units agree to the smaller of their precisions, and a
+result carries the smaller precision of its operands.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .errors import DivisionByZero, NotIntegral, PrecisionExhausted
+from .errors import DivisionByZero, NotIntegral
 
 DEFAULT_PRECISION = 128
 PRECISION_CAP = 4096
@@ -38,27 +36,26 @@ def int_valuation(n: int, p: int) -> int:
 
 
 class PadicScalar:
-    """An element of Q_p known to finite precision.
+    """An element of Q_p: an exact rational read to N unit digits.
 
-    ``valuation is None`` marks the zero-at-precision element.  Two scalars
-    compare equal when they share p and valuation and their units agree
-    modulo p to the smaller of the two precisions.
+    ``valuation is None`` marks zero.  Two scalars compare equal when they
+    share p and valuation and their units agree modulo p to the smaller of
+    the two precisions.
     """
 
     __slots__ = ("p", "precision", "valuation", "_unit", "_frac")
 
-    def __init__(self, p, precision, valuation, unit, _frac=None):
-        # ``unit`` may be None for an exact scalar: it is derived from the
-        # rational when first read
+    def __init__(self, p, precision, valuation, frac: Fraction):
+        # ``valuation`` is that of the rational ``frac`` (None for 0)
         self.p = p
         self.precision = precision
         self.valuation = valuation
-        self._unit = unit
-        self._frac = _frac
+        self._unit = None
+        self._frac = frac
 
     @property
     def unit(self):
-        """Canonical unit digits; None for the zero marker."""
+        """Canonical unit digits in [1, p**precision); None for zero."""
         u = self._unit
         if u is None and self.valuation is not None:
             p, v = self.p, self.valuation
@@ -77,11 +74,11 @@ class PadicScalar:
 
     @classmethod
     def zero(cls, p: int, precision: int = DEFAULT_PRECISION) -> "PadicScalar":
-        return cls(p, precision, None, None, Fraction(0))
+        return cls(p, precision, None, Fraction(0))
 
     @classmethod
     def from_rational(cls, num, den=1, *, p: int, precision: int = DEFAULT_PRECISION) -> "PadicScalar":
-        """Scalar for num/den.  Exact: the rational is retained."""
+        """Scalar for num/den."""
         if den == 0:
             raise ZeroDivisionError("denominator must be nonzero")
         frac = Fraction(num, den)
@@ -93,21 +90,7 @@ class PadicScalar:
         if num == 0:
             return cls.zero(p, precision)
         v = int_valuation(num, p) - int_valuation(frac.denominator, p)
-        return cls(p, precision, v, None, frac)
-
-    @classmethod
-    def from_window(cls, p, precision, valuation, unit) -> "PadicScalar":
-        """Raw windowed scalar.  No exact payload is attached, so deep
-        cancellations on it raise PrecisionExhausted."""
-        if unit % p == 0:
-            raise ValueError("unit must be coprime to p")
-        return cls(p, precision, valuation, unit % p ** precision, None)
-
-    def truncated(self) -> "PadicScalar":
-        """Copy with the exact-rational payload dropped (window only)."""
-        if self.is_zero:
-            raise ValueError("cannot truncate the zero marker")
-        return PadicScalar(self.p, self.precision, self.valuation, self.unit, None)
+        return cls(p, precision, v, frac)
 
     # -- predicates / conversions --------------------------------------
 
@@ -115,36 +98,18 @@ class PadicScalar:
     def is_zero(self) -> bool:
         return self.valuation is None
 
-    @property
-    def is_exact(self) -> bool:
-        return self._frac is not None
-
     def to_fraction(self) -> Fraction:
-        """Exact payload when available, else the canonical representative
-        ``unit * p**valuation``."""
-        if self._frac is not None:
-            return self._frac
-        return Fraction(self.unit) * Fraction(self.p) ** self.valuation
+        """The exact rational."""
+        return self._frac
 
     def residue(self, digits: int) -> int:
-        """Value modulo p**digits, requiring valuation >= 0.
-
-        Windowed scalars can only answer up to their absolute precision.
-        """
+        """Value modulo p**digits, requiring valuation >= 0."""
         if self.is_zero:
             return 0
         if self.valuation < 0:
             raise NotIntegral("negative valuation")
         mod = self.p ** digits
-        if self._frac is not None:
-            den = self._frac.denominator
-            return self._frac.numerator * pow(den, -1, mod) % mod
-        if self.valuation + self.precision < digits:
-            raise PrecisionExhausted(
-                f"residue mod p^{digits} needs more than the stored "
-                f"{self.valuation}+{self.precision} digits"
-            )
-        return self.unit * self.p ** self.valuation % mod
+        return self._frac.numerator * pow(self._frac.denominator, -1, mod) % mod
 
     def residue_digit(self) -> int:
         """Image in the residue field Z/p; requires valuation >= 0."""
@@ -171,7 +136,7 @@ class PadicScalar:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return _add(self, other, 1)
+        return _combine(self._frac + other._frac, self, other)
 
     __radd__ = __add__
 
@@ -179,34 +144,24 @@ class PadicScalar:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return _add(self, other, -1)
+        return _combine(self._frac - other._frac, self, other)
 
     def __rsub__(self, other):
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return _add(other, self, -1)
+        return _combine(other._frac - self._frac, self, other)
 
     def __neg__(self):
         if self.is_zero:
             return self
-        if self._frac is not None:
-            return PadicScalar(self.p, self.precision, self.valuation, None, -self._frac)
-        mod = self.p ** self.precision
-        return PadicScalar(self.p, self.precision, self.valuation, (-self.unit) % mod, None)
+        return PadicScalar(self.p, self.precision, self.valuation, -self._frac)
 
     def __mul__(self, other):
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        prec = min(self.precision, other.precision)
-        if self.is_zero or other.is_zero:
-            return PadicScalar.zero(self.p, prec)
-        if self._frac is not None and other._frac is not None:
-            return PadicScalar.from_fraction(self._frac * other._frac, p=self.p, precision=prec)
-        mod = self.p ** prec
-        return PadicScalar(self.p, prec, self.valuation + other.valuation,
-                           self.unit * other.unit % mod, None)
+        return _combine(self._frac * other._frac, self, other)
 
     __rmul__ = __mul__
 
@@ -216,14 +171,7 @@ class PadicScalar:
             return NotImplemented
         if other.is_zero:
             raise DivisionByZero("division by the zero marker")
-        prec = min(self.precision, other.precision)
-        if self.is_zero:
-            return PadicScalar.zero(self.p, prec)
-        if self._frac is not None and other._frac is not None:
-            return PadicScalar.from_fraction(self._frac / other._frac, p=self.p, precision=prec)
-        mod = self.p ** prec
-        return PadicScalar(self.p, prec, self.valuation - other.valuation,
-                           self.unit * pow(other.unit, -1, mod) % mod, None)
+        return _combine(self._frac / other._frac, self, other)
 
     def __rtruediv__(self, other):
         other = self._coerce(other)
@@ -253,11 +201,7 @@ class PadicScalar:
 
     def key(self):
         """Canonical hashable identity used by norm caches."""
-        if self._frac is not None:
-            return (self._frac.numerator, self._frac.denominator)
-        if self.is_zero:
-            return (0, 1)
-        return ("w", self.valuation, self.unit, self.precision)
+        return (self._frac.numerator, self._frac.denominator)
 
     def __repr__(self):
         if self.is_zero:
@@ -265,26 +209,7 @@ class PadicScalar:
         return f"PadicScalar({self.unit}*{self.p}^{self.valuation}, N={self.precision})"
 
 
-def _add(x: PadicScalar, y: PadicScalar, sign: int) -> PadicScalar:
-    prec = min(x.precision, y.precision)
-    p = x.p
-    if x._frac is not None and y._frac is not None:
-        frac = x._frac + sign * y._frac
-        return PadicScalar.from_fraction(frac, p=p, precision=prec)
-    if y.is_zero:
-        return PadicScalar(p, prec, x.valuation, x.unit, None)
-    if x.is_zero:
-        z = y if sign == 1 else -y
-        return PadicScalar(p, prec, z.valuation, z.unit, None)
-    m = min(x.valuation, y.valuation)
-    mod = p ** prec
-    s = (x.unit * p ** (x.valuation - m) + sign * y.unit * p ** (y.valuation - m)) % mod
-    if s == 0:
-        # Everything cancelled inside the window; with a truncated operand
-        # we cannot distinguish zero from a deep small value.
-        raise PrecisionExhausted(
-            f"cancellation beyond {prec} digits; valuation uncertifiable"
-        )
-    t = int_valuation(s, p)
-    rel = prec - t
-    return PadicScalar(p, rel, m + t, (s // p ** t) % p ** rel, None)
+def _combine(frac: Fraction, x: PadicScalar, y: PadicScalar) -> PadicScalar:
+    """The scalar for ``frac``, the result of an operation on x and y; it
+    carries the smaller of their precisions."""
+    return PadicScalar.from_fraction(frac, p=x.p, precision=min(x.precision, y.precision))

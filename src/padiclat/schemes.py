@@ -174,16 +174,11 @@ def keygen(p: int, n: int, m: int, exponents, eisenstein_coeffs, zeta_over_theta
     alpha_ints = [alpha_ints[k * n:(k + 1) * n] for k in range(m)]
     beta = []
     for row in A:
-        fracs = _exact_fracs(ctx, row)
-        if fracs is None:  # an entry not exact at this precision: element arithmetic
-            acc = ctx.zero()
-            for a, al in zip(row, alpha[:m]):
-                acc = acc + al * a
-            beta.append(acc)
-            continue
+        (fracs,), row_precision = _exact_fracs(ctx, row)
         ints, den = _clear_denominators(fracs)
         vec = [sum(a * v[i] for a, v in zip(ints, alpha_ints)) for i in range(n)]
-        beta.append(_from_fracs(ctx, [Fraction(x, den * alpha_den) for x in vec]))
+        beta.append(_from_fracs(ctx, [Fraction(x, den * alpha_den) for x in vec],
+                                row_precision))
     engine = NormEngine(ctx)
     for b in beta:
         if engine.norm_valuation(b) != 0:

@@ -205,6 +205,25 @@ class TestExitCodes:
         code, _, err = run(capsys, *argv, "--out", str(tmp_path / "out"))
         assert code == 2 and "input error" in err
 
+    @pytest.mark.parametrize("argv", [
+        ("keygen", "--p", "3", "--n", "1", "--m", "1"),
+        ("keygen", "--p", "3", "--n", "0", "--m", "1"),
+        ("keygen", "--p", "3", "--n", "-2", "--m", "1"),
+        ("bench", "--n-list", "1", "--p-list", "3"),
+        ("bench", "--n-list", "0", "--p-list", "3"),
+        ("bench", "--n-list", "-3", "--p-list", "3"),
+    ])
+    def test_degree_below_two_is_input_error(self, tmp_path, capsys, argv):
+        # the generator samplers (keygen's zeta, make_instance) read the
+        # linear coefficient, which a degree below 2 does not have
+        code, _, err = run(capsys, *argv, "--out", str(tmp_path / "out"))
+        assert code == 2 and "degree must be at least 2" in err
+
+    def test_negative_oracle_depth_is_input_error(self, toy_files, capsys):
+        pub, _ = toy_files
+        code, _, err = run(capsys, "oracle", "lvp", "--pub", str(pub), "--depth", "-1")
+        assert code == 2 and "depth must be nonnegative" in err
+
 
 class TestBenchEdges:
     def test_empty_grid(self, tmp_path, capsys):

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from padiclat.errors import DivisionByZero, NotIntegral, PrecisionExhausted
+from padiclat.errors import DivisionByZero, NotIntegral
 from padiclat.fields import frac_valuation
 from padiclat.scalars import PadicScalar, int_valuation
 
@@ -45,10 +45,6 @@ class TestConstruction:
             with pytest.raises(ValueError, match="p must be at least 2"):
                 frac_valuation(x, p)
 
-    def test_from_window_requires_unit(self):
-        with pytest.raises(ValueError):
-            PadicScalar.from_window(2, 8, 0, 4)
-
 
 class TestResidueDigit:
     def test_even_integer(self):
@@ -79,19 +75,6 @@ class TestArithmetic:
     def test_self_cancellation_exact(self):
         x = PadicScalar.from_rational(7, 5, p=3)
         assert (x - x).is_zero
-
-    def test_self_cancellation_truncated(self):
-        x = PadicScalar.from_rational(7, 5, p=3).truncated()
-        with pytest.raises(PrecisionExhausted):
-            x - x
-
-    def test_windowed_partial_cancellation(self):
-        # 1 and 1 + 3^4 agree on 4 digits; the difference needs digit 5
-        a = PadicScalar.from_window(3, 8, 0, 1)
-        b = PadicScalar.from_window(3, 8, 0, 1 + 3 ** 4)
-        d = b - a
-        assert d.valuation == 4
-        assert d.precision == 4
 
     def test_division(self):
         x = PadicScalar.from_rational(10, 1, p=5)
@@ -210,7 +193,7 @@ def _outcome(fn):
     """repr of fn() or the name of the exception it raises."""
     try:
         return repr(fn())
-    except (NotIntegral, PrecisionExhausted, ValueError) as exc:
+    except (NotIntegral, ValueError) as exc:
         return type(exc).__name__
 
 
@@ -231,14 +214,13 @@ class TestUnitsOnDemand:
             assert x.unit == want and x.unit == want  # first and cached read
             assert (-fresh()).unit == (-want) % mod
             assert (-x).unit == (-want) % mod
-            assert fresh().truncated().unit == want
             # an arithmetic result computes its unit from its own rational
             y = fresh() * 3 + 1
             assert y == PadicScalar.from_fraction(f * 3 + 1, p=p, precision=precision)
 
-    # SHA-256 of the transcript below, recorded while units were still
-    # computed eagerly in from_fraction
-    TRANSCRIPT_SHA256 = "f7d0ea4cf60ff2e4691fb9909b14fd0f1deaed31a95bc324666601c28abb729a"
+    # SHA-256 of the transcript below (4844 lines), recorded while scalars
+    # could still drop their rational to a fixed window of digits
+    TRANSCRIPT_SHA256 = "f34b158a655699638ebd68a9df482653db91a452b3149b65128d777cfaa6ca79"
 
     def test_observable_behaviour_pinned(self):
         # every query starts from a fresh scalar, so none of them can lean
@@ -257,13 +239,7 @@ class TestUnitsOnDemand:
             if f == 0:
                 continue
             near = f + Fraction(p) ** (fresh().valuation + precision)  # same digits
-            t = fresh().truncated()
             lines += [repr(hash(fresh())), repr(hash(-fresh())),
-                      repr(fresh() == fresh(frac=near)), repr(hash(fresh(frac=near))),
-                      repr(t), repr(t.key()), repr(hash(t)), repr(-t),
-                      repr(t == fresh()), repr(fresh() == t),
-                      repr(fresh().truncated() == fresh(frac=near)),
-                      _outcome(t.residue_digit)]
-            lines += [_outcome(lambda d=d: t.residue(d)) for d in (1, 3, precision + 2)]
+                      repr(fresh() == fresh(frac=near)), repr(hash(fresh(frac=near)))]
         digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
         assert digest == self.TRANSCRIPT_SHA256
