@@ -14,8 +14,10 @@ import time
 from dataclasses import dataclass
 
 from .attack import recover_uniformizer
-from .fields import FieldContext, _int_mul_mod, check_degree, check_parameters, make_context
+from .fields import (FieldContext, _int_mul_mod, _solve_mod, check_degree,
+                     check_parameters, make_context)
 from .scalars import DEFAULT_PRECISION
+from .schemes import random_zeta
 
 
 @dataclass(frozen=True)
@@ -37,37 +39,22 @@ def _minimal_poly_mod(p, digits, fcoeffs, zeta):
     """Minimal polynomial of zeta over the Eisenstein field, with integer
     coefficients exact mod p^digits (ascending, monic).
 
-    Solves the linear dependency of 1, zeta, ..., zeta^n by elimination
-    with unit pivots; the power matrix is unimodular exactly when zeta
-    generates the ring of integers, so a missing unit pivot reports
-    failure (caller resamples zeta).
+    Solves the linear dependency of 1, zeta, ..., zeta^n with the modular
+    kernel ``_solve_mod``; the power matrix is unimodular exactly when zeta
+    generates the ring of integers, so a singular one reports failure
+    (caller resamples zeta).
     """
     n = len(fcoeffs) - 1
     mod = p ** digits
     fbar = [c % mod for c in fcoeffs[:-1]]
     powers = [[1] + [0] * (n - 1)]
-    cur = powers[0]
     z = [c % mod for c in zeta]
     for _ in range(n):
         # F is integral, so the exact product needs no scale
-        cur = [c % mod for c in _int_mul_mod(cur, z, fbar)]
-        powers.append(cur)
+        powers.append([c % mod for c in _int_mul_mod(powers[-1], z, fbar)])
     # solve sum x_k * powers[k] = powers[n] over Z/p^digits
-    rows = [[powers[k][i] for k in range(n)] + [powers[n][i]] for i in range(n)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if rows[r][col] % p), None)
-        if piv is None:
-            return None
-        rows[col], rows[piv] = rows[piv], rows[col]
-        inv = pow(rows[col][col], -1, mod)
-        rows[col] = [x * inv % mod for x in rows[col]]
-        prow = rows[col]
-        for r in range(n):
-            if r != col and rows[r][col]:
-                f = rows[r][col]
-                rows[r] = [(x - f * y) % mod for x, y in zip(rows[r], prow)]
-    x = [rows[i][n] for i in range(n)]
-    return [(-xi) % mod for xi in x] + [1]
+    x = _solve_mod([[powers[k][i] for k in range(n + 1)] for i in range(n)], p, digits)
+    return None if x is None else [(-xi) % mod for xi, in x] + [1]
 
 
 def make_instance(n: int, p: int, rng: random.Random,
@@ -78,10 +65,7 @@ def make_instance(n: int, p: int, rng: random.Random,
     check_degree(n)
     fcoeffs = [p] * n + [1]
     while True:
-        zeta = [rng.randrange(p) for _ in range(n)]
-        if zeta[1] % p == 0:
-            continue
-        F = _minimal_poly_mod(p, precision, fcoeffs, zeta)
+        F = _minimal_poly_mod(p, precision, fcoeffs, random_zeta(rng, p, n))
         if F is not None:
             return make_context(p, precision, F, ramification=n, residue_degree=1)
 
@@ -89,6 +73,8 @@ def make_instance(n: int, p: int, rng: random.Random,
 def bench_uniformizer(n_list, p_list, repetitions: int = 1, *, seed: int = 0,
                       precision: int = DEFAULT_PRECISION):
     """One row per (n, p, rep), ordered by (n, p, rep)."""
+    if repetitions < 0:
+        raise ValueError(f"repetitions must be nonnegative, got {repetitions}")
     rows = []
     for n in sorted(n_list):
         for p in sorted(p_list):

@@ -1,8 +1,8 @@
 """Command-line surface.
 
 Exit codes: 0 success, 1 verification/attack-check failure, 2 input error,
-3 precision exhaustion at the cap.  Every command is deterministic given
---seed and --precision.
+3 precision exhaustion at the cap.  Each command takes only the options it
+reads and is deterministic given its --seed and --precision.
 """
 
 from __future__ import annotations
@@ -18,17 +18,19 @@ from .attack import attack_decrypt_detailed, forge_signature, recover_uniformize
 from .errors import PadicError, ParseError, PrecisionExhausted
 from .fields import check_degree, check_parameters
 from .lattices import Lattice, lvp_oracle
-from .schemes import KeyPair, decrypt, encrypt, keygen, sign, verify
+from .schemes import (KeyPair, decrypt, encrypt, keygen, random_eisenstein, random_zeta,
+                      sign, verify)
 from .scalars import DEFAULT_PRECISION
 
 
-def _add_common(sp):
+def _add_precision(sp):
     sp.add_argument("--precision", type=int, default=DEFAULT_PRECISION,
                     help="base-p digits carried per scalar")
+
+
+def _add_seed(sp):
     sp.add_argument("--seed", type=int, default=None,
                     help="deterministic randomness seed")
-    sp.add_argument("--budget", type=int, default=10 ** 7,
-                    help="enumeration budget for exhaustive operations")
 
 
 def _rng(args):
@@ -81,28 +83,15 @@ def _message(args) -> bytes:
     return args.message.encode("utf-8")
 
 
-def _random_eisenstein(n, p, rng):
-    rng = rng or random.Random()
-    coeffs = [p * rng.randrange(1, p)] + [p * rng.randrange(p) for _ in range(n - 1)]
-    return coeffs + [1]
-
-
-def _random_zeta(n, p, rng):
-    rng = rng or random.Random()
-    while True:
-        z = [rng.randrange(p) for _ in range(n)]
-        if z[1] % p:
-            return z
-
-
 def cmd_keygen(args):
     check_parameters(args.p, args.precision)
     check_degree(args.n)
     rng = _rng(args)
+    draw = rng or random.Random()
     n, m = args.n, args.m
     j = _ints(args.j) if args.j else list(range(n))
-    f = _fractions(args.f) if args.f else _random_eisenstein(n, args.p, rng)
-    zeta = _fractions(args.zeta) if args.zeta else _random_zeta(n, args.p, rng)
+    f = _fractions(args.f) if args.f else random_eisenstein(draw, args.p, n)
+    zeta = _fractions(args.zeta) if args.zeta else random_zeta(draw, args.p, n)
     delta = _fraction(args.delta) if args.delta else None
     kp = keygen(args.p, n, m, j, f, zeta, delta=delta, rng=rng,
                 precision=args.precision)
@@ -217,7 +206,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--delta", help="noise bound (enables encryption)")
     sp.add_argument("--out", required=True)
     sp.add_argument("--public-out")
-    _add_common(sp)
+    _add_precision(sp)
+    _add_seed(sp)
     sp.set_defaults(func=cmd_keygen)
 
     sp = sub.add_parser("sign", help="sign a message")
@@ -225,7 +215,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--message")
     sp.add_argument("--message-file")
     sp.add_argument("--out", required=True)
-    _add_common(sp)
+    _add_seed(sp)
     sp.set_defaults(func=cmd_sign)
 
     sp = sub.add_parser("verify", help="verify a signature")
@@ -233,20 +223,18 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--message")
     sp.add_argument("--message-file")
     sp.add_argument("--sig", required=True)
-    _add_common(sp)
     sp.set_defaults(func=cmd_verify)
 
     sp = sub.add_parser("encrypt", help="encrypt a digit vector")
     sp.add_argument("--pub", required=True)
     sp.add_argument("--plaintext", required=True)
     sp.add_argument("--out", required=True)
-    _add_common(sp)
+    _add_seed(sp)
     sp.set_defaults(func=cmd_encrypt)
 
     sp = sub.add_parser("decrypt", help="decrypt with the private key")
     sp.add_argument("--key", required=True)
     sp.add_argument("--ct", required=True)
-    _add_common(sp)
     sp.set_defaults(func=cmd_decrypt)
 
     atk = sub.add_parser("attack", help="public-key-only attacks")
@@ -254,7 +242,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = atk_sub.add_parser("uniformizer", help="recover a uniformizer")
     sp.add_argument("--pub", required=True)
-    _add_common(sp)
     sp.set_defaults(func=cmd_attack_uniformizer)
 
     sp = atk_sub.add_parser("forge", help="forge a signature")
@@ -262,13 +249,12 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--message")
     sp.add_argument("--message-file")
     sp.add_argument("--out", required=True)
-    _add_common(sp)
+    _add_seed(sp)
     sp.set_defaults(func=cmd_attack_forge)
 
     sp = atk_sub.add_parser("decrypt", help="decrypt without the private key")
     sp.add_argument("--pub", required=True)
     sp.add_argument("--ct", required=True)
-    _add_common(sp)
     sp.set_defaults(func=cmd_attack_decrypt)
 
     orc = sub.add_parser("oracle", help="brute-force ground truth")
@@ -276,7 +262,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp = orc_sub.add_parser("lvp", help="exhaustive second-maximum search")
     sp.add_argument("--pub", required=True)
     sp.add_argument("--depth", type=int, default=2)
-    _add_common(sp)
+    sp.add_argument("--budget", type=int, default=10 ** 7,
+                    help="largest number of digit tuples to enumerate")
     sp.set_defaults(func=cmd_oracle_lvp)
 
     sp = sub.add_parser("bench", help="uniformizer-recovery scaling report")
@@ -284,7 +271,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--p-list", default="5,7")
     sp.add_argument("--reps", type=int, default=1)
     sp.add_argument("--out")
-    _add_common(sp)
+    _add_precision(sp)
+    _add_seed(sp)
     sp.set_defaults(func=cmd_bench)
 
     return ap

@@ -34,7 +34,8 @@ runs Gauss-Jordan on primitive integer rows (every updated row is divided
 by the gcd of its entries) and turns each coordinate into a Fraction once
 at the end; a block of right-hand sides shares one pass.  The system has a
 unique exact solution, so the pivot rule only affects speed, never an
-output.
+output.  Its modular twin ``_solve_mod`` (Gauss-Jordan over Z/p^digits on
+unit pivots, GF(p) at one digit) serves ``bench`` and the mixing matrix.
 """
 
 from __future__ import annotations
@@ -811,9 +812,9 @@ def field_norm(ctx: FieldContext, x: FieldElement) -> PadicScalar:
 
 
 # ---------------------------------------------------------------------------
-# Exact linear algebra over Q_p (requires exact coefficients).  One kernel
-# eliminates primitive integer rows; its answer is the unique exact
-# solution, so no pivot rule can change an output.
+# Linear algebra.  One exact kernel over Q_p eliminates primitive integer
+# rows; one modular kernel eliminates over Z/p^digits on unit pivots.  Both
+# answers are unique, so no pivot rule can change an output.
 # ---------------------------------------------------------------------------
 
 
@@ -865,6 +866,27 @@ def _solve_exact(columns, targets):
         raise NotInSpan("target lies outside the span of the vectors")
     return [[Fraction(rows[i][t], rows[i][i]) for i in range(m)]
             for t in range(m, len(cols))]
+
+
+def _solve_mod(rows, p: int, digits: int):
+    """X with A*X = B mod p^digits for integer rows [A | B], A square; None
+    when A is singular mod p (B may have no columns).  Gauss-Jordan on the
+    first unit pivot loses no digit, and the solution is unique."""
+    mod = p ** digits
+    rows = [[x % mod for x in row] for row in rows]
+    n = len(rows)
+    for col in range(n):
+        piv = next((r for r in range(col, n) if rows[r][col] % p), None)
+        if piv is None:
+            return None
+        rows[col], rows[piv] = rows[piv], rows[col]
+        inv = pow(rows[col][col], -1, mod)
+        prow = rows[col] = [x * inv % mod for x in rows[col]]
+        for r in range(n):
+            f = rows[r][col]
+            if r != col and f:
+                rows[r] = [(x - f * y) % mod for x, y in zip(rows[r], prow)]
+    return [row[n:] for row in rows]
 
 
 def coordinates_in(ctx: FieldContext, target: FieldElement, vectors,

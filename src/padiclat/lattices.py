@@ -166,10 +166,12 @@ def lvp_oracle(ctx: FieldContext, lattice: Lattice, depth: int = 2, *,
     Enumerates every sum a_i * b_i with a_i below p^depth, plus the vectors
     p*b_i, and returns the largest norm, the largest norm strictly below it
     with the first witness attaining it, and all norm classes seen.
-    ValueError for a negative depth.
+    ValueError for a negative depth or budget.
     """
     if depth < 0:
         raise ValueError(f"depth must be nonnegative, got {depth}")
+    if budget < 0:
+        raise ValueError(f"budget must be nonnegative, got {budget}")
     m = lattice.rank
     p = ctx.p
     if p ** (depth * m) > budget:

@@ -37,6 +37,7 @@ from .fields import (
     _exact_fracs,
     _from_fracs,
     _solve_exact,
+    _solve_mod,
     coordinates_in,
     is_eisenstein,
     make_context,
@@ -104,6 +105,22 @@ class Signature:
 @dataclass(frozen=True)
 class Ciphertext:
     vector: FieldElement
+
+
+def random_eisenstein(rng, p: int, n: int):
+    """A random Eisenstein f of degree n, constant term first: p times a
+    unit digit, then p times digits, then the leading 1."""
+    coeffs = [p * rng.randrange(1, p)] + [p * rng.randrange(p) for _ in range(n - 1)]
+    return coeffs + [1]
+
+
+def random_zeta(rng, p: int, n: int):
+    """Random digits of a generator over theta whose theta coefficient is a
+    unit (``keygen`` rejects any other); redraws the whole vector until so."""
+    while True:
+        z = [rng.randrange(p) for _ in range(n)]
+        if z[1] % p:
+            return z
 
 
 def keygen(p: int, n: int, m: int, exponents, eisenstein_coeffs, zeta_over_theta,
@@ -210,7 +227,7 @@ def _make_matrix(p, m, matrix, rng, precision):
                 for x in row] for row in rows]
         if any(x is None for row in res for x in row):
             raise BadMatrix("matrix entries must lie in Z_p")
-        if _gf_inverse(res, p) is None:
+        if _solve_mod(res, p, 1) is None:
             raise BadMatrix("matrix determinant is not a unit")
         if any(row[0] == 0 for row in res):
             raise BadMatrix("first column must be all units")
@@ -219,29 +236,9 @@ def _make_matrix(p, m, matrix, rng, precision):
     bound = p ** precision
     while True:
         raw = [[rng.randrange(bound) for _ in range(m)] for _ in range(m)]
-        res = [[x % p for x in row] for row in raw]
-        if all(row[0] % p for row in raw) and _gf_inverse(res, p) is not None:
+        if all(row[0] % p for row in raw) and _solve_mod(raw, p, 1) is not None:
             return [[PadicScalar.from_fraction(Fraction(x), p=p, precision=precision)
                      for x in row] for row in raw]
-
-
-def _gf_inverse(rows, p):
-    """Inverse of a square matrix over GF(p); None when it is singular."""
-    n = len(rows)
-    a = [[rows[i][j] % p for j in range(n)] + [1 if k == i else 0 for k in range(n)]
-         for i in range(n)]
-    for k in range(n):
-        piv = next((i for i in range(k, n) if a[i][k]), None)
-        if piv is None:
-            return None
-        a[k], a[piv] = a[piv], a[k]
-        inv = pow(a[k][k], -1, p)
-        a[k] = [x * inv % p for x in a[k]]
-        for i in range(n):
-            if i != k and a[i][k]:
-                f = a[i][k]
-                a[i] = [(x - f * y) % p for x, y in zip(a[i], a[k])]
-    return [row[n:] for row in a]
 
 
 class _DigitStream:
@@ -396,11 +393,11 @@ def decrypt(sk: PrivateKey, ct: Ciphertext):
     if not res.distance < alpha_m:
         raise DecryptionAmbiguous(
             "residual noise is at least |alpha_m|; outside the design bound")
+    # the plaintext a has a*A = bbar mod p: solve A^T x = bbar
     bbar = [c.residue_digit() for c in res.lattice_coords]
-    res_rows = [[x.residue_digit() for x in row] for row in sk.matrix]
-    inv = _gf_inverse(res_rows, sk.ctx.p)
-    if inv is None:
+    rows = [[row[k].residue_digit() for row in sk.matrix] + [bbar[k]]
+            for k in range(sk.m)]
+    x = _solve_mod(rows, sk.ctx.p, 1)
+    if x is None:
         raise BadMatrix("matrix is singular mod p")
-    p = sk.ctx.p
-    return tuple(sum(bbar[k] * inv[k][i] for k in range(sk.m)) % p
-                 for i in range(sk.m))
+    return tuple(xi for xi, in x)

@@ -2,7 +2,8 @@ import random
 
 import pytest
 
-from padiclat.fields import make_context
+from padiclat.fields import _solve_mod, make_context
+from padiclat.schemes import random_eisenstein
 
 
 TOY_F = [-167, 3548, -21942, 79034, -200173, 370306, -502444, 504970, -378052,
@@ -27,38 +28,12 @@ def unram_ctx():
     return make_context(2, 64, [1, 1, 1], ramification=1, residue_degree=2)
 
 
-def random_eisenstein(rng: random.Random, p: int, n: int):
-    """Constant term exactly divisible by p once, the rest at least once."""
-    coeffs = [p * rng.randrange(1, p)]
-    coeffs += [p * rng.randrange(0, p) for _ in range(n - 1)]
-    return coeffs + [1]
-
-
 def random_unimodular(rng: random.Random, p: int, m: int, spread: int = 3):
     """Digit matrix with unit determinant mod p."""
     while True:
         rows = [[rng.randrange(p ** spread) for _ in range(m)] for _ in range(m)]
-        if _det_mod_p(rows, p):
+        if _solve_mod(rows, p, 1) is not None:
             return rows
-
-
-def _det_mod_p(rows, p):
-    a = [[x % p for x in row] for row in rows]
-    m = len(a)
-    det = 1
-    for k in range(m):
-        piv = next((i for i in range(k, m) if a[i][k]), None)
-        if piv is None:
-            return 0
-        if piv != k:
-            a[k], a[piv] = a[piv], a[k]
-        det = det * a[k][k] % p
-        inv = pow(a[k][k], -1, p)
-        for i in range(k + 1, m):
-            f = a[i][k] * inv % p
-            if f:
-                a[i] = [(x - f * y) % p for x, y in zip(a[i], a[k])]
-    return det
 
 
 def scheme_shaped_lattice(rng: random.Random, p: int, n: int, m: int,

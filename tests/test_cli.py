@@ -224,6 +224,32 @@ class TestExitCodes:
         code, _, err = run(capsys, "oracle", "lvp", "--pub", str(pub), "--depth", "-1")
         assert code == 2 and "depth must be nonnegative" in err
 
+    def test_negative_oracle_budget_is_input_error(self, toy_files, capsys):
+        pub, _ = toy_files
+        code, _, err = run(capsys, "oracle", "lvp", "--pub", str(pub), "--budget", "-1")
+        assert code == 2 and "budget must be nonnegative" in err
+
+    def test_negative_bench_repetitions_is_input_error(self, capsys):
+        code, out, err = run(capsys, "bench", "--n-list", "4", "--p-list", "3",
+                             "--reps", "-2")
+        assert code == 2 and "repetitions must be nonnegative" in err and out == ""
+
+    @pytest.mark.parametrize("argv", [
+        ("verify", "--pub", "k.pub", "--message", "m", "--sig", "m.sig",
+         "--precision", "7"),
+        ("decrypt", "--key", "k.pair", "--ct", "m.ct", "--seed", "3"),
+        ("attack", "uniformizer", "--pub", "k.pub", "--budget", "-5"),
+        ("oracle", "lvp", "--pub", "k.pub", "--precision", "9"),
+        ("sign", "--key", "k.pair", "--message", "m", "--out", "m.sig",
+         "--budget", "4"),
+    ])
+    def test_option_a_command_does_not_read_is_refused(self, capsys, argv):
+        # each command takes only the options it reads
+        with pytest.raises(SystemExit) as exc:
+            main(list(argv))
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
 
 class TestBenchEdges:
     def test_empty_grid(self, tmp_path, capsys):

@@ -18,6 +18,7 @@ from padiclat.fields import (
     AbsValue,
     NormEngine,
     _solve_exact,
+    _solve_mod,
     abs_value,
     coordinates_in,
     field_norm,
@@ -572,6 +573,77 @@ class TestDeterminantEngine:
             got = field_norm(sqrt2_ctx, x)
             want = PadicScalar.from_rational(a * a - 2 * b * b, 1, p=2, precision=64)
             assert got == want
+
+
+class TestModularSolve:
+    """The one modular Gauss-Jordan (``_solve_mod``) against exact integer
+    determinants: a solution mod p^digits exactly when det A is a unit."""
+
+    @staticmethod
+    def _system(rng, p, n, k, digits):
+        mod = p ** digits
+
+        def entry():
+            # nonunits are common, so the first nonzero entry of a column is
+            # often no valid pivot
+            x = rng.randrange(-mod, mod)
+            return p * x if rng.random() < 0.25 else x
+
+        A = [[entry() for _ in range(n)] for _ in range(n)]
+        if rng.random() < 0.2:
+            # singular mod p: one row is a combination of the others plus p*noise
+            i = rng.randrange(n)
+            c = [rng.randrange(p) for _ in range(n)]
+            A[i] = [sum(c[r] * A[r][col] for r in range(n) if r != i)
+                    + p * rng.randrange(mod) for col in range(n)]
+        B = [[rng.randrange(-mod, mod) for _ in range(k)] for _ in range(n)]
+        return A, B
+
+    def test_solution_and_singularity_match_exact_determinant(self):
+        rng = random.Random(2024)
+        seen = {True: 0, False: 0}
+        for _ in range(400):
+            p = rng.choice([2, 3, 5, 7])
+            digits = rng.choice([1, 3, 40])
+            n, k = rng.randrange(1, 9), rng.randrange(4)
+            A, B = self._system(rng, p, n, k, digits)
+            X = _solve_mod([a + b for a, b in zip(A, B)], p, digits)
+            singular = TestDeterminantEngine._exact_det(A) % p == 0
+            seen[singular] += 1
+            assert (X is None) == singular
+            if singular:
+                continue
+            assert len(X) == n and all(len(row) == k for row in X)
+            mod = p ** digits
+            for i in range(n):
+                for col in range(k):
+                    assert (sum(A[i][r] * X[r][col] for r in range(n))
+                            - B[i][col]) % mod == 0
+        assert min(seen.values()) >= 80
+
+    def test_inverse_over_gf_p(self):
+        rng = random.Random(77)
+        inverted = 0
+        for _ in range(300):
+            p = rng.choice([2, 3, 5, 7])
+            n = rng.randrange(1, 9)
+            A = [[rng.randrange(p) for _ in range(n)] for _ in range(n)]
+            X = _solve_mod([row + [int(i == j) for j in range(n)]
+                            for i, row in enumerate(A)], p, 1)
+            assert (X is None) == (TestDeterminantEngine._exact_det(A) % p == 0)
+            if X is None:
+                continue
+            inverted += 1
+            for i in range(n):
+                for j in range(n):
+                    assert sum(A[i][r] * X[r][j] for r in range(n)) % p == int(i == j)
+        assert inverted >= 100
+
+    def test_input_rows_untouched(self):
+        rows = [[4, 3, 10], [2, 1, -7]]
+        kept = [list(r) for r in rows]
+        assert _solve_mod(rows, 3, 2) is not None
+        assert rows == kept
 
 
 class TestStackedDeterminant:
