@@ -15,7 +15,9 @@ from fractions import Fraction
 from . import bench as bench_mod
 from . import fileio
 from .attack import attack_decrypt_detailed, forge_signature, recover_uniformizer
-from .errors import PadicError, ParseError, PrecisionExhausted
+from .errors import (BadExponents, BadMatrix, DegenerateGenerator, DeltaTooSmall,
+                     FixtureTampered, InconsistentHeader, NoiseOutOfRange, NotEisenstein,
+                     NotIntegral, NotMonic, PadicError, ParseError, PrecisionExhausted)
 from .fields import check_degree, check_parameters
 from .lattices import Lattice, lvp_oracle
 from .schemes import (KeyPair, decrypt, encrypt, keygen, random_eisenstein, random_zeta,
@@ -137,7 +139,7 @@ def cmd_decrypt(args):
 def cmd_attack_uniformizer(args):
     pk = _load_public(args.pub)
     res = recover_uniformizer(pk)
-    coeffs = " ".join(str(c.to_fraction()) for c in res.gamma.coeffs)
+    coeffs = " ".join(str(f) for f in res.gamma.fracs)
     print(f"exponent={res.lambda2.exponent}")
     print(f"gamma= {coeffs}")
     print(f"abs_count={res.abs_count}")
@@ -170,7 +172,7 @@ def cmd_oracle_lvp(args):
     res = lvp_oracle(pk.ctx, lattice, depth=args.depth, budget=args.budget)
     print(f"lambda1_exponent={res.lambda1.exponent}")
     print(f"lambda2_exponent={res.lambda2.exponent}")
-    coeffs = " ".join(str(c.to_fraction()) for c in res.witness.coeffs)
+    coeffs = " ".join(str(f) for f in res.witness.fracs)
     print(f"witness= {coeffs}")
     return 0
 
@@ -285,17 +287,13 @@ def main(argv=None) -> int:
     except PrecisionExhausted as exc:
         print(f"precision exhausted: {exc}", file=sys.stderr)
         return 3
-    except (OSError, ValueError) as exc:
+    except (OSError, ValueError, ParseError, InconsistentHeader, NotMonic, NotIntegral,
+            BadExponents, BadMatrix, DeltaTooSmall, NotEisenstein, DegenerateGenerator,
+            FixtureTampered, NoiseOutOfRange) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2
     except PadicError as exc:
-        kind = type(exc).__name__
-        if kind in ("ParseError", "InconsistentHeader", "NotMonic", "NotIntegral",
-                    "BadExponents", "BadMatrix", "DeltaTooSmall", "NotEisenstein",
-                    "DegenerateGenerator", "FixtureTampered", "NoiseOutOfRange"):
-            print(f"input error: {exc}", file=sys.stderr)
-            return 2
-        print(f"{kind}: {exc}", file=sys.stderr)
+        print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
 
 

@@ -1,14 +1,13 @@
 """Arithmetic in K = Q_p[x]/(F(x)).
 
-Elements are coefficient vectors over :class:`PadicScalar` in the power
-basis of the formal root.  Exact element arithmetic runs on integer
-vectors: a product clears each operand's denominators once, multiplies
-and reduces by F over Python ints (``_int_mul_mod``, the one polynomial
-multiplier, which ``bench`` shares), and sums, differences and scalar
-multiples combine the exact rationals directly; either way each output
-scalar is built once, at the smallest precision among the operands and
-the context.  The extended absolute value |x| = |N(x)|^(1/n)
-is computed from the valuation of the determinant of the multiplication
+An element is its exact coefficient vector in the power basis of the
+formal root (Fractions) and one precision; its :class:`PadicScalar`
+coefficients are built only when read.  A product clears each operand's
+denominators once, multiplies and reduces by F over Python ints
+(``_int_mul_mod``, the one polynomial multiplier, which ``bench`` shares);
+sums and scalar multiples combine the rationals directly.  A result
+carries the smallest precision among its operands.  The extended absolute
+value |x| = |N(x)|^(1/n) is computed from the valuation of the determinant of the multiplication
 matrix, evaluated modulo p^M with full valuation pivoting.  M escalates
 adaptively: a query only pays for as many digits as the answer needs,
 which is what keeps the attack loops cheap at large degree.
@@ -40,7 +39,6 @@ unit pivots, GF(p) at one digit) serves ``bench`` and the mixing matrix.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import total_ordering
@@ -136,8 +134,7 @@ class FieldContext:
         self._res_cache = {}
         # the non-leading coefficients as (integer vector, lcm of their
         # denominators) for exact products
-        (fbar,), _ = _exact_fracs(self, self.modulus[:-1])
-        self._int_modulus = _clear_denominators(fbar)
+        self._int_modulus = _clear_denominators([c.to_fraction() for c in self.modulus[:-1]])
 
     # -- element constructors ------------------------------------------
 
@@ -146,12 +143,22 @@ class FieldContext:
             return value
         return PadicScalar.from_fraction(Fraction(value), p=self.p, precision=self.precision)
 
+    def _exact(self, value):
+        """(rational, precision) of a rational or a scalar of this prime."""
+        if not isinstance(value, PadicScalar):
+            return Fraction(value), self.precision
+        if value.p != self.p:
+            raise ValueError("mixed primes")
+        return value.to_fraction(), min(value.precision, self.precision)
+
     def element(self, coeffs) -> "FieldElement":
-        coeffs = list(coeffs)
-        if len(coeffs) > self.n:
+        """Zero-padded coefficients, read to the smallest precision among
+        the context and the scalar inputs."""
+        exact = [self._exact(c) for c in coeffs]
+        if len(exact) > self.n:
             raise ValueError(f"at most {self.n} coefficients expected")
-        coeffs += [0] * (self.n - len(coeffs))
-        return FieldElement(self, tuple(self.scalar(c) for c in coeffs))
+        fracs = [f for f, _ in exact] + [Fraction(0)] * (self.n - len(exact))
+        return FieldElement(self, fracs, min([self.precision] + [prec for _, prec in exact]))
 
     def zero(self) -> "FieldElement":
         return self.element([])
@@ -253,24 +260,38 @@ def make_context(p: int, precision: int, coeffs, ramification=None,
 
 
 class FieldElement:
-    """Element of K as a coefficient vector in the power basis."""
+    """Element of K: its exact power-basis coefficients (``fracs``, a tuple
+    of Fractions) and the ``precision`` its scalar view ``coeffs`` and
+    ``==`` read them to."""
 
-    __slots__ = ("ctx", "coeffs")
+    __slots__ = ("ctx", "fracs", "precision")
 
-    def __init__(self, ctx: FieldContext, coeffs):
+    def __init__(self, ctx: FieldContext, fracs, precision: int):
         self.ctx = ctx
-        self.coeffs = tuple(coeffs)
+        self.fracs = tuple(fracs)
+        self.precision = precision
+
+    @property
+    def coeffs(self) -> tuple:
+        """The coefficients as scalars, built on each read."""
+        p, precision = self.ctx.p, self.precision
+        return tuple(PadicScalar.from_fraction(f, p=p, precision=precision)
+                     for f in self.fracs)
 
     @property
     def is_zero(self) -> bool:
-        return all(c.is_zero for c in self.coeffs)
+        return not any(self.fracs)
 
     def key(self):
-        return tuple(c.key() for c in self.coeffs)
+        return tuple((f.numerator, f.denominator) for f in self.fracs)
 
     def fractions(self) -> list[Fraction]:
         """Exact coefficient vector."""
-        return [c.to_fraction() for c in self.coeffs]
+        return list(self.fracs)
+
+    def _with(self, fracs, other_precision: int) -> "FieldElement":
+        """A result in this context, at the smaller of the two precisions."""
+        return FieldElement(self.ctx, fracs, min(self.precision, other_precision))
 
     def _check(self, other: "FieldElement"):
         if not self.ctx.same_structure(other.ctx):
@@ -280,24 +301,26 @@ class FieldElement:
         if not isinstance(other, FieldElement):
             return NotImplemented
         self._check(other)
-        return _elem_combine(self, other, operator.add)
+        return self._with([a + b for a, b in zip(self.fracs, other.fracs)],
+                          other.precision)
 
     def __sub__(self, other):
         if not isinstance(other, FieldElement):
             return NotImplemented
         self._check(other)
-        return _elem_combine(self, other, operator.sub)
+        return self._with([a - b for a, b in zip(self.fracs, other.fracs)],
+                          other.precision)
 
     def __neg__(self):
-        return FieldElement(self.ctx, tuple(-a for a in self.coeffs))
+        return FieldElement(self.ctx, (-f for f in self.fracs), self.precision)
 
     def __mul__(self, other):
         if isinstance(other, FieldElement):
             self._check(other)
             return _elem_mul(self, other)
         if isinstance(other, (int, Fraction, PadicScalar)):
-            (a, (b,)), precision = _exact_fracs(self.ctx, self.coeffs, (self.ctx.scalar(other),))
-            return _from_fracs(self.ctx, [c * b for c in a], precision)
+            b, precision = self.ctx._exact(other)
+            return self._with([f * b for f in self.fracs], precision)
         return NotImplemented
 
     __rmul__ = __mul__
@@ -324,46 +347,14 @@ class FieldElement:
         return hash((self.ctx.p, self.ctx.n, self.coeffs))
 
     def __repr__(self):
-        parts = [f"{c.to_fraction()}*z^{i}" for i, c in enumerate(self.coeffs) if not c.is_zero]
+        parts = [f"{f}*z^{i}" for i, f in enumerate(self.fracs) if f]
         return "FieldElement(" + (" + ".join(parts) if parts else "0") + ")"
 
 
 # ---------------------------------------------------------------------------
-# Exact element arithmetic on integer vectors.  An element is a vector of
-# Fractions; a product clears each operand's denominators once, multiplies
-# and reduces over Python ints, and builds each output scalar once.
+# Exact element products on integer vectors: clear each operand's
+# denominators once, multiply and reduce over Python ints.
 # ---------------------------------------------------------------------------
-
-
-def _exact_fracs(ctx: FieldContext, *operands):
-    """The rationals of each operand (a sequence of scalars), and the
-    precision of a result built from them: the smallest among the
-    operands' scalars and the context.  ValueError for a scalar of
-    another prime."""
-    p, precision = ctx.p, ctx.precision
-    out = []
-    for scalars in operands:
-        fracs = []
-        for c in scalars:
-            if c.p != p:
-                raise ValueError("mixed primes")
-            if c.precision < precision:
-                precision = c.precision
-            fracs.append(c._frac)
-        out.append(fracs)
-    return out, precision
-
-
-def _from_fracs(ctx: FieldContext, fracs, precision: int) -> FieldElement:
-    p = ctx.p
-    return FieldElement(ctx, tuple(PadicScalar.from_fraction(f, p=p, precision=precision)
-                                   for f in fracs))
-
-
-def _elem_combine(x: FieldElement, y: FieldElement, op) -> FieldElement:
-    """Coefficient-wise x op y (op adds or subtracts)."""
-    (a, b), precision = _exact_fracs(x.ctx, x.coeffs, y.coeffs)
-    return _from_fracs(x.ctx, map(op, a, b), precision)
 
 
 def _clear_denominators(fracs):
@@ -400,12 +391,10 @@ def _int_mul_mod(a, b, fbar, fden=1):
 
 def _elem_mul(x: FieldElement, y: FieldElement) -> FieldElement:
     ctx = x.ctx
-    (xf, yf), precision = _exact_fracs(ctx, x.coeffs, y.coeffs)
-    (xn, xd), (yn, yd) = _clear_denominators(xf), _clear_denominators(yf)
+    (xn, xd), (yn, yd) = _clear_denominators(x.fracs), _clear_denominators(y.fracs)
     fbar, fden = ctx._int_modulus
     den = xd * yd * fden ** (ctx.n - 1)
-    return _from_fracs(ctx, [Fraction(r, den) for r in _int_mul_mod(xn, yn, fbar, fden)],
-                       precision)
+    return x._with([Fraction(r, den) for r in _int_mul_mod(xn, yn, fbar, fden)], y.precision)
 
 
 # ---------------------------------------------------------------------------
@@ -420,11 +409,10 @@ class _Deeper(Exception):
         self.bound = bound
 
 
-def _scaled_residue(c: PadicScalar, shift: int, digits: int, p: int) -> int:
-    """Residue of c * p^shift mod p^digits (the product must be integral)."""
-    if c.is_zero:
+def _scaled_residue(f: Fraction, shift: int, digits: int, p: int) -> int:
+    """Residue of f * p^shift mod p^digits (the product must be integral)."""
+    if not f:
         return 0
-    f = c.to_fraction()
     num, den = f.numerator, f.denominator
     vd = int_valuation(den, p) if den % p == 0 else 0
     den //= p ** vd
@@ -435,12 +423,17 @@ def _scaled_residue(c: PadicScalar, shift: int, digits: int, p: int) -> int:
 
 
 def _element_scale(x: FieldElement) -> int:
-    """Smallest s making every coefficient of p^s * x integral."""
-    s = 0
-    for c in x.coeffs:
-        if not c.is_zero and c.valuation < 0:
-            s = max(s, -c.valuation)
-    return s
+    """Smallest s making every coefficient of p^s * x integral: the largest
+    valuation of a denominator."""
+    p = x.ctx.p
+    return max((int_valuation(f.denominator, p) for f in x.fracs if f.denominator % p == 0),
+               default=0)
+
+
+def _element_residues(x: FieldElement, s: int, digits: int):
+    """Residues of the coefficients of p^s * x mod p^digits."""
+    p = x.ctx.p
+    return [_scaled_residue(f, s, digits, p) for f in x.fracs]
 
 
 def _kernel_dtype(p: int, n: int, digits: int):
@@ -459,8 +452,7 @@ def _mult_rows_mod(ctx: FieldContext, x, digits: int, s: int = 0):
     """
     p, n = ctx.p, ctx.n
     if isinstance(x, FieldElement):
-        return _mult_rows_mod(ctx, [[_scaled_residue(c, s, digits, p) for c in x.coeffs]],
-                              digits)[0]
+        return _mult_rows_mod(ctx, [_element_residues(x, s, digits)], digits)[0]
     mod = p ** digits
     dtype = _kernel_dtype(p, n, digits)
     fold = -np.array(ctx._modulus_residues(digits), dtype=dtype)
@@ -705,8 +697,7 @@ class NormEngine:
         if total == 1:
             # N(p^s x) mod p = +-Res(F mod p, p^s x mod p): one digit of the
             # determinant is nonzero exactly when the residues are coprime
-            xbar = [_scaled_residue(c, st.s, 1, p) for c in x.coeffs]
-            if _gf_coprime(xbar, ctx._modulus_residues(1) + [1], p):
+            if _gf_coprime(_element_residues(x, st.s, 1), ctx._modulus_residues(1) + [1], p):
                 st.exact = -shift
                 return True
             st.lower = max(st.lower, 1 - shift)
@@ -726,10 +717,10 @@ class NormEngine:
             return None
         st = self._state(x)
         if st.exact is None:
-            p, s = self.ctx.p, st.s
+            s = st.s
 
             def residues(_, total):
-                return [[_scaled_residue(c, s, total, p) for c in x.coeffs]]
+                return [_element_residues(x, s, total)]
 
             st.exact = _norm_valuations(self.ctx, residues, 1, self.ctx.n * s,
                                         max(2, st.lower + 1), self.digit_cap)[0]

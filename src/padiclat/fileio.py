@@ -26,8 +26,12 @@ def _format_fraction(f: Fraction) -> str:
     return f"{f.numerator}/{f.denominator}"
 
 
-def _format_vector(coeffs) -> str:
-    return " ".join(_format_fraction(c.to_fraction()) for c in coeffs)
+def _format_vector(fracs) -> str:
+    return " ".join(_format_fraction(f) for f in fracs)
+
+
+def _format_scalars(scalars) -> str:
+    return _format_vector(c.to_fraction() for c in scalars)
 
 
 def _parse_fraction(tok: str, lineno: int) -> Fraction:
@@ -102,11 +106,11 @@ def emit_public_key(pk: PublicKey, gamma=None, gamma_coords=None) -> str:
     if pk.delta is not None:
         out.append(f"delta={_format_fraction(pk.delta)}")
     out.append(f"precision={pk.ctx.precision}")
-    out.append(f"F= {_format_vector(pk.ctx.modulus)}")
+    out.append(f"F= {_format_scalars(pk.ctx.modulus)}")
     for i, b in enumerate(pk.basis, start=1):
-        out.append(f"beta.{i}= {_format_vector(b.coeffs)}")
+        out.append(f"beta.{i}= {_format_vector(b.fracs)}")
     if gamma is not None:
-        out.append(f"gamma= {_format_vector(gamma.coeffs)}")
+        out.append(f"gamma= {_format_vector(gamma.fracs)}")
         for i, coords in enumerate(gamma_coords, start=1):
             row = " ".join(_format_fraction(Fraction(c)) for c in coords)
             out.append(f"beta_gamma.{i}= {row}")
@@ -116,11 +120,11 @@ def emit_public_key(pk: PublicKey, gamma=None, gamma_coords=None) -> str:
 def emit_key_pair(kp: KeyPair) -> str:
     sk = kp.private
     out = [emit_public_key(kp.public).rstrip("\n")]
-    out.append(f"f= {_format_vector(sk.eisenstein)}")
-    out.append(f"zeta= {_format_vector(sk.zeta_over_theta)}")
+    out.append(f"f= {_format_scalars(sk.eisenstein)}")
+    out.append(f"zeta= {_format_scalars(sk.zeta_over_theta)}")
     out.append("j= " + " ".join(str(x) for x in sk.exponents))
     for i, row in enumerate(sk.matrix, start=1):
-        out.append(f"A.row.{i}= {_format_vector(row)}")
+        out.append(f"A.row.{i}= {_format_scalars(row)}")
     return "\n".join(out) + "\n"
 
 
@@ -189,7 +193,7 @@ def _parse_header(lines: _Lines, ctx: FieldContext):
 
 def emit_ciphertext(ct: Ciphertext) -> str:
     ctx = ct.vector.ctx
-    return "\n".join(_emit_header(ctx) + [f"C= {_format_vector(ct.vector.coeffs)}"]) + "\n"
+    return "\n".join(_emit_header(ctx) + [f"C= {_format_vector(ct.vector.fracs)}"]) + "\n"
 
 
 def parse_ciphertext(text: str, ctx: FieldContext) -> Ciphertext:
@@ -204,7 +208,7 @@ def emit_signature(sig: Signature) -> str:
     ctx = sig.vector.ctx
     return "\n".join(_emit_header(ctx) + [
         f"r={sig.salt.hex()}",
-        f"v= {_format_vector(sig.vector.coeffs)}",
+        f"v= {_format_vector(sig.vector.fracs)}",
     ]) + "\n"
 
 

@@ -27,7 +27,6 @@ from .fields import (
     FieldElement,
     NormEngine,
     _clear_denominators,
-    _from_fracs,
     _kernel_dtype,
     _norm_valuations,
     coordinates_in,
@@ -145,8 +144,8 @@ class _IntegerSums:
         return _norm_valuations(self.ctx, residues, len(rows), n * self.t, 2, PRECISION_CAP)
 
     def element(self, row) -> FieldElement:
-        return _from_fracs(self.ctx, [Fraction(int(c), self.den) for c in row],
-                           self.ctx.precision)
+        return FieldElement(self.ctx, [Fraction(int(c), self.den) for c in row],
+                            self.ctx.precision)
 
 
 @dataclass(frozen=True)

@@ -34,8 +34,6 @@ from .fields import (
     FieldElement,
     NormEngine,
     _clear_denominators,
-    _exact_fracs,
-    _from_fracs,
     _solve_exact,
     _solve_mod,
     coordinates_in,
@@ -161,10 +159,9 @@ def keygen(p: int, n: int, m: int, exponents, eisenstein_coeffs, zeta_over_theta
     if not is_eisenstein(p, theta_ctx.modulus):
         raise NotEisenstein("f must be Eisenstein at p")
     zeta = theta_ctx.element(zeta_over_theta)
-    for cseries in zeta.coeffs:
-        if not cseries.is_zero and cseries.valuation < 0:
-            raise NotIntegral("zeta must be integral over theta")
-    if zeta.coeffs[1].residue_digit() == 0:
+    if any(f.denominator % p == 0 for f in zeta.fracs):
+        raise NotIntegral("zeta must be integral over theta")
+    if zeta.fracs[1].numerator % p == 0:
         raise DegenerateGenerator(
             "the theta-coefficient of zeta is divisible by p, so zeta does "
             "not generate the ring of integers")
@@ -191,11 +188,10 @@ def keygen(p: int, n: int, m: int, exponents, eisenstein_coeffs, zeta_over_theta
     alpha_ints = [alpha_ints[k * n:(k + 1) * n] for k in range(m)]
     beta = []
     for row in A:
-        (fracs,), row_precision = _exact_fracs(ctx, row)
-        ints, den = _clear_denominators(fracs)
+        ints, den = _clear_denominators([a.to_fraction() for a in row])
         vec = [sum(a * v[i] for a, v in zip(ints, alpha_ints)) for i in range(n)]
-        beta.append(_from_fracs(ctx, [Fraction(x, den * alpha_den) for x in vec],
-                                row_precision))
+        beta.append(FieldElement(ctx, [Fraction(x, den * alpha_den) for x in vec],
+                                 min([precision] + [a.precision for a in row])))
     engine = NormEngine(ctx)
     for b in beta:
         if engine.norm_valuation(b) != 0:
@@ -223,6 +219,8 @@ def _make_matrix(p, m, matrix, rng, precision):
                 for row in matrix]
         if len(rows) != m or any(len(r) != m for r in rows):
             raise BadMatrix(f"matrix must be {m}x{m}")
+        if any(x.p != p for row in rows for x in row):
+            raise ValueError("mixed primes")
         res = [[x.residue_digit() if x.is_zero or x.valuation >= 0 else None
                 for x in row] for row in rows]
         if any(x is None for row in res for x in row):
@@ -242,7 +240,10 @@ def _make_matrix(p, m, matrix, rng, precision):
 
 
 class _DigitStream:
-    """Unbiased base-p digits from an extendable-output hash."""
+    """Unbiased base-p digits from an extendable-output hash.  A digit is a
+    draw of the fewest big-endian bytes that hold p (one for p < 256), mod
+    p; draws at or above the largest multiple of p they can hold are
+    rejected."""
 
     def __init__(self, seed: bytes, p: int, xof=None):
         self.seed = seed
@@ -251,24 +252,27 @@ class _DigitStream:
         self.size = 256
         self.buf = self.xof(seed, self.size)
         self.pos = 0
-        self.cut = 256 - 256 % p
+        self.width = -(-p.bit_length() // 8)
+        span = 256 ** self.width
+        self.cut = span - span % p
 
-    def _byte(self) -> int:
+    def _draw(self) -> int:
         rejected = 0
         while True:
-            if self.pos >= len(self.buf):
+            end = self.pos + self.width
+            while end > len(self.buf):
                 self.size *= 2
                 self.buf = self.xof(self.seed, self.size)
-            b = self.buf[self.pos]
-            self.pos += 1
-            if b < self.cut:
-                return b
+            x = int.from_bytes(self.buf[self.pos:end], "big")
+            self.pos = end
+            if x < self.cut:
+                return x
             rejected += 1
             if rejected > 4096:
-                raise HashFailure("digit stream rejected 4096 bytes in a row")
+                raise HashFailure("digit stream rejected 4096 draws in a row")
 
     def digits(self, count: int):
-        return [self._byte() % self.p for _ in range(count)]
+        return [self._draw() % self.p for _ in range(count)]
 
 
 def _hash_seed(pk: PublicKey, message: bytes, salt: bytes) -> bytes:
@@ -333,7 +337,7 @@ def verify(pk: PublicKey, message: bytes, sig: Signature, *, xof=None) -> bool:
     """Recompute the hash target and check membership plus |t - v| < 1.
     Malformed inputs verify as False rather than raising."""
     try:
-        if len(sig.vector.coeffs) != pk.ctx.n:
+        if len(sig.vector.fracs) != pk.ctx.n:
             return False
         vec = pk.ctx.element(sig.vector.coeffs)
         if not in_lattice(pk, vec):

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from conftest import TOY_F, random_eisenstein, random_unimodular, scheme_shaped_lattice
 from padiclat import bench, fields
+from padiclat.attack import recover_uniformizer
 from padiclat.errors import (
     NotInSpan,
     NotIntegral,
@@ -26,6 +27,7 @@ from padiclat.fields import (
     make_context,
 )
 from padiclat.lattices import Lattice, lvp_oracle
+from padiclat.reduction import orthogonalize
 from padiclat.scalars import PadicScalar
 
 
@@ -178,6 +180,89 @@ class TestExactElementArithmetic:
             assert z.fractions() == want
             assert [c.precision for c in z.coeffs] == [8, 8]
         assert [c.precision for c in (x * x).coeffs] == [32, 32]
+
+
+
+class TestOneElementRepresentation:
+    """An element holds its exact rationals and one precision; the scalar
+    view ``coeffs`` must agree with everything digests and caches read."""
+
+    @staticmethod
+    def _elements(seed=41):
+        rng = random.Random(seed)
+        for p in (2, 3, 5):
+            ctx = make_context(p, rng.choice([8, 32]), random_eisenstein(rng, p, 3))
+            yield ctx, ctx.zero()
+            yield ctx, ctx.element([-1, p ** 3, 0])
+            for _ in range(12):
+                yield ctx, ctx.element([_random_coefficient(rng, p) for _ in range(3)])
+
+    def test_key_and_fractions_read_the_scalars(self):
+        for ctx, x in self._elements():
+            assert x.key() == tuple(c.key() for c in x.coeffs)
+            assert x.fractions() == [c.to_fraction() for c in x.coeffs]
+            assert all(c.p == ctx.p and c.precision == x.precision for c in x.coeffs)
+            assert x.is_zero == all(c.is_zero for c in x.coeffs)
+
+    def test_equality_and_hash_are_coefficientwise(self):
+        rng = random.Random(42)
+        close = 0
+        for ctx, x in self._elements():
+            p, low = ctx.p, rng.randrange(1, ctx.precision)
+            # y moves one coefficient by p^low times its own size and holds a
+            # scalar at ``low`` digits, so it agrees with x to ``low`` digits
+            i = rng.randrange(ctx.n)
+            fracs = x.fractions()
+            if fracs[i]:
+                fracs[i] += fracs[i] * p ** low * rng.randrange(1, 9)
+            j = (i + 1) % ctx.n
+            fracs[j] = PadicScalar.from_fraction(fracs[j], p=p, precision=low)
+            y = ctx.element(fracs)
+            for a, b in ((x, y), (y, x), (x, x), (x, -x), (x, x + ctx.one())):
+                same = all(c == d for c, d in zip(a.coeffs, b.coeffs))
+                assert (a == b) == same
+                if same:
+                    assert hash(a) == hash(b)
+            close += x == y and x.key() != y.key()
+        assert close >= 10
+
+    def test_agreement_to_the_smaller_precision(self):
+        ctx = make_context(3, 32, [3, 0, 1])
+        x = ctx.element([1, 2])
+        y = ctx.element([1 + 3 ** 8, PadicScalar.from_fraction(Fraction(2), p=3, precision=8)])
+        assert x == y and hash(x) == hash(y) and x.key() != y.key()
+        assert x != ctx.element([1 + 3 ** 8, 2])
+
+    def test_element_takes_the_lowest_scalar_precision(self):
+        ctx = make_context(5, 32, [5, 0, 1])
+        x = ctx.element([PadicScalar.from_fraction(Fraction(1, 5), p=5, precision=8), 3])
+        assert x.precision == 8
+        assert [c.precision for c in x.coeffs] == [8, 8]
+        assert ctx.element([PadicScalar.from_fraction(Fraction(2), p=5, precision=64)]).precision == 32
+        with pytest.raises(ValueError):
+            ctx.element([1, PadicScalar.from_fraction(Fraction(1), p=3, precision=32)])
+
+    def test_break_builds_no_scalar(self, monkeypatch):
+        # recovery, orthogonalization and the oracle run on the rationals
+        # alone: each answer is unchanged when building a scalar raises
+        ctx16 = bench.make_instance(16, 5, random.Random(3))
+        ctx4, basis, _ = scheme_shaped_lattice(random.Random(5), 3, 4, 2)
+
+        def answers():
+            rec = recover_uniformizer(ctx16)
+            ortho = orthogonalize(ctx4, basis)
+            lvp = lvp_oracle(ctx4, Lattice(ctx4, basis))
+            return (rec.gamma.key(), rec.lambda2, rec.abs_count,
+                    [b.key() for b in ortho.basis], ortho.exponents, ortho.abs_count,
+                    lvp.lambda1, lvp.lambda2, lvp.witness.key(), lvp.classes)
+
+        want = answers()
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a scalar was built")
+
+        monkeypatch.setattr(PadicScalar, "from_fraction", refuse)
+        assert answers() == want
 
 
 class TestNormAndAbs:

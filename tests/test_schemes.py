@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from padiclat.attack import forge_signature
 from padiclat.errors import (
     BadExponents,
     BadMatrix,
@@ -24,6 +25,8 @@ from padiclat.schemes import (
     hash_to_target,
     in_lattice,
     keygen,
+    random_eisenstein,
+    random_zeta,
     sign,
     sign_detailed,
     verify,
@@ -280,6 +283,19 @@ class TestSignVerify:
             t = hash_to_target(mid_key.public, msg, sig.salt)
             diff = t - sig.vector
             assert diff.is_zero or eng.abs_value(diff) < AbsValue.of(0)
+
+
+    @pytest.mark.parametrize("p", [257, 65537])
+    def test_primes_past_one_byte(self, p):
+        # a digit takes two or three hash bytes here; one byte held none
+        rng = random.Random(p)
+        kp = keygen(p, 3, 1, (0, 1, 2), random_eisenstein(rng, p, 3), random_zeta(rng, p, 3),
+                    rng=rng, precision=16)
+        sig = sign(kp.private, kp.public, b"wide", rng=rng)
+        assert verify(kp.public, b"wide", sig)
+        forged = forge_signature(kp.public, b"forged", rng=rng)
+        assert verify(kp.public, b"forged", forged)
+        assert not verify(kp.public, b"other", forged)
 
 
 class TestEncryptDecrypt:
