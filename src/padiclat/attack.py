@@ -12,17 +12,15 @@ Nothing in this module accepts a private key.
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass
 from math import gcd
 
 from .errors import NotCoprime, ReductionFailed
-from .fields import AbsValue, FieldContext, FieldElement, NormEngine
+from .fields import AbsValue, FieldContext, FieldElement, NormEngine, coordinates_in
 from .lattices import complete_orthogonal, cvp_orthogonal
 from .reduction import find_second_longest, orthogonalize
 from .schemes import PublicKey, Signature, _draw_salt, hash_to_target
-from .fields import coordinates_in
-
-import secrets
 
 
 @dataclass(frozen=True)
@@ -127,7 +125,7 @@ def attack_decrypt(pk: PublicKey, ciphertext):
 
 def forge_signature(pk: PublicKey, message: bytes, *, rng=None, xof=None) -> Signature:
     """Produce a verifying signature without the private key."""
-    rng = rng or secrets.SystemRandom()
+    rng = rng or random.SystemRandom()
     broken = BrokenKey.from_public(pk)
     salt = _draw_salt(rng)
     t = hash_to_target(pk, message, salt, xof=xof, engine=broken.engine)

@@ -26,15 +26,16 @@ Only threshold tests (``NormEngine.norm_exceeds``) reach that path; an
 exact valuation is always a determinant, so the brute-force oracle keeps
 refereeing the gcd.
 
-Coordinates in a basis (CVP in the schemes and the attack, lattice
-membership, and the key generator's change of generator) come from one
-exact kernel, ``_solve_exact``.  It clears each row's denominators once,
+Coordinates in a basis (CVP in the attack, lattice membership, and the
+key generator's change of generator) come from one exact kernel,
+``_solve_exact``.  It clears each row's denominators once,
 runs Gauss-Jordan on primitive integer rows (every updated row is divided
 by the gcd of its entries) and turns each coordinate into a Fraction once
 at the end; a block of right-hand sides shares one pass.  The system has a
 unique exact solution, so the pivot rule only affects speed, never an
 output.  Its modular twin ``_solve_mod`` (Gauss-Jordan over Z/p^digits on
-unit pivots, GF(p) at one digit) serves ``bench`` and the mixing matrix.
+unit pivots, GF(p) at one digit) serves ``bench``, the mixing matrix and
+the left kernel of a public basis mod p.
 """
 
 from __future__ import annotations
@@ -859,14 +860,21 @@ def _solve_exact(columns, targets):
             for t in range(m, len(cols))]
 
 
-def _solve_mod(rows, p: int, digits: int):
+def _solve_mod(rows, p: int, digits: int, width: int | None = None):
     """X with A*X = B mod p^digits for integer rows [A | B], A square; None
     when A is singular mod p (B may have no columns).  Gauss-Jordan on the
-    first unit pivot loses no digit, and the solution is unique."""
+    first unit pivot loses no digit, and the solution is unique.
+
+    A tall A (more rows than its ``width`` columns) is eliminated the same
+    way, with None when it has no unit pivot in some column.  The rows
+    past ``width`` then come back as well: T*B for the rows T of the
+    elimination that annihilate A, zero exactly when A*X = B is solvable.
+    With B the identity they are the left kernel of A."""
     mod = p ** digits
     rows = [[x % mod for x in row] for row in rows]
     n = len(rows)
-    for col in range(n):
+    width = n if width is None else width
+    for col in range(width):
         piv = next((r for r in range(col, n) if rows[r][col] % p), None)
         if piv is None:
             return None
@@ -877,7 +885,7 @@ def _solve_mod(rows, p: int, digits: int):
             f = rows[r][col]
             if r != col and f:
                 rows[r] = [(x - f * y) % mod for x, y in zip(rows[r], prow)]
-    return [row[n:] for row in rows]
+    return [row[width:] for row in rows]
 
 
 def coordinates_in(ctx: FieldContext, target: FieldElement, vectors,

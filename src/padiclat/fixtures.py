@@ -8,7 +8,6 @@ against edited inputs.
 
 from __future__ import annotations
 
-import hashlib
 from importlib import resources
 
 from .errors import FixtureTampered
@@ -24,6 +23,8 @@ _DIGESTS = {
 def fixture_text(name: str) -> str:
     if name not in _DIGESTS:
         raise KeyError(f"unknown fixture {name!r}")
+    import hashlib  # loaded on first use: it pulls in OpenSSL
+
     data = resources.files("padiclat").joinpath("data").joinpath(name).read_bytes()
     digest = hashlib.sha256(data).hexdigest()
     if digest != _DIGESTS[name]:

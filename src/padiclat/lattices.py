@@ -262,19 +262,37 @@ def cvp_orthogonal(ctx: FieldContext, lattice_basis, completion, target: FieldEl
     """Closest vector of L(lattice_basis) to ``target``.
 
     (lattice_basis, completion) must together be an orthogonal basis of the
-    field.  Each lattice coordinate of the target is split into integral
-    and fractional parts; the fractional parts and the completion
-    components fix the (optimal) distance, and the canonical closest
-    vector keeps of each integral part only the digits that matter at that
-    distance.  Digits whose contribution is <= the distance cannot change
-    optimality, so zeroing them is what makes the output deterministic.
+    field.  The target's coordinates in it come from one exact solve and
+    the basis norms from ``engine`` (a completion vector's only where the
+    target has a component along it); :func:`_cvp_from_coordinates` does
+    the rest.
     """
     engine = engine or NormEngine(ctx)
     basis = list(lattice_basis)
     completion = list(completion)
-    m = len(basis)
     coords = coordinates_in(ctx, target, basis + completion, as_fractions=True)
-    gexp = [engine.abs_value(g).exponent for g in basis]
+    exponents = [engine.abs_value(g).exponent for g in basis]
+    exponents += [engine.abs_value(h).exponent if b else None
+                  for b, h in zip(coords[len(basis):], completion)]
+    return _cvp_from_coordinates(ctx, basis, coords, exponents)
+
+
+def _cvp_from_coordinates(ctx: FieldContext, lattice_basis, coords, exponents) -> CvpResult:
+    """CVP on an orthogonal basis from the target's coordinates in it.
+
+    ``coords`` are the target's coordinates (Fractions) in an orthogonal
+    basis of the field whose first vectors are ``lattice_basis``, and
+    ``exponents[k]`` is the norm exponent of basis vector k (read for a
+    completion vector only where its coordinate is nonzero).  Each lattice
+    coordinate is split into integral and fractional parts; the fractional
+    parts and the completion components fix the (optimal) distance, and
+    the canonical closest vector keeps of each integral part only the
+    digits that matter at that distance.  Digits whose contribution is <=
+    the distance cannot change optimality, so zeroing them is what makes
+    the output deterministic.
+    """
+    m = len(lattice_basis)
+    gexp = exponents[:m]
     ints = []
     parts = []
     for a, e in zip(coords[:m], gexp):
@@ -282,10 +300,9 @@ def cvp_orthogonal(ctx: FieldContext, lattice_basis, completion, target: FieldEl
         ints.append(ipart)
         if tail:
             parts.append(AbsValue(Fraction(frac_valuation(tail, ctx.p)) + e))
-    for b, h in zip(coords[m:], completion):
+    for b, e in zip(coords[m:], exponents[m:]):
         if b:
-            parts.append(AbsValue(Fraction(frac_valuation(b, ctx.p))
-                                  + engine.abs_value(h).exponent))
+            parts.append(AbsValue(Fraction(frac_valuation(b, ctx.p)) + e))
     dist = max(parts) if parts else AbsValue.zero()
     kept = []
     for a, e in zip(ints, gexp):
@@ -299,10 +316,17 @@ def cvp_orthogonal(ctx: FieldContext, lattice_basis, completion, target: FieldEl
             continue
         mod = ctx.p ** digits
         kept.append(Fraction(a.numerator * pow(a.denominator, -1, mod) % mod))
+    # sum a_k g_k as one integer dot product per coefficient over one
+    # denominator, so each coefficient is normalised once
+    terms = [(a, g) for a, g in zip(kept, lattice_basis) if a]
     vec = ctx.zero()
-    for a, g in zip(kept, basis):
-        if a:
-            vec = vec + g * a
+    if terms:
+        coeffs, cden = _clear_denominators([a for a, _ in terms])
+        flat, vden = _clear_denominators([f for _, g in terms for f in g.fracs])
+        n = ctx.n
+        vec = FieldElement(ctx, [Fraction(sum(c * flat[k * n + i] for k, c in enumerate(coeffs)),
+                                          cden * vden) for i in range(n)],
+                           min([ctx.precision] + [g.precision for _, g in terms]))
     coords_out = tuple(PadicScalar.from_fraction(a, p=ctx.p, precision=ctx.precision)
                        for a in kept)
     return CvpResult(vec, dist, coords_out)

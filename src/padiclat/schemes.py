@@ -4,16 +4,18 @@ Key generation picks a totally ramified field via an Eisenstein polynomial
 f, re-expresses everything over a second generator zeta (whose minimal
 polynomial F is the public description of the field), and hides an
 orthogonal basis of uniformizer powers behind a unimodular mix.  Signing
-and decryption solve CVP against the hidden orthogonal basis; verification
+and decryption solve CVP against the hidden orthogonal basis through the
+trapdoor: a target's coordinates in it are its theta-coordinates, one
+integer matrix product away, so no linear system is solved.  Verification
 and encryption only ever touch the public data.
 """
 
 from __future__ import annotations
 
-import hashlib
-import secrets
+import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .errors import (
     BadExponents,
@@ -40,7 +42,7 @@ from .fields import (
     is_eisenstein,
     make_context,
 )
-from .lattices import cvp_orthogonal
+from .lattices import _cvp_from_coordinates
 from .scalars import DEFAULT_PRECISION, PadicScalar
 
 DEFAULT_TAG = b"padiclat-hash-v1"
@@ -51,6 +53,8 @@ SIGN_ATTEMPT_CAP = 64
 
 def default_xof(seed: bytes, nbytes: int) -> bytes:
     """Extendable-output hash with consistent prefixes."""
+    import hashlib  # loaded on first hash: it pulls in OpenSSL
+
     return hashlib.shake_256(seed).digest(nbytes)
 
 
@@ -67,6 +71,24 @@ class PublicKey:
     @property
     def m(self) -> int:
         return len(self.basis)
+
+    @cached_property
+    def _kernel_mod_p(self):
+        """Rows spanning the left kernel of the basis mod p (y with
+        y . beta_i = 0 mod p for every i), or None when a basis coordinate
+        has p in its denominator or the basis is singular mod p.
+
+        A member of L reduces mod p into the span of the reduced basis, so
+        it passes every row; an element that fails one is outside L."""
+        p, m = self.ctx.p, self.m
+        fracs = [b.fracs for b in self.basis]
+        if any(f.denominator % p == 0 for v in fracs for f in v):
+            return None
+        rows = [[v[i].numerator * pow(v[i].denominator, -1, p) for v in fracs]
+                + [int(i == k) for k in range(self.ctx.n)]
+                for i in range(self.ctx.n)]
+        reduced = _solve_mod(rows, p, 1, width=m)
+        return None if reduced is None else tuple(tuple(r) for r in reduced[m:])
 
 
 @dataclass(frozen=True)
@@ -86,6 +108,23 @@ class PrivateKey:
     @property
     def ctx(self) -> FieldContext:
         return self.alpha[0].ctx
+
+    @cached_property
+    def _trapdoor(self):
+        """(rows, den): row k over den is row j_k of Z, the matrix whose
+        columns are zeta^0 .. zeta^(n-1) written over theta.  Since
+        alpha_k = theta^(j_k), the coordinates of a target t in alpha are
+        the entries of Z*t at positions j_k."""
+        ctx = self.ctx
+        n = ctx.n
+        theta_ctx = make_context(ctx.p, ctx.precision, self.eisenstein,
+                                 ramification=n, residue_degree=1)
+        zeta = theta_ctx.element(self.zeta_over_theta)
+        powers = [theta_ctx.one()]
+        for _ in range(n - 1):
+            powers.append(powers[-1] * zeta)
+        ints, den = _clear_denominators([f for z in powers for f in z.fracs])
+        return tuple(tuple(ints[k * n + jk] for k in range(n)) for jk in self.exponents), den
 
 
 @dataclass(frozen=True)
@@ -230,7 +269,7 @@ def _make_matrix(p, m, matrix, rng, precision):
         if any(row[0] == 0 for row in res):
             raise BadMatrix("first column must be all units")
         return rows
-    rng = rng or secrets.SystemRandom()
+    rng = rng or random.SystemRandom()
     bound = p ** precision
     while True:
         raw = [[rng.randrange(bound) for _ in range(m)] for _ in range(m)]
@@ -288,10 +327,25 @@ def in_lattice(pk: PublicKey, x: FieldElement) -> bool:
     return all(c.is_zero or c.valuation >= 0 for c in coords)
 
 
+def _outside_mod_p(pk: PublicKey, x: FieldElement) -> bool:
+    """True only when x is certainly outside the public lattice: x is
+    p-integral and [beta | x] has rank m + 1 mod p.  A member
+    sum c_i beta_i (c_i in Z_p) has rank at most m there, so the answer
+    is never True for one; False decides nothing."""
+    kernel = pk._kernel_mod_p
+    p = pk.ctx.p
+    if kernel is None or any(f.denominator % p == 0 for f in x.fracs):
+        return False
+    xbar = [f.numerator * pow(f.denominator, -1, p) for f in x.fracs]
+    return any(sum(a * b for a, b in zip(row, xbar)) % p for row in kernel)
+
+
 def hash_to_target(pk: PublicKey, message: bytes, salt: bytes, *, xof=None,
                    engine: NormEngine | None = None) -> FieldElement:
     """Deterministic hash onto unit-norm field elements outside the public
-    lattice, by rejection sampling candidate digit vectors from an XOF."""
+    lattice, by rejection sampling candidate digit vectors from an XOF.
+    Almost every candidate is certified outside mod p; only the rest take
+    the exact membership solve."""
     if pk.m >= pk.ctx.n:
         raise ValueError("hash target set is empty for full-rank lattices")
     engine = engine or NormEngine(pk.ctx)
@@ -300,20 +354,29 @@ def hash_to_target(pk: PublicKey, message: bytes, salt: bytes, *, xof=None,
         t = pk.ctx.element(stream.digits(pk.ctx.n))
         if t.is_zero or engine.norm_valuation(t) != 0:
             continue
-        if not in_lattice(pk, t):
+        if _outside_mod_p(pk, t) or not in_lattice(pk, t):
             return t
     raise HashFailure("rejection sampling exceeded its candidate cap")
 
 
 def _private_cvp(sk: PrivateKey, target: FieldElement):
-    return cvp_orthogonal(sk.ctx, sk.alpha[:sk.m], sk.alpha[sk.m:], target)
+    """CVP against the hidden basis alpha: the target's coordinates are
+    read off Z*t and the norm exponents are j_k / n, so neither a solve
+    nor a norm query is needed."""
+    rows, den = sk._trapdoor
+    ints, tden = _clear_denominators(target.fracs)
+    den *= tden
+    coords = [Fraction(sum(a * b for a, b in zip(row, ints)), den) for row in rows]
+    n = sk.ctx.n
+    exponents = [Fraction(jk, n) for jk in sk.exponents]
+    return _cvp_from_coordinates(sk.ctx, sk.alpha[:sk.m], coords, exponents)
 
 
 def sign_detailed(sk: PrivateKey, pk: PublicKey, message: bytes, *, rng=None, xof=None):
     """(signature, salt attempts).  One salt always suffices because the
     identity lies in the lattice, so the CVP distance to any unit-norm hash
     output is below 1; the retry loop is kept for fidelity."""
-    rng = rng or secrets.SystemRandom()
+    rng = rng or random.SystemRandom()
     for attempt in range(1, SIGN_ATTEMPT_CAP + 1):
         salt = _draw_salt(rng)
         t = hash_to_target(pk, message, salt, xof=xof)
@@ -342,8 +405,8 @@ def verify(pk: PublicKey, message: bytes, sig: Signature, *, xof=None) -> bool:
         vec = pk.ctx.element(sig.vector.coeffs)
         if not in_lattice(pk, vec):
             return False
-        t = hash_to_target(pk, message, sig.salt, xof=xof)
         engine = NormEngine(pk.ctx)
+        t = hash_to_target(pk, message, sig.salt, xof=xof, engine=engine)
         diff = t - vec
         return diff.is_zero or engine.norm_exceeds(diff, 0)
     except (PadicError, ValueError):
@@ -374,7 +437,7 @@ def encrypt(pk: PublicKey, plaintext, *, rng=None, noise: FieldElement | None = 
                 f"noise exponent {exp.exponent} below the sampler scale {k}")
         r = noise
     else:
-        rng = rng or secrets.SystemRandom()
+        rng = rng or random.SystemRandom()
         bound = pk.ctx.p ** pk.ctx.precision
         scale = Fraction(pk.ctx.p) ** k
         r = pk.ctx.element([Fraction(rng.randrange(bound)) * scale
@@ -390,8 +453,8 @@ def encrypt(pk: PublicKey, plaintext, *, rng=None, noise: FieldElement | None = 
 
 
 def decrypt(sk: PrivateKey, ct: Ciphertext):
-    """Closest-vector decoding against the hidden orthogonal basis, then
-    unmixing modulo p."""
+    """Closest-vector decoding against the hidden orthogonal basis (through
+    the trapdoor, with no solve and no norm query), then unmixing modulo p."""
     res = _private_cvp(sk, ct.vector)
     alpha_m = AbsValue.of(sk.exponents[sk.m - 1], sk.ctx.n)
     if not res.distance < alpha_m:

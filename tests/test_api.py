@@ -1,4 +1,7 @@
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import padiclat
@@ -37,3 +40,15 @@ def test_no_unused_imports():
 def test_unused_import_check_sees_one():
     src = "import os\nfrom fractions import Fraction as F\nfrom math import gcd\ngcd(F(1), 2)\n"
     assert _unused_imports(src) == [(1, "os")]
+
+
+def test_import_leaves_hashlib_unloaded():
+    # hashlib loads OpenSSL, several MB of RSS in every process; only
+    # hashing (signing, verifying, fixture digests) needs it
+    src = str(Path(padiclat.__file__).parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    code = ("import sys, padiclat\n"
+            "print(sorted(m for m in ('hashlib', 'secrets') if m in sys.modules))")
+    out = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": path},
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"

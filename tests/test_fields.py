@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -723,6 +724,39 @@ class TestModularSolve:
                 for j in range(n):
                     assert sum(A[i][r] * X[r][j] for r in range(n)) % p == int(i == j)
         assert inverted >= 100
+
+    def test_tall_system_returns_left_kernel(self):
+        # [A | I] for a tall A: None exactly when A has rank below its
+        # width mod p, else the rows past the width cut out its column span
+        rng = random.Random(91)
+        seen = {True: 0, False: 0}
+        for _ in range(200):
+            p = rng.choice([2, 3])
+            n = rng.randrange(2, 6)
+            w = rng.randrange(1, n)
+            A = [[rng.randrange(p) for _ in range(w)] for _ in range(n)]
+            if rng.random() < 0.3:
+                # a repeated column: rank below the width
+                col = rng.randrange(w)
+                for row in A:
+                    row[col] = row[col - 1]
+            out = _solve_mod([row + [int(i == k) for k in range(n)]
+                              for i, row in enumerate(A)], p, 1, width=w)
+            full = any(TestDeterminantEngine._exact_det([A[i] for i in rows]) % p
+                       for rows in itertools.combinations(range(n), w))
+            seen[full] += 1
+            assert (out is None) == (not full)
+            if out is None:
+                continue
+            kernel = out[w:]
+            assert len(kernel) == n - w
+            for y in kernel:
+                assert all(sum(a * row[c] for a, row in zip(y, A)) % p == 0
+                           for c in range(w))
+            passing = sum(all(sum(a * b for a, b in zip(y, x)) % p == 0 for y in kernel)
+                          for x in itertools.product(range(p), repeat=n))
+            assert passing == p ** w  # the kernel rows are independent
+        assert min(seen.values()) >= 30
 
     def test_input_rows_untouched(self):
         rows = [[4, 3, 10], [2, 1, -7]]

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from padiclat import fields, lattices, schemes
 from padiclat.attack import forge_signature
 from padiclat.errors import (
     BadExponents,
@@ -17,9 +18,13 @@ from padiclat.errors import (
 )
 from padiclat.fields import AbsValue, NormEngine, evaluate_poly, make_context
 from padiclat.fileio import emit_key_pair
+from padiclat.lattices import cvp_orthogonal
 from padiclat.schemes import (
     Ciphertext,
+    PublicKey,
     Signature,
+    _outside_mod_p,
+    _private_cvp,
     decrypt,
     encrypt,
     hash_to_target,
@@ -352,3 +357,209 @@ class TestEncryptDecrypt:
         kp = keygen(3, 2, 1, (0, 1), [-3, 0, 1], [1, 1], matrix=[[1]])
         with pytest.raises(ValueError):
             encrypt(kp.public, (1,))
+
+
+@pytest.fixture(scope="module")
+def trapdoor_keys():
+    """Seeded encryption keys of the benchmark shapes, one with a
+    non-integral generator change (zeta has denominator 2) and one with
+    m = n - 1."""
+    keys = []
+    for seed, p, n, m, den in [(21, 3, 14, 6, 1), (22, 2, 14, 4, 1), (23, 5, 12, 6, 2)]:
+        j, f, zeta, rng = _seeded_key_inputs(seed, p, n, m, den)
+        keys.append(keygen(p, n, m, j, f, zeta, delta=Fraction(1, 2), rng=rng))
+    rng = random.Random(24)
+    keys.append(keygen(3, 6, 5, (0, 1, 2, 3, 5, 4), random_eisenstein(rng, 3, 6),
+                       random_zeta(rng, 3, 6), delta=1, rng=rng))
+    return keys
+
+
+def _lattice_member(rng, pk, coefficient):
+    acc = pk.ctx.zero()
+    for b in pk.basis:
+        acc = acc + b * coefficient(rng, pk.ctx.p)
+    return acc
+
+
+class TestTrapdoorCvp:
+    """The private CVP reads coordinates off Z*t; the exact solve against
+    the hidden basis (``cvp_orthogonal``) stays as its oracle."""
+
+    def test_matches_exact_solve(self, trapdoor_keys):
+        rng = random.Random(31)
+        for kp in trapdoor_keys:
+            pk, sk = kp.public, kp.private
+            p, m = pk.ctx.p, pk.m
+            targets = [hash_to_target(pk, b"trapdoor", bytes([i]) * 32) for i in range(3)]
+            targets += [encrypt(pk, [rng.randrange(p) for _ in range(m)], rng=rng).vector
+                        for _ in range(3)]
+            member = _lattice_member(rng, pk, lambda r, q: r.randrange(-q ** 3, q ** 3))
+            targets.append(member)
+            # a member whose coordinates have p-unit denominators
+            targets.append(_lattice_member(rng, pk, lambda r, q: Fraction(r.randrange(1, q ** 2), q + 1)))
+            # lattice coordinates with p in the denominator
+            targets.append(member + pk.basis[0] * Fraction(1, p))
+            targets.append(targets[0] + pk.basis[-1] * Fraction(2, p ** 2))
+            for t in targets:
+                got = _private_cvp(sk, t)
+                want = cvp_orthogonal(sk.ctx, sk.alpha[:m], sk.alpha[m:], t)
+                assert got.vector.key() == want.vector.key()
+                assert got.distance == want.distance
+                assert got.lattice_coords == want.lattice_coords
+                assert ([c.to_fraction() for c in got.lattice_coords]
+                        == [c.to_fraction() for c in want.lattice_coords])
+                # the vector is its kept coordinates on alpha, summed term by term
+                summed = sk.ctx.zero()
+                for c, a in zip(got.lattice_coords, sk.alpha[:m]):
+                    summed = summed + a * c.to_fraction()
+                assert got.vector.key() == summed.key()
+                assert got.vector.precision == summed.precision
+            assert _private_cvp(sk, member).distance.is_zero
+            assert _private_cvp(sk, member).vector == member
+            assert _private_cvp(sk, targets[-3]).distance.is_zero
+            assert not _private_cvp(sk, targets[-2]).distance.is_zero
+
+    def test_private_operations_make_no_solve(self, trapdoor_keys, monkeypatch):
+        # sign's CVP and all of decrypt run without an exact solve, and
+        # decrypt without a norm query
+        kp = trapdoor_keys[0]
+        pk, sk = kp.public, kp.private
+        rng = random.Random(32)
+        plain = [tuple(rng.randrange(pk.ctx.p) for _ in range(pk.m)) for _ in range(3)]
+        cts = [encrypt(pk, pt, rng=rng) for pt in plain]
+        targets = [hash_to_target(pk, b"pin", bytes([i]) * 32) for i in range(3)]
+        want = [_private_cvp(sk, t).vector.key() for t in targets]
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("an exact solve or a norm query was made")
+
+        for module in (fields, lattices, schemes):
+            monkeypatch.setattr(module, "coordinates_in", refuse)
+        monkeypatch.setattr(fields, "_solve_exact", refuse)
+        for name in ("norm_valuation", "norm_exceeds", "abs_value", "abs_less_than",
+                     "resolve_min_valuation"):
+            monkeypatch.setattr(NormEngine, name, refuse)
+        assert [decrypt(sk, ct) for ct in cts] == plain
+        assert [_private_cvp(sk, t).vector.key() for t in targets] == want
+
+
+def _count_solves_and_misses(monkeypatch):
+    """Record every exact solve and every candidate the mod-p certificate
+    leaves undecided."""
+    seen = {"solves": 0, "misses": 0, "hits": 0}
+    solve, certify = fields._solve_exact, schemes._outside_mod_p
+
+    def counted_solve(*args, **kwargs):
+        seen["solves"] += 1
+        return solve(*args, **kwargs)
+
+    def counted_certify(pk, x):
+        out = certify(pk, x)
+        seen["hits" if out else "misses"] += 1
+        return out
+
+    monkeypatch.setattr(fields, "_solve_exact", counted_solve)
+    monkeypatch.setattr(schemes, "_outside_mod_p", counted_certify)
+    return seen
+
+
+class TestMembershipCertificate:
+    """[beta | t] of rank m + 1 mod p certifies t outside L: never for a
+    member, and never against ``in_lattice``."""
+
+    COEFFICIENTS = [
+        lambda r, p: r.randrange(-p ** 4, p ** 4),
+        lambda r, p: p * r.randrange(1, p ** 2),           # non-unit
+        lambda r, p: Fraction(r.randrange(-p ** 2, p ** 2), r.choice([1, p + 1, 2 * p + 1])),
+        lambda r, p: p ** r.randrange(1, 4),                # p * beta_i sums
+    ]
+
+    def test_never_fires_on_a_member(self, trapdoor_keys):
+        rng = random.Random(41)
+        for kp in trapdoor_keys:
+            pk = kp.public
+            assert pk._kernel_mod_p is not None
+            members = [b * pk.ctx.p for b in pk.basis]
+            members += [_lattice_member(rng, pk, c) for c in self.COEFFICIENTS for _ in range(8)]
+            members += [_lattice_member(rng, pk, rng.choice(self.COEFFICIENTS)) for _ in range(8)]
+            for x in members:
+                assert in_lattice(pk, x)
+                assert not _outside_mod_p(pk, x)
+
+    def test_fires_only_outside(self, trapdoor_keys):
+        rng = random.Random(42)
+        for kp in trapdoor_keys:
+            pk = kp.public
+            p, n = pk.ctx.p, pk.ctx.n
+            fired = 0
+            candidates = [pk.ctx.element([rng.randrange(p) for _ in range(n)])
+                          for _ in range(40)]
+            candidates += [pk.ctx.element([Fraction(rng.randrange(p ** 3), rng.choice([1, p + 1, p]))
+                                           for _ in range(n)]) for _ in range(10)]
+            # members nudged by p times a non-member stay undecided mod p
+            candidates += [_lattice_member(rng, pk, self.COEFFICIENTS[0]) + c * p
+                           for c in candidates[:5]]
+            for x in candidates:
+                if _outside_mod_p(pk, x):
+                    fired += 1
+                    assert not in_lattice(pk, x)
+            # a share 1 - p^-(n-m) of the 40 digit vectors is expected to fire
+            assert fired >= 20
+
+    def test_p_in_a_basis_denominator_takes_the_exact_path(self, trapdoor_keys, monkeypatch):
+        pk = trapdoor_keys[0].public
+        p = pk.ctx.p
+        odd = PublicKey(pk.ctx, (pk.basis[0] * Fraction(1, p),) + pk.basis[1:], pk.delta, pk.tag)
+        assert odd._kernel_mod_p is None
+        assert not _outside_mod_p(odd, pk.ctx.one() + pk.ctx.gen())
+        seen = _count_solves_and_misses(monkeypatch)
+        for i in range(3):
+            t = hash_to_target(odd, b"odd", bytes([i]) * 32)
+            assert not in_lattice(odd, t)
+        assert seen["hits"] == 0
+        assert seen["solves"] == seen["misses"] + 3 >= 6
+
+    def test_same_targets_as_the_exact_path(self, trapdoor_keys, monkeypatch):
+        for kp in trapdoor_keys:
+            pk = kp.public
+            salts = [bytes([i]) * 32 for i in range(4)]
+            fast = [hash_to_target(pk, b"same", s).key() for s in salts]
+            with monkeypatch.context() as patch:
+                patch.setattr(schemes, "_outside_mod_p", lambda pk, x: False)
+                assert [hash_to_target(pk, b"same", s).key() for s in salts] == fast
+
+
+class TestSolveCounts:
+    """Exact solves left in the schemes: one per candidate the certificate
+    leaves undecided, plus the signature's membership in verify."""
+
+    def test_hash_sign_verify(self, trapdoor_keys, monkeypatch):
+        kp = trapdoor_keys[1]
+        pk, sk = kp.public, kp.private
+        rng = random.Random(51)
+        seen = _count_solves_and_misses(monkeypatch)
+        for i in range(4):
+            hash_to_target(pk, b"count", bytes([i]) * 32)
+        assert seen["solves"] == seen["misses"]
+        assert seen["hits"] >= 4
+        for i in range(4):
+            before = dict(seen)
+            sig = sign(sk, pk, b"count%d" % i, rng=rng)
+            assert seen["solves"] - before["solves"] == seen["misses"] - before["misses"]
+            before = dict(seen)
+            assert verify(pk, b"count%d" % i, sig)
+            assert seen["solves"] - before["solves"] == seen["misses"] - before["misses"] + 1
+
+    def test_verify_builds_one_engine(self, trapdoor_keys, monkeypatch):
+        kp = trapdoor_keys[1]
+        sig = sign(kp.private, kp.public, b"one", rng=random.Random(52))
+        built = []
+        init = NormEngine.__init__
+
+        def counted(self, *args, **kwargs):
+            built.append(self)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(NormEngine, "__init__", counted)
+        assert verify(kp.public, b"one", sig)
+        assert len(built) == 1
