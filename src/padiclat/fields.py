@@ -5,10 +5,13 @@ formal root (Fractions) and one precision; its :class:`PadicScalar`
 coefficients are built only when read.  A product clears each operand's
 denominators once, multiplies and reduces by F over Python ints
 (``_int_mul_mod``, the one polynomial multiplier, which ``bench`` shares);
-sums and scalar multiples combine the rationals directly.  A result
-carries the smallest precision among its operands.  The extended absolute
-value |x| = |N(x)|^(1/n) is computed from the valuation of the determinant of the multiplication
-matrix, evaluated modulo p^M with full valuation pivoting.  M escalates
+sums and scalar multiples combine the rationals directly, and a whole
+combination sum c_k v_k (``_linear_combination``: public vectors, CVP
+outputs, ciphertexts) is one integer dot product per coordinate over one
+common denominator.  A result carries the smallest precision among its
+operands.  The extended absolute value |x| = |N(x)|^(1/n) is computed
+from the valuation of the determinant of the multiplication matrix,
+evaluated modulo p^M with full valuation pivoting.  M escalates
 adaptively: a query only pays for as many digits as the answer needs,
 which is what keeps the attack loops cheap at large degree.
 
@@ -396,6 +399,27 @@ def _elem_mul(x: FieldElement, y: FieldElement) -> FieldElement:
     fbar, fden = ctx._int_modulus
     den = xd * yd * fden ** (ctx.n - 1)
     return x._with([Fraction(r, den) for r in _int_mul_mod(xn, yn, fbar, fden)], y.precision)
+
+
+def _linear_combination(ctx: FieldContext, coeffs, vectors) -> FieldElement:
+    """sum c_k v_k for ints, Fractions or scalars c_k, as one integer dot
+    product per coordinate over one common denominator, so each output
+    coefficient is normalised once.  The result carries the smallest
+    precision among the context, every coefficient and every vector whose
+    coefficient is nonzero (what the term-by-term sum gives)."""
+    exact = [ctx._exact(c) for c in coeffs]
+    precision = min([ctx.precision] + [prec for _, prec in exact])
+    terms = [(c, v) for (c, _), v in zip(exact, vectors) if c]
+    if not terms:
+        return FieldElement(ctx, [Fraction(0)] * ctx.n, precision)
+    if any(not ctx.same_structure(v.ctx) for _, v in terms):
+        raise ValueError("elements from different contexts")
+    ints, cden = _clear_denominators([c for c, _ in terms])
+    flat, vden = _clear_denominators([f for _, v in terms for f in v.fracs])
+    n, den = ctx.n, cden * vden
+    return FieldElement(ctx, [Fraction(sum(c * flat[k * n + i] for k, c in enumerate(ints)), den)
+                              for i in range(n)],
+                        min([precision] + [v.precision for _, v in terms]))
 
 
 # ---------------------------------------------------------------------------

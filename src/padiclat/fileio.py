@@ -16,7 +16,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import InconsistentHeader, ParseError
-from .fields import FieldContext, make_context
+from .fields import FieldContext, _linear_combination, make_context
 from .schemes import Ciphertext, KeyPair, PublicKey, Signature, keygen
 
 
@@ -144,15 +144,12 @@ def parse_key_file(text: str):
     pk = PublicKey(ctx, tuple(basis), delta)
     if lines.has("gamma"):
         gamma = ctx.element(lines.take_vector("gamma", n))
+        powers = [ctx.one()]
+        for _ in range(n - 1):
+            powers.append(powers[-1] * gamma)
         for i in range(1, m + 1):
             coords = lines.take_vector(f"beta_gamma.{i}", n)
-            acc = ctx.zero()
-            power = ctx.one()
-            for c in coords:
-                if c:
-                    acc = acc + power * c
-                power = power * gamma
-            if acc != basis[i - 1]:
+            if _linear_combination(ctx, coords, powers) != basis[i - 1]:
                 raise ParseError(
                     f"beta_gamma.{i} disagrees with beta.{i} under the "
                     "declared uniformizer")

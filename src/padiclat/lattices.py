@@ -28,6 +28,7 @@ from .fields import (
     NormEngine,
     _clear_denominators,
     _kernel_dtype,
+    _linear_combination,
     _norm_valuations,
     coordinates_in,
     frac_valuation,
@@ -316,17 +317,7 @@ def _cvp_from_coordinates(ctx: FieldContext, lattice_basis, coords, exponents) -
             continue
         mod = ctx.p ** digits
         kept.append(Fraction(a.numerator * pow(a.denominator, -1, mod) % mod))
-    # sum a_k g_k as one integer dot product per coefficient over one
-    # denominator, so each coefficient is normalised once
-    terms = [(a, g) for a, g in zip(kept, lattice_basis) if a]
-    vec = ctx.zero()
-    if terms:
-        coeffs, cden = _clear_denominators([a for a, _ in terms])
-        flat, vden = _clear_denominators([f for _, g in terms for f in g.fracs])
-        n = ctx.n
-        vec = FieldElement(ctx, [Fraction(sum(c * flat[k * n + i] for k, c in enumerate(coeffs)),
-                                          cden * vden) for i in range(n)],
-                           min([ctx.precision] + [g.precision for _, g in terms]))
+    vec = _linear_combination(ctx, kept, lattice_basis)
     coords_out = tuple(PadicScalar.from_fraction(a, p=ctx.p, precision=ctx.precision)
                        for a in kept)
     return CvpResult(vec, dist, coords_out)

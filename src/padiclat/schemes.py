@@ -13,7 +13,7 @@ and encryption only ever touch the public data.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 
@@ -36,6 +36,7 @@ from .fields import (
     FieldElement,
     NormEngine,
     _clear_denominators,
+    _linear_combination,
     _solve_exact,
     _solve_mod,
     coordinates_in,
@@ -94,8 +95,11 @@ class PublicKey:
 @dataclass(frozen=True)
 class PrivateKey:
     """Everything the legitimate party keeps: the Eisenstein polynomial,
-    the generator change, the exponent list, the mixing matrix, and the
-    derived orthogonal basis (lattice part first, completion after)."""
+    the generator change, the exponent list, the mixing matrix, the hidden
+    lattice basis alpha_k = theta^(j_k), k = 1..m, and the trapdoor
+    (rows, den): row k over den is row j_k of Z, whose columns are
+    zeta^0 .. zeta^(n-1) over theta, so (Z*t)[j_k] is the k-th coordinate
+    of t in the full orthogonal basis theta^(j_1) .. theta^(j_n)."""
 
     eisenstein: tuple
     zeta_over_theta: tuple
@@ -103,28 +107,12 @@ class PrivateKey:
     matrix: tuple
     alpha: tuple
     m: int
+    trapdoor: tuple = field(repr=False, compare=False)
     delta: Fraction | None = None
 
     @property
     def ctx(self) -> FieldContext:
         return self.alpha[0].ctx
-
-    @cached_property
-    def _trapdoor(self):
-        """(rows, den): row k over den is row j_k of Z, the matrix whose
-        columns are zeta^0 .. zeta^(n-1) written over theta.  Since
-        alpha_k = theta^(j_k), the coordinates of a target t in alpha are
-        the entries of Z*t at positions j_k."""
-        ctx = self.ctx
-        n = ctx.n
-        theta_ctx = make_context(ctx.p, ctx.precision, self.eisenstein,
-                                 ramification=n, residue_degree=1)
-        zeta = theta_ctx.element(self.zeta_over_theta)
-        powers = [theta_ctx.one()]
-        for _ in range(n - 1):
-            powers.append(powers[-1] * zeta)
-        ints, den = _clear_denominators([f for z in powers for f in z.fracs])
-        return tuple(tuple(ints[k * n + jk] for k in range(n)) for jk in self.exponents), den
 
 
 @dataclass(frozen=True)
@@ -205,32 +193,24 @@ def keygen(p: int, n: int, m: int, exponents, eisenstein_coeffs, zeta_over_theta
             "the theta-coefficient of zeta is divisible by p, so zeta does "
             "not generate the ring of integers")
 
-    # Every derived quantity comes from one exact block solve over the zeta
-    # power basis.  zeta generates K (zeta - a_0 is a uniformizer), so its
-    # minimal polynomial F is the monic relation among 1, zeta, ..., zeta^n,
-    # and the coordinates of theta^k give the private basis.
+    # The public data come from one exact block solve over the zeta power
+    # basis.  zeta generates K (zeta - a_0 is a uniformizer), so its minimal
+    # polynomial F is the monic relation among 1, zeta, ..., zeta^n, and the
+    # coordinates of theta^(j_k), k <= m, give the hidden lattice basis.
     zeta_powers = [theta_ctx.one()]
     for _ in range(n - 1):
         zeta_powers.append(zeta_powers[-1] * zeta)
     targets = [(zeta_powers[-1] * zeta).fractions()]
-    targets += [[int(i == k) for i in range(n)] for k in range(n)]  # theta^0..theta^(n-1)
-    top, *theta_coords = _solve_exact([z.fractions() for z in zeta_powers], targets)
+    targets += [[int(i == jk) for i in range(n)] for jk in j[:m]]  # theta^(j_k)
+    top, *alpha_coords = _solve_exact([z.fractions() for z in zeta_powers], targets)
     F = [-c for c in top] + [1]
     ctx = make_context(p, precision, F, ramification=n, residue_degree=1)
-    alpha = [ctx.element(theta_coords[jk]) for jk in j]
+    alpha = [ctx.element(c) for c in alpha_coords]
+    ints, den = _clear_denominators([f for z in zeta_powers for f in z.fracs])
+    trapdoor = tuple(tuple(ints[k * n + jk] for k in range(n)) for jk in j), den
 
     A = _make_matrix(p, m, matrix, rng, precision)
-    # beta_i = sum_k A_ik alpha_k as one integer dot product per vector:
-    # alpha[:m] share one denominator, each row of A has its own
-    alpha_ints, alpha_den = _clear_denominators(
-        [c for jk in j[:m] for c in theta_coords[jk]])
-    alpha_ints = [alpha_ints[k * n:(k + 1) * n] for k in range(m)]
-    beta = []
-    for row in A:
-        ints, den = _clear_denominators([a.to_fraction() for a in row])
-        vec = [sum(a * v[i] for a, v in zip(ints, alpha_ints)) for i in range(n)]
-        beta.append(FieldElement(ctx, [Fraction(x, den * alpha_den) for x in vec],
-                                 min([precision] + [a.precision for a in row])))
+    beta = [_linear_combination(ctx, row, alpha) for row in A]
     engine = NormEngine(ctx)
     for b in beta:
         if engine.norm_valuation(b) != 0:
@@ -244,6 +224,7 @@ def keygen(p: int, n: int, m: int, exponents, eisenstein_coeffs, zeta_over_theta
         matrix=tuple(tuple(r) for r in A),
         alpha=tuple(alpha),
         m=m,
+        trapdoor=trapdoor,
         delta=delta,
     )
     return KeyPair(public, private)
@@ -321,10 +302,11 @@ def _hash_seed(pk: PublicKey, message: bytes, salt: bytes) -> bytes:
 def in_lattice(pk: PublicKey, x: FieldElement) -> bool:
     """Whether x is a Z_p-combination of the public basis."""
     try:
-        coords = coordinates_in(pk.ctx, x, pk.basis)
+        coords = coordinates_in(pk.ctx, x, pk.basis, as_fractions=True)
     except NotInSpan:
         return False
-    return all(c.is_zero or c.valuation >= 0 for c in coords)
+    # a reduced rational lies in Z_p exactly when p does not divide its denominator
+    return all(c.denominator % pk.ctx.p for c in coords)
 
 
 def _outside_mod_p(pk: PublicKey, x: FieldElement) -> bool:
@@ -363,13 +345,13 @@ def _private_cvp(sk: PrivateKey, target: FieldElement):
     """CVP against the hidden basis alpha: the target's coordinates are
     read off Z*t and the norm exponents are j_k / n, so neither a solve
     nor a norm query is needed."""
-    rows, den = sk._trapdoor
+    rows, den = sk.trapdoor
     ints, tden = _clear_denominators(target.fracs)
     den *= tden
     coords = [Fraction(sum(a * b for a, b in zip(row, ints)), den) for row in rows]
     n = sk.ctx.n
     exponents = [Fraction(jk, n) for jk in sk.exponents]
-    return _cvp_from_coordinates(sk.ctx, sk.alpha[:sk.m], coords, exponents)
+    return _cvp_from_coordinates(sk.ctx, sk.alpha, coords, exponents)
 
 
 def sign_detailed(sk: PrivateKey, pk: PublicKey, message: bytes, *, rng=None, xof=None):
@@ -445,11 +427,7 @@ def encrypt(pk: PublicKey, plaintext, *, rng=None, noise: FieldElement | None = 
         exp = engine.abs_value(r)
         if not exp.is_zero and not exp.exponent > pk.delta:
             raise NoiseOutOfRange("sampled noise failed its own bound")
-    acc = r
-    for d, b in zip(digits, pk.basis):
-        if d:
-            acc = acc + b * d
-    return Ciphertext(acc)
+    return Ciphertext(_linear_combination(pk.ctx, [1] + digits, [r, *pk.basis]))
 
 
 def decrypt(sk: PrivateKey, ct: Ciphertext):

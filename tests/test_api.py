@@ -30,10 +30,12 @@ def _unused_imports(source: str):
 
 def test_no_unused_imports():
     # no linter ships with the toolchain: every module but the re-exporting
-    # __init__ must read each name it imports
+    # __init__, and every test module, must read each name it imports
     package = Path(padiclat.__file__).parent
-    found = {path.name: _unused_imports(path.read_text())
-             for path in sorted(package.glob("*.py")) if path.name != "__init__.py"}
+    paths = [path for path in sorted(package.glob("*.py")) if path.name != "__init__.py"]
+    paths += sorted(Path(__file__).parent.glob("*.py"))
+    found = {f"{path.parent.name}/{path.name}": _unused_imports(path.read_text())
+             for path in paths}
     assert {name: hits for name, hits in found.items() if hits} == {}
 
 

@@ -18,7 +18,9 @@ from padiclat.errors import (
 )
 from padiclat.fields import (
     AbsValue,
+    FieldElement,
     NormEngine,
+    _linear_combination,
     _solve_exact,
     _solve_mod,
     abs_value,
@@ -148,6 +150,65 @@ class TestExactElementArithmetic:
                 checked += 1
         assert checked == 320
 
+    @staticmethod
+    def _term_by_term(ctx, coeffs, vectors):
+        """Reference sum c_k v_k by element arithmetic; a zero coefficient
+        multiplies the zero element, so it keeps its own precision but not
+        its vector's."""
+        acc = ctx.zero()
+        for c, v in zip(coeffs, vectors):
+            exact = c.to_fraction() if isinstance(c, PadicScalar) else c
+            acc = acc + (v if exact else ctx.zero()) * c
+        return acc
+
+    def test_linear_combination_matches_term_by_term(self):
+        rng = random.Random(1618)
+        checked = 0
+        for ctx in self._contexts(rng, 60):
+            p, n, top = ctx.p, ctx.n, ctx.precision
+            low = top // 2
+
+            def vector():
+                v = ctx.element([_random_coefficient(rng, p) for _ in range(n)])
+                return FieldElement(ctx, v.fracs, low) if rng.random() < 0.3 else v
+
+            def coefficient(zero_rate):
+                c = _random_coefficient(rng, p, zero_rate)
+                kind = rng.randrange(3)
+                if kind == 0 and c.denominator == 1:
+                    return c.numerator
+                if kind == 2:
+                    return PadicScalar.from_fraction(c, p=p, precision=rng.choice([low, top]))
+                return c
+
+            for k in range(4):
+                m = rng.randrange(0, 6)
+                vectors = [vector() for _ in range(m)]
+                coeffs = [coefficient(1.0 if k == 0 else 0.3) for _ in range(m)]
+                cases = [(coeffs, vectors)]
+                if m:
+                    # a low-precision vector behind a zero coefficient, then a
+                    # low-precision coefficient on full-precision vectors
+                    cases.append(([0] + coeffs[1:],
+                                  [FieldElement(ctx, vectors[0].fracs, low)] + vectors[1:]))
+                    cases.append(([PadicScalar.from_fraction(Fraction(1), p=p, precision=low)]
+                                  + coeffs[1:], [ctx.element(v.fracs) for v in vectors]))
+                for cs, vs in cases:
+                    got = _linear_combination(ctx, cs, vs)
+                    want = self._term_by_term(ctx, cs, vs)
+                    assert got.ctx is ctx
+                    assert got.fracs == want.fracs
+                    assert got.precision == want.precision
+                    checked += 1
+        assert checked > 500
+        # the two boundary cases, spelled out
+        ctx = make_context(3, 32, [3, 0, 1])
+        x = ctx.element([1, Fraction(1, 3)])
+        assert _linear_combination(ctx, [0, 2], [FieldElement(ctx, x.fracs, 8), x]).precision == 32
+        half = PadicScalar.from_fraction(Fraction(1, 2), p=3, precision=8)
+        z = _linear_combination(ctx, [half, 0], [x, x])
+        assert (z.fracs, z.precision) == ((Fraction(1, 2), Fraction(1, 6)), 8)
+
     def test_mixed_primes_and_contexts_raise(self):
         ctx3 = make_context(3, 32, [3, 0, 1])
         ctx5 = make_context(5, 32, [5, 0, 1])
@@ -155,6 +216,9 @@ class TestExactElementArithmetic:
         y = ctx5.element([1, 1])
         for op in (lambda: x * PadicScalar.from_fraction(Fraction(2), p=5, precision=32),
                    lambda: x * y, lambda: x + y, lambda: x - y,
+                   lambda: _linear_combination(ctx3, [1, 1], [x, y]),
+                   lambda: _linear_combination(
+                       ctx3, [PadicScalar.from_fraction(Fraction(2), p=5, precision=32)], [x]),
                    lambda: x * ctx3.element([PadicScalar.from_fraction(Fraction(1), p=5), 0])):
             with pytest.raises(ValueError):
                 op()

@@ -321,7 +321,7 @@ class TestEncryptDecrypt:
         kp = keygen(2, 4, 2, (0, 1, 2, 3), [2, 2, 0, 0, 1], [0, 1],
                     matrix=[[1, 0], [1, 1]], delta=Fraction(1, 4))
         ctx = kp.public.ctx
-        theta_like = kp.private.alpha[2]  # theta^2: exponent 1/2
+        theta_like = kp.private.alpha[1] ** 2  # theta^2: exponent 1/2
         with pytest.raises(NoiseOutOfRange):
             encrypt(kp.public, (1, 0), noise=theta_like)
         ct = encrypt(kp.public, (1, 0), noise=ctx.element([2]))
@@ -390,6 +390,17 @@ class TestTrapdoorCvp:
         for kp in trapdoor_keys:
             pk, sk = kp.public, kp.private
             p, m = pk.ctx.p, pk.m
+            # the completion theta^(j_k), k > m, from theta's own coordinates
+            # in the zeta power basis, solved in the theta context
+            theta_ctx = make_context(p, sk.ctx.precision, sk.eisenstein)
+            zeta = theta_ctx.element(sk.zeta_over_theta)
+            powers = [theta_ctx.one()]
+            for _ in range(sk.ctx.n - 1):
+                powers.append(powers[-1] * zeta)
+            theta = sk.ctx.element(fields.coordinates_in(theta_ctx, theta_ctx.gen(), powers,
+                                                         as_fractions=True))
+            assert [a.key() for a in sk.alpha] == [(theta ** jk).key() for jk in sk.exponents[:m]]
+            completion = [theta ** jk for jk in sk.exponents[m:]]
             targets = [hash_to_target(pk, b"trapdoor", bytes([i]) * 32) for i in range(3)]
             targets += [encrypt(pk, [rng.randrange(p) for _ in range(m)], rng=rng).vector
                         for _ in range(3)]
@@ -402,7 +413,7 @@ class TestTrapdoorCvp:
             targets.append(targets[0] + pk.basis[-1] * Fraction(2, p ** 2))
             for t in targets:
                 got = _private_cvp(sk, t)
-                want = cvp_orthogonal(sk.ctx, sk.alpha[:m], sk.alpha[m:], t)
+                want = cvp_orthogonal(sk.ctx, sk.alpha, completion, t)
                 assert got.vector.key() == want.vector.key()
                 assert got.distance == want.distance
                 assert got.lattice_coords == want.lattice_coords
@@ -410,7 +421,7 @@ class TestTrapdoorCvp:
                         == [c.to_fraction() for c in want.lattice_coords])
                 # the vector is its kept coordinates on alpha, summed term by term
                 summed = sk.ctx.zero()
-                for c, a in zip(got.lattice_coords, sk.alpha[:m]):
+                for c, a in zip(got.lattice_coords, sk.alpha):
                     summed = summed + a * c.to_fraction()
                 assert got.vector.key() == summed.key()
                 assert got.vector.precision == summed.precision
@@ -441,6 +452,44 @@ class TestTrapdoorCvp:
             monkeypatch.setattr(NormEngine, name, refuse)
         assert [decrypt(sk, ct) for ct in cts] == plain
         assert [_private_cvp(sk, t).vector.key() for t in targets] == want
+
+
+class TestKeygenDerivesOnce:
+    """keygen solves for F and the lattice part of alpha only, and hands
+    the private operations a trapdoor they never rebuild."""
+
+    @pytest.mark.parametrize("seed, p, n, m", [(61, 3, 14, 6), (62, 2, 14, 4), (63, 5, 10, 5)])
+    def test_one_block_solve_with_m_plus_one_targets(self, seed, p, n, m, monkeypatch):
+        widths = []
+        solve = schemes._solve_exact
+
+        def counted(columns, targets):
+            widths.append(len(targets))
+            return solve(columns, targets)
+
+        monkeypatch.setattr(schemes, "_solve_exact", counted)
+        j, f, zeta, rng = _seeded_key_inputs(seed, p, n, m, 1)
+        kp = keygen(p, n, m, j, f, zeta, rng=rng)
+        assert widths == [m + 1]
+        assert len(kp.private.alpha) == m
+
+    def test_private_operations_reuse_the_trapdoor(self, monkeypatch):
+        j, f, zeta, rng = _seeded_key_inputs(64, 3, 14, 6, 1)
+        kp = keygen(3, 14, 6, j, f, zeta, delta=Fraction(1, 2), rng=rng)
+        pk, sk = kp.public, kp.private
+        assert dataclasses.replace(sk, delta=None).trapdoor is sk.trapdoor
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("key material was derived again")
+
+        monkeypatch.setattr(schemes, "make_context", refuse)
+        monkeypatch.setattr(fields.FieldElement, "__mul__", refuse)
+        sigs = [sign(sk, pk, b"once%d" % i, rng=rng) for i in range(3)]
+        for _ in range(3):
+            plain = tuple(rng.randrange(3) for _ in range(6))
+            assert decrypt(sk, encrypt(pk, plain, rng=rng)) == plain
+        monkeypatch.undo()
+        assert all(verify(pk, b"once%d" % i, sig) for i, sig in enumerate(sigs))
 
 
 def _count_solves_and_misses(monkeypatch):
