@@ -699,9 +699,8 @@ class NormEngine:
     a fresh engine every exact valuation is a determinant.
     """
 
-    def __init__(self, ctx: FieldContext, digit_cap: int = PRECISION_CAP):
+    def __init__(self, ctx: FieldContext):
         self.ctx = ctx
-        self.digit_cap = digit_cap
         self._states: dict = {}
 
     def _state(self, x: FieldElement) -> _NormState:
@@ -748,7 +747,7 @@ class NormEngine:
                 return [_element_residues(x, s, total)]
 
             st.exact = _norm_valuations(self.ctx, residues, 1, self.ctx.n * s,
-                                        max(2, st.lower + 1), self.digit_cap)[0]
+                                        max(2, st.lower + 1), PRECISION_CAP)[0]
         return st.exact
 
     def norm_exceeds(self, x: FieldElement, bound: int) -> bool:
@@ -792,7 +791,7 @@ class NormEngine:
             if best is not None and all(
                     st.exact is not None or st.lower > best[1] for _, _, st in states):
                 return best
-            if digits > self.digit_cap:
+            if digits > PRECISION_CAP:
                 raise PrecisionExhausted("could not separate norm valuations")
             for _, x, st in states:
                 if st.exact is None and st.lower < digits:

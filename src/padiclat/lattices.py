@@ -66,8 +66,11 @@ def is_orthogonal(ctx: FieldContext, vectors, *, budget: int = DEFAULT_BUDGET,
 
     Fast path: pairwise-distinct norm exponents mod 1 suffice.  Otherwise
     every digit tuple with some entry pinned to 1 is checked for
-    |sum a_i v_i| = max |a_i v_i|; BudgetExceeded if p^m is too large.
+    |sum a_i v_i| = max |a_i v_i|; BudgetExceeded if p^m is too large,
+    ValueError for a negative budget.
     """
+    if budget < 0:
+        raise ValueError(f"budget must be nonnegative, got {budget}")
     vectors = list(vectors)
     m = len(vectors)
     engine = engine or NormEngine(ctx)

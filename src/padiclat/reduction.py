@@ -1,14 +1,22 @@
-"""Polynomial-time basis reduction in totally ramified local fields.
+"""Polynomial-time basis reduction in local fields.
 
-Three operations, all counting p-adic absolute-value computations the way
-the underlying cost claims are stated: each distinct element whose size
-an algorithm inspects counts once, however many digits the engine later
+All three operations run one digit-search pass (``_reduce_pass``): the
+longest vector goes to the front, and every other vector is pushed below
+its norm by subtracting a digit combination of the maximal-norm vectors
+found so far.  With residue degree f the search tries up to p^f
+combinations per vector; in the totally ramified case f = 1 that is the
+p multiples d*longest, d = 0..p-1, and the pass is deterministic
+polynomial time.  Absolute-value computations are counted the way the
+underlying cost claims are stated: each distinct element whose size an
+algorithm inspects counts once, however many digits the engine later
 spends refining it.
 
 * :func:`find_second_longest` - the second successive maximum and a witness,
   for lattices with a strictly-decreasing orthogonal basis whose smallest
-  vector is still longer than p times the largest.
-* :func:`orthogonalize` - recursive reduction to an orthogonal basis.
+  vector is still longer than p times the largest (the f = 1 case of
+  :func:`find_second_longest_general`).
+* :func:`orthogonalize` - recursive reduction to an orthogonal basis, one
+  f = 1 pass per suffix.
 * :func:`find_second_longest_general` - the variant for residue degree
   f >= 1, searching digit combinations of a growing maximal-norm list.
 """
@@ -89,12 +97,23 @@ def _argmax_abs(exps) -> int:
     return best
 
 
-def _reduce_pass(ctx: FieldContext, vectors, exps, counter: AbsCounter):
-    """One subtract-a-digit-multiple pass: move the longest vector to the
-    front, then push every other vector strictly below its norm.
+def _multiples(x: FieldElement, count: int):
+    """0, x, 2x, ..., (count - 1) x, for count >= 2."""
+    out = [x.ctx.zero(), x]
+    while len(out) < count:
+        out.append(out[-1] + x)
+    return out
 
-    Returns (new vectors, lambda1, number of vectors stuck at lambda1).
+
+def _reduce_pass(ctx: FieldContext, vectors, exps, counter: AbsCounter,
+                 residue_degree: int = 1, budget: int | None = None):
+    """The digit-search pass of the module docstring, combinations tried in
+    ``itertools.product`` order.  A vector no combination reduces joins
+    the maximal list; more than ``residue_degree`` of them is a failure.
+
+    Returns (new vectors, lambda1, the reduced vectors in order).
     """
+    p = ctx.p
     vectors = list(vectors)
     exps = list(exps)
     i0 = _argmax_abs(exps)
@@ -102,29 +121,39 @@ def _reduce_pass(ctx: FieldContext, vectors, exps, counter: AbsCounter):
         vectors[0], vectors[i0] = vectors[i0], vectors[0]
         exps[0], exps[i0] = exps[i0], exps[0]
     lam1 = exps[0]
-    head = vectors[0]
-    out = [head]
-    stuck = 0
-    for i in range(1, len(vectors)):
-        cand = vectors[i]
+    multiples = [_multiples(vectors[0], p)]
+    out = [vectors[0]]
+    reduced = []
+    for v in vectors[1:]:
+        t = len(multiples)
+        if budget is not None and p ** t > budget:
+            raise BudgetExceeded(f"digit search p^{t} exceeds budget {budget}")
         hit = None
-        for _ in range(ctx.p):
+        for combo in itertools.product(range(p), repeat=t):
+            cand = v
+            for table, d in zip(multiples, combo):
+                if d:
+                    cand = cand - table[d]
             if cand.is_zero:
                 raise SingularSystem("basis vectors are dependent")
             if counter.less_than(cand, lam1):
                 hit = cand
                 break
-            cand = cand - head
         if hit is None:
-            out.append(vectors[i])
-            stuck += 1
+            if t == residue_degree:
+                raise ReductionFailed(
+                    f"{t + 1} orthogonal vectors share the maximal norm, more "
+                    f"than the residue degree {residue_degree}")
+            multiples.append(_multiples(v, p))
+            out.append(v)
         else:
             out.append(hit)
-    return out, lam1, stuck
+            reduced.append(hit)
+    return out, lam1, reduced
 
 
-def find_second_longest(ctx: FieldContext, basis, *, engine: NormEngine | None = None,
-                        counter: AbsCounter | None = None) -> ReductionResult:
+def find_second_longest(ctx: FieldContext, basis, *,
+                        engine: NormEngine | None = None) -> ReductionResult:
     """Second successive maximum of L(basis) with witness and reduced basis.
 
     Requires the lattice to admit an orthogonal basis with strictly
@@ -132,27 +161,7 @@ def find_second_longest(ctx: FieldContext, basis, *, engine: NormEngine | None =
     surfaces as ReductionFailed.  Rank one degenerates to lambda2 =
     |p*basis[0]|.  Spends at most m + p(m-1) absolute-value computations.
     """
-    basis = list(basis)
-    m = len(basis)
-    if m == 0:
-        raise ValueError("empty basis")
-    counter = counter or AbsCounter(engine or NormEngine(ctx))
-    exps = [counter.abs_value(b) for b in basis]
-    if any(e.is_zero for e in exps):
-        raise SingularSystem("zero vector in basis")
-    if m == 1:
-        witness = basis[0] * ctx.p
-        return ReductionResult(exps[0].scaled(1), witness, tuple(basis), counter.count)
-    out, lam1, stuck = _reduce_pass(ctx, basis, exps, counter)
-    if stuck:
-        raise ReductionFailed(
-            f"{stuck + 1} basis vectors stuck at the maximal norm; the lattice "
-            "has no strictly-decreasing orthogonal basis (residue degree > 1?)")
-    idx, val = counter.resolve_min(out[1:])
-    lam2 = AbsValue(Fraction(val, ctx.n))
-    if lam2 < lam1.scaled(1):
-        raise ReductionFailed("second maximum fell below |p*longest|")
-    return ReductionResult(lam2, out[1 + idx], tuple(out), counter.count)
+    return find_second_longest_general(ctx, basis, 1, budget=None, engine=engine)
 
 
 def orthogonalize(ctx: FieldContext, basis, *, engine: NormEngine | None = None) -> OrthoResult:
@@ -179,11 +188,7 @@ def orthogonalize(ctx: FieldContext, basis, *, engine: NormEngine | None = None)
         exps = [counter.abs_value(b) for b in seg]
         if any(e.is_zero for e in exps):
             raise SingularSystem("zero vector in basis")
-        out, _, stuck = _reduce_pass(ctx, seg, exps, counter)
-        if stuck:
-            raise ReductionFailed(
-                "reduction pass left several vectors at the maximal norm")
-        B[i:] = out
+        B[i:] = _reduce_pass(ctx, seg, exps, counter)[0]
     final = tuple(counter.abs_value(b) for b in B)
     for a, b in zip(final, final[1:]):
         if not b < a:
@@ -191,25 +196,17 @@ def orthogonalize(ctx: FieldContext, basis, *, engine: NormEngine | None = None)
     return OrthoResult(tuple(B), final, counter.count)
 
 
-def _multiples(x: FieldElement, count: int):
-    """0, x, 2x, ..., (count - 1) x."""
-    out = [x.ctx.zero()]
-    for _ in range(1, count):
-        out.append(out[-1] + x)
-    return out
-
-
 def find_second_longest_general(ctx: FieldContext, basis, residue_degree: int, *,
-                                budget: int = DEFAULT_BUDGET,
+                                budget: int | None = DEFAULT_BUDGET,
                                 engine: NormEngine | None = None) -> ReductionResult:
     """Second successive maximum when up to ``residue_degree`` orthogonal
     vectors share the maximal norm.
 
-    Maintains a list L of certified maximal-norm orthogonal vectors and
-    searches digit combinations over L to reduce each remaining vector;
-    takes O(m * p^f) absolute-value computations.  When every vector joins
-    L the answer degenerates to lambda2 = |p*longest| with witness
-    p*longest.
+    One digit-search pass over a growing list of maximal-norm vectors;
+    takes O(m * p^f) absolute-value computations, and a search over more
+    than ``budget`` combinations (None: no limit) raises BudgetExceeded.
+    When every vector is maximal the answer degenerates to
+    lambda2 = |p*longest| with witness p*longest.
     """
     basis = list(basis)
     m = len(basis)
@@ -217,52 +214,18 @@ def find_second_longest_general(ctx: FieldContext, basis, residue_degree: int, *
         raise ValueError("empty basis")
     if residue_degree < 1:
         raise ValueError("residue degree must be positive")
-    p = ctx.p
+    if budget is not None and budget < 0:
+        raise ValueError(f"budget must be nonnegative, got {budget}")
     counter = AbsCounter(engine or NormEngine(ctx))
     exps = [counter.abs_value(b) for b in basis]
     if any(e.is_zero for e in exps):
         raise SingularSystem("zero vector in basis")
     if m == 1:
-        witness = basis[0] * p
+        witness = basis[0] * ctx.p
         return ReductionResult(exps[0].scaled(1), witness, tuple(basis), counter.count)
-    B = list(basis)
-    i0 = _argmax_abs(exps)
-    if i0:
-        B[0], B[i0] = B[i0], B[0]
-        exps[0], exps[i0] = exps[i0], exps[0]
-    lam1 = exps[0]
-    maximal = [B[0]]
-    multiples = [_multiples(B[0], p)]
-    out = [B[0]]
-    reduced = []
-    for i in range(1, m):
-        t = len(maximal)
-        if p ** t > budget:
-            raise BudgetExceeded(f"digit search p^{t} exceeds budget {budget}")
-        hit = None
-        for combo in itertools.product(range(p), repeat=t):
-            cand = B[i]
-            for k, d in enumerate(combo):
-                if d:
-                    cand = cand - multiples[k][d]
-            if cand.is_zero:
-                raise SingularSystem("basis vectors are dependent")
-            if counter.less_than(cand, lam1):
-                hit = cand
-                break
-        if hit is None:
-            maximal.append(B[i])
-            multiples.append(_multiples(B[i], p))
-            out.append(B[i])
-        else:
-            out.append(hit)
-            reduced.append(hit)
-    if len(maximal) > residue_degree:
-        raise ReductionFailed(
-            f"{len(maximal)} orthogonal maximal-norm vectors exceed the "
-            f"declared residue degree {residue_degree}")
+    out, lam1, reduced = _reduce_pass(ctx, basis, exps, counter, residue_degree, budget)
     if not reduced:
-        return ReductionResult(lam1.scaled(1), out[0] * p, tuple(out), counter.count)
+        return ReductionResult(lam1.scaled(1), out[0] * ctx.p, tuple(out), counter.count)
     idx, val = counter.resolve_min(reduced)
     lam2 = AbsValue(Fraction(val, ctx.n))
     if lam2 < lam1.scaled(1):

@@ -106,13 +106,16 @@ class PrivateKey:
     exponents: tuple
     matrix: tuple
     alpha: tuple
-    m: int
     trapdoor: tuple = field(repr=False, compare=False)
     delta: Fraction | None = None
 
     @property
     def ctx(self) -> FieldContext:
         return self.alpha[0].ctx
+
+    @property
+    def m(self) -> int:
+        return len(self.alpha)
 
 
 @dataclass(frozen=True)
@@ -223,7 +226,6 @@ def keygen(p: int, n: int, m: int, exponents, eisenstein_coeffs, zeta_over_theta
         exponents=j,
         matrix=tuple(tuple(r) for r in A),
         alpha=tuple(alpha),
-        m=m,
         trapdoor=trapdoor,
         delta=delta,
     )

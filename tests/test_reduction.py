@@ -1,3 +1,4 @@
+import hashlib
 import random
 from fractions import Fraction
 
@@ -6,7 +7,7 @@ import pytest
 from conftest import scheme_shaped_lattice
 from padiclat.errors import BudgetExceeded, ReductionFailed, SingularSystem
 from padiclat.fields import AbsValue, NormEngine, coordinates_in, make_context
-from padiclat.lattices import Lattice, lvp_oracle
+from padiclat.lattices import Lattice, is_orthogonal, lvp_oracle
 from padiclat.reduction import (
     find_second_longest,
     find_second_longest_general,
@@ -17,6 +18,24 @@ from padiclat.reduction import (
 def in_lattice(ctx, x, basis):
     coords = coordinates_in(ctx, x, basis, as_fractions=True)
     return all(c.denominator % ctx.p != 0 for c in coords)
+
+
+def mixed_quartic():
+    """The e = f = 2 quartic at p = 2 and the basis [1, w, sqrt2, w*sqrt2]."""
+    # char poly of w + sqrt2 where w^2 + w + 1 = 0
+    ctx = make_context(2, 64, [7, -2, -1, 2, 1],
+                       ramification=2, residue_degree=2)
+    xi = ctx.gen()
+    # w = (xi^2 - 3) / (2 xi + 1)
+    w_coords = coordinates_in(
+        ctx, xi * xi - ctx.element([3]),
+        [(xi * 2 + ctx.one()) * ctx.monomial(k) for k in range(4)],
+        as_fractions=True)
+    w = ctx.element(w_coords)
+    assert (w * w + w + ctx.one()).is_zero
+    sqrt2 = xi - w
+    assert (sqrt2 * sqrt2) == ctx.element([2])
+    return ctx, [ctx.one(), w, sqrt2, w * sqrt2]
 
 
 class TestFindSecondLongest:
@@ -127,20 +146,7 @@ class TestGeneralVariant:
         assert general.lambda2 == plain.lambda2 == AbsValue.of(1, 20)
 
     def test_mixed_quartic(self):
-        # char poly of w + sqrt2 where w^2 + w + 1 = 0: e = f = 2
-        ctx = make_context(2, 64, [7, -2, -1, 2, 1],
-                           ramification=2, residue_degree=2)
-        xi = ctx.gen()
-        # w = (xi^2 - 3) / (2 xi + 1)
-        w_coords = coordinates_in(
-            ctx, xi * xi - ctx.element([3]),
-            [(xi * 2 + ctx.one()) * ctx.monomial(k) for k in range(4)],
-            as_fractions=True)
-        w = ctx.element(w_coords)
-        assert (w * w + w + ctx.one()).is_zero
-        sqrt2 = xi - w
-        assert (sqrt2 * sqrt2) == ctx.element([2])
-        basis = [ctx.one(), w, sqrt2, w * sqrt2]
+        ctx, basis = mixed_quartic()
         res = find_second_longest_general(ctx, basis, 2)
         assert res.lambda2 == AbsValue.of(1, 2)
         oracle = lvp_oracle(ctx, Lattice(ctx, basis))
@@ -150,6 +156,24 @@ class TestGeneralVariant:
         one, w = unram_ctx.one(), unram_ctx.gen()
         with pytest.raises(BudgetExceeded):
             find_second_longest_general(unram_ctx, [one, w], 2, budget=1)
+
+    def test_extra_maximal_vector_fails_before_the_search_grows(self):
+        # the second vector of the quartic basis stays at the maximal norm;
+        # at residue degree 1 that is already a failure, so the p^2 search
+        # over two maximal vectors that the budget forbids never starts
+        ctx, basis = mixed_quartic()
+        with pytest.raises(ReductionFailed):
+            find_second_longest_general(ctx, basis, 1, budget=2)
+
+    def test_negative_budget_is_an_input_error(self, toy_ctx, unram_ctx):
+        one, w = unram_ctx.one(), unram_ctx.gen()
+        with pytest.raises(ValueError):
+            find_second_longest_general(unram_ctx, [one, w], 2, budget=-1)
+        # fast path (distinct norm classes) and exhaustive path alike
+        for force in (False, True):
+            with pytest.raises(ValueError):
+                is_orthogonal(toy_ctx, [toy_ctx.one(), toy_ctx.gen()],
+                              budget=-1, force_exhaustive=force)
 
     def test_wrong_residue_degree_detected(self, unram_ctx):
         one, w = unram_ctx.one(), unram_ctx.gen()
@@ -181,3 +205,57 @@ class TestToyPublicBasis:
         # same lattice both ways
         assert all(in_lattice(pk.ctx, v, list(pk.basis)) for v in res.basis)
         assert all(in_lattice(pk.ctx, v, list(res.basis)) for v in pk.basis)
+
+
+def _outcome(fn):
+    """What fn returns, or the class name of the reduction error it raises."""
+    try:
+        return fn()
+    except (ReductionFailed, SingularSystem) as exc:
+        return type(exc).__name__
+
+
+def _reduction_record(ctx, basis):
+    """Every output of the three reductions on one basis: witnesses and
+    bases as element keys, norms as exponents, and the abs_counts."""
+
+    def second(res):
+        return (res.lambda2.exponent, res.witness.key(),
+                [v.key() for v in res.reduced], res.abs_count)
+
+    def ortho():
+        res = orthogonalize(ctx, basis)
+        return ([v.key() for v in res.basis],
+                [e.exponent for e in res.exponents], res.abs_count)
+
+    return (_outcome(lambda: second(find_second_longest(ctx, basis))),
+            _outcome(ortho),
+            _outcome(lambda: second(find_second_longest_general(ctx, basis, 1))),
+            _outcome(lambda: second(find_second_longest_general(ctx, basis, 2))))
+
+
+class TestPinnedReductionOutputs:
+    # SHA-256 of every witness, reduced basis, exponent list and abs_count
+    # the three reductions return on seeded scheme-shaped lattices and the
+    # fixture fields: however the digit search is organised, it must try
+    # the same candidates in the same order
+    DIGEST = "8920e23b1478428abd56ddfd7f5ddf6a41b321757a6a1fa320a51ba2c7cf881d"
+
+    def test_pinned_reduction_outputs(self, toy_ctx, sqrt2_ctx, unram_ctx):
+        rng = random.Random(18)
+        instances = []
+        for _ in range(12):
+            p = rng.choice([2, 3, 5])
+            n = rng.randrange(2, 7)
+            m = rng.randrange(1, min(4, n) + 1)
+            ctx, basis, _ = scheme_shaped_lattice(rng, p, n, m)
+            instances.append((ctx, basis))
+        one, z = sqrt2_ctx.one(), sqrt2_ctx.gen()
+        instances += [
+            (toy_ctx, [toy_ctx.monomial(i) for i in range(6)]),
+            (sqrt2_ctx, [one, one + z]),
+            (unram_ctx, [unram_ctx.one(), unram_ctx.gen()]),
+            mixed_quartic(),
+        ]
+        record = [_reduction_record(ctx, basis) for ctx, basis in instances]
+        assert hashlib.sha256(repr(record).encode()).hexdigest() == self.DIGEST
