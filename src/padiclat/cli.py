@@ -15,9 +15,7 @@ from fractions import Fraction
 from . import bench as bench_mod
 from . import fileio
 from .attack import attack_decrypt_detailed, forge_signature, recover_uniformizer
-from .errors import (BadExponents, BadMatrix, DegenerateGenerator, DeltaTooSmall,
-                     FixtureTampered, InconsistentHeader, NoiseOutOfRange, NotEisenstein,
-                     NotIntegral, NotMonic, PadicError, ParseError, PrecisionExhausted)
+from .errors import InputError, PadicError, ParseError, PrecisionExhausted
 from .fields import check_degree, check_parameters
 from .lattices import Lattice, lvp_oracle
 from .schemes import (KeyPair, decrypt, encrypt, keygen, random_eisenstein, random_zeta,
@@ -287,9 +285,7 @@ def main(argv=None) -> int:
     except PrecisionExhausted as exc:
         print(f"precision exhausted: {exc}", file=sys.stderr)
         return 3
-    except (OSError, ValueError, ParseError, InconsistentHeader, NotMonic, NotIntegral,
-            BadExponents, BadMatrix, DeltaTooSmall, NotEisenstein, DegenerateGenerator,
-            FixtureTampered, NoiseOutOfRange) as exc:
+    except (OSError, ValueError, InputError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2
     except PadicError as exc:

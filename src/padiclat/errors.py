@@ -5,6 +5,10 @@ class PadicError(Exception):
     """Base class for every error raised by this package."""
 
 
+class InputError(PadicError):
+    """Base class for malformed or unusable input: the CLI's exit code 2."""
+
+
 class PrecisionExhausted(PadicError):
     """A norm valuation, or the unit digits of a ``field_norm``, cannot be
     certified within ``PRECISION_CAP`` digits.  The norm escalation already
@@ -15,11 +19,11 @@ class DivisionByZero(PadicError):
     """Division by the zero marker."""
 
 
-class NotIntegral(PadicError):
+class NotIntegral(InputError):
     """An operation required an element of Z_p (valuation >= 0)."""
 
 
-class NotMonic(PadicError):
+class NotMonic(InputError):
     """A defining polynomial must be monic."""
 
 
@@ -50,25 +54,25 @@ class ReductionFailed(PadicError):
     longest vector reduces some other vector below the maximal norm."""
 
 
-class NotEisenstein(PadicError):
+class NotEisenstein(InputError):
     """Polynomial is not Eisenstein at p."""
 
 
-class DegenerateGenerator(PadicError):
+class DegenerateGenerator(InputError):
     """The chosen generator does not generate the full ring of integers
     (its linear coefficient over the uniformizer is divisible by p)."""
 
 
-class BadExponents(PadicError):
+class BadExponents(InputError):
     """Key-generation exponent list violates its constraints."""
 
 
-class BadMatrix(PadicError):
+class BadMatrix(InputError):
     """Key-generation mixing matrix is not usable (determinant not a unit,
     or first column not all units)."""
 
 
-class DeltaTooSmall(PadicError):
+class DeltaTooSmall(InputError):
     """Noise bound delta is too small for the chosen exponents, so
     decryption would be incorrect."""
 
@@ -86,7 +90,7 @@ class NotCoprime(PadicError):
     """The constant-shift uniformizer shortcut requires gcd(n, p) = 1."""
 
 
-class ParseError(PadicError):
+class ParseError(InputError):
     """Malformed key/signature/ciphertext file."""
 
     def __init__(self, message, line=None):
@@ -96,13 +100,13 @@ class ParseError(PadicError):
         self.line = line
 
 
-class InconsistentHeader(PadicError):
+class InconsistentHeader(InputError):
     """File header fields contradict each other or the referenced key."""
 
 
-class NoiseOutOfRange(PadicError):
+class NoiseOutOfRange(InputError):
     """Supplied encryption noise lies outside the sampler's family."""
 
 
-class FixtureTampered(PadicError):
+class FixtureTampered(InputError):
     """A shipped fixture file does not match its pinned digest."""

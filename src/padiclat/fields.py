@@ -18,6 +18,8 @@ which is what keeps the attack loops cheap at large degree.
 One kernel does every exact valuation: ``_det_valuation``, one numpy
 elimination over a stack of matrices (a single matrix is a stack of one),
 over int64 residues while p^(2M) * n < 2^61 and over Python ints beyond.
+Per matrix it returns the valuation (a lower bound where flagged deeper)
+and the determinant's certified unit digits.
 One escalation loop, ``_norm_valuations``, picks M for a batch of
 elements: ``NormEngine.norm_valuation`` runs it for one element (absolute
 values and :func:`field_norm`), the brute-force lattice oracle for a
@@ -46,7 +48,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import total_ordering
-from math import gcd, lcm
+from math import gcd, lcm, prod
 
 import numpy as np
 
@@ -427,13 +429,6 @@ def _linear_combination(ctx: FieldContext, coeffs, vectors) -> FieldElement:
 # ---------------------------------------------------------------------------
 
 
-class _Deeper(Exception):
-    """Internal: determinant valuation is at least ``bound`` digits."""
-
-    def __init__(self, bound):
-        self.bound = bound
-
-
 def _scaled_residue(f: Fraction, shift: int, digits: int, p: int) -> int:
     """Residue of f * p^shift mod p^digits (the product must be integral)."""
     if not f:
@@ -467,21 +462,16 @@ def _kernel_dtype(p: int, n: int, digits: int):
     return np.int64 if p ** (2 * digits) * n < _INT64_SAFE else object
 
 
-def _mult_rows_mod(ctx: FieldContext, x, digits: int, s: int = 0):
-    """Rows spanning x*z^j (j = 0..n-1) mod p^digits.
-
-    ``x`` is either a FieldElement, giving the n x n rows of p^s * x with
-    s = ``_element_scale(x)``, or a stack of residue vectors mod p^digits
-    (B x n integers), giving a B x n x n stack.  det(rows) = det of the
-    multiplication matrix of (p^s times) the element.
-    """
+def _mult_rows_mod(ctx: FieldContext, residues, digits: int):
+    """For a B x n stack of residue vectors mod p^digits (those of p^s * x
+    for elements x, ``_element_residues``), the B x n x n stack of rows
+    spanning x*z^j (j = 0..n-1) mod p^digits: each determinant is that of
+    the multiplication matrix of p^s * x."""
     p, n = ctx.p, ctx.n
-    if isinstance(x, FieldElement):
-        return _mult_rows_mod(ctx, [_element_residues(x, s, digits)], digits)[0]
     mod = p ** digits
     dtype = _kernel_dtype(p, n, digits)
     fold = -np.array(ctx._modulus_residues(digits), dtype=dtype)
-    first = np.asarray(x, dtype=dtype)
+    first = np.asarray(residues, dtype=dtype)
     rows = np.empty((len(first), n, n), dtype=dtype)
     rows[:, 0] = first
     for j in range(1, n):
@@ -539,35 +529,30 @@ def _swap(A, k: int, rows, cols):
         A[b, k:, [[k, j] for _, j in cols]] = A[b, k:, [[j, k] for _, j in cols]]
 
 
-def _det_valuation(rows, p: int, digits: int):
-    """Valuation of det(rows) computed mod p^digits, for one matrix or a
-    stack of them.
+def _det_valuation(stack, p: int, digits: int):
+    """Valuations of the determinants of a B x n x n stack of integer
+    matrices (array or nested lists), computed mod p^digits.
 
-    ``rows`` is a square integer matrix (array or list of lists) or a
-    B x n x n stack.  Each step pivots every matrix on its diagonal entry
-    when that is a unit (in place, with no search and no swap when the
-    whole stack has one) and otherwise on the first minimal-valuation
-    entry of its remaining block; either way the pivot has minimal
-    valuation, which keeps every intermediate entry exact mod p^digits.
-    A matrix whose block vanishes mod p^digits has valuation at least
-    vsum + digits (its _Deeper bound); an identity block then carries it
-    through the remaining steps.  Only the pivot row and column are
-    reduced each step: the block takes at most n products of two
-    residues, which ``_kernel_dtype`` keeps in range.
+    Each step pivots every matrix on its diagonal entry when that is a unit
+    (in place, with no search and no swap when the whole stack has one)
+    and otherwise on the first minimal-valuation entry of its remaining
+    block; either way the pivot has minimal valuation, which keeps every
+    intermediate entry exact mod p^digits.  A matrix whose block vanishes
+    mod p^digits has valuation at least vsum + digits; an identity block
+    then carries it through the remaining steps.  Only the pivot row and
+    column are reduced each step: the block takes at most n products of
+    two residues, which ``_kernel_dtype`` keeps in range.
 
-    One matrix: returns (valuation, unit, unit_digits) and raises _Deeper.
-    A stack: returns lists (v, deeper), per matrix the valuation, or where
-    ``deeper`` is set, the _Deeper bound.
+    Returns lists (v, deeper, unit), one entry per matrix: the valuation,
+    or where ``deeper`` is set a lower bound for it; and the determinant's
+    unit digits mod p^(digits - v), or 1 when no digit is certified.
     """
-    A = np.asarray(rows, dtype=_kernel_dtype(p, len(rows[0]), digits))
-    single = A.ndim == 2
-    n = A.shape[-1]
+    n = len(stack[0])
     mod = p ** digits
-    A = A.reshape(-1, n, n) % mod
-    del rows  # the elimination works on its own copy
+    A = np.asarray(stack, dtype=_kernel_dtype(p, n, digits)) % mod  # its own copy
     vsum = [0] * len(A)
     deeper = [False] * len(A)
-    sign = unit = 1  # of a single matrix
+    sign = [1] * len(A)
     for k in range(n):
         units = A[:, k, k].tolist()  # not reduced: only their residues matter
         shift = None
@@ -588,8 +573,8 @@ def _det_valuation(rows, p: int, digits: int):
             row_swaps = [(b, k + w // r) for b, w in zip(sel, where) if w >= r]
             col_swaps = [(b, k + w % r) for b, w in zip(sel, where) if w % r]
             _swap(A, k, row_swaps, col_swaps)
-            if single:
-                sign *= (-1) ** (len(row_swaps) + len(col_swaps))
+            for b, _ in row_swaps + col_swaps:
+                sign[b] = -sign[b]
             units = A[:, k, k].tolist()
             if pv is not None and any(pv):
                 shift = [1] * len(A)
@@ -598,8 +583,6 @@ def _det_valuation(rows, p: int, digits: int):
                     shift[b] = p ** v
                 units = [u % mod // d for u, d in zip(units, shift)]
                 shift = np.array(shift, dtype=A.dtype)[:, None]
-        if single:
-            unit = unit * units[0] % mod
         if k + 1 < n:
             col = A[:, k + 1:, k] % mod
             if shift is not None:
@@ -612,15 +595,12 @@ def _det_valuation(rows, p: int, digits: int):
             # so each product is exact mod p^digits
             f = col * inv % mod
             A[:, k + 1:, k + 1:] -= f[:, :, None] * (A[:, k, None, k + 1:] % mod)
-    if not single:
-        return vsum, deeper
-    v = vsum[0]
-    if deeper[0]:
-        raise _Deeper(v)
-    uprec = digits - v
-    if uprec <= 0:
-        return v, 1, 0
-    return v, sign * unit % p ** uprec, uprec
+    # mod p^digits the pivots left on the diagonal multiply to +-p^v times
+    # the unit digits, the sign that of the swaps
+    pivots = A.diagonal(axis1=1, axis2=2).tolist()
+    unit = [1 if d or v >= digits else s * prod(row) % mod // p ** v
+            for row, v, d, s in zip(pivots, vsum, deeper, sign)]
+    return vsum, deeper, unit
 
 
 def _norm_valuations(ctx: FieldContext, residues, count: int, shift: int,
@@ -631,7 +611,7 @@ def _norm_valuations(ctx: FieldContext, residues, count: int, shift: int,
     ``residues(idx, total)`` returns the residue vectors mod p^total of
     p^s * x_i for the elements still open (a list of indices).  Every
     open element is eliminated at ``digits`` norm digits in one stack;
-    only the matrices that come back _Deeper go on, at twice the digits,
+    only the matrices that come back deeper go on, at twice the digits,
     until ``cap``, past which PrecisionExhausted.  Returns a list.
     """
     p = ctx.p
@@ -639,10 +619,10 @@ def _norm_valuations(ctx: FieldContext, residues, count: int, shift: int,
     todo = list(range(count))
     while todo:
         total = digits + shift
-        v, deeper = _det_valuation(_mult_rows_mod(ctx, residues(todo, total), total),
-                                   p, total)
+        v, deeper, _ = _det_valuation(_mult_rows_mod(ctx, residues(todo, total), total),
+                                      p, total)
         for i, vi in zip(todo, v):
-            out[i] = vi - shift  # a _Deeper bound is overwritten once resolved
+            out[i] = vi - shift  # a deeper bound is overwritten once resolved
         todo = [i for i, d in zip(todo, deeper) if d]
         if todo and digits >= cap:
             raise PrecisionExhausted(
@@ -726,11 +706,10 @@ class NormEngine:
                 return True
             st.lower = max(st.lower, 1 - shift)
             return False
-        try:
-            rows = _mult_rows_mod(ctx, x, total, st.s)
-            v, _, _ = _det_valuation(rows, p, total)
-        except _Deeper as d:
-            st.lower = max(st.lower, d.bound - shift)
+        rows = _mult_rows_mod(ctx, [_element_residues(x, st.s, total)], total)
+        (v,), (deeper,), _ = _det_valuation(rows, p, total)
+        if deeper:
+            st.lower = max(st.lower, v - shift)
             return False
         st.exact = v - shift
         return True
@@ -820,8 +799,8 @@ def field_norm(ctx: FieldContext, x: FieldElement) -> PadicScalar:
     digits = v + ctx.n * s + ctx.precision
     if digits > PRECISION_CAP:
         raise PrecisionExhausted("norm unit not certified at the precision cap")
-    rows = _mult_rows_mod(ctx, x, digits, s)
-    _, unit, _ = _det_valuation(rows, ctx.p, digits)
+    rows = _mult_rows_mod(ctx, [_element_residues(x, s, digits)], digits)
+    _, _, (unit,) = _det_valuation(rows, ctx.p, digits)
     return PadicScalar.from_fraction(unit * Fraction(ctx.p) ** v, p=ctx.p,
                                      precision=ctx.precision)
 

@@ -61,13 +61,12 @@ def default_xof(seed: bytes, nbytes: int) -> bytes:
 
 @dataclass(frozen=True)
 class PublicKey:
-    """Public field polynomial (as a context), unit-norm basis, noise
-    bound (encryption only) and hash domain tag."""
+    """Public field polynomial (as a context), unit-norm basis and noise
+    bound (encryption only)."""
 
     ctx: FieldContext
     basis: tuple
     delta: Fraction | None = None
-    tag: bytes = DEFAULT_TAG
 
     @property
     def m(self) -> int:
@@ -152,8 +151,8 @@ def random_zeta(rng, p: int, n: int):
 
 
 def keygen(p: int, n: int, m: int, exponents, eisenstein_coeffs, zeta_over_theta,
-           *, delta=None, matrix=None, rng=None, precision: int = DEFAULT_PRECISION,
-           tag: bytes = DEFAULT_TAG) -> KeyPair:
+           *, delta=None, matrix=None, rng=None,
+           precision: int = DEFAULT_PRECISION) -> KeyPair:
     """Generate a key pair.
 
     ``eisenstein_coeffs`` define f (constant term first), ``zeta_over_theta``
@@ -219,7 +218,7 @@ def keygen(p: int, n: int, m: int, exponents, eisenstein_coeffs, zeta_over_theta
         if engine.norm_valuation(b) != 0:
             raise BadMatrix("public basis vector is not unit-norm")
 
-    public = PublicKey(ctx, tuple(beta), delta, tag)
+    public = PublicKey(ctx, tuple(beta), delta)
     private = PrivateKey(
         eisenstein=theta_ctx.modulus,
         zeta_over_theta=zeta.coeffs,
@@ -297,8 +296,8 @@ class _DigitStream:
         return [self._draw() % self.p for _ in range(count)]
 
 
-def _hash_seed(pk: PublicKey, message: bytes, salt: bytes) -> bytes:
-    return pk.tag + len(message).to_bytes(8, "big") + message + salt
+def _hash_seed(message: bytes, salt: bytes) -> bytes:
+    return DEFAULT_TAG + len(message).to_bytes(8, "big") + message + salt
 
 
 def in_lattice(pk: PublicKey, x: FieldElement) -> bool:
@@ -333,10 +332,10 @@ def hash_to_target(pk: PublicKey, message: bytes, salt: bytes, *, xof=None,
     if pk.m >= pk.ctx.n:
         raise ValueError("hash target set is empty for full-rank lattices")
     engine = engine or NormEngine(pk.ctx)
-    stream = _DigitStream(_hash_seed(pk, message, salt), pk.ctx.p, xof)
+    stream = _DigitStream(_hash_seed(message, salt), pk.ctx.p, xof)
     for _ in range(HASH_CANDIDATE_CAP):
         t = pk.ctx.element(stream.digits(pk.ctx.n))
-        if t.is_zero or engine.norm_valuation(t) != 0:
+        if engine.norm_exceeds(t, 0):  # zero or not a unit: t is integral, one GF(p) gcd
             continue
         if _outside_mod_p(pk, t) or not in_lattice(pk, t):
             return t

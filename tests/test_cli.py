@@ -2,8 +2,17 @@ import hashlib
 
 import pytest
 
+from padiclat import cli, errors
 from padiclat.cli import main
 from padiclat.fixtures import fixture_text
+
+# every exception class of the package, and the exit code each one maps to
+PADIC_ERRORS = sorted((c for c in vars(errors).values()
+                       if isinstance(c, type) and issubclass(c, errors.PadicError)),
+                      key=lambda c: c.__name__)
+INPUT_ERRORS = {"BadExponents", "BadMatrix", "DegenerateGenerator", "DeltaTooSmall",
+                "FixtureTampered", "InconsistentHeader", "InputError", "NoiseOutOfRange",
+                "NotEisenstein", "NotIntegral", "NotMonic", "ParseError"}
 
 
 @pytest.fixture()
@@ -249,6 +258,16 @@ class TestExitCodes:
             main(list(argv))
         assert exc.value.code == 2
         assert "unrecognized arguments" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("cls", PADIC_ERRORS, ids=lambda c: c.__name__)
+    def test_exit_code_of_every_error_class(self, capsys, monkeypatch, cls):
+        def fail(args):
+            raise cls("raised on purpose")
+
+        monkeypatch.setattr(cli, "cmd_bench", fail)
+        code, _, err = run(capsys, "bench", "--n-list", "4", "--p-list", "3")
+        want = 3 if cls is errors.PrecisionExhausted else 2 if cls.__name__ in INPUT_ERRORS else 1
+        assert code == want and "raised on purpose" in err
 
 
 class TestBenchEdges:

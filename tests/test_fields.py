@@ -431,7 +431,7 @@ class TestThresholdQueries:
 
     def test_one_digit_attempt_matches_determinant(self):
         # the GF(p) gcd must leave the state a one-digit determinant implies
-        from padiclat.fields import _Deeper, _det_valuation, _mult_rows_mod
+        from padiclat.fields import _det_valuation, _element_residues, _mult_rows_mod
 
         rng = random.Random(17)
         outcomes = set()
@@ -447,11 +447,12 @@ class TestThresholdQueries:
                 st = eng._state(x)
                 resolved = eng._attempt(x, st, 1 - n * st.s)
                 want_exact, want_lower = None, -n * st.s
-                try:
-                    v, _, _ = _det_valuation(_mult_rows_mod(ctx, x, 1, st.s), p, 1)
+                rows = _mult_rows_mod(ctx, [_element_residues(x, st.s, 1)], 1)
+                (v,), (deeper,), _ = _det_valuation(rows, p, 1)
+                if deeper:
+                    want_lower = v - n * st.s
+                else:
                     want_exact = v - n * st.s
-                except _Deeper as d:
-                    want_lower = d.bound - n * st.s
                 assert (st.exact, st.lower) == (want_exact, want_lower)
                 assert resolved == (want_exact is not None)
                 outcomes.add((resolved, st.s > 0))
@@ -673,8 +674,9 @@ class TestDeterminantEngine:
             digits = v + 3
             mod = p ** digits
             reduced = [[x % mod for x in r] for r in rows]
-            got_v, got_u, uprec = _det_valuation(reduced, p, digits)
-            assert got_v == v
+            (got_v,), (deeper,), (got_u,) = _det_valuation([reduced], p, digits)
+            uprec = digits - got_v
+            assert got_v == v and not deeper
             unit = det // p ** v
             assert got_u % p ** uprec == unit % p ** uprec
             checked += 1
@@ -699,18 +701,19 @@ class TestDeterminantEngine:
             digits = v + 40
             assert _kernel_dtype(p, n, digits) is object
             mod = p ** digits
-            got_v, got_u, uprec = _det_valuation(
-                [[x % mod for x in r] for r in rows], p, digits)
-            assert (got_v, uprec) == (v, 40)
+            (got_v,), (deeper,), (got_u,) = _det_valuation(
+                [[[x % mod for x in r] for r in rows]], p, digits)
+            uprec = digits - got_v
+            assert (got_v, uprec) == (v, 40) and not deeper
             assert got_u == det // p ** v % p ** 40
             checked += 1
 
     def test_vanishing_block_signals_deeper(self):
-        from padiclat.fields import _Deeper, _det_valuation
+        from padiclat.fields import _det_valuation
 
         rows = [[4, 8], [12, 4]]  # det = -80, valuation 4 at p=2
-        with pytest.raises(_Deeper):
-            _det_valuation([[x % 4 for x in r] for r in rows], 2, 2)
+        _, deeper, _ = _det_valuation([[[x % 4 for x in r] for r in rows]], 2, 2)
+        assert deeper == [True]
 
     def test_norm_matches_exact_determinant(self, sqrt2_ctx):
         # N(a + b*sqrt2) = a^2 - 2 b^2 exactly
@@ -852,7 +855,7 @@ class TestStackedDeterminant:
         (3, 30, object),
     ])
     def test_stack_matches_single_calls_and_exact(self, p, digits, dtype):
-        from padiclat.fields import _Deeper, _det_valuation, _kernel_dtype
+        from padiclat.fields import _det_valuation, _kernel_dtype
         from padiclat.scalars import int_valuation
 
         n = 4
@@ -861,27 +864,27 @@ class TestStackedDeterminant:
         mod = p ** digits
         mats, exps = [], []
         for i in range(40):
-            # an exponent of ``digits`` makes the block vanish: _Deeper
+            # an exponent of ``digits`` makes the block vanish: deeper
             e = [0 if i % 8 == 0 else rng.choice((0, 0, 1, rng.randrange(digits), digits))
                  for _ in range(n)]
             mats.append(self._scaled(rng, p, e))
             exps.append(e)
         reduced = [[[x % mod for x in r] for r in m] for m in mats]
-        v, deeper = _det_valuation(np.array(reduced, dtype=object), p, digits)
+        v, deeper, _ = _det_valuation(np.array(reduced, dtype=object), p, digits)
         outcomes = set()
         for m, red, e, got, deep in zip(mats, reduced, exps, v, deeper):
             det = TestDeterminantEngine._exact_det(m)
             want = int_valuation(det, p)
             assert want == sum(e)
-            try:
-                single, unit, uprec = _det_valuation(red, p, digits)
-            except _Deeper as d:
-                assert deep and got == d.bound <= want and want >= digits
+            (single,), (single_deep,), (unit,) = _det_valuation([red], p, digits)
+            if single_deep:
+                assert deep and got == single <= want and want >= digits
             else:
+                uprec = digits - single
                 assert not deep and got == single == want
-                assert unit == (det // p ** want % p ** uprec if uprec else 1)
+                assert unit == (det // p ** want % p ** uprec if uprec > 0 else 1)
             outcomes.add((deep, max(e) > 0))
-        # resolved and _Deeper matrices in one stack, with unit pivots and
+        # resolved and deeper matrices in one stack, with unit pivots and
         # with pivots of higher valuation among the resolved ones
         assert outcomes >= {(True, True), (False, True), (False, False)}
 
@@ -906,8 +909,58 @@ class TestStackedDeterminant:
                       for k in range(n)] for i in range(n)]
             mats.append(self._matmul(lower, upper))
         reduced = [[[x % mod for x in r] for r in m] for m in mats]
-        v, deeper = _det_valuation(np.array(reduced, dtype=object), p, digits)
+        v, deeper, _ = _det_valuation(np.array(reduced, dtype=object), p, digits)
         assert not any(deeper) and not any(v)
         for m, red in zip(mats, reduced):
             det = TestDeterminantEngine._exact_det(m)
-            assert _det_valuation(red, p, digits) == (0, det % mod, digits)
+            assert _det_valuation([red], p, digits) == ([0], [False], [det % mod])
+
+    @pytest.mark.parametrize("p, digits, dtype", [
+        (3, 3, np.int64),
+        (5, 3, np.int64),
+        (2, 40, object),
+        (3, 30, object),
+    ])
+    def test_stack_units_match_exact(self, p, digits, dtype, monkeypatch):
+        # every resolved matrix of a mixed stack returns its determinant's
+        # unit digits, the sign of its row and column swaps included
+        from padiclat.fields import _det_valuation, _kernel_dtype
+        from padiclat.scalars import int_valuation
+
+        n = 4
+        assert _kernel_dtype(p, n, digits) is dtype
+        swapped = set()
+        swap = fields._swap
+
+        def spy(A, k, rows, cols):
+            swapped.update(b for b, _ in rows + cols)
+            swap(A, k, rows, cols)
+
+        monkeypatch.setattr(fields, "_swap", spy)
+        rng = random.Random(f"stack-units:{p}:{digits}")
+        mod = p ** digits
+        seen = set()
+        for size in (2, 7, 33):
+            # every third matrix has unit pivots and p-divisible entries
+            # off the diagonal, so it never swaps
+            mats = [[[rng.randrange(1, p) + p * rng.randrange(9) if i == k
+                      else p * rng.randrange(-9, 9) for k in range(n)] for i in range(n)]
+                    if b % 3 == 0 else
+                    self._scaled(rng, p, [rng.choice((0, 0, 1, rng.randrange(digits), digits))
+                                          for _ in range(n)])
+                    for b in range(size)]
+            swapped.clear()
+            v, deeper, unit = _det_valuation([[[x % mod for x in r] for r in m] for m in mats],
+                                             p, digits)
+            for b, m in enumerate(mats):
+                det = TestDeterminantEngine._exact_det(m)
+                want = int_valuation(det, p)
+                if deeper[b]:
+                    assert v[b] <= want and unit[b] == 1
+                else:
+                    assert v[b] == want
+                    assert unit[b] == (det // p ** want % p ** (digits - want)
+                                       if want < digits else 1)
+                seen.add((deeper[b], b in swapped))
+        # deeper matrices, and resolved ones with and without swaps
+        assert any(d for d, _ in seen) and {(False, True), (False, False)} <= seen

@@ -14,7 +14,7 @@ from padiclat.fileio import (
     parse_signature,
 )
 from padiclat.fixtures import _DIGESTS, fixture_text, toy_ciphertext, toy_public_key
-from padiclat.schemes import KeyPair, encrypt, keygen, sign
+from padiclat.schemes import KeyPair, encrypt, hash_to_target, keygen, sign
 
 
 @pytest.fixture(scope="module")
@@ -32,6 +32,11 @@ class TestKeyFiles:
         assert pk.delta == pair.public.delta
         assert all(a == b for a, b in zip(pk.basis, pair.public.basis))
         assert emit_public_key(pk) == text
+        # the re-parsed key hashes messages onto the same targets
+        for message, salt in [(b"", b"\x00" * 32), (b"msg", b"\x01" * 32),
+                              (b"x" * 40, b"\x7f" * 32)]:
+            assert (hash_to_target(pk, message, salt).key()
+                    == hash_to_target(pair.public, message, salt).key())
 
     def test_pair_roundtrip(self, pair):
         text = emit_key_pair(pair)

@@ -246,6 +246,21 @@ class TestHashToTarget:
         t = hash_to_target(pk, b"", b"\x00" * 32, xof=xof)
         assert t == pk.ctx.element([1, 1])
 
+    def test_unit_test_needs_no_determinant(self, monkeypatch):
+        # candidates are integral digit vectors, so "is N(t) a unit?" is
+        # one GF(p) gcd and never a determinant
+        rng = random.Random(3)
+        pk = keygen(3, 8, 4, range(8), random_eisenstein(rng, 3, 8),
+                    random_zeta(rng, 3, 8), rng=rng).public
+        salts = [bytes([i]) * 32 for i in range(30)]
+        want = [hash_to_target(pk, b"unit", s).key() for s in salts]
+
+        def forbidden(*args):
+            raise AssertionError("a hash candidate reached the determinant")
+
+        monkeypatch.setattr(fields, "_det_valuation", forbidden)
+        assert [hash_to_target(pk, b"unit", s).key() for s in salts] == want
+
 
 class TestSignVerify:
     def test_roundtrip(self, mid_key):
@@ -558,7 +573,7 @@ class TestMembershipCertificate:
     def test_p_in_a_basis_denominator_takes_the_exact_path(self, trapdoor_keys, monkeypatch):
         pk = trapdoor_keys[0].public
         p = pk.ctx.p
-        odd = PublicKey(pk.ctx, (pk.basis[0] * Fraction(1, p),) + pk.basis[1:], pk.delta, pk.tag)
+        odd = PublicKey(pk.ctx, (pk.basis[0] * Fraction(1, p),) + pk.basis[1:], pk.delta)
         assert odd._kernel_mod_p is None
         assert not _outside_mod_p(odd, pk.ctx.one() + pk.ctx.gen())
         seen = _count_solves_and_misses(monkeypatch)
