@@ -1,15 +1,15 @@
 """Arithmetic in K = Q_p[x]/(F(x)).
 
-An element is its exact coefficient vector in the power basis of the
-formal root (Fractions) and one precision; its :class:`PadicScalar`
-coefficients are built only when read.  A product clears each operand's
-denominators once, multiplies and reduces by F over Python ints
-(``_int_mul_mod``, the one polynomial multiplier, which ``bench`` shares);
-sums and scalar multiples combine the rationals directly, and a whole
-combination sum c_k v_k (``_linear_combination``: public vectors, CVP
-outputs, ciphertexts) is one integer dot product per coordinate over one
-common denominator.  A result carries the smallest precision among its
-operands.  The extended absolute value |x| = |N(x)|^(1/n) is computed
+An element is one integer vector over one positive denominator, in
+canonical form (no common factor), and one precision; no other module
+reads that pair.  Sums and scalar multiples are integer work plus one
+content gcd, a product multiplies and reduces by F over Python ints
+(``_int_mul_mod``, the one polynomial multiplier, which ``bench`` shares),
+and a whole combination sum c_k v_k (``_linear_combination``: public
+vectors, CVP outputs, ciphertexts) is one integer dot product per
+coordinate.  A result carries the smallest precision among its operands;
+its Fractions and :class:`PadicScalar` coefficients are built only when
+read.  The extended absolute value |x| = |N(x)|^(1/n) is computed
 from the valuation of the determinant of the multiplication matrix,
 evaluated modulo p^M with full valuation pivoting.  M escalates
 adaptively: a query only pays for as many digits as the answer needs,
@@ -33,14 +33,12 @@ refereeing the gcd.
 
 Coordinates in a basis (CVP in the attack, lattice membership, and the
 key generator's change of generator) come from one exact kernel,
-``_solve_exact``.  It clears each row's denominators once,
-runs Gauss-Jordan on primitive integer rows (every updated row is divided
-by the gcd of its entries) and turns each coordinate into a Fraction once
-at the end; a block of right-hand sides shares one pass.  The system has a
-unique exact solution, so the pivot rule only affects speed, never an
-output.  Its modular twin ``_solve_mod`` (Gauss-Jordan over Z/p^digits on
-unit pivots, GF(p) at one digit) serves ``bench``, the mixing matrix and
-the left kernel of a public basis mod p.
+``_solve_exact``, Gauss-Jordan on the elements' primitive integer rows; a
+block of right-hand sides shares one pass.  The system has a unique
+exact solution, so the pivot rule only affects speed, never an output.
+Its modular twin ``_solve_mod`` (Gauss-Jordan over Z/p^digits on unit
+pivots, GF(p) at one digit) serves ``bench``, the mixing matrix and the
+left kernel of a public basis mod p.
 """
 
 from __future__ import annotations
@@ -138,9 +136,10 @@ class FieldContext:
         self.ramification = ramification
         self.residue_degree = residue_degree
         self._res_cache = {}
-        # the non-leading coefficients as (integer vector, lcm of their
-        # denominators) for exact products
-        self._int_modulus = _clear_denominators([c.to_fraction() for c in self.modulus[:-1]])
+        # the non-leading coefficients as one integer vector over one
+        # denominator, for exact products
+        low = FieldElement(self, [c.to_fraction() for c in self.modulus[:-1]], precision)
+        self._int_modulus = low.identity
 
     # -- element constructors ------------------------------------------
 
@@ -166,6 +165,13 @@ class FieldContext:
         fracs = [f for f, _ in exact] + [Fraction(0)] * (self.n - len(exact))
         return FieldElement(self, fracs, min([self.precision] + [prec for _, prec in exact]))
 
+    def cast(self, x: "FieldElement") -> "FieldElement":
+        """x's exact value as an element of this context, at the smaller
+        precision; ValueError for another prime or degree."""
+        if x.ctx.p != self.p or len(x.ints) != self.n:
+            raise ValueError("mixed primes or degrees")
+        return _canonical(self, x.ints, x.den, min(self.precision, x.precision))
+
     def zero(self) -> "FieldElement":
         return self.element([])
 
@@ -178,9 +184,7 @@ class FieldContext:
     def monomial(self, k: int, coefficient=1) -> "FieldElement":
         if not 0 <= k < self.n:
             raise ValueError("monomial degree out of range")
-        coeffs = [0] * self.n
-        coeffs[k] = coefficient
-        return self.element(coeffs)
+        return self.element([0] * k + [coefficient])
 
     # -- plumbing --------------------------------------------------------
 
@@ -266,59 +270,75 @@ def make_context(p: int, precision: int, coeffs, ramification=None,
 
 
 class FieldElement:
-    """Element of K: its exact power-basis coefficients (``fracs``, a tuple
-    of Fractions) and the ``precision`` its scalar view ``coeffs`` and
-    ``==`` read them to."""
+    """Element of K: its power-basis coefficients as one integer vector
+    ``ints`` over one positive denominator ``den``, in canonical form
+    (gcd(*ints, den) = 1; zero is (0, ..., 0) over 1), and the
+    ``precision`` its scalar view ``coeffs`` and ``==`` read them to.
+    Equal rationals give one pair, ``identity``, which caches key on;
+    ``fracs``, ``coeffs`` and ``key()`` are views built on each read."""
 
-    __slots__ = ("ctx", "fracs", "precision")
+    __slots__ = ("ctx", "ints", "den", "precision")
 
-    def __init__(self, ctx: FieldContext, fracs, precision: int):
-        self.ctx = ctx
-        self.fracs = tuple(fracs)
-        self.precision = precision
+    def __init__(self, ctx: FieldContext, rationals, precision: int):
+        # reduced rationals over the lcm of their denominators are canonical
+        rationals = list(rationals)
+        self.den = lcm(*(f.denominator for f in rationals))
+        self.ints = tuple(f.numerator * (self.den // f.denominator) for f in rationals)
+        self.ctx, self.precision = ctx, precision
+
+    @property
+    def fracs(self) -> tuple:
+        """The exact coefficients as Fractions."""
+        return tuple(Fraction(a, self.den) for a in self.ints)
 
     @property
     def coeffs(self) -> tuple:
-        """The coefficients as scalars, built on each read."""
+        """The coefficients as scalars."""
         p, precision = self.ctx.p, self.precision
         return tuple(PadicScalar.from_fraction(f, p=p, precision=precision)
                      for f in self.fracs)
 
     @property
+    def identity(self):
+        """The canonical pair: equal exactly when the exact values are."""
+        return self.ints, self.den
+
+    @property
     def is_zero(self) -> bool:
-        return not any(self.fracs)
+        return not any(self.ints)
 
     def key(self):
         return tuple((f.numerator, f.denominator) for f in self.fracs)
 
     def fractions(self) -> list[Fraction]:
-        """Exact coefficient vector."""
         return list(self.fracs)
 
-    def _with(self, fracs, other_precision: int) -> "FieldElement":
-        """A result in this context, at the smaller of the two precisions."""
-        return FieldElement(self.ctx, fracs, min(self.precision, other_precision))
+    def _with(self, ints, den: int, other_precision: int) -> "FieldElement":
+        """ints/den in this context, at the smaller of the two precisions."""
+        return _canonical(self.ctx, ints, den, min(self.precision, other_precision))
 
     def _check(self, other: "FieldElement"):
         if not self.ctx.same_structure(other.ctx):
             raise ValueError("elements from different contexts")
 
-    def __add__(self, other):
+    def _sum(self, other, sign: int):
+        """self + sign * other over the lcm of the two denominators."""
         if not isinstance(other, FieldElement):
             return NotImplemented
         self._check(other)
-        return self._with([a + b for a, b in zip(self.fracs, other.fracs)],
-                          other.precision)
+        g = gcd(self.den, other.den)
+        a, b = other.den // g, sign * (self.den // g)
+        return self._with([x * a + y * b for x, y in zip(self.ints, other.ints)],
+                          self.den * a, other.precision)
+
+    def __add__(self, other):
+        return self._sum(other, 1)
 
     def __sub__(self, other):
-        if not isinstance(other, FieldElement):
-            return NotImplemented
-        self._check(other)
-        return self._with([a - b for a, b in zip(self.fracs, other.fracs)],
-                          other.precision)
+        return self._sum(other, -1)
 
     def __neg__(self):
-        return FieldElement(self.ctx, (-f for f in self.fracs), self.precision)
+        return self._with([-a for a in self.ints], self.den, self.precision)
 
     def __mul__(self, other):
         if isinstance(other, FieldElement):
@@ -326,7 +346,8 @@ class FieldElement:
             return _elem_mul(self, other)
         if isinstance(other, (int, Fraction, PadicScalar)):
             b, precision = self.ctx._exact(other)
-            return self._with([f * b for f in self.fracs], precision)
+            return self._with([a * b.numerator for a in self.ints],
+                              self.den * b.denominator, precision)
         return NotImplemented
 
     __rmul__ = __mul__
@@ -344,30 +365,47 @@ class FieldElement:
         return out
 
     def __eq__(self, other):
+        """Coefficientwise, as scalars compare: equal zeros, or equal
+        valuations v with v(a - b) >= v + the smaller precision."""
         if not isinstance(other, FieldElement):
             return NotImplemented
-        return self.ctx.same_structure(other.ctx) and all(
-            a == b for a, b in zip(self.coeffs, other.coeffs))
+        if not self.ctx.same_structure(other.ctx):
+            return False
+        if self.identity == other.identity:
+            return True
+        p, digits = self.ctx.p, min(self.precision, other.precision)
+        # over den * other.den both coefficients shift by one valuation
+        for a, b in zip(self.ints, other.ints):
+            a, b = a * other.den, b * self.den
+            if a != b and (not a or (a - b) % p ** (int_valuation(a, p) + digits)):
+                return False
+        return True
 
     def __hash__(self):
-        return hash((self.ctx.p, self.ctx.n, self.coeffs))
+        # what equality always inspects: the valuation of each coefficient
+        p, t = self.ctx.p, int_valuation(self.den, self.ctx.p)
+        return hash((p, self.ctx.n, tuple(a and int_valuation(a, p) - t for a in self.ints)))
 
     def __repr__(self):
         parts = [f"{f}*z^{i}" for i, f in enumerate(self.fracs) if f]
         return "FieldElement(" + (" + ".join(parts) if parts else "0") + ")"
 
 
-# ---------------------------------------------------------------------------
-# Exact element products on integer vectors: clear each operand's
-# denominators once, multiply and reduce over Python ints.
-# ---------------------------------------------------------------------------
+def _canonical(ctx: FieldContext, ints, den: int, precision: int) -> FieldElement:
+    """The element ints/den (den > 0), divided by its content gcd: the one
+    constructor of kernel results."""
+    g = gcd(den, *ints)
+    if g != 1:
+        ints, den = [a // g for a in ints], den // g
+    x = FieldElement.__new__(FieldElement)
+    x.ctx, x.ints, x.den, x.precision = ctx, tuple(ints), den, precision
+    return x
 
 
-def _clear_denominators(fracs):
-    """(integer vector, d) with fracs = vector / d, d the lcm of the
-    denominators."""
-    d = lcm(*(f.denominator for f in fracs))
-    return [f.numerator * (d // f.denominator) for f in fracs], d
+def _integer_rows(vectors):
+    """(rows, den): the elements' integer vectors over one denominator."""
+    den = lcm(*(v.den for v in vectors))
+    return [[a * (den // v.den) for a in v.ints] for v in vectors], den
 
 
 def _int_mul_mod(a, b, fbar, fden=1):
@@ -396,32 +434,27 @@ def _int_mul_mod(a, b, fbar, fden=1):
 
 
 def _elem_mul(x: FieldElement, y: FieldElement) -> FieldElement:
-    ctx = x.ctx
-    (xn, xd), (yn, yd) = _clear_denominators(x.fracs), _clear_denominators(y.fracs)
-    fbar, fden = ctx._int_modulus
-    den = xd * yd * fden ** (ctx.n - 1)
-    return x._with([Fraction(r, den) for r in _int_mul_mod(xn, yn, fbar, fden)], y.precision)
+    fbar, fden = x.ctx._int_modulus
+    return x._with(_int_mul_mod(x.ints, y.ints, fbar, fden),
+                   x.den * y.den * fden ** (x.ctx.n - 1), y.precision)
 
 
 def _linear_combination(ctx: FieldContext, coeffs, vectors) -> FieldElement:
     """sum c_k v_k for ints, Fractions or scalars c_k, as one integer dot
-    product per coordinate over one common denominator, so each output
-    coefficient is normalised once.  The result carries the smallest
-    precision among the context, every coefficient and every vector whose
-    coefficient is nonzero (what the term-by-term sum gives)."""
+    product per coordinate over the lcm of the terms' denominators.  The
+    result carries the smallest precision among the context, every
+    coefficient and every vector whose coefficient is nonzero (what the
+    term-by-term sum gives)."""
     exact = [ctx._exact(c) for c in coeffs]
     precision = min([ctx.precision] + [prec for _, prec in exact])
     terms = [(c, v) for (c, _), v in zip(exact, vectors) if c]
-    if not terms:
-        return FieldElement(ctx, [Fraction(0)] * ctx.n, precision)
     if any(not ctx.same_structure(v.ctx) for _, v in terms):
         raise ValueError("elements from different contexts")
-    ints, cden = _clear_denominators([c for c, _ in terms])
-    flat, vden = _clear_denominators([f for _, v in terms for f in v.fracs])
-    n, den = ctx.n, cden * vden
-    return FieldElement(ctx, [Fraction(sum(c * flat[k * n + i] for k, c in enumerate(ints)), den)
-                              for i in range(n)],
-                        min([precision] + [v.precision for _, v in terms]))
+    den = lcm(*(c.denominator * v.den for c, v in terms))
+    scales = [c.numerator * (den // (c.denominator * v.den)) for c, v in terms]
+    ints = [sum(s * a for s, a in zip(scales, column))
+            for column in zip(*(v.ints for _, v in terms))] or [0] * ctx.n
+    return _canonical(ctx, ints, den, min([precision] + [v.precision for _, v in terms]))
 
 
 # ---------------------------------------------------------------------------
@@ -429,31 +462,19 @@ def _linear_combination(ctx: FieldContext, coeffs, vectors) -> FieldElement:
 # ---------------------------------------------------------------------------
 
 
-def _scaled_residue(f: Fraction, shift: int, digits: int, p: int) -> int:
-    """Residue of f * p^shift mod p^digits (the product must be integral)."""
-    if not f:
-        return 0
-    num, den = f.numerator, f.denominator
-    vd = int_valuation(den, p) if den % p == 0 else 0
-    den //= p ** vd
-    t = shift - vd
-    num = num * p ** t if t >= 0 else num // p ** (-t)
-    mod = p ** digits
-    return num * pow(den, -1, mod) % mod
-
-
 def _element_scale(x: FieldElement) -> int:
-    """Smallest s making every coefficient of p^s * x integral: the largest
-    valuation of a denominator."""
-    p = x.ctx.p
-    return max((int_valuation(f.denominator, p) for f in x.fracs if f.denominator % p == 0),
-               default=0)
+    """Smallest s making p^s * x integral: v_p of the denominator, as the
+    form is canonical."""
+    return int_valuation(x.den, x.ctx.p)
 
 
 def _element_residues(x: FieldElement, s: int, digits: int):
-    """Residues of the coefficients of p^s * x mod p^digits."""
+    """Residues of the coefficients of p^s * x mod p^digits, for s at
+    least the scale of x: one modular inverse per element."""
     p = x.ctx.p
-    return [_scaled_residue(f, s, digits, p) for f in x.fracs]
+    mod, t = p ** digits, _element_scale(x)
+    scale = p ** (s - t) * pow(x.den // p ** t, -1, mod) % mod
+    return [a % mod * scale % mod for a in x.ints]
 
 
 def _kernel_dtype(p: int, n: int, digits: int):
@@ -684,7 +705,7 @@ class NormEngine:
         self._states: dict = {}
 
     def _state(self, x: FieldElement) -> _NormState:
-        k = x.key()
+        k = x.identity
         st = self._states.get(k)
         if st is None:
             st = _NormState(_element_scale(x), self.ctx.n)
@@ -819,26 +840,22 @@ def _primitive(row):
 
 
 def _solve_exact(columns, targets):
-    """Exact coordinates of each target in the span of ``columns``: one
-    list of Fractions per target.  Columns and targets are coefficient
-    lists of rationals (Fractions or ints) of one length.
+    """Exact coordinates of each target element in the span of the
+    ``columns`` elements: one list of Fractions per target.
 
-    Each coordinate row (one per power-basis position) is cleared of
-    denominators once, with the lcm of the row, and eliminated as a
-    primitive integer row: Gauss-Jordan with the update
-    row * (a/g) - pivot_row * (b/g), g = gcd(a, b), then division by the
-    gcd of the row, so entries stay as small as reduced Fractions would
-    without any Fraction arithmetic.  Each coordinate is read off once at
-    the end.  The solution is unique and exact, so the pivot (the nonzero
-    entry of least magnitude, which keeps the multipliers small) cannot
-    change it.  Raises SingularSystem at the first column dependent on the
+    Each coordinate row (one per power-basis position) of the elements'
+    integer vectors is made primitive and eliminated by Gauss-Jordan with
+    the update row * (a/g) - pivot_row * (b/g), g = gcd(a, b), then
+    division by the gcd of the row, so no Fraction is formed until the
+    coordinates are read off.  The pivot (the nonzero entry of least
+    magnitude, which keeps the multipliers small) cannot change the unique
+    solution.  Raises SingularSystem at the first column dependent on the
     earlier ones and NotInSpan when some target lies outside their span.
     """
-    cols = list(columns) + list(targets)
+    columns = list(columns)
+    cols = columns + list(targets)
     m = len(columns)
-    rows = []
-    for entries in zip(*cols):
-        rows.append(_primitive(_clear_denominators(entries)[0]))
+    rows = [_primitive(list(entries)) for entries in zip(*_integer_rows(cols)[0])]
     n = len(rows)
     for col in range(m):
         pivot = min((r for r in range(col, n) if rows[r][col]),
@@ -892,14 +909,9 @@ def _solve_mod(rows, p: int, digits: int, width: int | None = None):
 
 def coordinates_in(ctx: FieldContext, target: FieldElement, vectors,
                    as_fractions: bool = False):
-    """Coordinates of ``target`` in the Q_p-span of ``vectors``.
-
-    A one-target call into ``_solve_exact``: exact Gauss-Jordan on
-    primitive integer rows.  The solution is unique, so the pivot rule
-    cannot change it.  Raises SingularSystem for dependent vectors (naming
-    the first) and NotInSpan when the system is inconsistent.
-    """
-    coords = _solve_exact([v.fractions() for v in vectors], [target.fractions()])[0]
+    """Coordinates of ``target`` in the Q_p-span of ``vectors``: a
+    one-target ``_solve_exact``, with its errors."""
+    coords = _solve_exact(vectors, [target])[0]
     if as_fractions:
         return coords
     return [PadicScalar.from_fraction(c, p=ctx.p, precision=ctx.precision) for c in coords]
@@ -911,14 +923,8 @@ def is_eisenstein(p: int, coeffs) -> bool:
     fr = [c.to_fraction() if isinstance(c, PadicScalar) else Fraction(c) for c in coeffs]
     if fr[-1] != 1:
         raise NotMonic("Eisenstein test requires a monic polynomial")
-    v0 = frac_valuation(fr[0], p)
-    if v0 != 1:
-        return False
-    for c in fr[1:-1]:
-        v = frac_valuation(c, p)
-        if v is not None and v < 1:
-            return False
-    return True
+    return frac_valuation(fr[0], p) == 1 and all(
+        not c or frac_valuation(c, p) >= 1 for c in fr[1:-1])
 
 
 def evaluate_poly(ctx: FieldContext, coeffs, x: FieldElement) -> FieldElement:

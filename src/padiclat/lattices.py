@@ -26,7 +26,8 @@ from .fields import (
     FieldContext,
     FieldElement,
     NormEngine,
-    _clear_denominators,
+    _canonical,
+    _integer_rows,
     _kernel_dtype,
     _linear_combination,
     _norm_valuations,
@@ -80,8 +81,7 @@ def is_orthogonal(ctx: FieldContext, vectors, *, budget: int = DEFAULT_BUDGET,
     if m == 1:
         return True
     if not force_exhaustive:
-        classes = [e.exponent - (e.exponent.numerator // e.exponent.denominator)
-                   for e in exps]
+        classes = [e.exponent % 1 for e in exps]
         if len(set(classes)) == m:
             return True
     if ctx.p ** m > budget:
@@ -123,8 +123,7 @@ class _IntegerSums:
     def __init__(self, ctx: FieldContext, vectors, largest: int):
         self.ctx = ctx
         n = ctx.n
-        ints, self.den = _clear_denominators([f for v in vectors for f in v.fractions()])
-        rows = [ints[i:i + n] for i in range(0, len(ints), n)]
+        rows, self.den = _integer_rows(vectors)
         bound = largest * max(sum(abs(r[j]) for r in rows) for j in range(n))
         self.basis = np.array(rows, dtype=np.int64 if bound < _INT64_SAFE else object)
         # D = p^t * D' with D' a unit, so p^t * (row / D) = row / D' is integral
@@ -148,8 +147,7 @@ class _IntegerSums:
         return _norm_valuations(self.ctx, residues, len(rows), n * self.t, 2, PRECISION_CAP)
 
     def element(self, row) -> FieldElement:
-        return FieldElement(self.ctx, [Fraction(int(c), self.den) for c in row],
-                            self.ctx.precision)
+        return _canonical(self.ctx, [int(c) for c in row], self.den, self.ctx.precision)
 
 
 @dataclass(frozen=True)
@@ -219,8 +217,7 @@ def complete_orthogonal(ctx: FieldContext, partial, gamma: FieldElement, *,
         raise ValueError("gamma is not a uniformizer (exponent 1/n)")
     present = set()
     for v in partial:
-        e = engine.abs_value(v).exponent
-        cls = e - (e.numerator // e.denominator)
+        cls = engine.abs_value(v).exponent % 1
         if cls in present:
             raise ClassCollision(f"two vectors share the exponent class {cls}")
         present.add(cls)
@@ -248,16 +245,11 @@ def zp_split(frac: Fraction, p: int):
     The fractional part is the canonical finite tail sum_{i<0} d_i p^i; it
     is zero exactly when the rational lies in Z_p.
     """
-    den = frac.denominator
-    s = 0
-    d = den
-    while d % p == 0:
-        d //= p
-        s += 1
+    s = int_valuation(frac.denominator, p)
     if s == 0:
         return frac, Fraction(0)
     mod = p ** s
-    tail = Fraction(frac.numerator * pow(d, -1, mod) % mod, mod)
+    tail = Fraction(frac.numerator * pow(frac.denominator // mod, -1, mod) % mod, mod)
     return frac - tail, tail
 
 

@@ -69,7 +69,7 @@ class AbsCounter:
         self.count = 0
 
     def _touch(self, x: FieldElement):
-        k = x.key()
+        k = x.identity
         if k not in self._seen:
             self._seen.add(k)
             self.count += 1

@@ -35,7 +35,9 @@ from .fields import (
     FieldContext,
     FieldElement,
     NormEngine,
-    _clear_denominators,
+    _element_residues,
+    _element_scale,
+    _integer_rows,
     _linear_combination,
     _solve_exact,
     _solve_mod,
@@ -81,10 +83,10 @@ class PublicKey:
         A member of L reduces mod p into the span of the reduced basis, so
         it passes every row; an element that fails one is outside L."""
         p, m = self.ctx.p, self.m
-        fracs = [b.fracs for b in self.basis]
-        if any(f.denominator % p == 0 for v in fracs for f in v):
+        if any(_element_scale(b) for b in self.basis):
             return None
-        rows = [[v[i].numerator * pow(v[i].denominator, -1, p) for v in fracs]
+        cols = [_element_residues(b, 0, 1) for b in self.basis]
+        rows = [[v[i] for v in cols]
                 + [int(i == k) for k in range(self.ctx.n)]
                 for i in range(self.ctx.n)]
         reduced = _solve_mod(rows, p, 1, width=m)
@@ -188,9 +190,9 @@ def keygen(p: int, n: int, m: int, exponents, eisenstein_coeffs, zeta_over_theta
     if not is_eisenstein(p, theta_ctx.modulus):
         raise NotEisenstein("f must be Eisenstein at p")
     zeta = theta_ctx.element(zeta_over_theta)
-    if any(f.denominator % p == 0 for f in zeta.fracs):
+    if _element_scale(zeta):
         raise NotIntegral("zeta must be integral over theta")
-    if zeta.fracs[1].numerator % p == 0:
+    if _element_residues(zeta, 0, 1)[1] == 0:
         raise DegenerateGenerator(
             "the theta-coefficient of zeta is divisible by p, so zeta does "
             "not generate the ring of integers")
@@ -202,14 +204,13 @@ def keygen(p: int, n: int, m: int, exponents, eisenstein_coeffs, zeta_over_theta
     zeta_powers = [theta_ctx.one()]
     for _ in range(n - 1):
         zeta_powers.append(zeta_powers[-1] * zeta)
-    targets = [(zeta_powers[-1] * zeta).fractions()]
-    targets += [[int(i == jk) for i in range(n)] for jk in j[:m]]  # theta^(j_k)
-    top, *alpha_coords = _solve_exact([z.fractions() for z in zeta_powers], targets)
+    targets = [zeta_powers[-1] * zeta] + [theta_ctx.monomial(jk) for jk in j[:m]]
+    top, *alpha_coords = _solve_exact(zeta_powers, targets)
     F = [-c for c in top] + [1]
     ctx = make_context(p, precision, F, ramification=n, residue_degree=1)
     alpha = [ctx.element(c) for c in alpha_coords]
-    ints, den = _clear_denominators([f for z in zeta_powers for f in z.fracs])
-    trapdoor = tuple(tuple(ints[k * n + jk] for k in range(n)) for jk in j), den
+    rows, den = _integer_rows(zeta_powers)
+    trapdoor = tuple(tuple(row[jk] for row in rows) for jk in j), den
 
     A = _make_matrix(p, m, matrix, rng, precision)
     beta = [_linear_combination(ctx, row, alpha) for row in A]
@@ -317,9 +318,9 @@ def _outside_mod_p(pk: PublicKey, x: FieldElement) -> bool:
     is never True for one; False decides nothing."""
     kernel = pk._kernel_mod_p
     p = pk.ctx.p
-    if kernel is None or any(f.denominator % p == 0 for f in x.fracs):
+    if kernel is None or _element_scale(x):
         return False
-    xbar = [f.numerator * pow(f.denominator, -1, p) for f in x.fracs]
+    xbar = _element_residues(x, 0, 1)
     return any(sum(a * b for a, b in zip(row, xbar)) % p for row in kernel)
 
 
@@ -347,7 +348,7 @@ def _private_cvp(sk: PrivateKey, target: FieldElement):
     read off Z*t and the norm exponents are j_k / n, so neither a solve
     nor a norm query is needed."""
     rows, den = sk.trapdoor
-    ints, tden = _clear_denominators(target.fracs)
+    (ints,), tden = _integer_rows([target])
     den *= tden
     coords = [Fraction(sum(a * b for a, b in zip(row, ints)), den) for row in rows]
     n = sk.ctx.n
@@ -383,9 +384,7 @@ def verify(pk: PublicKey, message: bytes, sig: Signature, *, xof=None) -> bool:
     """Recompute the hash target and check membership plus |t - v| < 1.
     Malformed inputs verify as False rather than raising."""
     try:
-        if len(sig.vector.fracs) != pk.ctx.n:
-            return False
-        vec = pk.ctx.element(sig.vector.coeffs)
+        vec = pk.ctx.cast(sig.vector)
         if not in_lattice(pk, vec):
             return False
         engine = NormEngine(pk.ctx)

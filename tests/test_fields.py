@@ -1,6 +1,7 @@
 import itertools
 import random
 from fractions import Fraction
+from math import gcd
 
 import numpy as np
 import pytest
@@ -29,8 +30,8 @@ from padiclat.fields import (
     is_eisenstein,
     make_context,
 )
-from padiclat.lattices import Lattice, lvp_oracle
-from padiclat.reduction import orthogonalize
+from padiclat.lattices import Lattice, _IntegerSums, lvp_oracle
+from padiclat.reduction import AbsCounter, orthogonalize
 from padiclat.scalars import PadicScalar
 
 
@@ -149,6 +150,32 @@ class TestExactElementArithmetic:
                                and c.unit == r.unit for c, r in zip(z.coeffs, ref.coeffs))
                 checked += 1
         assert checked == 320
+
+    def test_results_are_canonical(self):
+        # every result is the one canonical pair of its value, so equal
+        # values built different ways share one engine state and one count
+        rng = random.Random(3141)
+        for ctx in self._contexts(rng, 40):
+            p, n = ctx.p, ctx.n
+            x, y = (ctx.element([_random_coefficient(rng, p) for _ in range(n)])
+                    for _ in range(2))
+            s = _random_coefficient(rng, p)
+            sums = _IntegerSums(ctx, [x, y], p - 1)
+            rows = sums.rows(np.array([[1, 1], [1, 0], [0, 0]]))
+            results = [x + y, x - y, x - x, -x, x * y, x * s, ctx.scalar(s) * x,
+                       _linear_combination(ctx, [s, 2], [x, y]),
+                       _linear_combination(ctx, [0], [x]),
+                       ctx.element([s] * n), ctx.zero()] + [sums.element(r) for r in rows]
+            for z in results:
+                assert z.den > 0 and gcd(*z.ints, z.den) == 1 and len(z.ints) == n
+                assert not z.is_zero or z.identity == ((0,) * n, 1)
+            if x.is_zero:
+                continue
+            engine = NormEngine(ctx)
+            counter = AbsCounter(engine)
+            for twin in (x, x + y - y, x * 3 * Fraction(1, 3), sums.element(rows[1])):
+                counter.abs_value(twin)
+            assert counter.count == 1 and len(engine._states) == 1
 
     @staticmethod
     def _term_by_term(ctx, coeffs, vectors):
@@ -328,6 +355,12 @@ class TestOneElementRepresentation:
 
         monkeypatch.setattr(PadicScalar, "from_fraction", refuse)
         assert answers() == want
+        # equality, hashing and keys read the exact pairs as well
+        gamma = recover_uniformizer(ctx16).gamma
+        twin = gamma + ctx16.one() - ctx16.one()
+        assert gamma == twin and hash(gamma) == hash(twin) and gamma.key() == twin.key()
+        assert gamma != gamma + ctx16.one()
+        assert FieldElement(ctx16, [1 + 5 ** 8], 8) == ctx16.one()
 
 
 class TestNormAndAbs:
@@ -595,7 +628,7 @@ class TestCoordinates:
             for t, got in zip(targets, one_by_one):
                 assert self._combine(ctx, cols, got) == t
             assert one_by_one == coords
-            assert _solve_exact(cols, [t.fractions() for t in targets]) == one_by_one
+            assert _solve_exact(vectors, targets) == one_by_one
             scalars = coordinates_in(ctx, targets[0], vectors)
             assert [c.to_fraction() for c in scalars] == one_by_one[0]
 
@@ -627,7 +660,7 @@ class TestCoordinates:
             with pytest.raises(NotInSpan):
                 coordinates_in(ctx, outside, vectors)
             with pytest.raises(NotInSpan):
-                _solve_exact(cols, [inside.fractions(), outside.fractions()])
+                _solve_exact(vectors, [inside, outside])
             checked += 1
 
 

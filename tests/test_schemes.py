@@ -267,6 +267,9 @@ class TestSignVerify:
         rng = random.Random(8)
         sig = sign(mid_key.private, mid_key.public, b"hello", rng=rng)
         assert verify(mid_key.public, b"hello", sig)
+        # the same rationals over another prime
+        other = make_context(5, 32, [5, 0, 0, 0, 1]).element(sig.vector.fracs)
+        assert not verify(mid_key.public, b"hello", Signature(sig.salt, other))
 
     def test_same_salt_same_signature(self, mid_key):
         s1 = sign(mid_key.private, mid_key.public, b"m", rng=random.Random(4))
