@@ -311,6 +311,7 @@ class FieldElement:
         return tuple((f.numerator, f.denominator) for f in self.fracs)
 
     def fractions(self) -> list[Fraction]:
+        """Exact coefficient vector."""
         return list(self.fracs)
 
     def _with(self, ints, den: int, other_precision: int) -> "FieldElement":
