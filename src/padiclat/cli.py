@@ -137,9 +137,8 @@ def cmd_decrypt(args):
 def cmd_attack_uniformizer(args):
     pk = _load_public(args.pub)
     res = recover_uniformizer(pk)
-    coeffs = " ".join(str(f) for f in res.gamma.fracs)
     print(f"exponent={res.lambda2.exponent}")
-    print(f"gamma= {coeffs}")
+    print(f"gamma= {fileio._format_vector(res.gamma.fracs)}")
     print(f"abs_count={res.abs_count}")
     return 0
 
@@ -170,8 +169,7 @@ def cmd_oracle_lvp(args):
     res = lvp_oracle(pk.ctx, lattice, depth=args.depth, budget=args.budget)
     print(f"lambda1_exponent={res.lambda1.exponent}")
     print(f"lambda2_exponent={res.lambda2.exponent}")
-    coeffs = " ".join(str(f) for f in res.witness.fracs)
-    print(f"witness= {coeffs}")
+    print(f"witness= {fileio._format_vector(res.witness.fracs)}")
     return 0
 
 

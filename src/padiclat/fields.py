@@ -20,10 +20,10 @@ elimination over a stack of matrices (a single matrix is a stack of one),
 over int64 residues while p^(2M) * n < 2^61 and over Python ints beyond.
 Per matrix it returns the valuation (a lower bound where flagged deeper)
 and the determinant's certified unit digits.
-One escalation loop, ``_norm_valuations``, picks M for a batch of
-elements: ``NormEngine.norm_valuation`` runs it for one element (absolute
-values and :func:`field_norm`), the brute-force lattice oracle for a
-whole chunk of digit sums at once.  The one query that needs a single
+One escalation loop, ``_norm_valuations``, picks M for integer rows over
+one denominator: ``NormEngine.norm_valuation`` runs it for one element
+(absolute values and :func:`field_norm`), the brute-force lattice oracle
+for a whole chunk of digit sums at once.  The one query that needs a single
 digit, "is N(x) a unit?", is answered over GF(p) instead:
 N(x) mod p = +-Res(F mod p, x mod p), so it is a unit exactly when the
 two residue polynomials are coprime (``_gf_coprime``, an O(n^2) Euclid).
@@ -440,6 +440,14 @@ def _elem_mul(x: FieldElement, y: FieldElement) -> FieldElement:
                    x.den * y.den * fden ** (x.ctx.n - 1), y.precision)
 
 
+def _powers(x: FieldElement, count: int):
+    """1, x, x^2, ..., x^(count - 1), for count >= 1."""
+    out = [x.ctx.one()]
+    while len(out) < count:
+        out.append(out[-1] * x)
+    return out
+
+
 def _linear_combination(ctx: FieldContext, coeffs, vectors) -> FieldElement:
     """sum c_k v_k for ints, Fractions or scalars c_k, as one integer dot
     product per coordinate over the lcm of the terms' denominators.  The
@@ -469,13 +477,12 @@ def _element_scale(x: FieldElement) -> int:
     return int_valuation(x.den, x.ctx.p)
 
 
-def _element_residues(x: FieldElement, s: int, digits: int):
-    """Residues of the coefficients of p^s * x mod p^digits, for s at
-    least the scale of x: one modular inverse per element."""
-    p = x.ctx.p
-    mod, t = p ** digits, _element_scale(x)
-    scale = p ** (s - t) * pow(x.den // p ** t, -1, mod) % mod
-    return [a % mod * scale % mod for a in x.ints]
+def _element_residues(x: FieldElement, digits: int):
+    """Residues mod p^digits of the coefficients of p^s * x, s the scale of
+    x: one modular inverse per element."""
+    mod = x.ctx.p ** digits
+    inv = pow(x.den // x.ctx.p ** _element_scale(x), -1, mod)
+    return [a % mod * inv % mod for a in x.ints]
 
 
 def _kernel_dtype(p: int, n: int, digits: int):
@@ -625,24 +632,26 @@ def _det_valuation(stack, p: int, digits: int):
     return vsum, deeper, unit
 
 
-def _norm_valuations(ctx: FieldContext, residues, count: int, shift: int,
-                     digits: int, cap: int):
-    """Exact v(N(x_i)) for ``count`` elements with p^s * x_i integral,
-    shift = n*s: the one escalation loop.
-
-    ``residues(idx, total)`` returns the residue vectors mod p^total of
-    p^s * x_i for the elements still open (a list of indices).  Every
-    open element is eliminated at ``digits`` norm digits in one stack;
-    only the matrices that come back deeper go on, at twice the digits,
-    until ``cap``, past which PrecisionExhausted.  Returns a list.
-    """
-    p = ctx.p
-    out = [0] * count
-    todo = list(range(count))
+def _norm_valuations(ctx: FieldContext, rows, den: int, digits: int, cap: int):
+    """Exact v(N(row / den)) for each nonzero row of an integer array
+    (int64 or object), as a list: the one escalation loop.  With
+    den = p^t * u, u a unit, row / u is integral, its norm valuation n*t
+    more.  Every open row is eliminated at ``digits`` norm digits in one
+    stack; the matrices that come back deeper go on at twice the digits,
+    up to ``cap``, past which PrecisionExhausted."""
+    p, n = ctx.p, ctx.n
+    t = int_valuation(den, p)
+    unit, shift = den // p ** t, n * t
+    out = [0] * len(rows)
+    todo = list(range(len(rows)))
     while todo:
         total = digits + shift
-        v, deeper, _ = _det_valuation(_mult_rows_mod(ctx, residues(todo, total), total),
-                                      p, total)
+        mod = p ** total
+        open_rows = rows[todo]
+        if _kernel_dtype(p, n, total) is object:
+            open_rows = open_rows.astype(object)  # mod may pass int64
+        residues = open_rows % mod * pow(unit, -1, mod) % mod
+        v, deeper, _ = _det_valuation(_mult_rows_mod(ctx, residues, total), p, total)
         for i, vi in zip(todo, v):
             out[i] = vi - shift  # a deeper bound is overwritten once resolved
         todo = [i for i, d in zip(todo, deeper) if d]
@@ -696,9 +705,9 @@ class NormEngine:
     Each distinct element pays only for the digits its answer needs;
     partial knowledge (valuation lower bounds) is carried across queries
     so threshold tests and later exact queries share work.  A threshold
-    test that needs a single digit is a GF(p) gcd; ``norm_valuation`` and
-    ``resolve_min_valuation`` never ask for fewer than two digits, so on
-    a fresh engine every exact valuation is a determinant.
+    test that needs a single digit is a GF(p) gcd; ``norm_valuation``
+    never asks for fewer than two digits, so on a fresh engine every
+    exact valuation is a determinant.
     """
 
     def __init__(self, ctx: FieldContext):
@@ -723,12 +732,12 @@ class NormEngine:
         if total == 1:
             # N(p^s x) mod p = +-Res(F mod p, p^s x mod p): one digit of the
             # determinant is nonzero exactly when the residues are coprime
-            if _gf_coprime(_element_residues(x, st.s, 1), ctx._modulus_residues(1) + [1], p):
+            if _gf_coprime(_element_residues(x, 1), ctx._modulus_residues(1) + [1], p):
                 st.exact = -shift
                 return True
             st.lower = max(st.lower, 1 - shift)
             return False
-        rows = _mult_rows_mod(ctx, [_element_residues(x, st.s, total)], total)
+        rows = _mult_rows_mod(ctx, [_element_residues(x, total)], total)
         (v,), (deeper,), _ = _det_valuation(rows, p, total)
         if deeper:
             st.lower = max(st.lower, v - shift)
@@ -742,12 +751,7 @@ class NormEngine:
             return None
         st = self._state(x)
         if st.exact is None:
-            s = st.s
-
-            def residues(_, total):
-                return [_element_residues(x, s, total)]
-
-            st.exact = _norm_valuations(self.ctx, residues, 1, self.ctx.n * s,
+            st.exact = _norm_valuations(self.ctx, np.array([x.ints], dtype=object), x.den,
                                         max(2, st.lower + 1), PRECISION_CAP)[0]
         return st.exact
 
@@ -777,28 +781,6 @@ class NormEngine:
         t = bound.exponent * self.ctx.n
         return self.norm_exceeds(x, t.numerator // t.denominator)
 
-    def resolve_min_valuation(self, elements):
-        """(index, valuation) of the element with minimal norm valuation,
-        i.e. the largest absolute value; lowest index wins ties."""
-        states = [(i, x, self._state(x)) for i, x in enumerate(elements) if not x.is_zero]
-        if not states:
-            raise ValueError("all elements are zero")
-        digits = 2
-        while True:
-            best = None
-            for i, x, st in states:
-                if st.exact is not None and (best is None or st.exact < best[1]):
-                    best = (i, st.exact)
-            if best is not None and all(
-                    st.exact is not None or st.lower > best[1] for _, _, st in states):
-                return best
-            if digits > PRECISION_CAP:
-                raise PrecisionExhausted("could not separate norm valuations")
-            for _, x, st in states:
-                if st.exact is None and st.lower < digits:
-                    self._attempt(x, st, digits)
-            digits *= 2
-
 
 def abs_value(ctx: FieldContext, x: FieldElement, engine: NormEngine | None = None) -> AbsValue:
     """Extended absolute value |x| = |N(x)|^(1/n) as an exact exponent."""
@@ -821,7 +803,7 @@ def field_norm(ctx: FieldContext, x: FieldElement) -> PadicScalar:
     digits = v + ctx.n * s + ctx.precision
     if digits > PRECISION_CAP:
         raise PrecisionExhausted("norm unit not certified at the precision cap")
-    rows = _mult_rows_mod(ctx, [_element_residues(x, s, digits)], digits)
+    rows = _mult_rows_mod(ctx, [_element_residues(x, digits)], digits)
     _, _, (unit,) = _det_valuation(rows, ctx.p, digits)
     return PadicScalar.from_fraction(unit * Fraction(ctx.p) ** v, p=ctx.p,
                                      precision=ctx.precision)

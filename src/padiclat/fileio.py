@@ -16,14 +16,32 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import InconsistentHeader, ParseError
-from .fields import FieldContext, _linear_combination, make_context
+from .fields import FieldContext, _linear_combination, _powers, make_context
 from .schemes import Ciphertext, KeyPair, PublicKey, Signature, keygen
+
+
+# str() and int() stop at 4300 decimal digits by default; longer integers
+# convert through Decimal, which has no such limit
+def _format_int(a: int) -> str:
+    if a.bit_length() <= 13000:  # fewer than 3914 digits
+        return str(a)
+    from decimal import Decimal
+    return str(Decimal(a))
+
+
+def _parse_int(tok: str) -> int:
+    if len(tok) <= 4000:
+        return int(tok)
+    from decimal import Decimal
+    if not (tok.isascii() and tok[1:].isdigit() and tok[0] in "+-0123456789"):
+        raise ValueError(f"not an integer ({len(tok)} characters)")
+    return int(Decimal(tok))
 
 
 def _format_fraction(f: Fraction) -> str:
     if f.denominator == 1:
-        return str(f.numerator)
-    return f"{f.numerator}/{f.denominator}"
+        return _format_int(f.numerator)
+    return f"{_format_int(f.numerator)}/{_format_int(f.denominator)}"
 
 
 def _format_vector(fracs) -> str:
@@ -36,10 +54,8 @@ def _format_scalars(scalars) -> str:
 
 def _parse_fraction(tok: str, lineno: int) -> Fraction:
     try:
-        if "/" in tok:
-            num, den = tok.split("/")
-            return Fraction(int(num), int(den))
-        return Fraction(int(tok))
+        num, sep, den = tok.partition("/")
+        return Fraction(_parse_int(num), _parse_int(den) if sep else 1)
     except (ValueError, ZeroDivisionError) as exc:
         raise ParseError(f"bad rational {tok!r}: {exc}", lineno)
 
@@ -135,6 +151,8 @@ def parse_key_file(text: str):
     n = lines.take_int("n")
     m = lines.take_int("m")
     delta = lines.take_fraction("delta") if lines.has("delta") else None
+    if delta is not None and delta < 0:
+        raise ValueError("delta must be nonnegative")
     precision = lines.take_int("precision")
     if n < 2 or m < 1 or m > n:
         raise InconsistentHeader(f"bad dimensions n={n}, m={m}")
@@ -143,10 +161,7 @@ def parse_key_file(text: str):
     basis = [ctx.element(lines.take_vector(f"beta.{i}", n)) for i in range(1, m + 1)]
     pk = PublicKey(ctx, tuple(basis), delta)
     if lines.has("gamma"):
-        gamma = ctx.element(lines.take_vector("gamma", n))
-        powers = [ctx.one()]
-        for _ in range(n - 1):
-            powers.append(powers[-1] * gamma)
+        powers = _powers(ctx.element(lines.take_vector("gamma", n)), n)
         for i in range(1, m + 1):
             coords = lines.take_vector(f"beta_gamma.{i}", n)
             if _linear_combination(ctx, coords, powers) != basis[i - 1]:

@@ -28,9 +28,9 @@ from .fields import (
     NormEngine,
     _canonical,
     _integer_rows,
-    _kernel_dtype,
     _linear_combination,
     _norm_valuations,
+    _powers,
     coordinates_in,
     frac_valuation,
 )
@@ -122,29 +122,16 @@ class _IntegerSums:
 
     def __init__(self, ctx: FieldContext, vectors, largest: int):
         self.ctx = ctx
-        n = ctx.n
         rows, self.den = _integer_rows(vectors)
-        bound = largest * max(sum(abs(r[j]) for r in rows) for j in range(n))
+        bound = largest * max(sum(abs(r[j]) for r in rows) for j in range(ctx.n))
         self.basis = np.array(rows, dtype=np.int64 if bound < _INT64_SAFE else object)
-        # D = p^t * D' with D' a unit, so p^t * (row / D) = row / D' is integral
-        self.t = int_valuation(self.den, ctx.p)
-        self.unit_den = self.den // ctx.p ** self.t
 
     def rows(self, tuples):
         return tuples.astype(self.basis.dtype) @ self.basis
 
     def valuations(self, rows):
         """Exact v(N(row / D)) for each nonzero integer row, as a list."""
-        p, n = self.ctx.p, self.ctx.n
-
-        def residues(idx, total):
-            mod = p ** total
-            r = rows[idx]
-            if _kernel_dtype(p, n, total) is object:
-                r = r.astype(object)
-            return r % mod * pow(self.unit_den, -1, mod) % mod
-
-        return _norm_valuations(self.ctx, residues, len(rows), n * self.t, 2, PRECISION_CAP)
+        return _norm_valuations(self.ctx, rows, self.den, 2, PRECISION_CAP)
 
     def element(self, row) -> FieldElement:
         return _canonical(self.ctx, [int(c) for c in row], self.den, self.ctx.precision)
@@ -221,13 +208,8 @@ def complete_orthogonal(ctx: FieldContext, partial, gamma: FieldElement, *,
         if cls in present:
             raise ClassCollision(f"two vectors share the exponent class {cls}")
         present.add(cls)
-    out = list(partial)
-    power = ctx.one()
-    for j in range(ctx.n):
-        if Fraction(j, ctx.n) not in present:
-            out.append(power)
-        power = power * gamma
-    return out
+    return list(partial) + [g for j, g in enumerate(_powers(gamma, ctx.n))
+                            if Fraction(j, ctx.n) not in present]
 
 
 @dataclass(frozen=True)

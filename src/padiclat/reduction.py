@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .errors import BudgetExceeded, ReductionFailed, SingularSystem
 from .fields import AbsValue, FieldContext, FieldElement, NormEngine
@@ -82,11 +81,6 @@ class AbsCounter:
         self._touch(x)
         return self.engine.abs_less_than(x, bound)
 
-    def resolve_min(self, elements):
-        for x in elements:
-            self._touch(x)
-        return self.engine.resolve_min_valuation(elements)
-
 
 def _argmax_abs(exps) -> int:
     """Index of the largest absolute value; lowest index wins ties."""
@@ -121,7 +115,8 @@ def _reduce_pass(ctx: FieldContext, vectors, exps, counter: AbsCounter,
         vectors[0], vectors[i0] = vectors[i0], vectors[0]
         exps[0], exps[i0] = exps[i0], exps[0]
     lam1 = exps[0]
-    multiples = [_multiples(vectors[0], p)]
+    # a lone vector needs no table (p may be huge)
+    multiples = [_multiples(vectors[0], p)] if len(vectors) > 1 else []
     out = [vectors[0]]
     reduced = []
     for v in vectors[1:]:
@@ -220,14 +215,12 @@ def find_second_longest_general(ctx: FieldContext, basis, residue_degree: int, *
     exps = [counter.abs_value(b) for b in basis]
     if any(e.is_zero for e in exps):
         raise SingularSystem("zero vector in basis")
-    if m == 1:
-        witness = basis[0] * ctx.p
-        return ReductionResult(exps[0].scaled(1), witness, tuple(basis), counter.count)
     out, lam1, reduced = _reduce_pass(ctx, basis, exps, counter, residue_degree, budget)
     if not reduced:
         return ReductionResult(lam1.scaled(1), out[0] * ctx.p, tuple(out), counter.count)
-    idx, val = counter.resolve_min(reduced)
-    lam2 = AbsValue(Fraction(val, ctx.n))
-    if lam2 < lam1.scaled(1):
+    # every reduced vector was counted by its threshold test
+    final = [counter.abs_value(v) for v in reduced]
+    idx = _argmax_abs(final)
+    if final[idx] < lam1.scaled(1):
         raise ReductionFailed("second maximum fell below |p*longest|")
-    return ReductionResult(lam2, reduced[idx], tuple(out), counter.count)
+    return ReductionResult(final[idx], reduced[idx], tuple(out), counter.count)

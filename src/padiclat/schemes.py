@@ -39,6 +39,7 @@ from .fields import (
     _element_scale,
     _integer_rows,
     _linear_combination,
+    _powers,
     _solve_exact,
     _solve_mod,
     coordinates_in,
@@ -85,7 +86,7 @@ class PublicKey:
         p, m = self.ctx.p, self.m
         if any(_element_scale(b) for b in self.basis):
             return None
-        cols = [_element_residues(b, 0, 1) for b in self.basis]
+        cols = [_element_residues(b, 1) for b in self.basis]
         rows = [[v[i] for v in cols]
                 + [int(i == k) for k in range(self.ctx.n)]
                 for i in range(self.ctx.n)]
@@ -192,7 +193,7 @@ def keygen(p: int, n: int, m: int, exponents, eisenstein_coeffs, zeta_over_theta
     zeta = theta_ctx.element(zeta_over_theta)
     if _element_scale(zeta):
         raise NotIntegral("zeta must be integral over theta")
-    if _element_residues(zeta, 0, 1)[1] == 0:
+    if _element_residues(zeta, 1)[1] == 0:
         raise DegenerateGenerator(
             "the theta-coefficient of zeta is divisible by p, so zeta does "
             "not generate the ring of integers")
@@ -201,9 +202,7 @@ def keygen(p: int, n: int, m: int, exponents, eisenstein_coeffs, zeta_over_theta
     # basis.  zeta generates K (zeta - a_0 is a uniformizer), so its minimal
     # polynomial F is the monic relation among 1, zeta, ..., zeta^n, and the
     # coordinates of theta^(j_k), k <= m, give the hidden lattice basis.
-    zeta_powers = [theta_ctx.one()]
-    for _ in range(n - 1):
-        zeta_powers.append(zeta_powers[-1] * zeta)
+    zeta_powers = _powers(zeta, n)
     targets = [zeta_powers[-1] * zeta] + [theta_ctx.monomial(jk) for jk in j[:m]]
     top, *alpha_coords = _solve_exact(zeta_powers, targets)
     F = [-c for c in top] + [1]
@@ -320,7 +319,7 @@ def _outside_mod_p(pk: PublicKey, x: FieldElement) -> bool:
     p = pk.ctx.p
     if kernel is None or _element_scale(x):
         return False
-    xbar = _element_residues(x, 0, 1)
+    xbar = _element_residues(x, 1)
     return any(sum(a * b for a, b in zip(row, xbar)) % p for row in kernel)
 
 

@@ -173,6 +173,29 @@ class TestExitCodes:
         code, _, err = run(capsys, "attack", "uniformizer", "--pub", str(pub))
         assert code == 1 and "ReductionFailed" in err
 
+    def test_integers_past_the_string_limit(self, tmp_path, capsys):
+        # a 5000-digit coefficient loads, where str() and int() stop at 4300
+        from padiclat.fields import make_context
+        from padiclat.fileio import emit_public_key
+        from padiclat.schemes import PublicKey
+
+        ctx = make_context(3, 128, [-6, 0, 1])
+        big = 10 ** 4999 + 7
+        pub = tmp_path / "big.pub"
+        pub.write_text(emit_public_key(PublicKey(ctx, (ctx.element([1, big]),))))
+        code, out, _ = run(capsys, "attack", "uniformizer", "--pub", str(pub))
+        assert code == 0 and "exponent=1/2" in out
+        pub.write_text(pub.read_text().replace("0007", "000x"))  # big's last digits
+        code, _, err = run(capsys, "attack", "uniformizer", "--pub", str(pub))
+        assert code == 2 and "input error" in err
+
+    def test_negative_delta_in_public_key_is_input_error(self, toy_files, capsys):
+        pub, _ = toy_files
+        pub.write_text(pub.read_text().replace("delta=1/5", "delta=-3/2"))
+        code, _, err = run(capsys, "encrypt", "--pub", str(pub), "--plaintext", "1 0 1 1",
+                           "--out", str(pub.with_suffix(".ct")))
+        assert code == 2 and "delta must be nonnegative" in err
+
     @pytest.mark.parametrize("flag, value", [
         ("--delta", "1/0"),
         ("--f", "3 0 1/0 3 1"),

@@ -480,7 +480,7 @@ class TestThresholdQueries:
                 st = eng._state(x)
                 resolved = eng._attempt(x, st, 1 - n * st.s)
                 want_exact, want_lower = None, -n * st.s
-                rows = _mult_rows_mod(ctx, [_element_residues(x, st.s, 1)], 1)
+                rows = _mult_rows_mod(ctx, [_element_residues(x, 1)], 1)
                 (v,), (deeper,), _ = _det_valuation(rows, p, 1)
                 if deeper:
                     want_lower = v - n * st.s
@@ -501,7 +501,6 @@ class TestThresholdQueries:
         def answers():
             oracle = lvp_oracle(ctx, Lattice(ctx, basis))
             return (NormEngine(ctx).abs_value(x),
-                    NormEngine(ctx).resolve_min_valuation(basis),
                     field_norm(ctx, x),
                     (oracle.lambda1, oracle.lambda2, oracle.witness, oracle.classes))
 

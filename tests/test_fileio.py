@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from padiclat.errors import FixtureTampered, InconsistentHeader, ParseError
+from padiclat.fields import make_context
 from padiclat.fileio import (
     emit_ciphertext,
     emit_key_pair,
@@ -14,7 +15,7 @@ from padiclat.fileio import (
     parse_signature,
 )
 from padiclat.fixtures import _DIGESTS, fixture_text, toy_ciphertext, toy_public_key
-from padiclat.schemes import KeyPair, encrypt, hash_to_target, keygen, sign
+from padiclat.schemes import KeyPair, PublicKey, encrypt, hash_to_target, keygen, sign
 
 
 @pytest.fixture(scope="module")
@@ -45,6 +46,17 @@ class TestKeyFiles:
         assert kp.private.exponents == pair.private.exponents
         assert all(a == b for a, b in zip(kp.public.basis, pair.public.basis))
         assert emit_key_pair(kp) == text
+
+    def test_integers_past_the_string_limit(self):
+        # str() and int() refuse more than 4300 decimal digits by default
+        ctx = make_context(3, 128, [-6, 0, 1])
+        big = 10 ** 4999 + 7
+        pk = PublicKey(ctx, (ctx.element([big, Fraction(-2, big)]),))
+        text = emit_public_key(pk)
+        assert len(text) > 10000
+        back = parse_key_file(text)
+        assert back.basis[0].identity == pk.basis[0].identity
+        assert emit_public_key(back) == text
 
     def test_wrong_vector_length(self, pair):
         text = emit_public_key(pair.public)

@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import scheme_shaped_lattice
+from padiclat import reduction
 from padiclat.errors import BudgetExceeded, ReductionFailed, SingularSystem
 from padiclat.fields import AbsValue, NormEngine, coordinates_in, make_context
 from padiclat.lattices import Lattice, is_orthogonal, lvp_oracle
@@ -57,6 +58,16 @@ class TestFindSecondLongest:
         res = find_second_longest(toy_ctx, [toy_ctx.one()])
         assert res.lambda2 == AbsValue.of(1)
         assert res.witness == toy_ctx.element([2])
+
+    def test_rank_one_builds_no_digit_multiples(self, toy_ctx, monkeypatch):
+        # a lone vector has nothing to reduce, so its p multiples (p may be
+        # huge) are never formed
+        def refuse(*args):
+            raise AssertionError("digit multiples built for a rank-one basis")
+
+        monkeypatch.setattr(reduction, "_multiples", refuse)
+        res = find_second_longest(toy_ctx, [toy_ctx.one()])
+        assert res.lambda2 == AbsValue.of(1) and res.abs_count == 1
 
     def test_unramified_fails(self, unram_ctx):
         with pytest.raises(ReductionFailed):

@@ -465,8 +465,7 @@ class TestTrapdoorCvp:
         for module in (fields, lattices, schemes):
             monkeypatch.setattr(module, "coordinates_in", refuse)
         monkeypatch.setattr(fields, "_solve_exact", refuse)
-        for name in ("norm_valuation", "norm_exceeds", "abs_value", "abs_less_than",
-                     "resolve_min_valuation"):
+        for name in ("norm_valuation", "norm_exceeds", "abs_value", "abs_less_than"):
             monkeypatch.setattr(NormEngine, name, refuse)
         assert [decrypt(sk, ct) for ct in cts] == plain
         assert [_private_cvp(sk, t).vector.key() for t in targets] == want
