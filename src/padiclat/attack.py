@@ -56,7 +56,7 @@ def uniformizer_shortcut(pk) -> FieldElement:
     n, p = ctx.n, ctx.p
     if gcd(n, p) != 1:
         raise NotCoprime(f"gcd({n}, {p}) != 1")
-    shift = ctx.modulus[n - 1].residue_digit() * pow(n % p, -1, p) % p
+    shift = ctx._modulus_residues(1)[n - 1] * pow(n % p, -1, p) % p
     gamma = ctx.gen() + ctx.element([shift])
     engine = NormEngine(ctx)
     if engine.abs_value(gamma) != AbsValue.of(1, n):
@@ -128,7 +128,7 @@ def forge_signature(pk: PublicKey, message: bytes, *, rng=None, xof=None) -> Sig
     rng = rng or random.SystemRandom()
     broken = BrokenKey.from_public(pk)
     salt = _draw_salt(rng)
-    t = hash_to_target(pk, message, salt, xof=xof, engine=broken.engine)
+    t = hash_to_target(pk, message, salt, xof=xof)
     res = broken.closest(t)
     if not AbsValue.of(0) > res.distance:
         raise ReductionFailed("forged vector is not strictly closer than 1")

@@ -42,10 +42,12 @@ def _ints(text):
 
 
 def _fraction(tok):
+    """A rational as ``Fraction`` reads it (3, -3/4, 0.5, 1e-3), else as a
+    key file reads it, which has no 4300-digit limit."""
     try:
         return Fraction(tok)
-    except ZeroDivisionError as exc:
-        raise ValueError(f"bad rational {tok!r}: {exc}")
+    except (ValueError, ZeroDivisionError):
+        return fileio._parse_fraction(tok, None)
 
 
 def _fractions(text):

@@ -2,12 +2,12 @@
 
 An element is one integer vector over one positive denominator, in
 canonical form (no common factor), and one precision; no other module
-reads that pair.  Sums and scalar multiples are integer work plus one
-content gcd, a product multiplies and reduces by F over Python ints
-(``_int_mul_mod``, the one polynomial multiplier, which ``bench`` shares),
-and a whole combination sum c_k v_k (``_linear_combination``: public
-vectors, CVP outputs, ciphertexts) is one integer dot product per
-coordinate.  A result carries the smallest precision among its operands;
+reads that pair.  An immutable context holds F once, in that format.
+Sums and scalar multiples are integer work plus one content gcd, a
+product multiplies and reduces by F over Python ints (``_int_mul_mod``,
+the one polynomial multiplier, which ``bench`` shares), and a whole
+combination sum c_k v_k (``_linear_combination``: public vectors, CVP
+outputs, ciphertexts) is one integer dot product per coordinate.  A result carries the smallest precision among its operands;
 its Fractions and :class:`PadicScalar` coefficients are built only when
 read.  The extended absolute value |x| = |N(x)|^(1/n) is computed
 from the valuation of the determinant of the multiplication matrix,
@@ -23,13 +23,14 @@ and the determinant's certified unit digits.
 One escalation loop, ``_norm_valuations``, picks M for integer rows over
 one denominator: ``NormEngine.norm_valuation`` runs it for one element
 (absolute values and :func:`field_norm`), the brute-force lattice oracle
-for a whole chunk of digit sums at once.  The one query that needs a single
-digit, "is N(x) a unit?", is answered over GF(p) instead:
+for a whole chunk of digit sums at once; ``NormEngine`` remembers only
+exact valuations.  The one query that needs a single digit, "is N(x) a
+unit?", is answered over GF(p) instead:
 N(x) mod p = +-Res(F mod p, x mod p), so it is a unit exactly when the
 two residue polynomials are coprime (``_gf_coprime``, an O(n^2) Euclid).
-Only threshold tests (``NormEngine.norm_exceeds``) reach that path; an
-exact valuation is always a determinant, so the brute-force oracle keeps
-refereeing the gcd.
+Only threshold tests (``NormEngine.norm_exceeds``) and the hash's unit
+test reach that path; an exact valuation is always a determinant, so the
+brute-force oracle keeps refereeing the gcd.
 
 Coordinates in a basis (CVP in the attack, lattice membership, and the
 key generator's change of generator) come from one exact kernel,
@@ -57,7 +58,7 @@ from .errors import (
     PrecisionExhausted,
     SingularSystem,
 )
-from .scalars import PRECISION_CAP, PadicScalar, int_valuation
+from .scalars import PRECISION_CAP, PadicScalar, _format_fraction, int_valuation
 
 _INT64_SAFE = 2 ** 61
 # up to this many row and column swaps per step, basic indexing (one matrix
@@ -120,26 +121,30 @@ class AbsValue:
 class FieldContext:
     """Immutable description of K = Q_p[x]/(F): p, degree, modulus, precision.
 
-    ``ramification``/``residue_degree`` are caller-declared metadata; the
-    context never computes them.  Instances are safe to share between
-    threads: the only mutation is an append-only residue cache.
+    F's non-leading coefficients are held once, in the element format
+    (``_int_modulus``: one integer vector over one denominator), and every
+    view of F is built from them on demand.  ``ramification`` and
+    ``residue_degree`` are caller-declared metadata; the context never
+    computes them.  Nothing is mutated after construction, so instances
+    are safe to share between threads.
     """
 
-    __slots__ = ("p", "n", "precision", "modulus", "ramification",
-                 "residue_degree", "_res_cache", "_int_modulus")
+    __slots__ = ("p", "n", "precision", "ramification", "residue_degree", "_int_modulus")
 
-    def __init__(self, p, precision, modulus, ramification=None, residue_degree=None):
+    def __init__(self, p, precision, low, ramification=None, residue_degree=None):
+        # ``low``: F's non-leading coefficients (rationals or scalars of the
+        # prime p), constant term first
         self.p = p
         self.precision = precision
-        self.modulus = tuple(modulus)
-        self.n = len(self.modulus) - 1
+        self.n = len(low)
         self.ramification = ramification
         self.residue_degree = residue_degree
-        self._res_cache = {}
-        # the non-leading coefficients as one integer vector over one
-        # denominator, for exact products
-        low = FieldElement(self, [c.to_fraction() for c in self.modulus[:-1]], precision)
-        self._int_modulus = low.identity
+        self._int_modulus = self.element(low).identity
+
+    @property
+    def modulus(self) -> tuple:
+        """F's coefficients as scalars, constant term first, leading 1 last."""
+        return _canonical(self, *self._int_modulus, self.precision).coeffs + (self.scalar(1),)
 
     # -- element constructors ------------------------------------------
 
@@ -189,18 +194,11 @@ class FieldContext:
     # -- plumbing --------------------------------------------------------
 
     def same_structure(self, other: "FieldContext") -> bool:
-        if self is other:
-            return True
-        return (self.p == other.p and self.n == other.n
-                and all(a == b for a, b in zip(self.modulus, other.modulus)))
+        return self is other or (self.p == other.p and self._int_modulus == other._int_modulus)
 
     def _modulus_residues(self, digits: int):
         """Residues mod p^digits of the non-leading modulus coefficients."""
-        got = self._res_cache.get(digits)
-        if got is None:
-            got = [c.residue(digits) for c in self.modulus[:-1]]
-            self._res_cache[digits] = got
-        return got
+        return _element_residues(_canonical(self, *self._int_modulus, self.precision), digits)
 
     def __repr__(self):
         return f"FieldContext(p={self.p}, n={self.n}, N={self.precision})"
@@ -254,19 +252,21 @@ def check_degree(n: int):
 def make_context(p: int, precision: int, coeffs, ramification=None,
                  residue_degree=None) -> FieldContext:
     """Validated context for the monic integral polynomial ``coeffs``
-    (constant term first, leading coefficient last)."""
+    (constant term first, leading coefficient last), given as rationals
+    or as scalars of the prime p."""
     check_parameters(p, precision)
-    sc = [c if isinstance(c, PadicScalar)
-          else PadicScalar.from_fraction(Fraction(c), p=p, precision=precision)
-          for c in coeffs]
-    check_degree(len(sc) - 1)
-    lead = sc[-1]
-    if lead.is_zero or lead.valuation != 0 or lead.unit % lead.p ** lead.precision != 1:
+    coeffs = list(coeffs)
+    check_degree(len(coeffs) - 1)
+    ctx = FieldContext(p, precision, coeffs[:-1], ramification, residue_degree)
+    last = coeffs[-1]
+    lead, _ = ctx._exact(last)
+    # monic to the precision of the leading coefficient itself
+    digits = last.precision if isinstance(last, PadicScalar) else precision
+    if lead != 1 and frac_valuation(lead - 1, p) < digits:
         raise NotMonic("leading coefficient must be 1")
-    for c in sc[:-1]:
-        if not c.is_zero and c.valuation < 0:
-            raise NotIntegral("modulus coefficients must lie in Z_p")
-    return FieldContext(p, precision, sc, ramification, residue_degree)
+    if ctx._int_modulus[1] % p == 0:
+        raise NotIntegral("modulus coefficients must lie in Z_p")
+    return ctx
 
 
 class FieldElement:
@@ -388,7 +388,7 @@ class FieldElement:
         return hash((p, self.ctx.n, tuple(a and int_valuation(a, p) - t for a in self.ints)))
 
     def __repr__(self):
-        parts = [f"{f}*z^{i}" for i, f in enumerate(self.fracs) if f]
+        parts = [f"{_format_fraction(f)}*z^{i}" for i, f in enumerate(self.fracs) if f]
         return "FieldElement(" + (" + ".join(parts) if parts else "0") + ")"
 
 
@@ -686,87 +686,61 @@ def _gf_coprime(a, b, p: int) -> bool:
     return len(a) == 1
 
 
-class _NormState:
-    """What one engine knows of v(N(x)): the exact value once resolved,
-    a lower bound until then, and the scale s making p^s * x integral."""
-
-    __slots__ = ("exact", "lower", "s")
-
-    def __init__(self, s: int, n: int):
-        self.exact = None
-        self.s = s
-        # p^s * x is integral, so v(N(x)) >= -n*s
-        self.lower = -n * s
+def _scaled_norm_is_unit(x: FieldElement) -> bool:
+    """Whether N(p^s x) is a unit, s the scale of x, for nonzero x: as
+    N(p^s x) mod p = +-Res(F mod p, p^s x mod p), exactly when the two
+    residue polynomials are coprime."""
+    ctx = x.ctx
+    return _gf_coprime(_element_residues(x, 1), ctx._modulus_residues(1) + [1], ctx.p)
 
 
 class NormEngine:
     """Memoized absolute-value queries against one context.
 
-    Each distinct element pays only for the digits its answer needs;
-    partial knowledge (valuation lower bounds) is carried across queries
-    so threshold tests and later exact queries share work.  A threshold
-    test that needs a single digit is a GF(p) gcd; ``norm_valuation``
-    never asks for fewer than two digits, so on a fresh engine every
-    exact valuation is a determinant.
+    The engine remembers one fact per distinct element: its exact norm
+    valuation, once some query has resolved it; no lower bound is carried.
+    An exact query escalates from two digits, so on a fresh engine every
+    exact valuation is a determinant.  A threshold test evaluates only the
+    digits its bound needs, one level: a single digit is a GF(p) gcd, and
+    a level that comes back deeper answers the test and is forgotten.
     """
 
     def __init__(self, ctx: FieldContext):
         self.ctx = ctx
-        self._states: dict = {}
-
-    def _state(self, x: FieldElement) -> _NormState:
-        k = x.identity
-        st = self._states.get(k)
-        if st is None:
-            st = _NormState(_element_scale(x), self.ctx.n)
-            self._states[k] = st
-        return st
-
-    def _attempt(self, x: FieldElement, st: _NormState, digits: int) -> bool:
-        """One evaluation of ``digits`` norm digits; True when the
-        valuation resolved, else the lower bound rises to at least
-        ``digits``."""
-        ctx = self.ctx
-        p, shift = ctx.p, ctx.n * st.s
-        total = digits + shift
-        if total == 1:
-            # N(p^s x) mod p = +-Res(F mod p, p^s x mod p): one digit of the
-            # determinant is nonzero exactly when the residues are coprime
-            if _gf_coprime(_element_residues(x, 1), ctx._modulus_residues(1) + [1], p):
-                st.exact = -shift
-                return True
-            st.lower = max(st.lower, 1 - shift)
-            return False
-        rows = _mult_rows_mod(ctx, [_element_residues(x, total)], total)
-        (v,), (deeper,), _ = _det_valuation(rows, p, total)
-        if deeper:
-            st.lower = max(st.lower, v - shift)
-            return False
-        st.exact = v - shift
-        return True
+        self._states: dict = {}  # x.identity -> v(N(x))
 
     def norm_valuation(self, x: FieldElement):
         """Valuation of N(x); None for the zero element."""
         if x.is_zero:
             return None
-        st = self._state(x)
-        if st.exact is None:
-            st.exact = _norm_valuations(self.ctx, np.array([x.ints], dtype=object), x.den,
-                                        max(2, st.lower + 1), PRECISION_CAP)[0]
-        return st.exact
+        v = self._states.get(x.identity)
+        if v is None:
+            v = self._states[x.identity] = _norm_valuations(
+                self.ctx, np.array([x.ints], dtype=object), x.den, 2, PRECISION_CAP)[0]
+        return v
 
     def norm_exceeds(self, x: FieldElement, bound: int) -> bool:
         """Whether v(N(x)) > bound (True for the zero element)."""
         if x.is_zero:
             return True
-        st = self._state(x)
-        if st.exact is not None:
-            return st.exact > bound
-        if st.lower > bound:
+        v = self._states.get(x.identity)
+        if v is not None:
+            return v > bound
+        ctx = self.ctx
+        shift = ctx.n * _element_scale(x)
+        # the determinant of the integral p^s * x has valuation v + n*s >= 0
+        total = bound + 1 + shift
+        if total < 1:
             return True
-        if self._attempt(x, st, bound + 1):
-            return st.exact > bound
-        return True
+        if total == 1:
+            v, deeper = 0, not _scaled_norm_is_unit(x)
+        else:
+            rows = _mult_rows_mod(ctx, [_element_residues(x, total)], total)
+            (v,), (deeper,), _ = _det_valuation(rows, ctx.p, total)
+        if deeper:
+            return True
+        v = self._states[x.identity] = v - shift
+        return v > bound
 
     def abs_value(self, x: FieldElement) -> AbsValue:
         v = self.norm_valuation(x)

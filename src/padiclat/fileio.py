@@ -17,31 +17,8 @@ from fractions import Fraction
 
 from .errors import InconsistentHeader, ParseError
 from .fields import FieldContext, _linear_combination, _powers, make_context
+from .scalars import _format_fraction, _parse_int
 from .schemes import Ciphertext, KeyPair, PublicKey, Signature, keygen
-
-
-# str() and int() stop at 4300 decimal digits by default; longer integers
-# convert through Decimal, which has no such limit
-def _format_int(a: int) -> str:
-    if a.bit_length() <= 13000:  # fewer than 3914 digits
-        return str(a)
-    from decimal import Decimal
-    return str(Decimal(a))
-
-
-def _parse_int(tok: str) -> int:
-    if len(tok) <= 4000:
-        return int(tok)
-    from decimal import Decimal
-    if not (tok.isascii() and tok[1:].isdigit() and tok[0] in "+-0123456789"):
-        raise ValueError(f"not an integer ({len(tok)} characters)")
-    return int(Decimal(tok))
-
-
-def _format_fraction(f: Fraction) -> str:
-    if f.denominator == 1:
-        return _format_int(f.numerator)
-    return f"{_format_int(f.numerator)}/{_format_int(f.denominator)}"
 
 
 def _format_vector(fracs) -> str:

@@ -35,6 +35,30 @@ def int_valuation(n: int, p: int) -> int:
     return v
 
 
+# str() and int() stop at 4300 decimal digits by default; longer integers
+# convert through Decimal, which has no such limit
+def _format_int(a: int) -> str:
+    if a.bit_length() <= 13000:  # fewer than 3914 digits
+        return str(a)
+    from decimal import Decimal
+    return str(Decimal(a))
+
+
+def _parse_int(tok: str) -> int:
+    if len(tok) <= 4000:
+        return int(tok)
+    from decimal import Decimal
+    if not (tok.isascii() and tok[1:].isdigit() and tok[0] in "+-0123456789"):
+        raise ValueError(f"not an integer ({len(tok)} characters)")
+    return int(Decimal(tok))
+
+
+def _format_fraction(f: Fraction) -> str:
+    if f.denominator == 1:
+        return _format_int(f.numerator)
+    return f"{_format_int(f.numerator)}/{_format_int(f.denominator)}"
+
+
 class PadicScalar:
     """An element of Q_p: an exact rational read to N unit digits.
 
@@ -206,7 +230,7 @@ class PadicScalar:
     def __repr__(self):
         if self.is_zero:
             return f"PadicScalar(0, p={self.p})"
-        return f"PadicScalar({self.unit}*{self.p}^{self.valuation}, N={self.precision})"
+        return f"PadicScalar({_format_int(self.unit)}*{self.p}^{self.valuation}, N={self.precision})"
 
 
 def _combine(frac: Fraction, x: PadicScalar, y: PadicScalar) -> PadicScalar:

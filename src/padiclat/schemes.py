@@ -40,6 +40,7 @@ from .fields import (
     _integer_rows,
     _linear_combination,
     _powers,
+    _scaled_norm_is_unit,
     _solve_exact,
     _solve_mod,
     coordinates_in,
@@ -323,19 +324,17 @@ def _outside_mod_p(pk: PublicKey, x: FieldElement) -> bool:
     return any(sum(a * b for a, b in zip(row, xbar)) % p for row in kernel)
 
 
-def hash_to_target(pk: PublicKey, message: bytes, salt: bytes, *, xof=None,
-                   engine: NormEngine | None = None) -> FieldElement:
+def hash_to_target(pk: PublicKey, message: bytes, salt: bytes, *, xof=None) -> FieldElement:
     """Deterministic hash onto unit-norm field elements outside the public
     lattice, by rejection sampling candidate digit vectors from an XOF.
     Almost every candidate is certified outside mod p; only the rest take
     the exact membership solve."""
     if pk.m >= pk.ctx.n:
         raise ValueError("hash target set is empty for full-rank lattices")
-    engine = engine or NormEngine(pk.ctx)
     stream = _DigitStream(_hash_seed(message, salt), pk.ctx.p, xof)
     for _ in range(HASH_CANDIDATE_CAP):
         t = pk.ctx.element(stream.digits(pk.ctx.n))
-        if engine.norm_exceeds(t, 0):  # zero or not a unit: t is integral, one GF(p) gcd
+        if t.is_zero or not _scaled_norm_is_unit(t):  # t is integral: one GF(p) gcd
             continue
         if _outside_mod_p(pk, t) or not in_lattice(pk, t):
             return t
@@ -386,10 +385,8 @@ def verify(pk: PublicKey, message: bytes, sig: Signature, *, xof=None) -> bool:
         vec = pk.ctx.cast(sig.vector)
         if not in_lattice(pk, vec):
             return False
-        engine = NormEngine(pk.ctx)
-        t = hash_to_target(pk, message, sig.salt, xof=xof, engine=engine)
-        diff = t - vec
-        return diff.is_zero or engine.norm_exceeds(diff, 0)
+        diff = hash_to_target(pk, message, sig.salt, xof=xof) - vec
+        return diff.is_zero or NormEngine(pk.ctx).norm_exceeds(diff, 0)
     except (PadicError, ValueError):
         return False
 

@@ -203,3 +203,35 @@ class TestPinnedAttackOutputs:
         sig = forge_signature(kp.public, b"pinned", rng=rng)
         record.append((sig.salt.hex(), sig.vector.key()))
         assert hashlib.sha256(repr(record).encode()).hexdigest() == digest
+
+
+def test_break_determinant_work_is_pinned(monkeypatch):
+    # the determinants (matrices per digit level) and GF(p) gcds the break
+    # of one seeded key runs; a change to the norm engine's memo or
+    # escalation shows here before it shows in wall time
+    from collections import Counter
+
+    from padiclat import fields
+    from padiclat.schemes import random_eisenstein, random_zeta
+
+    levels, gcds = Counter(), []
+    det, coprime = fields._det_valuation, fields._gf_coprime
+
+    def counted_det(stack, p, digits):
+        levels[digits] += len(stack)
+        return det(stack, p, digits)
+
+    def counted_coprime(*args):
+        gcds.append(1)
+        return coprime(*args)
+
+    rng = random.Random(7)
+    p, n, m = 3, 30, 15
+    kp = keygen(p, n, m, range(n), random_eisenstein(rng, p, n), random_zeta(rng, p, n),
+                delta=Fraction(1, 2), rng=rng)
+    monkeypatch.setattr(fields, "_det_valuation", counted_det)
+    monkeypatch.setattr(fields, "_gf_coprime", counted_coprime)
+    BrokenKey.from_public(kp.public)
+    assert dict(levels) == {2: 98, 3: 14, 4: 10, 5: 6, 6: 13, 7: 6, 8: 4, 9: 8, 10: 4,
+                            11: 1, 13: 2}
+    assert len(gcds) == 60

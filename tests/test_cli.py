@@ -189,6 +189,20 @@ class TestExitCodes:
         code, _, err = run(capsys, "attack", "uniformizer", "--pub", str(pub))
         assert code == 2 and "input error" in err
 
+    def test_keygen_reads_integers_past_the_string_limit(self, tmp_path, capsys):
+        # f = z^2 + 3z + 3(10^4999 + 1) is Eisenstein at 3; its 5000-digit
+        # constant term reaches the key file intact
+        from padiclat.fileio import parse_key_file
+
+        big = "3" + "0" * 4998 + "3"
+        pair = tmp_path / "k.pair"
+        code, _, _ = run(capsys, "keygen", "--p", "3", "--n", "2", "--m", "1",
+                         "--f", f"{big} 3 1", "--delta", "0.5", "--seed", "5",
+                         "--out", str(pair))
+        assert code == 0
+        f = [c.to_fraction() for c in parse_key_file(pair.read_text()).private.eisenstein]
+        assert f == [3 * (10 ** 4999 + 1), 3, 1]
+
     def test_negative_delta_in_public_key_is_input_error(self, toy_files, capsys):
         pub, _ = toy_files
         pub.write_text(pub.read_text().replace("delta=1/5", "delta=-3/2"))

@@ -51,6 +51,17 @@ class TestMakeContext:
         with pytest.raises(NotIntegral):
             make_context(2, 128, [Fraction(1, 2), 0, 1])
 
+    def test_modulus_scalars_of_another_prime(self):
+        # residues and products must read one F; z^2 - 3 is Eisenstein at 3
+        def minus_three(p):
+            return PadicScalar.from_fraction(Fraction(-3), p=p, precision=10)
+
+        with pytest.raises(ValueError, match="mixed primes"):
+            make_context(3, 10, [minus_three(5), 0, 1])
+        ctx = make_context(3, 10, [minus_three(3), 0, 1])
+        assert ctx.same_structure(make_context(3, 10, [-3, 0, 1]))
+        assert NormEngine(ctx).norm_valuation(ctx.gen()) == 1
+
 
 class TestElementArithmetic:
     def test_generator_power_reduces(self, sqrt2_ctx):
@@ -296,6 +307,18 @@ class TestOneElementRepresentation:
             assert all(c.p == ctx.p and c.precision == x.precision for c in x.coeffs)
             assert x.is_zero == all(c.is_zero for c in x.coeffs)
 
+    def test_repr_past_the_string_limit(self, sqrt2_ctx):
+        # str() stops at 4300 digits; a unit of 1/3 to 3000 digits at p = 101
+        # has about 6000
+        from padiclat.scalars import _parse_int
+
+        big = sqrt2_ctx.element([10 ** 5000, 1])
+        assert repr(big) == "FieldElement(1" + "0" * 5000 + "*z^0 + 1*z^1)"
+        third = PadicScalar.from_fraction(Fraction(1, 3), p=101, precision=3000)
+        head, _, tail = repr(third).partition("*")
+        assert _parse_int(head.removeprefix("PadicScalar(")) == third.unit
+        assert tail == "101^0, N=3000)"
+
     def test_equality_and_hash_are_coefficientwise(self):
         rng = random.Random(42)
         close = 0
@@ -463,8 +486,10 @@ class TestThresholdQueries:
         assert NormEngine(ctx).abs_less_than(x, bound) == (exact < bound)
 
     def test_one_digit_attempt_matches_determinant(self):
-        # the GF(p) gcd must leave the state a one-digit determinant implies
-        from padiclat.fields import _det_valuation, _element_residues, _mult_rows_mod
+        # the GF(p) gcd must answer and cache what a one-digit determinant
+        # implies
+        from padiclat.fields import (_det_valuation, _element_residues, _element_scale,
+                                     _mult_rows_mod)
 
         rng = random.Random(17)
         outcomes = set()
@@ -477,19 +502,48 @@ class TestThresholdQueries:
                 if x.is_zero:
                     continue
                 eng = NormEngine(ctx)
-                st = eng._state(x)
-                resolved = eng._attempt(x, st, 1 - n * st.s)
-                want_exact, want_lower = None, -n * st.s
+                shift = n * _element_scale(x)
+                exceeds = eng.norm_exceeds(x, -shift)
                 rows = _mult_rows_mod(ctx, [_element_residues(x, 1)], 1)
                 (v,), (deeper,), _ = _det_valuation(rows, p, 1)
-                if deeper:
-                    want_lower = v - n * st.s
-                else:
-                    want_exact = v - n * st.s
-                assert (st.exact, st.lower) == (want_exact, want_lower)
-                assert resolved == (want_exact is not None)
-                outcomes.add((resolved, st.s > 0))
+                want_exact = None if deeper else v - shift
+                assert eng._states.get(x.identity) == want_exact
+                assert exceeds == deeper
+                outcomes.add((not deeper, shift > 0))
         assert len(outcomes) == 4  # units and non-units, both kinds of x
+
+    def test_shared_engine_agrees_with_fresh_engines(self):
+        # a threshold test then the exact size on one engine (and the
+        # reverse order) must give what fresh engines give; bounds above
+        # |x| send the one-level determinant deeper, which caches nothing
+        from padiclat.fields import _element_scale
+
+        rng = random.Random(29)
+        deeper = 0
+        for ctx in THRESHOLD_CTXS:
+            p, n = ctx.p, ctx.n
+            for _ in range(25):
+                k = rng.choice([0, 0, 1])  # k > 0: non-integral element
+                x = ctx.element([Fraction(rng.randrange(-2 * p, 2 * p), p ** k)
+                                 for _ in range(n)])
+                if x.is_zero:
+                    continue
+                exact = NormEngine(ctx).abs_value(x)
+                for offset in range(-3, 4):
+                    bound = AbsValue(exact.exponent + Fraction(offset, 2 * n))
+                    less = NormEngine(ctx).abs_less_than(x, bound)
+                    assert less == (exact < bound)
+                    eng = NormEngine(ctx)
+                    assert eng.abs_less_than(x, bound) == less
+                    t = bound.exponent * n
+                    levels = t.numerator // t.denominator + 1 + n * _element_scale(x)
+                    deeper += levels > 1 and x.identity not in eng._states
+                    assert eng.abs_value(x) == exact
+                    assert eng.abs_less_than(x, bound) == less
+                    eng = NormEngine(ctx)
+                    assert eng.abs_value(x) == exact
+                    assert eng.abs_less_than(x, bound) == less
+        assert deeper
 
     def test_exact_queries_never_use_the_gcd(self, monkeypatch):
         # the determinant referees the gcd, so no exact valuation (and no
