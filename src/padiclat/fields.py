@@ -21,10 +21,12 @@ over int64 residues while p^(2M) * n < 2^61 and over Python ints beyond.
 Per matrix it returns the valuation (a lower bound where flagged deeper)
 and the determinant's certified unit digits.
 One escalation loop, ``_norm_valuations``, picks M for integer rows over
-one denominator: ``NormEngine.norm_valuation`` runs it for one element
-(absolute values and :func:`field_norm`), the brute-force lattice oracle
-for a whole chunk of digit sums at once; ``NormEngine`` remembers only
-exact valuations.  The one query that needs a single digit, "is N(x) a
+one denominator and eliminates them in stacks of at most _STACK_ENTRIES
+matrix entries: ``NormEngine.norm_valuations`` runs it once per
+denominator scale for a batch of elements (a basis's absolute values; a
+single query is a batch of one), the brute-force lattice oracle for a
+whole chunk of digit sums at once; ``NormEngine`` remembers only exact
+valuations.  The one query that needs a single digit, "is N(x) a
 unit?", is answered over GF(p) instead:
 N(x) mod p = +-Res(F mod p, x mod p), so it is a unit exactly when the
 two residue polynomials are coprime (``_gf_coprime``, an O(n^2) Euclid).
@@ -64,6 +66,9 @@ _INT64_SAFE = 2 ** 61
 # up to this many row and column swaps per step, basic indexing (one matrix
 # at a time) beats a fancy-indexed gather and scatter
 _FEW_SWAPS = 4
+# matrix entries per elimination stack: bounds a batch's memory (8 matrices
+# at n = 64, 167 at n = 14, a whole oracle chunk at n <= 6)
+_STACK_ENTRIES = 2 ** 15
 
 
 def frac_valuation(f: Fraction, p: int):
@@ -636,25 +641,34 @@ def _norm_valuations(ctx: FieldContext, rows, den: int, digits: int, cap: int):
     """Exact v(N(row / den)) for each nonzero row of an integer array
     (int64 or object), as a list: the one escalation loop.  With
     den = p^t * u, u a unit, row / u is integral, its norm valuation n*t
-    more.  Every open row is eliminated at ``digits`` norm digits in one
-    stack; the matrices that come back deeper go on at twice the digits,
-    up to ``cap``, past which PrecisionExhausted."""
+    more.  The open rows are eliminated at ``digits`` norm digits in
+    stacks of at most _STACK_ENTRIES entries; the matrices that come back
+    deeper go on at twice the digits, up to ``cap``, past which
+    PrecisionExhausted."""
     p, n = ctx.p, ctx.n
     t = int_valuation(den, p)
     unit, shift = den // p ** t, n * t
+    size = max(1, _STACK_ENTRIES // (n * n))
     out = [0] * len(rows)
     todo = list(range(len(rows)))
     while todo:
         total = digits + shift
         mod = p ** total
-        open_rows = rows[todo]
-        if _kernel_dtype(p, n, total) is object:
-            open_rows = open_rows.astype(object)  # mod may pass int64
-        residues = open_rows % mod * pow(unit, -1, mod) % mod
-        v, deeper, _ = _det_valuation(_mult_rows_mod(ctx, residues, total), p, total)
-        for i, vi in zip(todo, v):
-            out[i] = vi - shift  # a deeper bound is overwritten once resolved
-        todo = [i for i, d in zip(todo, deeper) if d]
+        inv = pow(unit, -1, mod)
+        wide = _kernel_dtype(p, n, total) is object
+        deeper = []
+        for start in range(0, len(todo), size):
+            part = todo[start:start + size]
+            open_rows = rows[part]
+            if wide:
+                open_rows = open_rows.astype(object)  # mod may pass int64
+            v, d, _ = _det_valuation(_mult_rows_mod(ctx, open_rows % mod * inv % mod, total),
+                                     p, total)
+            for i, vi, di in zip(part, v, d):
+                out[i] = vi - shift  # a deeper bound is overwritten once resolved
+                if di:
+                    deeper.append(i)
+        todo = deeper
         if todo and digits >= cap:
             raise PrecisionExhausted(
                 f"norm valuation not certified within {cap} digits "
@@ -699,25 +713,38 @@ class NormEngine:
 
     The engine remembers one fact per distinct element: its exact norm
     valuation, once some query has resolved it; no lower bound is carried.
-    An exact query escalates from two digits, so on a fresh engine every
-    exact valuation is a determinant.  A threshold test evaluates only the
-    digits its bound needs, one level: a single digit is a GF(p) gcd, and
-    a level that comes back deeper answers the test and is forgotten.
+    Exact queries come in batches (``norm_valuations``, ``abs_values``; a
+    single query is a batch of one) whose uncached elements escalate
+    together from two digits, so on a fresh engine every exact valuation
+    is a determinant, at the digit levels it would take alone.  A
+    threshold test evaluates only the digits its bound needs, one level: a
+    single digit is a GF(p) gcd, and a level that comes back deeper
+    answers the test and is forgotten.
     """
 
     def __init__(self, ctx: FieldContext):
         self.ctx = ctx
         self._states: dict = {}  # x.identity -> v(N(x))
 
+    def norm_valuations(self, xs) -> list:
+        """Valuations of N(x) for each element (None for zero), as a list.
+        The distinct uncached elements are grouped by scale, and each group
+        is one escalation: every matrix runs at the digit levels it would
+        run at alone."""
+        xs = list(xs)
+        groups: dict = {}  # scale -> {identity: element}
+        for x in xs:
+            if not x.is_zero and x.identity not in self._states:
+                groups.setdefault(_element_scale(x), {})[x.identity] = x
+        for group in groups.values():
+            rows, den = _integer_rows(list(group.values()))
+            self._states.update(zip(group, _norm_valuations(
+                self.ctx, np.array(rows, dtype=object), den, 2, PRECISION_CAP)))
+        return [None if x.is_zero else self._states[x.identity] for x in xs]
+
     def norm_valuation(self, x: FieldElement):
         """Valuation of N(x); None for the zero element."""
-        if x.is_zero:
-            return None
-        v = self._states.get(x.identity)
-        if v is None:
-            v = self._states[x.identity] = _norm_valuations(
-                self.ctx, np.array([x.ints], dtype=object), x.den, 2, PRECISION_CAP)[0]
-        return v
+        return self.norm_valuations([x])[0]
 
     def norm_exceeds(self, x: FieldElement, bound: int) -> bool:
         """Whether v(N(x)) > bound (True for the zero element)."""
@@ -742,11 +769,13 @@ class NormEngine:
         v = self._states[x.identity] = v - shift
         return v > bound
 
+    def abs_values(self, xs) -> list:
+        """|x| for each element, from one ``norm_valuations`` batch."""
+        return [AbsValue.zero() if v is None else AbsValue(Fraction(v, self.ctx.n))
+                for v in self.norm_valuations(xs)]
+
     def abs_value(self, x: FieldElement) -> AbsValue:
-        v = self.norm_valuation(x)
-        if v is None:
-            return AbsValue.zero()
-        return AbsValue(Fraction(v, self.ctx.n))
+        return self.abs_values([x])[0]
 
     def abs_less_than(self, x: FieldElement, bound: AbsValue) -> bool:
         """|x| < bound, decided with as few digits as possible."""

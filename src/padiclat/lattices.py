@@ -75,7 +75,7 @@ def is_orthogonal(ctx: FieldContext, vectors, *, budget: int = DEFAULT_BUDGET,
     vectors = list(vectors)
     m = len(vectors)
     engine = engine or NormEngine(ctx)
-    exps = [engine.abs_value(v) for v in vectors]
+    exps = engine.abs_values(vectors)
     if any(e.is_zero for e in exps):
         raise ValueError("zero vector")
     if m == 1:
@@ -199,17 +199,20 @@ def complete_orthogonal(ctx: FieldContext, partial, gamma: FieldElement, *,
     """Extend an orthogonal family to an orthogonal basis of the field by
     appending powers of the uniformizer ``gamma`` for every norm-exponent
     class mod 1 not already present."""
-    engine = engine or NormEngine(ctx)
-    if engine.abs_value(gamma) != AbsValue.of(1, ctx.n):
+    partial = list(partial)
+    exps = (engine or NormEngine(ctx)).abs_values([gamma] + partial)
+    if exps[0] != AbsValue.of(1, ctx.n):
         raise ValueError("gamma is not a uniformizer (exponent 1/n)")
+    if any(e.is_zero for e in exps[1:]):
+        raise ValueError("zero vector")
     present = set()
-    for v in partial:
-        cls = engine.abs_value(v).exponent % 1
+    for e in exps[1:]:
+        cls = e.exponent % 1
         if cls in present:
             raise ClassCollision(f"two vectors share the exponent class {cls}")
         present.add(cls)
-    return list(partial) + [g for j, g in enumerate(_powers(gamma, ctx.n))
-                            if Fraction(j, ctx.n) not in present]
+    return partial + [g for j, g in enumerate(_powers(gamma, ctx.n))
+                      if Fraction(j, ctx.n) not in present]
 
 
 @dataclass(frozen=True)
@@ -248,10 +251,12 @@ def cvp_orthogonal(ctx: FieldContext, lattice_basis, completion, target: FieldEl
     engine = engine or NormEngine(ctx)
     basis = list(lattice_basis)
     completion = list(completion)
+    m = len(basis)
     coords = coordinates_in(ctx, target, basis + completion, as_fractions=True)
-    exponents = [engine.abs_value(g).exponent for g in basis]
-    exponents += [engine.abs_value(h).exponent if b else None
-                  for b, h in zip(coords[len(basis):], completion)]
+    # one batch: the basis, then the completion vectors with a component
+    values = iter(engine.abs_values(basis + [h for b, h in zip(coords[m:], completion) if b]))
+    exponents = [next(values).exponent if k < m or coords[k] else None
+                 for k in range(len(coords))]
     return _cvp_from_coordinates(ctx, basis, coords, exponents)
 
 

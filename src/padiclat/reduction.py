@@ -73,9 +73,15 @@ class AbsCounter:
             self._seen.add(k)
             self.count += 1
 
+    def abs_values(self, xs) -> list:
+        """|x| for each element, as one engine batch."""
+        xs = list(xs)
+        for x in xs:
+            self._touch(x)
+        return self.engine.abs_values(xs)
+
     def abs_value(self, x: FieldElement) -> AbsValue:
-        self._touch(x)
-        return self.engine.abs_value(x)
+        return self.abs_values([x])[0]
 
     def less_than(self, x: FieldElement, bound: AbsValue) -> bool:
         self._touch(x)
@@ -180,11 +186,11 @@ def orthogonalize(ctx: FieldContext, basis, *, engine: NormEngine | None = None)
     B = basis[:]
     for i in range(m - 1):
         seg = B[i:]
-        exps = [counter.abs_value(b) for b in seg]
+        exps = counter.abs_values(seg)
         if any(e.is_zero for e in exps):
             raise SingularSystem("zero vector in basis")
         B[i:] = _reduce_pass(ctx, seg, exps, counter)[0]
-    final = tuple(counter.abs_value(b) for b in B)
+    final = tuple(counter.abs_values(B))
     for a, b in zip(final, final[1:]):
         if not b < a:
             raise ReductionFailed("output norms are not strictly decreasing")
@@ -212,14 +218,14 @@ def find_second_longest_general(ctx: FieldContext, basis, residue_degree: int, *
     if budget is not None and budget < 0:
         raise ValueError(f"budget must be nonnegative, got {budget}")
     counter = AbsCounter(engine or NormEngine(ctx))
-    exps = [counter.abs_value(b) for b in basis]
+    exps = counter.abs_values(basis)
     if any(e.is_zero for e in exps):
         raise SingularSystem("zero vector in basis")
     out, lam1, reduced = _reduce_pass(ctx, basis, exps, counter, residue_degree, budget)
     if not reduced:
         return ReductionResult(lam1.scaled(1), out[0] * ctx.p, tuple(out), counter.count)
     # every reduced vector was counted by its threshold test
-    final = [counter.abs_value(v) for v in reduced]
+    final = counter.abs_values(reduced)
     idx = _argmax_abs(final)
     if final[idx] < lam1.scaled(1):
         raise ReductionFailed("second maximum fell below |p*longest|")

@@ -214,10 +214,8 @@ def keygen(p: int, n: int, m: int, exponents, eisenstein_coeffs, zeta_over_theta
 
     A = _make_matrix(p, m, matrix, rng, precision)
     beta = [_linear_combination(ctx, row, alpha) for row in A]
-    engine = NormEngine(ctx)
-    for b in beta:
-        if engine.norm_valuation(b) != 0:
-            raise BadMatrix("public basis vector is not unit-norm")
+    if any(v != 0 for v in NormEngine(ctx).norm_valuations(beta)):
+        raise BadMatrix("public basis vector is not unit-norm")
 
     public = PublicKey(ctx, tuple(beta), delta)
     private = PrivateKey(

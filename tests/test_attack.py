@@ -235,3 +235,33 @@ def test_break_determinant_work_is_pinned(monkeypatch):
     assert dict(levels) == {2: 98, 3: 14, 4: 10, 5: 6, 6: 13, 7: 6, 8: 4, 9: 8, 10: 4,
                             11: 1, 13: 2}
     assert len(gcds) == 60
+
+
+def test_recover_stacks_its_exact_queries(monkeypatch):
+    # the reduction's exact norms (the first exponents and the final pick)
+    # go to the kernel in bounded stacks, 8 matrices at n = 64, while each
+    # matrix keeps the digit level it has alone
+    from collections import Counter
+
+    from padiclat import fields
+
+    ctx = bench.make_instance(64, 5, random.Random("0:recover:0"))
+    levels, stacks, gcds = Counter(), [], []
+    det, coprime = fields._det_valuation, fields._gf_coprime
+
+    def counted_det(stack, p, digits):
+        levels[digits] += len(stack)
+        stacks.append(len(stack))
+        return det(stack, p, digits)
+
+    def counted_coprime(*args):
+        gcds.append(1)
+        return coprime(*args)
+
+    monkeypatch.setattr(fields, "_det_valuation", counted_det)
+    monkeypatch.setattr(fields, "_gf_coprime", counted_coprime)
+    res = recover_uniformizer(ctx)
+    assert res.abs_count == 223
+    assert dict(levels) == {2: 127}
+    assert len(gcds) == 159
+    assert len(stacks) == 16

@@ -1,5 +1,6 @@
 import itertools
 import random
+from collections import Counter
 from fractions import Fraction
 from math import gcd
 
@@ -21,6 +22,7 @@ from padiclat.fields import (
     AbsValue,
     FieldElement,
     NormEngine,
+    _element_scale,
     _linear_combination,
     _solve_exact,
     _solve_mod,
@@ -567,6 +569,75 @@ class TestThresholdQueries:
         with pytest.raises(AssertionError):
             NormEngine(ctx).norm_exceeds(ctx.one(), 0)  # the patch is live
         assert answers() == want
+
+
+class TestBatchedNormQueries:
+    """One ``norm_valuations`` batch must give what single queries on a
+    fresh engine give: the same valuations, the same cache afterwards, and
+    the same determinant matrices at the same digit levels."""
+
+    @staticmethod
+    def _batch(ctx, rng, count, kinds):
+        # integral, deep (p^2 times integral: past two digits) and scale 1
+        # or 2 elements, over denominators with a unit part, plus zeros and
+        # repeats (the same object and an equal one built anew)
+        p, n = ctx.p, ctx.n
+        xs = []
+        for i in range(count):
+            kind = kinds[i % len(kinds)]
+            x = ctx.element([rng.randrange(-2 * p, 2 * p) for _ in range(n)])
+            if kind == "deep":
+                x = x * p ** 2
+            elif kind:
+                x = x * Fraction(1, p ** kind * rng.choice([1, p + 1]))
+            xs.append(x)
+        xs += [ctx.zero(), xs[0] - xs[0], xs[1], ctx.element(xs[2].fracs), xs[0]]
+        rng.shuffle(xs)
+        return xs
+
+    def _compare(self, ctx, xs, monkeypatch):
+        log, stacks, escalated = [], [], []
+        det = fields._det_valuation
+
+        def recorded(stack, p, digits):
+            stacks.append(len(stack))
+            log.extend((digits, tuple(int(a) for a in np.ravel(m))) for m in stack)
+            out = det(stack, p, digits)
+            escalated.append(any(out[1]))
+            return out
+
+        monkeypatch.setattr(fields, "_det_valuation", recorded)
+        batch = NormEngine(ctx)
+        got = batch.norm_valuations(xs)
+        batch_log, batch_stacks, batch_escalated = Counter(log), stacks[:], any(escalated)
+        log.clear()
+        single = NormEngine(ctx)
+        want = [single.norm_valuation(x) for x in xs]
+        assert got == want
+        assert batch._states == single._states
+        assert batch_log == Counter(log)
+        return batch_stacks, batch_escalated
+
+    def test_batch_matches_single_queries(self, monkeypatch):
+        rng = random.Random(41)
+        for ctx in THRESHOLD_CTXS:
+            xs = self._batch(ctx, rng, 15, [0, "deep", 1, 2, 1])
+            assert {_element_scale(x) for x in xs if not x.is_zero} == {0, 1, 2}
+            _, escalated = self._compare(ctx, xs, monkeypatch)
+            assert escalated  # a deep element's matrix vanishes at two digits
+
+    def test_batch_past_one_stack(self, monkeypatch):
+        # at n = 64 a stack holds 8 matrices
+        ctx = make_context(5, 64, [5] + [0] * 63 + [1])
+        xs = self._batch(ctx, random.Random(43), 12, [0])
+        stacks, _ = self._compare(ctx, xs, monkeypatch)
+        assert len(stacks) > 1
+        assert max(stacks) == fields._STACK_ENTRIES // ctx.n ** 2
+
+    def test_abs_values_match_abs_value(self):
+        ctx = THRESHOLD_CTXS[2]
+        xs = self._batch(ctx, random.Random(47), 8, [0, 1])
+        assert NormEngine(ctx).abs_values(xs) == [NormEngine(ctx).abs_value(x) for x in xs]
 
 
 class TestAbsValueOrdering:

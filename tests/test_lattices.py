@@ -12,7 +12,7 @@ from padiclat.errors import (
     ClassCollision,
     OracleInconclusive,
 )
-from padiclat.fields import AbsValue, FieldElement, NormEngine
+from padiclat.fields import AbsValue, FieldElement, NormEngine, make_context
 from padiclat.lattices import (
     Lattice,
     complete_orthogonal,
@@ -243,6 +243,11 @@ class TestCompleteOrthogonal:
     def test_not_uniformizer(self, toy_ctx):
         with pytest.raises(ValueError):
             complete_orthogonal(toy_ctx, [], toy_ctx.one())
+
+    def test_zero_vector(self):
+        ctx = make_context(3, 20, [3, 0, 0, 1])
+        with pytest.raises(ValueError, match="zero vector"):
+            complete_orthogonal(ctx, [ctx.zero()], ctx.gen())
 
     def test_output_is_orthogonal_basis(self, toy_ctx):
         gamma = toy_ctx.gen() - toy_ctx.one()

@@ -465,7 +465,8 @@ class TestTrapdoorCvp:
         for module in (fields, lattices, schemes):
             monkeypatch.setattr(module, "coordinates_in", refuse)
         monkeypatch.setattr(fields, "_solve_exact", refuse)
-        for name in ("norm_valuation", "norm_exceeds", "abs_value", "abs_less_than"):
+        for name in ("norm_valuation", "norm_valuations", "norm_exceeds", "abs_value",
+                     "abs_values", "abs_less_than"):
             monkeypatch.setattr(NormEngine, name, refuse)
         assert [decrypt(sk, ct) for ct in cts] == plain
         assert [_private_cvp(sk, t).vector.key() for t in targets] == want
