@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from math import gcd
 
 from .errors import NotCoprime, ReductionFailed
-from .fields import AbsValue, FieldContext, FieldElement, NormEngine, coordinates_in
+from .fields import AbsValue, FieldContext, FieldElement, NormEngine
 from .lattices import complete_orthogonal, cvp_orthogonal
 from .reduction import find_second_longest, orthogonalize
 from .schemes import PublicKey, Signature, _draw_salt, hash_to_target
@@ -77,12 +77,14 @@ def find_uniformizer(pk, *, engine: NormEngine | None = None) -> FieldElement:
 
 @dataclass(frozen=True)
 class BrokenKey:
-    """Orthogonal basis of the public lattice plus its completion, all
-    derived from the public key alone."""
+    """Orthogonal basis of the public lattice, the integer matrix that
+    takes the public basis to it (ortho[k] = sum_j transform[k][j] *
+    basis[j]), and its completion, all derived from the public key alone."""
 
     pk: PublicKey
     gamma: FieldElement
     ortho: tuple
+    transform: tuple
     completion: tuple
     engine: NormEngine
 
@@ -90,13 +92,22 @@ class BrokenKey:
     def from_public(cls, pk: PublicKey) -> "BrokenKey":
         engine = NormEngine(pk.ctx)
         gamma = find_uniformizer(pk, engine=engine)
-        ortho = orthogonalize(pk.ctx, pk.basis, engine=engine).basis
-        full = complete_orthogonal(pk.ctx, ortho, gamma, engine=engine)
-        return cls(pk, gamma, ortho, tuple(full[len(ortho):]), engine)
+        res = orthogonalize(pk.ctx, pk.basis, engine=engine)
+        full = complete_orthogonal(pk.ctx, res.basis, gamma, engine=engine)
+        return cls(pk, gamma, res.basis, res.transform, tuple(full[len(res.basis):]), engine)
 
     def closest(self, target: FieldElement):
         return cvp_orthogonal(self.pk.ctx, self.ortho, self.completion, target,
                               engine=self.engine)
+
+
+def _broken_key(pk: PublicKey, broken: BrokenKey | None) -> BrokenKey:
+    """``broken``, checked to be a break of ``pk``, or a fresh break."""
+    if broken is None:
+        return BrokenKey.from_public(pk)
+    if broken.pk != pk:
+        raise ValueError("the broken key belongs to another public key")
+    return broken
 
 
 @dataclass(frozen=True)
@@ -109,12 +120,15 @@ class AttackDecryption:
 def attack_decrypt_detailed(pk: PublicKey, ciphertext,
                             broken: BrokenKey | None = None) -> AttackDecryption:
     """Decrypt from the public key alone; also reports the CVP witness and
-    its coordinates in the public basis.  Pass a precomputed ``broken`` key
-    when decrypting many ciphertexts under one public key."""
-    broken = broken or BrokenKey.from_public(pk)
+    its coordinates in the public basis (the kept CVP coordinates times the
+    break's transform, with no solve).  Pass a precomputed ``broken`` key
+    of ``pk`` when decrypting many ciphertexts under one public key."""
+    broken = _broken_key(pk, broken)
     target = ciphertext.vector if hasattr(ciphertext, "vector") else ciphertext
     res = broken.closest(target)
-    coords = coordinates_in(pk.ctx, res.vector, pk.basis)
+    kept = [c.to_fraction() for c in res.lattice_coords]
+    coords = [pk.ctx.scalar(sum(c * u for c, u in zip(kept, column)))
+              for column in zip(*broken.transform)]
     plain = tuple(c.residue_digit() for c in coords)
     return AttackDecryption(plain, res.vector, tuple(coords))
 
@@ -123,10 +137,12 @@ def attack_decrypt(pk: PublicKey, ciphertext):
     return attack_decrypt_detailed(pk, ciphertext).plaintext
 
 
-def forge_signature(pk: PublicKey, message: bytes, *, rng=None, xof=None) -> Signature:
-    """Produce a verifying signature without the private key."""
+def forge_signature(pk: PublicKey, message: bytes, *, rng=None, xof=None,
+                    broken: BrokenKey | None = None) -> Signature:
+    """Produce a verifying signature without the private key.  Pass a
+    precomputed ``broken`` key of ``pk`` when forging several messages."""
     rng = rng or random.SystemRandom()
-    broken = BrokenKey.from_public(pk)
+    broken = _broken_key(pk, broken)
     salt = _draw_salt(rng)
     t = hash_to_target(pk, message, salt, xof=xof)
     res = broken.closest(t)

@@ -34,14 +34,16 @@ Only threshold tests (``NormEngine.norm_exceeds``) and the hash's unit
 test reach that path; an exact valuation is always a determinant, so the
 brute-force oracle keeps refereeing the gcd.
 
-Coordinates in a basis (CVP in the attack, lattice membership, and the
-key generator's change of generator) come from one exact kernel,
+Coordinates in a basis (lattice membership, the key generator's change
+of generator, and the attack's CVP where no modular level certifies it)
+come from one exact kernel,
 ``_solve_exact``, Gauss-Jordan on the elements' primitive integer rows; a
 block of right-hand sides shares one pass.  The system has a unique
 exact solution, so the pivot rule only affects speed, never an output.
 Its modular twin ``_solve_mod`` (Gauss-Jordan over Z/p^digits on unit
-pivots, GF(p) at one digit) serves ``bench``, the mixing matrix and the
-left kernel of a public basis mod p.
+pivots, GF(p) at one digit) serves ``bench``, the mixing matrix, the
+left kernel of a public basis mod p and, through ``_coordinates_mod``
+(the basis made primitive over Z_p), the attack's CVP coordinates.
 """
 
 from __future__ import annotations
@@ -120,7 +122,7 @@ class AbsValue:
         return AbsValue(self.exponent + k)
 
     def __repr__(self):
-        return "AbsValue(0)" if self.is_zero else f"AbsValue(p^-{self.exponent})"
+        return "AbsValue(0)" if self.is_zero else f"AbsValue(p^{-self.exponent})"
 
 
 class FieldContext:
@@ -891,6 +893,30 @@ def _solve_mod(rows, p: int, digits: int, width: int | None = None):
             if r != col and f:
                 rows[r] = [(x - f * y) % mod for x, y in zip(rows[r], prow)]
     return [row[width:] for row in rows]
+
+
+def _coordinates_mod(columns, target: FieldElement, digits: int):
+    """The target's coordinates in the basis ``columns`` of K modulo a
+    power of p, by one ``_solve_mod``: (scales, xs), or None when the
+    columns made primitive are singular mod p (or one is zero).
+
+    p^scales[k] * columns[k] is primitive over Z_p (integral, with a unit
+    coefficient).  With s the target's scale, coordinate k is
+    xs[k] * p^(scales[k] - s) modulo p^(digits + scales[k] - s), and
+    xs[k] lies in [0, p^digits)."""
+    p = target.ctx.p
+    if any(v.is_zero for v in columns):
+        return None
+    mod = p ** digits
+    scales, cols = [], []
+    for v in columns:
+        s, c = int_valuation(v.den, p), int_valuation(gcd(*v.ints), p)
+        q, inv = p ** c, pow(v.den // p ** s, -1, mod)
+        scales.append(s - c)
+        cols.append([a // q % mod * inv % mod for a in v.ints])
+    rows = [[*r, t] for r, t in zip(zip(*cols), _element_residues(target, digits))]
+    solved = _solve_mod(rows, p, digits)
+    return None if solved is None else (scales, [x for x, in solved])
 
 
 def coordinates_in(ctx: FieldContext, target: FieldElement, vectors,

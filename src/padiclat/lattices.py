@@ -16,6 +16,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from math import ceil
 
 import numpy as np
 
@@ -27,6 +28,8 @@ from .fields import (
     FieldElement,
     NormEngine,
     _canonical,
+    _coordinates_mod,
+    _element_scale,
     _integer_rows,
     _linear_combination,
     _norm_valuations,
@@ -37,6 +40,11 @@ from .fields import (
 from .scalars import PRECISION_CAP, PadicScalar, int_valuation
 
 DEFAULT_BUDGET = 10 ** 7
+
+# digits of the first modular coordinate solve in cvp_orthogonal, and of
+# the last one before the exact solve
+_CVP_DIGITS = 8
+_CVP_DIGITS_CAP = 64
 
 # digit tuples per batch: bounds the enumeration's memory (its stacks take
 # about 1.3 KB per tuple at n = 6)
@@ -243,21 +251,67 @@ def cvp_orthogonal(ctx: FieldContext, lattice_basis, completion, target: FieldEl
     """Closest vector of L(lattice_basis) to ``target``.
 
     (lattice_basis, completion) must together be an orthogonal basis of the
-    field.  The target's coordinates in it come from one exact solve and
-    the basis norms from ``engine`` (a completion vector's only where the
-    target has a component along it); :func:`_cvp_from_coordinates` does
-    the rest.
+    field.  The target's coordinates in it are solved modulo p^N, N
+    doubling from _CVP_DIGITS to _CVP_DIGITS_CAP, until they certify the
+    result (:func:`_certified`); a target no level certifies (a member of
+    L, the zero target, or a basis singular mod p once made primitive)
+    takes one exact solve.  The basis norms come from ``engine`` (a
+    completion vector's only where the target has a component along it);
+    :func:`_cvp_from_coordinates` does the rest, so both paths give the
+    same result.
     """
     engine = engine or NormEngine(ctx)
     basis = list(lattice_basis)
     completion = list(completion)
     m = len(basis)
+    s = _element_scale(target)
+    digits = _CVP_DIGITS
+    while not target.is_zero and digits <= _CVP_DIGITS_CAP:
+        solved = _coordinates_mod(basis + completion, target, digits)
+        if solved is None:
+            break
+        scales, xs = solved
+        coords = [Fraction(x) * Fraction(ctx.p) ** (a - s) for a, x in zip(scales, xs)]
+        exponents = _exponents(engine, basis, completion, xs)
+        res = _cvp_from_coordinates(ctx, basis, coords, exponents)
+        if _certified(res, exponents[:m], [digits + a - s for a in scales[:m]], xs[m:],
+                      digits - s):
+            return res
+        digits *= 2
     coords = coordinates_in(ctx, target, basis + completion, as_fractions=True)
-    # one batch: the basis, then the completion vectors with a component
+    return _cvp_from_coordinates(ctx, basis, coords, _exponents(engine, basis, completion, coords))
+
+
+def _exponents(engine: NormEngine, basis, completion, coords):
+    """Norm exponents of the basis, then of each completion vector whose
+    coordinate is nonzero (None for the others), as one engine batch."""
+    m = len(basis)
     values = iter(engine.abs_values(basis + [h for b, h in zip(coords[m:], completion) if b]))
-    exponents = [next(values).exponent if k < m or coords[k] else None
-                 for k in range(len(coords))]
-    return _cvp_from_coordinates(ctx, basis, coords, exponents)
+    return [next(values).exponent if k < m or coords[k] else None
+            for k in range(len(coords))]
+
+
+def _certified(res: CvpResult, lattice_exponents, known, completion_residues,
+               bound: int) -> bool:
+    """Whether coordinates known only modulo a power of p gave the exact
+    result: lattice coordinate k is known mod p^known[k], and the
+    completion coordinates' residues mod p^N (in the primitive basis) are
+    ``completion_residues``.
+
+    Every lattice tail must be known (known[k] >= 0).  The distance is
+    then exact up to the completion coordinates that vanish mod p^N, and
+    each of those contributes at most p^-bound (bound = N - s): p^a_k C_k
+    is integral over the integral generator (F is integral, as
+    make_context checks), so its size is at most 1.  A nonzero distance
+    above that bound is exact, and a kept digit of lattice coordinate k is
+    known when known[k] >= ceil(dist - e_k).
+    """
+    dist = res.distance.exponent
+    if dist is None or min(known) < 0:
+        return False
+    if not all(completion_residues) and not dist < bound:
+        return False
+    return all(k >= ceil(dist - e) for k, e in zip(known, lattice_exponents))
 
 
 def _cvp_from_coordinates(ctx: FieldContext, lattice_basis, coords, exponents) -> CvpResult:

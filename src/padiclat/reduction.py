@@ -45,12 +45,14 @@ class ReductionResult:
 
 @dataclass(frozen=True)
 class OrthoResult:
-    """Orthogonal basis (norms strictly decreasing), its exponents, and
-    the number of absolute-value computations spent."""
+    """Orthogonal basis (norms strictly decreasing), its exponents, the
+    number of absolute-value computations spent, and the integer matrix U
+    (rows of ints) with basis[k] = sum_j U[k][j] * input[j]."""
 
     basis: tuple
     exponents: tuple
     abs_count: int
+    transform: tuple
 
 
 class AbsCounter:
@@ -111,21 +113,26 @@ def _reduce_pass(ctx: FieldContext, vectors, exps, counter: AbsCounter,
     ``itertools.product`` order.  A vector no combination reduces joins
     the maximal list; more than ``residue_degree`` of them is a failure.
 
-    Returns (new vectors, lambda1, the reduced vectors in order).
+    Returns (new vectors, lambda1, the reduced vectors in order, steps):
+    new vector k is input[src] - sum d * input[j] for steps[k] =
+    (src, ((j, d), ...)), the input vectors j being maximal ones.
     """
     p = ctx.p
     vectors = list(vectors)
     exps = list(exps)
+    order = list(range(len(vectors)))
     i0 = _argmax_abs(exps)
     if i0:
-        vectors[0], vectors[i0] = vectors[i0], vectors[0]
-        exps[0], exps[i0] = exps[i0], exps[0]
+        for seq in (vectors, exps, order):
+            seq[0], seq[i0] = seq[i0], seq[0]
     lam1 = exps[0]
     # a lone vector needs no table (p may be huge)
     multiples = [_multiples(vectors[0], p)] if len(vectors) > 1 else []
+    maximal = [order[0]]  # input positions of the tables' vectors
     out = [vectors[0]]
+    steps = [(order[0], ())]
     reduced = []
-    for v in vectors[1:]:
+    for src, v in zip(order[1:], vectors[1:]):
         t = len(multiples)
         if budget is not None and p ** t > budget:
             raise BudgetExceeded(f"digit search p^{t} exceeds budget {budget}")
@@ -146,11 +153,14 @@ def _reduce_pass(ctx: FieldContext, vectors, exps, counter: AbsCounter,
                     f"{t + 1} orthogonal vectors share the maximal norm, more "
                     f"than the residue degree {residue_degree}")
             multiples.append(_multiples(v, p))
+            maximal.append(src)
             out.append(v)
+            steps.append((src, ()))
         else:
             out.append(hit)
             reduced.append(hit)
-    return out, lam1, reduced
+            steps.append((src, tuple((j, d) for j, d in zip(maximal, combo) if d)))
+    return out, lam1, reduced, steps
 
 
 def find_second_longest(ctx: FieldContext, basis, *,
@@ -169,7 +179,9 @@ def orthogonalize(ctx: FieldContext, basis, *, engine: NormEngine | None = None)
     """Orthogonal basis of L(basis) by recursive reduction passes.
 
     Output norms are strictly decreasing and equal the successive maxima.
-    Spends at most m(m-1) + p(m-1)^2 absolute-value computations.
+    Spends at most m(m-1) + p(m-1)^2 absolute-value computations.  The
+    transform U is built from the digits each pass subtracts, by integer
+    row operations, so it is exact and unimodular.
     """
     basis = list(basis)
     m = len(basis)
@@ -181,20 +193,27 @@ def orthogonalize(ctx: FieldContext, basis, *, engine: NormEngine | None = None)
         exp = engine.abs_value(basis[0])
         if exp.is_zero:
             raise SingularSystem("zero vector in basis")
-        return OrthoResult(tuple(basis), (exp,), 0)
+        return OrthoResult(tuple(basis), (exp,), 0, ((1,),))
     counter = AbsCounter(engine)
     B = basis[:]
+    U = [[int(j == k) for j in range(m)] for k in range(m)]
     for i in range(m - 1):
         seg = B[i:]
         exps = counter.abs_values(seg)
         if any(e.is_zero for e in exps):
             raise SingularSystem("zero vector in basis")
-        B[i:] = _reduce_pass(ctx, seg, exps, counter)[0]
+        B[i:], _, _, steps = _reduce_pass(ctx, seg, exps, counter)
+        old = U[i:]
+        for k, (src, digits) in enumerate(steps, i):
+            row = old[src]
+            for j, d in digits:
+                row = [a - d * b for a, b in zip(row, old[j])]
+            U[k] = row
     final = tuple(counter.abs_values(B))
     for a, b in zip(final, final[1:]):
         if not b < a:
             raise ReductionFailed("output norms are not strictly decreasing")
-    return OrthoResult(tuple(B), final, counter.count)
+    return OrthoResult(tuple(B), final, counter.count, tuple(map(tuple, U)))
 
 
 def find_second_longest_general(ctx: FieldContext, basis, residue_degree: int, *,
@@ -221,7 +240,7 @@ def find_second_longest_general(ctx: FieldContext, basis, residue_degree: int, *
     exps = counter.abs_values(basis)
     if any(e.is_zero for e in exps):
         raise SingularSystem("zero vector in basis")
-    out, lam1, reduced = _reduce_pass(ctx, basis, exps, counter, residue_degree, budget)
+    out, lam1, reduced, _ = _reduce_pass(ctx, basis, exps, counter, residue_degree, budget)
     if not reduced:
         return ReductionResult(lam1.scaled(1), out[0] * ctx.p, tuple(out), counter.count)
     # every reduced vector was counted by its threshold test

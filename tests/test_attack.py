@@ -17,7 +17,7 @@ from padiclat.attack import (
     uniformizer_shortcut,
 )
 from padiclat.errors import NotCoprime, ReductionFailed
-from padiclat.fields import AbsValue, NormEngine, make_context
+from padiclat.fields import AbsValue, NormEngine, coordinates_in, make_context
 from padiclat.schemes import Ciphertext, decrypt, encrypt, keygen, verify, in_lattice
 
 
@@ -175,6 +175,45 @@ class TestForgery:
             ct = encrypt(kp.public, pt, rng=rng)
             res = broken.closest(ct.vector)
             assert not res.distance > AbsValue.of(Fraction(1, 2))
+
+
+def test_attack_with_a_broken_key_makes_no_solve(monkeypatch):
+    # with a precomputed break, attack decryption and forgery solve their
+    # CVPs modulo p^N and read public-basis coordinates off the break's
+    # transform: no exact solve, and no second break
+    from padiclat import fields
+
+    rng = random.Random(11)
+    kp = random_signature_key(rng, 3, 14, 6, delta=Fraction(1, 2))
+    pk = kp.public
+    broken = BrokenKey.from_public(pk)
+    plain = [tuple(rng.randrange(3) for _ in range(6)) for _ in range(3)]
+    cts = [encrypt(pk, pt, rng=rng) for pt in plain]
+    messages = [b"m%d" % i for i in range(3)]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("an exact solve or a second break was made")
+
+    with monkeypatch.context() as mp:
+        mp.setattr(fields, "_solve_exact", refuse)
+        mp.setattr(BrokenKey, "from_public", refuse)
+        got = [attack_decrypt_detailed(pk, ct, broken=broken) for ct in cts]
+        sigs = [forge_signature(pk, msg, rng=rng, broken=broken) for msg in messages]
+    assert [res.plaintext for res in got] == plain
+    assert [[c.to_fraction() for c in res.basis_coords] for res in got] == \
+        [coordinates_in(pk.ctx, res.lattice_vector, pk.basis, as_fractions=True) for res in got]
+    assert all(verify(pk, msg, sig) for msg, sig in zip(messages, sigs))
+
+
+def test_broken_key_of_another_key_is_refused():
+    rng = random.Random(38)
+    a, b = (random_signature_key(rng, 3, 4, 2, delta=Fraction(1, 2)) for _ in range(2))
+    broken = BrokenKey.from_public(a.public)
+    ct = encrypt(b.public, (1, 0), rng=rng)
+    with pytest.raises(ValueError, match="another public key"):
+        attack_decrypt_detailed(b.public, ct, broken=broken)
+    with pytest.raises(ValueError, match="another public key"):
+        forge_signature(b.public, b"msg", rng=rng, broken=broken)
 
 
 class TestPinnedAttackOutputs:

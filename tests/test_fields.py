@@ -652,6 +652,13 @@ class TestAbsValueOrdering:
         assert AbsValue.of(1, 4) * AbsValue.of(1, 4) == AbsValue.of(1, 2)
         assert (AbsValue.zero() * AbsValue.of(1, 2)).is_zero
 
+    def test_repr_signs(self):
+        # |x| = p^(-exponent): a size above 1 has a negative exponent
+        assert repr(AbsValue.of(3, 2)) == "AbsValue(p^-3/2)"
+        assert repr(AbsValue(Fraction(-2))) == "AbsValue(p^2)"
+        assert repr(AbsValue.of(0)) == "AbsValue(p^0)"
+        assert repr(AbsValue.zero()) == "AbsValue(0)"
+
 
 class TestEisenstein:
     def test_x2_minus_2(self):

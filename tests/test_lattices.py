@@ -6,7 +6,7 @@ import pytest
 
 from conftest import scheme_shaped_lattice
 from oracle_reference import is_orthogonal_reference, lvp_oracle_reference
-from padiclat import lattices
+from padiclat import fields, lattices
 from padiclat.errors import (
     BudgetExceeded,
     ClassCollision,
@@ -303,6 +303,111 @@ class TestCvp:
                         assert dist.is_zero
                     else:
                         assert not eng.abs_value(diff) < dist
+
+
+def _count_exact_solves(monkeypatch):
+    """A list that grows by one with each ``fields._solve_exact`` call."""
+    calls = []
+    solve = fields._solve_exact
+
+    def counted(*args):
+        calls.append(1)
+        return solve(*args)
+
+    monkeypatch.setattr(fields, "_solve_exact", counted)
+    return calls
+
+
+def _exact_cvp(monkeypatch, *args):
+    """cvp_orthogonal with every modular level skipped: the exact solve."""
+    with monkeypatch.context() as mp:
+        mp.setattr(lattices, "_coordinates_mod", lambda *_: None)
+        return cvp_orthogonal(*args)
+
+
+def _cvp_record(res):
+    return (res.vector.identity, res.vector.precision, res.distance,
+            [c.key() for c in res.lattice_coords])
+
+
+class TestModularCvp:
+    """CVP coordinates solved modulo p^N against the exact solve."""
+
+    # from one digit, most first levels know too little and must double
+    @pytest.mark.parametrize("start", [1, lattices._CVP_DIGITS])
+    @pytest.mark.parametrize("p", [2, 3, 5])
+    def test_random_targets_match_the_exact_solve(self, p, start, monkeypatch):
+        from padiclat.reduction import orthogonalize
+
+        rng = random.Random(f"modular-cvp:{p}")
+        monkeypatch.setattr(lattices, "_CVP_DIGITS", start)
+        solves = _count_exact_solves(monkeypatch)
+        for _ in range(4):
+            n = rng.randrange(3, 9)
+            m = rng.randrange(1, n)
+            ctx, basis, _ = scheme_shaped_lattice(rng, p, n, m)
+            ortho = orthogonalize(ctx, basis).basis
+            completion = complete_orthogonal(ctx, ortho, ctx.gen())[m:]
+            # integral targets, then p (and a unit) in the denominators
+            for den in (1, p, 7 * p ** 3):
+                t = ctx.element([Fraction(rng.randrange(-p ** 6, p ** 6), den)
+                                 for _ in range(n)])
+                before = len(solves)
+                got = cvp_orthogonal(ctx, ortho, completion, t)
+                assert len(solves) == before  # certified modulo p^N
+                assert _cvp_record(got) == \
+                    _cvp_record(_exact_cvp(monkeypatch, ctx, ortho, completion, t))
+
+    def test_certificate_conditions(self):
+        # two lattice coordinates (exponents 0 and 1/2), one completion
+        # coordinate; ``known`` digits per coordinate, bound N - s = 4
+        def certified(dist, known, completion_residue=1):
+            res = lattices.CvpResult(None, dist, ())
+            return lattices._certified(res, [Fraction(0), Fraction(1, 2)], known,
+                                       [completion_residue], 4)
+
+        assert certified(AbsValue.of(5, 2), [3, 2])
+        assert not certified(AbsValue.zero(), [3, 2])  # a member, or unknown
+        assert certified(AbsValue.of(-3, 2), [3, 0])
+        assert not certified(AbsValue.of(-3, 2), [3, -1])  # a tail is unknown
+        assert not certified(AbsValue.of(5, 2), [2, 2])  # ceil(5/2 - 0) digits kept
+        assert certified(AbsValue.of(7, 2), [4, 3], completion_residue=0)
+        # a coordinate that vanishes mod p^N may still reach p^-4
+        assert not certified(AbsValue.of(4), [4, 4], completion_residue=0)
+
+    def test_members_and_zero_take_the_exact_solve(self, monkeypatch):
+        from padiclat.reduction import orthogonalize
+
+        rng = random.Random("modular-cvp:members")
+        ctx, basis, _ = scheme_shaped_lattice(rng, 3, 6, 3)
+        ortho = orthogonalize(ctx, basis).basis
+        completion = complete_orthogonal(ctx, ortho, ctx.gen())[3:]
+        members = [ctx.zero(),
+                   basis[0] * 5 - basis[2] * 4,
+                   basis[0] * Fraction(2, 7) + basis[1] * 81]
+        solves = _count_exact_solves(monkeypatch)
+        for t in members:
+            before = len(solves)
+            got = cvp_orthogonal(ctx, ortho, completion, t)
+            assert len(solves) == before + 1
+            assert got.distance.is_zero and got.vector.identity == t.identity
+
+    def test_basis_singular_mod_p_takes_the_exact_solve(self, monkeypatch):
+        # x^2 - 8 at p = 2: 1 + z/2 (a unit) and z/2 (size 2^(-1/2)) are
+        # orthogonal, but made primitive they are (2, 1) and (0, 1),
+        # dependent mod 2
+        ctx = make_context(2, 64, [-8, 0, 1])
+        lattice, completion = ctx.element([1, Fraction(1, 2)]), ctx.element([0, Fraction(1, 2)])
+        assert lattices._coordinates_mod([lattice, completion], ctx.one(), 8) is None
+        eng = NormEngine(ctx)
+        solves = _count_exact_solves(monkeypatch)
+        for t in (ctx.element([Fraction(1, 3), 5]), ctx.element([Fraction(3, 4), 1]),
+                  ctx.element([7, Fraction(1, 8)])):
+            before = len(solves)
+            got = cvp_orthogonal(ctx, [lattice], [completion], t, engine=eng)
+            assert len(solves) == before + 1
+            assert eng.abs_value(t - got.vector) == got.distance
+            assert all(c.is_zero or c.valuation >= 0 for c in got.lattice_coords)
 
 
 class TestToyCompletion:

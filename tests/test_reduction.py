@@ -7,7 +7,13 @@ import pytest
 from conftest import scheme_shaped_lattice
 from padiclat import reduction
 from padiclat.errors import BudgetExceeded, ReductionFailed, SingularSystem
-from padiclat.fields import AbsValue, NormEngine, coordinates_in, make_context
+from padiclat.fields import (
+    AbsValue,
+    NormEngine,
+    _linear_combination,
+    coordinates_in,
+    make_context,
+)
 from padiclat.lattices import Lattice, is_orthogonal, lvp_oracle
 from padiclat.reduction import (
     find_second_longest,
@@ -132,6 +138,25 @@ class TestOrthogonalize:
             assert all(in_lattice(ctx, v, basis) for v in res.basis)
             assert all(in_lattice(ctx, v, list(res.basis)) for v in basis)
 
+    def test_transform_is_exact_on_the_oracle_cells(self):
+        # ortho[k] = sum_j U[k][j] * basis[j] exactly, U an integer matrix
+        # of determinant +-1, on one lattice per cell of the oracle battery
+        rng = random.Random(19)
+        cells = ([(2, n, m) for n in (2, 3, 4, 5, 6) for m in (1, 2, 3, 4) if m <= n]
+                 + [(3, n, m) for n in (3, 4, 5, 6) for m in (1, 2, 3, 4) if m <= n]
+                 + [(5, n, m) for n in (4, 5, 6) for m in (1, 2, 3)])
+        moved = 0
+        for p, n, m in cells:
+            ctx, basis, _ = scheme_shaped_lattice(rng, p, n, m)
+            res = orthogonalize(ctx, basis)
+            U = res.transform
+            assert all(type(u) is int for row in U for u in row)
+            assert [_linear_combination(ctx, row, basis).identity for row in U] == \
+                [v.identity for v in res.basis]
+            assert abs(_det(U)) == 1
+            moved += any(u not in (0, 1) for row in U for u in row)
+        assert moved > len(cells) // 2  # most cells subtract digit multiples
+
     def test_cost_bound(self):
         rng = random.Random(16)
         for _ in range(10):
@@ -216,6 +241,24 @@ class TestToyPublicBasis:
         # same lattice both ways
         assert all(in_lattice(pk.ctx, v, list(pk.basis)) for v in res.basis)
         assert all(in_lattice(pk.ctx, v, list(res.basis)) for v in pk.basis)
+
+
+def _det(rows):
+    """Determinant of a square integer matrix, by Fraction elimination."""
+    a = [[Fraction(x) for x in row] for row in rows]
+    det = Fraction(1)
+    for k in range(len(a)):
+        piv = next((i for i in range(k, len(a)) if a[i][k]), None)
+        if piv is None:
+            return 0
+        if piv != k:
+            a[k], a[piv] = a[piv], a[k]
+            det = -det
+        det *= a[k][k]
+        for i in range(k + 1, len(a)):
+            f = a[i][k] / a[k][k]
+            a[i] = [x - f * y for x, y in zip(a[i], a[k])]
+    return det
 
 
 def _outcome(fn):
