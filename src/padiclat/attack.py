@@ -49,16 +49,16 @@ def recover_uniformizer(pk, *, engine: NormEngine | None = None) -> UniformizerR
     return UniformizerResult(res.witness, res.lambda2, res.abs_count)
 
 
-def uniformizer_shortcut(pk) -> FieldElement:
+def uniformizer_shortcut(pk, *, engine: NormEngine | None = None) -> FieldElement:
     """Constant-time uniformizer z + (F_{n-1} * n^{-1} mod p), valid when
-    gcd(n, p) = 1."""
+    gcd(n, p) = 1; its size is checked (and cached) on ``engine``."""
     ctx = _context_of(pk)
     n, p = ctx.n, ctx.p
     if gcd(n, p) != 1:
         raise NotCoprime(f"gcd({n}, {p}) != 1")
     shift = ctx._modulus_residues(1)[n - 1] * pow(n % p, -1, p) % p
     gamma = ctx.gen() + ctx.element([shift])
-    engine = NormEngine(ctx)
+    engine = engine or NormEngine(ctx)
     if engine.abs_value(gamma) != AbsValue.of(1, n):
         raise ReductionFailed("shifted generator is not a uniformizer")
     return gamma
@@ -69,7 +69,7 @@ def find_uniformizer(pk, *, engine: NormEngine | None = None) -> FieldElement:
     ctx = _context_of(pk)
     if gcd(ctx.n, ctx.p) == 1:
         try:
-            return uniformizer_shortcut(pk)
+            return uniformizer_shortcut(pk, engine=engine)
         except ReductionFailed:
             pass
     return recover_uniformizer(pk, engine=engine).gamma
@@ -92,6 +92,8 @@ class BrokenKey:
     def from_public(cls, pk: PublicKey) -> "BrokenKey":
         engine = NormEngine(pk.ctx)
         gamma = find_uniformizer(pk, engine=engine)
+        # the rest of the break reads norms in gamma's power basis
+        engine.adopt_uniformizer(gamma)
         res = orthogonalize(pk.ctx, pk.basis, engine=engine)
         full = complete_orthogonal(pk.ctx, res.basis, gamma, engine=engine)
         return cls(pk, gamma, res.basis, res.transform, tuple(full[len(res.basis):]), engine)

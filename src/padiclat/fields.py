@@ -15,24 +15,34 @@ evaluated modulo p^M with full valuation pivoting.  M escalates
 adaptively: a query only pays for as many digits as the answer needs,
 which is what keeps the attack loops cheap at large degree.
 
-One kernel does every exact valuation: ``_det_valuation``, one numpy
-elimination over a stack of matrices (a single matrix is a stack of one),
-over int64 residues while p^(2M) * n < 2^61 and over Python ints beyond.
-Per matrix it returns the valuation (a lower bound where flagged deeper)
-and the determinant's certified unit digits.
-One escalation loop, ``_norm_valuations``, picks M for integer rows over
-one denominator and eliminates them in stacks of at most _STACK_ENTRIES
-matrix entries: ``NormEngine.norm_valuations`` runs it once per
-denominator scale for a batch of elements (a basis's absolute values; a
-single query is a batch of one), the brute-force lattice oracle for a
+Every determinant valuation comes from one kernel: ``_det_valuation``,
+one numpy elimination over a stack of matrices (a single matrix is a
+stack of one), over int64 residues while p^(2M) * n < 2^61 and over
+Python ints beyond.  Per matrix it returns the valuation (a lower bound
+where flagged deeper) and the determinant's certified unit digits.
+One escalation loop, ``_escalate``, doubles the digits of the items no
+level has certified yet, up to PRECISION_CAP.  ``_norm_valuations`` runs
+it on determinants of integer rows over one denominator, in stacks of at
+most _STACK_ENTRIES matrix entries: ``NormEngine.norm_valuations`` once
+per denominator scale for a batch of elements (a basis's absolute values;
+a single query is a batch of one), the brute-force lattice oracle for a
 whole chunk of digit sums at once; ``NormEngine`` remembers only exact
 valuations.  The one query that needs a single digit, "is N(x) a
 unit?", is answered over GF(p) instead:
 N(x) mod p = +-Res(F mod p, x mod p), so it is a unit exactly when the
 two residue polynomials are coprime (``_gf_coprime``, an O(n^2) Euclid).
 Only threshold tests (``NormEngine.norm_exceeds``) and the hash's unit
-test reach that path; an exact valuation is always a determinant, so the
-brute-force oracle keeps refereeing the gcd.
+test reach that path; on an engine without a uniformizer an exact
+valuation is always a determinant, so the brute-force oracle keeps
+refereeing the gcd.
+
+Once the break holds a uniformizer gamma it hands it to its engine
+(``NormEngine.adopt_uniformizer``), which certifies it (v(N(gamma)) = 1
+and an Eisenstein characteristic polynomial) and from then on reads every
+uncached valuation, threshold tests included, in gamma's power basis
+(``_UniformizerFrame``): one product of the element's residues with the
+matrix of z's powers in that basis mod p^K, K the largest int64 level,
+through the same ``_escalate``.  No determinant and no gcd is left there.
 
 Coordinates in a basis (lattice membership, the key generator's change
 of generator, and the attack's CVP where no modular level certifies it)
@@ -42,8 +52,9 @@ block of right-hand sides shares one pass.  The system has a unique
 exact solution, so the pivot rule only affects speed, never an output.
 Its modular twin ``_solve_mod`` (Gauss-Jordan over Z/p^digits on unit
 pivots, GF(p) at one digit) serves ``bench``, the mixing matrix, the
-left kernel of a public basis mod p and, through ``_coordinates_mod``
-(the basis made primitive over Z_p), the attack's CVP coordinates.
+left kernel of a public basis mod p, the uniformizer frame and, through
+``_coordinates_mod`` (the basis made primitive over Z_p), the attack's
+CVP coordinates.
 """
 
 from __future__ import annotations
@@ -133,7 +144,8 @@ class FieldContext:
     view of F is built from them on demand.  ``ramification`` and
     ``residue_degree`` are caller-declared metadata; the context never
     computes them.  Nothing is mutated after construction, so instances
-    are safe to share between threads.
+    are safe to share between threads, and two contexts are equal when p,
+    the precision, F and the metadata are.
     """
 
     __slots__ = ("p", "n", "precision", "ramification", "residue_degree", "_int_modulus")
@@ -199,6 +211,19 @@ class FieldContext:
         return self.element([0] * k + [coefficient])
 
     # -- plumbing --------------------------------------------------------
+
+    def _fields(self):
+        return self.p, self.precision, self._int_modulus, self.ramification, self.residue_degree
+
+    def __eq__(self, other):
+        """Equal contexts describe one field at one precision, with the same
+        declared metadata: two loads of one key compare equal."""
+        if not isinstance(other, FieldContext):
+            return NotImplemented
+        return self is other or self._fields() == other._fields()
+
+    def __hash__(self):
+        return hash(self._fields())
 
     def same_structure(self, other: "FieldContext") -> bool:
         return self is other or (self.p == other.p and self._int_modulus == other._int_modulus)
@@ -639,37 +664,21 @@ def _det_valuation(stack, p: int, digits: int):
     return vsum, deeper, unit
 
 
-def _norm_valuations(ctx: FieldContext, rows, den: int, digits: int, cap: int):
-    """Exact v(N(row / den)) for each nonzero row of an integer array
-    (int64 or object), as a list: the one escalation loop.  With
-    den = p^t * u, u a unit, row / u is integral, its norm valuation n*t
-    more.  The open rows are eliminated at ``digits`` norm digits in
-    stacks of at most _STACK_ENTRIES entries; the matrices that come back
-    deeper go on at twice the digits, up to ``cap``, past which
-    PrecisionExhausted."""
-    p, n = ctx.p, ctx.n
-    t = int_valuation(den, p)
-    unit, shift = den // p ** t, n * t
-    size = max(1, _STACK_ENTRIES // (n * n))
-    out = [0] * len(rows)
-    todo = list(range(len(rows)))
+def _escalate(count: int, digits: int, cap: int, level):
+    """Exact valuations of ``count`` items, as a list: the one escalation
+    loop.  ``level(todo, digits)`` answers the open indices ``todo`` at
+    ``digits`` digits, one valuation each, or None where that level
+    certifies none; those go on at twice the digits, up to ``cap``, past
+    which PrecisionExhausted."""
+    out = [None] * count
+    todo = list(range(count))
     while todo:
-        total = digits + shift
-        mod = p ** total
-        inv = pow(unit, -1, mod)
-        wide = _kernel_dtype(p, n, total) is object
         deeper = []
-        for start in range(0, len(todo), size):
-            part = todo[start:start + size]
-            open_rows = rows[part]
-            if wide:
-                open_rows = open_rows.astype(object)  # mod may pass int64
-            v, d, _ = _det_valuation(_mult_rows_mod(ctx, open_rows % mod * inv % mod, total),
-                                     p, total)
-            for i, vi, di in zip(part, v, d):
-                out[i] = vi - shift  # a deeper bound is overwritten once resolved
-                if di:
-                    deeper.append(i)
+        for i, v in zip(todo, level(todo, digits)):
+            if v is None:
+                deeper.append(i)
+            else:
+                out[i] = v
         todo = deeper
         if todo and digits >= cap:
             raise PrecisionExhausted(
@@ -677,6 +686,36 @@ def _norm_valuations(ctx: FieldContext, rows, den: int, digits: int, cap: int):
                 "(element extremely small, or modulus reducible)")
         digits = min(2 * digits, cap)
     return out
+
+
+def _norm_valuations(ctx: FieldContext, rows, den: int, digits: int, cap: int):
+    """Exact v(N(row / den)) for each nonzero row of an integer array
+    (int64 or object), as a list, by determinants.  With den = p^t * u, u
+    a unit, row / u is integral, its norm valuation n*t more.  Each level
+    of ``_escalate`` eliminates the open rows at ``digits`` norm digits in
+    stacks of at most _STACK_ENTRIES entries; the matrices that come back
+    deeper go on at the next level."""
+    p, n = ctx.p, ctx.n
+    t = int_valuation(den, p)
+    unit, shift = den // p ** t, n * t
+    size = max(1, _STACK_ENTRIES // (n * n))
+
+    def level(todo, digits):
+        total = digits + shift
+        mod = p ** total
+        inv = pow(unit, -1, mod)
+        wide = _kernel_dtype(p, n, total) is object
+        out = []
+        for start in range(0, len(todo), size):
+            open_rows = rows[todo[start:start + size]]
+            if wide:
+                open_rows = open_rows.astype(object)  # mod may pass int64
+            v, deeper, _ = _det_valuation(
+                _mult_rows_mod(ctx, open_rows % mod * inv % mod, total), p, total)
+            out += [None if d else vi - shift for vi, d in zip(v, deeper)]
+        return out
+
+    return _escalate(len(rows), digits, cap, level)
 
 
 def _gf_coprime(a, b, p: int) -> bool:
@@ -710,6 +749,98 @@ def _scaled_norm_is_unit(x: FieldElement) -> bool:
     return _gf_coprime(_element_residues(x, 1), ctx._modulus_residues(1) + [1], ctx.p)
 
 
+def _first_frame_level(p: int, n: int) -> int:
+    """Digits of a frame's first level: the most whose product of n
+    residue vectors stays int64 (``_kernel_dtype``), and at least two, which
+    certify the constant term of gamma's characteristic polynomial."""
+    digits = 2
+    while _kernel_dtype(p, n, digits + 1) is np.int64:
+        digits += 1
+    return digits
+
+
+class _UniformizerFrame:
+    """Norm valuations in the power basis of a certified uniformizer gamma.
+
+    When gamma's characteristic polynomial is Eisenstein, K is totally
+    ramified, O_K = Z_p[gamma] and 1, gamma, ..., gamma^(n-1) is an
+    orthogonal basis: |sum y_i gamma^i| = max |y_i| p^(-i/n).  For the
+    integral p^s x (s the scale of x) with coordinates y in that basis,
+    v(N(x)) = min_i (n v_p(y_i) + i) - n s.  Row j of ``_matrix(digits)``
+    holds z^j in that basis mod p^digits, so y = (p^s x mod p^digits) H
+    is one matrix product, and a nonzero y certifies the minimum.
+    """
+
+    def __init__(self, ctx: FieldContext, powers, digits: int, solved):
+        self.ctx = ctx
+        self._powers = powers  # gamma^0 .. gamma^(n-1)
+        self._first = digits
+        self._matrices = {digits: self._coordinates(solved, digits)}
+
+    @classmethod
+    def certify(cls, ctx: FieldContext, gamma: FieldElement):
+        """The frame of an integral gamma, or None unless its powers are
+        invertible mod p and its characteristic polynomial is Eisenstein.
+        Both come out of one ``_solve_mod``: the coordinates of z^0 ..
+        z^(n-1) and of gamma^n in the basis of gamma's powers."""
+        p, n = ctx.p, ctx.n
+        if _element_scale(gamma):
+            return None
+        powers = _powers(gamma, n + 1)
+        digits = _first_frame_level(p, n)
+        solved = _solve_mod(cls._system(powers, digits), p, digits)
+        if solved is None:
+            return None
+        # gamma^n = sum c_i gamma^i: Eisenstein when p divides every c_i
+        # and p^2 does not divide c_0
+        top = [row[n] for row in solved]
+        if any(c % p for c in top) or top[0] % p ** 2 == 0:
+            return None
+        return cls(ctx, powers[:n], digits, solved)
+
+    @staticmethod
+    def _system(powers, digits: int):
+        """Augmented rows [gamma^0 .. gamma^(n-1) | I | more powers], one
+        per z-coordinate, mod p^digits."""
+        n = powers[0].ctx.n
+        columns = [_element_residues(g, digits) for g in powers]
+        return [[c[j] for c in columns[:n]] + [int(j == k) for k in range(n)]
+                + [c[j] for c in columns[n:]] for j in range(n)]
+
+    def _coordinates(self, solved, digits: int):
+        """H from the solved rows: H[j][i] is coordinate i of z^j."""
+        p, n = self.ctx.p, self.ctx.n
+        return np.array([row[:n] for row in solved], dtype=_kernel_dtype(p, n, digits)).T
+
+    def _matrix(self, digits: int):
+        H = self._matrices.get(digits)
+        if H is None:
+            solved = _solve_mod(self._system(self._powers, digits), self.ctx.p, digits)
+            H = self._matrices[digits] = self._coordinates(solved, digits)
+        return H
+
+    def valuations(self, xs) -> list:
+        """Exact v(N(x)) for each nonzero element, as a list: each level of
+        ``_escalate`` is one stacked product."""
+        p, n = self.ctx.p, self.ctx.n
+        shifts = [n * _element_scale(x) for x in xs]
+
+        def level(todo, digits):
+            H = self._matrix(digits)
+            mod = p ** digits
+            y = np.array([_element_residues(xs[i], digits) for i in todo], dtype=H.dtype) @ H % mod
+            out = []
+            for i, k, row in zip(todo, (y % p != 0).argmax(axis=1).tolist(), y.tolist()):
+                if row[k] % p:
+                    out.append(k - shifts[i])
+                    continue
+                found = [n * int_valuation(a, p) + j for j, a in enumerate(row) if a]
+                out.append(min(found) - shifts[i] if found else None)
+            return out
+
+        return _escalate(len(xs), self._first, PRECISION_CAP, level)
+
+
 class NormEngine:
     """Memoized absolute-value queries against one context.
 
@@ -718,30 +849,53 @@ class NormEngine:
     Exact queries come in batches (``norm_valuations``, ``abs_values``; a
     single query is a batch of one) whose uncached elements escalate
     together from two digits, so on a fresh engine every exact valuation
-    is a determinant, at the digit levels it would take alone.  A
+    is a determinant, at the digit levels it would take alone.  There a
     threshold test evaluates only the digits its bound needs, one level: a
     single digit is a GF(p) gcd, and a level that comes back deeper
     answers the test and is forgotten.
+
+    An engine that has adopted a uniformizer (``adopt_uniformizer``, which
+    the break calls once it has one) answers every uncached query in its
+    power basis instead: an exact valuation is one matrix-vector product
+    mod p^K, and a threshold test reads and caches the exact valuation.
     """
 
     def __init__(self, ctx: FieldContext):
         self.ctx = ctx
         self._states: dict = {}  # x.identity -> v(N(x))
+        self._frame: _UniformizerFrame | None = None
+
+    def adopt_uniformizer(self, gamma: FieldElement) -> bool:
+        """Answer later queries in gamma's power basis, when v(N(gamma)) = 1
+        and gamma's characteristic polynomial is Eisenstein; otherwise keep
+        the determinants.  Returns whether the frame was adopted.  The
+        first test (cached once gamma was recovered) turns most
+        non-uniformizers away before the frame's solve."""
+        if self.norm_valuation(gamma) != 1:
+            return False
+        frame = _UniformizerFrame.certify(self.ctx, gamma)
+        if frame is not None:
+            self._frame = frame
+        return frame is not None
 
     def norm_valuations(self, xs) -> list:
         """Valuations of N(x) for each element (None for zero), as a list.
-        The distinct uncached elements are grouped by scale, and each group
-        is one escalation: every matrix runs at the digit levels it would
-        run at alone."""
+        The distinct uncached elements are one frame product when a
+        uniformizer is adopted; otherwise they are grouped by scale, and
+        each group is one escalation: every matrix runs at the digit levels
+        it would run at alone."""
         xs = list(xs)
-        groups: dict = {}  # scale -> {identity: element}
-        for x in xs:
-            if not x.is_zero and x.identity not in self._states:
-                groups.setdefault(_element_scale(x), {})[x.identity] = x
-        for group in groups.values():
-            rows, den = _integer_rows(list(group.values()))
-            self._states.update(zip(group, _norm_valuations(
-                self.ctx, np.array(rows, dtype=object), den, 2, PRECISION_CAP)))
+        fresh = {x.identity: x for x in xs if not x.is_zero and x.identity not in self._states}
+        if self._frame is not None:
+            self._states.update(zip(fresh, self._frame.valuations(list(fresh.values()))))
+        else:
+            groups: dict = {}  # scale -> {identity: element}
+            for key, x in fresh.items():
+                groups.setdefault(_element_scale(x), {})[key] = x
+            for group in groups.values():
+                rows, den = _integer_rows(list(group.values()))
+                self._states.update(zip(group, _norm_valuations(
+                    self.ctx, np.array(rows, dtype=object), den, 2, PRECISION_CAP)))
         return [None if x.is_zero else self._states[x.identity] for x in xs]
 
     def norm_valuation(self, x: FieldElement):
@@ -753,6 +907,8 @@ class NormEngine:
         if x.is_zero:
             return True
         v = self._states.get(x.identity)
+        if v is None and self._frame is not None:
+            v = self._states[x.identity] = self._frame.valuations([x])[0]
         if v is not None:
             return v > bound
         ctx = self.ctx

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import random_eisenstein
-from padiclat import bench
+from padiclat import bench, fields, fixtures
 from padiclat.attack import (
     BrokenKey,
     attack_decrypt,
@@ -116,6 +116,22 @@ class TestShortcut:
             b = recover_uniformizer(kp.public).gamma
             assert eng.abs_value(a) == eng.abs_value(b) == AbsValue.of(1, n)
 
+    def test_check_lands_in_the_passed_engine(self, monkeypatch):
+        # the shortcut's size check is the break's first query: asked again
+        # on the same engine, it needs no kernel
+        kp = random_signature_key(random.Random(5), 3, 14, 6)
+        ctx = kp.public.ctx
+        shortcut_engine, driver_engine = NormEngine(ctx), NormEngine(ctx)
+        g = uniformizer_shortcut(kp.public, engine=shortcut_engine)
+        assert find_uniformizer(kp.public, engine=driver_engine) == g
+
+        def forbidden(*args):
+            raise AssertionError("the check was not cached on the passed engine")
+
+        monkeypatch.setattr(fields, "_det_valuation", forbidden)
+        monkeypatch.setattr(fields, "_gf_coprime", forbidden)
+        assert shortcut_engine.abs_value(g) == driver_engine.abs_value(g) == AbsValue.of(1, 14)
+
     def test_driver_fallback(self, toy_ctx):
         # gcd(n, p) != 1: the driver silently falls back to the reduction
         g = find_uniformizer(toy_ctx)
@@ -216,6 +232,110 @@ def test_broken_key_of_another_key_is_refused():
         forge_signature(b.public, b"msg", rng=rng, broken=broken)
 
 
+def test_two_loads_of_one_key_share_a_break():
+    a, b = fixtures.toy_public_key(), fixtures.toy_public_key()
+    assert a == b and a.ctx == b.ctx and hash(a.ctx) == hash(b.ctx)
+    broken = BrokenKey.from_public(a)
+    ct = fixtures.toy_ciphertext(b)
+    assert attack_decrypt_detailed(b, ct, broken=broken).plaintext == (1, 1, 0, 1)
+
+
+class TestUniformizerFrame:
+    """After the break adopts its uniformizer, every norm comes from the
+    power basis of gamma; it must give what determinants give."""
+
+    @staticmethod
+    def _broken(shape):
+        if shape == "toy":
+            return BrokenKey.from_public(fixtures.toy_public_key())
+        seed, p, n, m = shape
+        kp = random_signature_key(random.Random(seed), p, n, m, delta=Fraction(1, 2))
+        return BrokenKey.from_public(kp.public)
+
+    @staticmethod
+    def _elements(broken, rng):
+        # the break's own vectors, then integral, non-integral (scale 1 to
+        # 3, with a unit in the denominator) and elements so small that no
+        # coordinate survives the frame's first level
+        ctx = broken.pk.ctx
+        p, n = ctx.p, ctx.n
+        tiny = p ** (fields._first_frame_level(p, n) + 2)
+        xs = list(broken.pk.basis) + list(broken.ortho) + list(broken.completion)
+        for k in range(12):
+            x = ctx.element([rng.randrange(-p ** 3, p ** 3) for _ in range(n)])
+            if x.is_zero:
+                continue
+            if k % 3 == 1:
+                x = x * Fraction(1, p ** rng.randrange(1, 4) * (p + 1))
+            elif k % 3 == 2 and k < 9:
+                x = x * tiny * rng.choice([1, Fraction(1, p)])
+            xs.append(x)
+        return xs
+
+    @pytest.mark.parametrize("shape", [(21, 2, 14, 4), (22, 3, 14, 6), "toy"])
+    def test_frame_agrees_with_determinants(self, shape, monkeypatch):
+        broken = self._broken(shape)
+        ctx = broken.pk.ctx
+        xs = self._elements(broken, random.Random(str(shape)))
+        solves = []
+        solve = fields._solve_mod
+
+        def recorded(rows, p, digits, *args):
+            solves.append(digits)
+            return solve(rows, p, digits, *args)
+
+        monkeypatch.setattr(fields, "_solve_mod", recorded)
+        framed = NormEngine(ctx)
+        assert framed.adopt_uniformizer(broken.gamma)
+        want = NormEngine(ctx).norm_valuations(xs)
+        assert framed.norm_valuations(xs) == want
+        assert broken.engine.norm_valuations(xs) == want
+        # the tiny elements escalated past the first level, on both frames
+        first = fields._first_frame_level(ctx.p, ctx.n)
+        assert solves == [first, 2 * first, 2 * first]
+        # thresholds below, at and above each valuation, each on a fresh
+        # engine so the framed test is the element's first query
+        for i, (x, v) in enumerate(zip(xs, want)):
+            bound = v + i % 3 - 1
+            framed = NormEngine(ctx)
+            framed.adopt_uniformizer(broken.gamma)
+            assert framed.norm_exceeds(x, bound) == NormEngine(ctx).norm_exceeds(x, bound)
+            size = AbsValue(Fraction(2 * v + i % 5 - 2, 2 * ctx.n))
+            assert framed.abs_less_than(x, size) == NormEngine(ctx).abs_less_than(x, size)
+
+    def test_adopted_engine_runs_no_determinant(self, monkeypatch):
+        # orthogonalize, complete_orthogonal and the CVP exponents read
+        # every norm in gamma's power basis, and give what a determinant
+        # engine gives
+        from padiclat.lattices import complete_orthogonal, cvp_orthogonal
+        from padiclat.reduction import orthogonalize
+
+        rng = random.Random(23)
+        kp = random_signature_key(rng, 3, 14, 6, delta=Fraction(1, 2))
+        pk = kp.public
+        gamma = find_uniformizer(pk)
+        targets = [encrypt(pk, [rng.randrange(3) for _ in range(6)], rng=rng).vector
+                   for _ in range(3)]
+
+        def attack(engine):
+            res = orthogonalize(pk.ctx, pk.basis, engine=engine)
+            full = complete_orthogonal(pk.ctx, res.basis, gamma, engine=engine)
+            closest = [cvp_orthogonal(pk.ctx, res.basis, full[6:], t, engine=engine)
+                       for t in targets]
+            return res, full, closest
+
+        want = attack(NormEngine(pk.ctx))
+        framed = NormEngine(pk.ctx)
+        assert framed.adopt_uniformizer(gamma)
+
+        def forbidden(*args):
+            raise AssertionError("a determinant or GF(p) gcd after adoption")
+
+        monkeypatch.setattr(fields, "_det_valuation", forbidden)
+        monkeypatch.setattr(fields, "_gf_coprime", forbidden)
+        assert attack(framed) == want
+
+
 class TestPinnedAttackOutputs:
     # SHA-256 of the attack's decryptions (plaintext and public-basis
     # coordinates) and of a forged signature for seeded keys, recorded with
@@ -247,7 +367,10 @@ class TestPinnedAttackOutputs:
 def test_break_determinant_work_is_pinned(monkeypatch):
     # the determinants (matrices per digit level) and GF(p) gcds the break
     # of one seeded key runs; a change to the norm engine's memo or
-    # escalation shows here before it shows in wall time
+    # escalation shows here before it shows in wall time.  All of them come
+    # from the uniformizer recovery: once gamma is adopted, orthogonalize,
+    # complete_orthogonal and the CVP exponents read norms in its power
+    # basis
     from collections import Counter
 
     from padiclat import fields
@@ -271,9 +394,8 @@ def test_break_determinant_work_is_pinned(monkeypatch):
     monkeypatch.setattr(fields, "_det_valuation", counted_det)
     monkeypatch.setattr(fields, "_gf_coprime", counted_coprime)
     BrokenKey.from_public(kp.public)
-    assert dict(levels) == {2: 98, 3: 14, 4: 10, 5: 6, 6: 13, 7: 6, 8: 4, 9: 8, 10: 4,
-                            11: 1, 13: 2}
-    assert len(gcds) == 60
+    assert dict(levels) == {2: 59}
+    assert len(gcds) == 44
 
 
 def test_recover_stacks_its_exact_queries(monkeypatch):

@@ -64,6 +64,16 @@ class TestMakeContext:
         assert ctx.same_structure(make_context(3, 10, [-3, 0, 1]))
         assert NormEngine(ctx).norm_valuation(ctx.gen()) == 1
 
+    def test_equality_reads_the_field_and_its_metadata(self):
+        ctx = make_context(3, 10, [-3, 0, 1], ramification=2)
+        same = make_context(3, 10, [Fraction(-6, 2), 0, 1], ramification=2)
+        assert ctx == same and hash(ctx) == hash(same)
+        assert ctx != make_context(3, 11, [-3, 0, 1], ramification=2)
+        assert ctx != make_context(3, 10, [-3, 0, 1])
+        assert ctx != make_context(3, 10, [-3, 3, 1], ramification=2)
+        assert ctx != make_context(5, 10, [-5, 0, 1], ramification=2)
+        assert len({ctx, same}) == 1
+
 
 class TestElementArithmetic:
     def test_generator_power_reduces(self, sqrt2_ctx):
@@ -638,6 +648,47 @@ class TestBatchedNormQueries:
         ctx = THRESHOLD_CTXS[2]
         xs = self._batch(ctx, random.Random(47), 8, [0, 1])
         assert NormEngine(ctx).abs_values(xs) == [NormEngine(ctx).abs_value(x) for x in xs]
+
+
+class TestUniformizerFrameRefusals:
+    """An element that is not certified as a uniformizer leaves the engine
+    on determinants, with the same kernel calls and answers as a fresh
+    one."""
+
+    @pytest.mark.parametrize("p, f, roots, gamma", [
+        (3, [-3, 0, 0, 1], [], [0, 0, 1]),  # z^2, v(N) = 2
+        (3, [-3, 0, 0, 1], [], [1, 1]),  # 1 + z, a unit
+        # (x - 3)(x - 1): v(N(z)) = 1, but z's characteristic polynomial is F
+        (3, [3, -4, 1], [3, 1], [0, 1]),
+        # x(x - 1)(x - 2): gamma = (5, 1, 1) on the roots has v(N) = 1, and
+        # its powers are dependent mod 5
+        (5, [0, 2, -3, 1], [0, 1, 2], [5, -6, 2]),
+    ])
+    def test_refused_frame_keeps_determinants(self, p, f, roots, gamma, monkeypatch):
+        ctx = make_context(p, 64, f)
+        rng = random.Random(f"{p}:{f}:{gamma}")
+        xs = []
+        while len(xs) < 12:
+            coeffs = [rng.randrange(-9, 10) for _ in range(ctx.n)]
+            # no zero divisor: its norm would never be certified
+            if all(sum(c * r ** i for i, c in enumerate(coeffs)) for r in roots) and any(coeffs):
+                xs.append(ctx.element(coeffs) * Fraction(1, p ** (len(xs) % 3)))
+        log = []
+        det = fields._det_valuation
+
+        def recorded(stack, p, digits):
+            log.append((len(stack), digits))
+            return det(stack, p, digits)
+
+        refused = NormEngine(ctx)
+        assert not refused.adopt_uniformizer(ctx.element(gamma))
+        monkeypatch.setattr(fields, "_det_valuation", recorded)
+        got = refused.norm_valuations(xs) + [refused.norm_exceeds(x * p, 0) for x in xs]
+        refused_log = log[:]
+        log.clear()
+        fresh = NormEngine(ctx)
+        assert got == fresh.norm_valuations(xs) + [fresh.norm_exceeds(x * p, 0) for x in xs]
+        assert refused_log == log and log
 
 
 class TestAbsValueOrdering:
