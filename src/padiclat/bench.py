@@ -5,6 +5,11 @@ x^n + p*(x^{n-1} + ... + 1), random generator), runs the reduction-based
 recovery, and reports wall time together with the absolute-value counter.
 Wall times are hardware-dependent and never asserted; the counter is the
 quantity with a provable bound (n + p(n-1)).
+
+An instance's public polynomial is the generator's minimal polynomial to
+the full precision: its powers come from the shared integer multiplier
+and the linear dependency among them from Dixon's p-adic lifting on one
+inverse modulo an int64-sized power of p (``_minimal_poly_mod``).
 """
 
 from __future__ import annotations
@@ -13,9 +18,11 @@ import random
 import time
 from dataclasses import dataclass
 
+import numpy as np
+
 from .attack import recover_uniformizer
-from .fields import (FieldContext, _int_mul_mod, _solve_mod, check_degree,
-                     check_parameters, make_context)
+from .fields import (FieldContext, _int64_level, _int_mul_mod, _kernel_dtype, _solve_mod,
+                     check_degree, check_parameters, make_context)
 from .scalars import DEFAULT_PRECISION
 from .schemes import random_zeta
 
@@ -39,10 +46,14 @@ def _minimal_poly_mod(p, digits, fcoeffs, zeta):
     """Minimal polynomial of zeta over the Eisenstein field, with integer
     coefficients exact mod p^digits (ascending, monic).
 
-    Solves the linear dependency of 1, zeta, ..., zeta^n with the modular
-    kernel ``_solve_mod``; the power matrix is unimodular exactly when zeta
-    generates the ring of integers, so a singular one reports failure
-    (caller resamples zeta).
+    Solves the linear dependency A*x = zeta^n of the power matrix A = [1,
+    zeta, ..., zeta^(n-1)] by Dixon's p-adic lifting.  A is unimodular
+    exactly when zeta generates the ring of integers, so a singular one
+    reports failure (caller resamples zeta); otherwise ``_solve_mod``
+    inverts it once mod q = p^k, k the int64 level (``_int64_level``), and
+    each of ceil(digits / k) steps takes the next base-q digit x_i =
+    A^(-1)*r mod q (one matrix-vector product mod q) and updates the
+    residual r <- (r - A*x_i) / q exactly, starting from r = zeta^n.
     """
     n = len(fcoeffs) - 1
     mod = p ** digits
@@ -52,9 +63,23 @@ def _minimal_poly_mod(p, digits, fcoeffs, zeta):
     for _ in range(n):
         # F is integral, so the exact product needs no scale
         powers.append([c % mod for c in _int_mul_mod(powers[-1], z, fbar)])
-    # solve sum x_k * powers[k] = powers[n] over Z/p^digits
-    x = _solve_mod([[powers[k][i] for k in range(n + 1)] for i in range(n)], p, digits)
-    return None if x is None else [(-xi) % mod for xi, in x] + [1]
+    k = _int64_level(p, n)
+    q = p ** k
+    rows = [[powers[j][i] for j in range(n)] for i in range(n)]
+    inverse = _solve_mod([row + [int(i == j) for j in range(n)] for i, row in enumerate(rows)],
+                         p, k)
+    if inverse is None:
+        return None
+    dtype = _kernel_dtype(p, n, k)
+    inverse = np.array(inverse, dtype=dtype)
+    A = np.array(rows, dtype=object)
+    r = np.array(powers[n], dtype=object)
+    x, scale = 0, 1
+    for _ in range(-(-digits // k)):
+        xi = (inverse @ (r % q).astype(dtype) % q).astype(object)
+        r = (r - A @ xi) // q
+        x, scale = x + xi * scale, scale * q
+    return [(-xi) % mod for xi in x.tolist()] + [1]
 
 
 def make_instance(n: int, p: int, rng: random.Random,

@@ -51,10 +51,13 @@ come from one exact kernel,
 block of right-hand sides shares one pass.  The system has a unique
 exact solution, so the pivot rule only affects speed, never an output.
 Its modular twin ``_solve_mod`` (Gauss-Jordan over Z/p^digits on unit
-pivots, GF(p) at one digit) serves ``bench``, the mixing matrix, the
-left kernel of a public basis mod p, the uniformizer frame and, through
-``_coordinates_mod`` (the basis made primitive over Z_p), the attack's
-CVP coordinates.
+pivots, GF(p) at one digit) is one numpy elimination, over int64
+residues while p^(2*digits) < 2^61 and over Python ints beyond.  It
+serves the mixing matrix, ``decrypt``, the left kernel of a public basis
+mod p, the uniformizer frame, the inverse mod p^K (K the largest int64
+level, ``_int64_level``) from which ``bench`` lifts its instances'
+minimal polynomials and, through ``_coordinates_mod`` (the basis made
+primitive over Z_p), the attack's CVP coordinates.
 """
 
 from __future__ import annotations
@@ -749,10 +752,12 @@ def _scaled_norm_is_unit(x: FieldElement) -> bool:
     return _gf_coprime(_element_residues(x, 1), ctx._modulus_residues(1) + [1], ctx.p)
 
 
-def _first_frame_level(p: int, n: int) -> int:
-    """Digits of a frame's first level: the most whose product of n
-    residue vectors stays int64 (``_kernel_dtype``), and at least two, which
-    certify the constant term of gamma's characteristic polynomial."""
+def _int64_level(p: int, n: int) -> int:
+    """The most digits whose product of two residue vectors of length n
+    stays int64 (``_kernel_dtype``), and at least two: a uniformizer
+    frame's first level (two digits certify the constant term of gamma's
+    characteristic polynomial) and the lifting modulus of
+    ``bench._minimal_poly_mod``."""
     digits = 2
     while _kernel_dtype(p, n, digits + 1) is np.int64:
         digits += 1
@@ -773,7 +778,7 @@ class _UniformizerFrame:
 
     def __init__(self, ctx: FieldContext, powers, digits: int, solved):
         self.ctx = ctx
-        self._powers = powers  # gamma^0 .. gamma^(n-1)
+        self.powers = powers  # gamma^0 .. gamma^(n-1)
         self._first = digits
         self._matrices = {digits: self._coordinates(solved, digits)}
 
@@ -787,7 +792,7 @@ class _UniformizerFrame:
         if _element_scale(gamma):
             return None
         powers = _powers(gamma, n + 1)
-        digits = _first_frame_level(p, n)
+        digits = _int64_level(p, n)
         solved = _solve_mod(cls._system(powers, digits), p, digits)
         if solved is None:
             return None
@@ -815,7 +820,7 @@ class _UniformizerFrame:
     def _matrix(self, digits: int):
         H = self._matrices.get(digits)
         if H is None:
-            solved = _solve_mod(self._system(self._powers, digits), self.ctx.p, digits)
+            solved = _solve_mod(self._system(self.powers, digits), self.ctx.p, digits)
             H = self._matrices[digits] = self._coordinates(solved, digits)
         return H
 
@@ -877,6 +882,16 @@ class NormEngine:
         if frame is not None:
             self._frame = frame
         return frame is not None
+
+    def powers(self, gamma: FieldElement) -> list:
+        """gamma^0 .. gamma^(n-1): the adopted frame's own when gamma is the
+        adopted uniformizer (same value and precision), else ``_powers``."""
+        frame = self._frame
+        if frame is not None:
+            own = frame.powers[1]
+            if own.identity == gamma.identity and own.precision == gamma.precision:
+                return list(frame.powers)
+        return _powers(gamma, self.ctx.n)
 
     def norm_valuations(self, xs) -> list:
         """Valuations of N(x) for each element (None for zero), as a list.
@@ -1028,27 +1043,36 @@ def _solve_mod(rows, p: int, digits: int, width: int | None = None):
     when A is singular mod p (B may have no columns).  Gauss-Jordan on the
     first unit pivot loses no digit, and the solution is unique.
 
+    One numpy elimination: each step scales the pivot row and clears its
+    column from every other row by one rank-one update.  An entry takes
+    one product of two residues per step, so the residues are int64 while
+    p^(2*digits) < 2^61 (``_kernel_dtype`` with one term) and Python ints
+    (object dtype) beyond.  Rows of Python ints go in and lists of Python
+    ints come out, whatever the dtype.
+
     A tall A (more rows than its ``width`` columns) is eliminated the same
     way, with None when it has no unit pivot in some column.  The rows
     past ``width`` then come back as well: T*B for the rows T of the
     elimination that annihilate A, zero exactly when A*X = B is solvable.
     With B the identity they are the left kernel of A."""
     mod = p ** digits
-    rows = [[x % mod for x in row] for row in rows]
-    n = len(rows)
-    width = n if width is None else width
+    A = np.array([[x % mod for x in row] for row in rows], dtype=_kernel_dtype(p, 1, digits))
+    width = len(A) if width is None else width
     for col in range(width):
-        piv = next((r for r in range(col, n) if rows[r][col] % p), None)
-        if piv is None:
-            return None
-        rows[col], rows[piv] = rows[piv], rows[col]
-        inv = pow(rows[col][col], -1, mod)
-        prow = rows[col] = [x * inv % mod for x in rows[col]]
-        for r in range(n):
-            f = rows[r][col]
-            if r != col and f:
-                rows[r] = [(x - f * y) % mod for x, y in zip(rows[r], prow)]
-    return [row[width:] for row in rows]
+        pivot = int(A[col, col])
+        if pivot % p == 0:
+            piv = next((r for r, a in enumerate(A[col:, col].tolist(), col) if a % p), None)
+            if piv is None:
+                return None
+            # rows from col on are zero left of col, so only the block moves
+            A[[col, piv], col:] = A[[piv, col], col:]
+            pivot = int(A[col, col])
+        prow = A[col, col:] * pow(pivot, -1, mod) % mod
+        block = A[:, col:]
+        block -= block[:, :1] * prow
+        block[col] = prow
+        block %= mod
+    return A[:, width:].tolist()
 
 
 def _coordinates_mod(columns, target: FieldElement, digits: int):

@@ -33,7 +33,6 @@ from .fields import (
     _integer_rows,
     _linear_combination,
     _norm_valuations,
-    _powers,
     coordinates_in,
     frac_valuation,
 )
@@ -45,6 +44,11 @@ DEFAULT_BUDGET = 10 ** 7
 # the last one before the exact solve
 _CVP_DIGITS = 8
 _CVP_DIGITS_CAP = 64
+# a level of at least this many digits that reads distance zero sends the
+# target on to the exact solve: a member of L reads zero at every level,
+# and a non-member only while all its completion coordinates vanish mod
+# p^N, which is common at a few digits and rare past this many
+_CVP_MEMBER_DIGITS = 8
 
 # digit tuples per batch: bounds the enumeration's memory (its stacks take
 # about 1.3 KB per tuple at n = 6)
@@ -208,7 +212,8 @@ def complete_orthogonal(ctx: FieldContext, partial, gamma: FieldElement, *,
     appending powers of the uniformizer ``gamma`` for every norm-exponent
     class mod 1 not already present."""
     partial = list(partial)
-    exps = (engine or NormEngine(ctx)).abs_values([gamma] + partial)
+    engine = engine or NormEngine(ctx)
+    exps = engine.abs_values([gamma] + partial)
     if exps[0] != AbsValue.of(1, ctx.n):
         raise ValueError("gamma is not a uniformizer (exponent 1/n)")
     if any(e.is_zero for e in exps[1:]):
@@ -219,7 +224,7 @@ def complete_orthogonal(ctx: FieldContext, partial, gamma: FieldElement, *,
         if cls in present:
             raise ClassCollision(f"two vectors share the exponent class {cls}")
         present.add(cls)
-    return partial + [g for j, g in enumerate(_powers(gamma, ctx.n))
+    return partial + [g for j, g in enumerate(engine.powers(gamma))
                       if Fraction(j, ctx.n) not in present]
 
 
@@ -253,12 +258,13 @@ def cvp_orthogonal(ctx: FieldContext, lattice_basis, completion, target: FieldEl
     (lattice_basis, completion) must together be an orthogonal basis of the
     field.  The target's coordinates in it are solved modulo p^N, N
     doubling from _CVP_DIGITS to _CVP_DIGITS_CAP, until they certify the
-    result (:func:`_certified`); a target no level certifies (a member of
-    L, the zero target, or a basis singular mod p once made primitive)
-    takes one exact solve.  The basis norms come from ``engine`` (a
-    completion vector's only where the target has a component along it);
-    :func:`_cvp_from_coordinates` does the rest, so both paths give the
-    same result.
+    result (:func:`_certified`).  A target no level certifies takes one
+    exact solve: the zero target, a basis singular mod p once made
+    primitive, and a member of L, which leaves at its first level of at
+    least _CVP_MEMBER_DIGITS digits, as it reads distance zero there.  The
+    basis norms come from ``engine`` (a completion vector's only where the
+    target has a component along it); :func:`_cvp_from_coordinates` does
+    the rest, so both paths give the same result.
     """
     engine = engine or NormEngine(ctx)
     basis = list(lattice_basis)
@@ -274,6 +280,8 @@ def cvp_orthogonal(ctx: FieldContext, lattice_basis, completion, target: FieldEl
         coords = [Fraction(x) * Fraction(ctx.p) ** (a - s) for a, x in zip(scales, xs)]
         exponents = _exponents(engine, basis, completion, xs)
         res = _cvp_from_coordinates(ctx, basis, coords, exponents)
+        if res.distance.is_zero and digits >= _CVP_MEMBER_DIGITS:
+            break
         if _certified(res, exponents[:m], [digits + a - s for a in scales[:m]], xs[m:],
                       digits - s):
             return res

@@ -1,0 +1,46 @@
+"""Slow paths kept only as references for differential tests: the
+list-based modular Gauss-Jordan that ``fields._solve_mod`` does in numpy
+(rows of Python ints, the first unit pivot of each column, every other
+row cleared entry by entry), and a bench instance's minimal polynomial by
+one such elimination mod p^digits, which ``bench._minimal_poly_mod``
+lifts instead.
+"""
+
+from padiclat.fields import _int_mul_mod
+
+
+def solve_mod_reference(rows, p, digits, width=None):
+    """X with A*X = B mod p^digits for rows [A | B], as ``_solve_mod``
+    returns it: None when A is singular mod p; for a tall A, the rows past
+    ``width`` too."""
+    mod = p ** digits
+    rows = [[x % mod for x in row] for row in rows]
+    n = len(rows)
+    width = n if width is None else width
+    for col in range(width):
+        piv = next((r for r in range(col, n) if rows[r][col] % p), None)
+        if piv is None:
+            return None
+        rows[col], rows[piv] = rows[piv], rows[col]
+        inv = pow(rows[col][col], -1, mod)
+        prow = rows[col] = [x * inv % mod for x in rows[col]]
+        for r in range(n):
+            f = rows[r][col]
+            if r != col and f:
+                rows[r] = [(x - f * y) % mod for x, y in zip(rows[r], prow)]
+    return [row[width:] for row in rows]
+
+
+def minimal_poly_reference(p, digits, fcoeffs, zeta):
+    """``bench._minimal_poly_mod`` by one elimination of the ζ-power system
+    mod p^digits, with no lifting."""
+    n = len(fcoeffs) - 1
+    mod = p ** digits
+    fbar = [c % mod for c in fcoeffs[:-1]]
+    z = [c % mod for c in zeta]
+    powers = [[1] + [0] * (n - 1)]
+    for _ in range(n):
+        powers.append([c % mod for c in _int_mul_mod(powers[-1], z, fbar)])
+    x = solve_mod_reference([[powers[k][i] for k in range(n + 1)] for i in range(n)],
+                            p, digits)
+    return None if x is None else [(-xi) % mod for xi, in x] + [1]

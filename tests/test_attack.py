@@ -3,6 +3,7 @@ import itertools
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from conftest import random_eisenstein
@@ -18,7 +19,8 @@ from padiclat.attack import (
 )
 from padiclat.errors import NotCoprime, ReductionFailed
 from padiclat.fields import AbsValue, NormEngine, coordinates_in, make_context
-from padiclat.schemes import Ciphertext, decrypt, encrypt, keygen, verify, in_lattice
+from padiclat.schemes import Ciphertext, decrypt, encrypt, keygen, random_zeta, verify, in_lattice
+from solve_reference import minimal_poly_reference
 
 
 def random_signature_key(rng, p, n, m, delta=None):
@@ -86,6 +88,39 @@ class TestBenchInstances:
         ctx = bench.make_instance(n, p, random.Random(seed))
         text = ",".join(str(c.to_fraction()) for c in ctx.modulus)
         assert hashlib.sha256(text.encode()).hexdigest() == self.PINNED[cell]
+
+    # 65537: p^4 * n passes 2^61, so the lifting runs in object dtype
+    @pytest.mark.parametrize("p", [2, 3, 5, 7, 65537])
+    def test_lifting_matches_a_direct_solve(self, p):
+        rng = random.Random(f"lifting:{p}")
+        for n in ((2, 3, 9) if p > 7 else (2, 3, 17, 40)):
+            k = fields._int64_level(p, n)
+            assert (fields._kernel_dtype(p, n, k) is object) == (p > 7)
+            fcoeffs = [p] * n + [1]
+            # a generator, then one singular mod p: no unit linear coefficient
+            zetas = [random_zeta(rng, p, n), [rng.randrange(p ** 3) for _ in range(n)]]
+            zetas[1][1] = p * rng.randrange(p)
+            for digits in sorted({1, k - 1, k, k + 1, 128}):
+                for zeta, singular in zip(zetas, (False, True)):
+                    got = bench._minimal_poly_mod(p, digits, fcoeffs, zeta)
+                    assert got == minimal_poly_reference(p, digits, fcoeffs, zeta)
+                    assert (got is None) == singular
+
+    def test_instance_solves_stay_int64(self, monkeypatch):
+        # the inverse comes from one _solve_mod at the int64 level; every
+        # deeper digit is lifted
+        levels = []
+        solve = bench._solve_mod
+
+        def recorded(rows, p, digits, *args):
+            levels.append(digits)
+            return solve(rows, p, digits, *args)
+
+        monkeypatch.setattr(bench, "_solve_mod", recorded)
+        bench.make_instance(64, 5, random.Random(4))
+        k = fields._int64_level(5, 64)
+        assert levels and set(levels) == {k}
+        assert fields._kernel_dtype(5, 64, k) is np.int64
 
 
 class TestShortcut:
@@ -232,6 +267,28 @@ def test_broken_key_of_another_key_is_refused():
         forge_signature(b.public, b"msg", rng=rng, broken=broken)
 
 
+def test_break_builds_gamma_powers_once(monkeypatch):
+    # the frame's certificate builds gamma^0 .. gamma^n, and the completion
+    # takes its gamma^0 .. gamma^(n-1) from the adopted frame
+    from padiclat import lattices
+
+    kp = random_signature_key(random.Random(22), 3, 14, 6, delta=Fraction(1, 2))
+    counts = []
+    powers = fields._powers
+
+    def counted(x, count):
+        counts.append(count)
+        return powers(x, count)
+
+    monkeypatch.setattr(fields, "_powers", counted)
+    monkeypatch.setattr(lattices, "_powers", counted, raising=False)
+    broken = BrokenKey.from_public(kp.public)
+    assert counts == [15]
+    assert broken.engine._frame is not None
+    own = {g.identity for g in powers(broken.gamma, 14)}
+    assert len(broken.completion) == 8 and all(g.identity in own for g in broken.completion)
+
+
 def test_two_loads_of_one_key_share_a_break():
     a, b = fixtures.toy_public_key(), fixtures.toy_public_key()
     assert a == b and a.ctx == b.ctx and hash(a.ctx) == hash(b.ctx)
@@ -259,7 +316,7 @@ class TestUniformizerFrame:
         # coordinate survives the frame's first level
         ctx = broken.pk.ctx
         p, n = ctx.p, ctx.n
-        tiny = p ** (fields._first_frame_level(p, n) + 2)
+        tiny = p ** (fields._int64_level(p, n) + 2)
         xs = list(broken.pk.basis) + list(broken.ortho) + list(broken.completion)
         for k in range(12):
             x = ctx.element([rng.randrange(-p ** 3, p ** 3) for _ in range(n)])
@@ -291,7 +348,7 @@ class TestUniformizerFrame:
         assert framed.norm_valuations(xs) == want
         assert broken.engine.norm_valuations(xs) == want
         # the tiny elements escalated past the first level, on both frames
-        first = fields._first_frame_level(ctx.p, ctx.n)
+        first = fields._int64_level(ctx.p, ctx.n)
         assert solves == [first, 2 * first, 2 * first]
         # thresholds below, at and above each valuation, each on a fresh
         # engine so the framed test is the element's first query

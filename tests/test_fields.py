@@ -35,6 +35,7 @@ from padiclat.fields import (
 from padiclat.lattices import Lattice, _IntegerSums, lvp_oracle
 from padiclat.reduction import AbsCounter, orthogonalize
 from padiclat.scalars import PadicScalar
+from solve_reference import solve_mod_reference
 
 
 class TestMakeContext:
@@ -1045,6 +1046,62 @@ class TestModularSolve:
         kept = [list(r) for r in rows]
         assert _solve_mod(rows, 3, 2) is not None
         assert rows == kept
+
+    @pytest.mark.parametrize("p, digits", [(2, 30), (2, 31), (3, 19), (3, 20)])
+    def test_int64_and_object_boundary(self, p, digits):
+        # int64 up to p^(2 digits) = 2^60 and 3^38, object dtype from 2^62
+        # and 3^40; residues next to the modulus give the largest products
+        assert (fields._kernel_dtype(p, 1, digits) is np.int64) == (digits in (30, 19))
+        rng = random.Random(f"boundary:{p}:{digits}")
+        mod = p ** digits
+        seen = {True: 0, False: 0}
+        for _ in range(60):
+            n, k = rng.randrange(1, 9), rng.randrange(4)
+            A, B = self._system(rng, p, n, k, digits)
+            if rng.random() < 0.5:
+                A = [[mod - 1 - rng.randrange(p) if rng.random() < 0.7 else x for x in row]
+                     for row in A]
+                B = [[mod - 1 for _ in row] for row in B]
+            rows = [a + b for a, b in zip(A, B)]
+            got = _solve_mod(rows, p, digits)
+            assert got == solve_mod_reference(rows, p, digits)
+            seen[got is None] += 1
+        assert min(seen.values()) >= 5
+
+    def test_tall_form_matches_the_reference(self):
+        # the left-kernel rows of [A | I] for a tall A, and the rows above
+        # them, as the list-based elimination gives them
+        rng = random.Random(92)
+        seen = {True: 0, False: 0}
+        for _ in range(150):
+            p = rng.choice([2, 3, 5])
+            digits = rng.choice([1, 2, 20])
+            mod = p ** digits
+            n = rng.randrange(2, 9)
+            w = rng.randrange(1, n)
+            A = [[p * rng.randrange(mod) if rng.random() < 0.3 else rng.randrange(mod)
+                  for _ in range(w)] for _ in range(n)]
+            rows = [row + [int(i == k) for k in range(n)] for i, row in enumerate(A)]
+            got = _solve_mod(rows, p, digits, width=w)
+            want = solve_mod_reference(rows, p, digits, width=w)
+            assert got == want
+            seen[got is None] += 1
+            if got is not None:
+                assert got[w:] == want[w:] and len(got[w:]) == n - w
+        assert min(seen.values()) >= 20
+
+    def test_entries_are_python_ints(self):
+        # no numpy scalar may reach a Fraction, a hash or a pinned digest
+        rng = random.Random(93)
+        for p, digits, width in [(3, 1, None), (2, 30, None), (2, 31, None), (3, 1, 2),
+                                 (5, 20, 3)]:
+            mod = p ** digits
+            while True:
+                rows = [[rng.randrange(mod) for _ in range(9)] for _ in range(5)]
+                out = _solve_mod(rows, p, digits, width=width)
+                if out is not None:
+                    break
+            assert out and all(type(x) is int for row in out for x in row)
 
 
 class TestStackedDeterminant:

@@ -392,6 +392,34 @@ class TestModularCvp:
             assert len(solves) == before + 1
             assert got.distance.is_zero and got.vector.identity == t.identity
 
+    def test_a_member_takes_one_level(self, monkeypatch):
+        # the first level reads distance zero and sends a member on to the
+        # exact solve; a non-member that level certifies takes no exact solve
+        from padiclat.reduction import orthogonalize
+
+        rng = random.Random("modular-cvp:one-level")
+        ctx, basis, _ = scheme_shaped_lattice(rng, 3, 8, 3)
+        ortho = orthogonalize(ctx, basis).basis
+        completion = complete_orthogonal(ctx, ortho, ctx.gen())[3:]
+        levels = []
+        coordinates = lattices._coordinates_mod
+
+        def recorded(columns, target, digits):
+            levels.append(digits)
+            return coordinates(columns, target, digits)
+
+        monkeypatch.setattr(lattices, "_coordinates_mod", recorded)
+        solves = _count_exact_solves(monkeypatch)
+        member = basis[0] * 5 - basis[1] * Fraction(4, 7) + basis[2] * 3 ** 9
+        for t, exact in ((member, 1), (member + completion[0], 0)):
+            before = len(solves)
+            levels.clear()
+            got = cvp_orthogonal(ctx, ortho, completion, t)
+            assert levels == [lattices._CVP_DIGITS]
+            assert len(solves) == before + exact
+            assert _cvp_record(got) == \
+                _cvp_record(_exact_cvp(monkeypatch, ctx, ortho, completion, t))
+
     def test_basis_singular_mod_p_takes_the_exact_solve(self, monkeypatch):
         # x^2 - 8 at p = 2: 1 + z/2 (a unit) and z/2 (size 2^(-1/2)) are
         # orthogonal, but made primitive they are (2, 1) and (0, 1),
