@@ -44,11 +44,6 @@ DEFAULT_BUDGET = 10 ** 7
 # the last one before the exact solve
 _CVP_DIGITS = 8
 _CVP_DIGITS_CAP = 64
-# a level of at least this many digits that reads distance zero sends the
-# target on to the exact solve: a member of L reads zero at every level,
-# and a non-member only while all its completion coordinates vanish mod
-# p^N, which is common at a few digits and rare past this many
-_CVP_MEMBER_DIGITS = 8
 
 # digit tuples per batch: bounds the enumeration's memory (its stacks take
 # about 1.3 KB per tuple at n = 6)
@@ -260,8 +255,10 @@ def cvp_orthogonal(ctx: FieldContext, lattice_basis, completion, target: FieldEl
     doubling from _CVP_DIGITS to _CVP_DIGITS_CAP, until they certify the
     result (:func:`_certified`).  A target no level certifies takes one
     exact solve: the zero target, a basis singular mod p once made
-    primitive, and a member of L, which leaves at its first level of at
-    least _CVP_MEMBER_DIGITS digits, as it reads distance zero there.  The
+    primitive, and a member of L.  A level that reads distance zero goes
+    on at once to _CVP_DIGITS_CAP digits: a member reads zero at every
+    level, and a non-member only while its completion coordinates vanish
+    mod p^N (ciphertext noise scaled by p^k does at N <= k).  The
     basis norms come from ``engine`` (a completion vector's only where the
     target has a component along it); :func:`_cvp_from_coordinates` does
     the rest, so both paths give the same result.
@@ -280,12 +277,13 @@ def cvp_orthogonal(ctx: FieldContext, lattice_basis, completion, target: FieldEl
         coords = [Fraction(x) * Fraction(ctx.p) ** (a - s) for a, x in zip(scales, xs)]
         exponents = _exponents(engine, basis, completion, xs)
         res = _cvp_from_coordinates(ctx, basis, coords, exponents)
-        if res.distance.is_zero and digits >= _CVP_MEMBER_DIGITS:
-            break
         if _certified(res, exponents[:m], [digits + a - s for a in scales[:m]], xs[m:],
                       digits - s):
             return res
-        digits *= 2
+        if res.distance.is_zero and digits < _CVP_DIGITS_CAP:
+            digits = _CVP_DIGITS_CAP
+        else:
+            digits *= 2
     coords = coordinates_in(ctx, target, basis + completion, as_fractions=True)
     return _cvp_from_coordinates(ctx, basis, coords, _exponents(engine, basis, completion, coords))
 

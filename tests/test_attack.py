@@ -256,6 +256,25 @@ def test_attack_with_a_broken_key_makes_no_solve(monkeypatch):
     assert all(verify(pk, msg, sig) for msg, sig in zip(messages, sigs))
 
 
+@pytest.mark.parametrize("delta", [7, 20])
+def test_high_delta_attack_decryption_makes_no_exact_solve(delta, monkeypatch):
+    # encrypt scales its noise by p^(floor(delta) + 1), so every noise
+    # completion coordinate vanishes at the first CVP level: the last
+    # modular level still certifies the result
+    rng = random.Random(12)
+    kp = random_signature_key(rng, 3, 14, 6, delta=delta)
+    pk = kp.public
+    broken = BrokenKey.from_public(pk)
+    plain = [tuple(rng.randrange(3) for _ in range(6)) for _ in range(3)]
+    cts = [encrypt(pk, pt, rng=rng) for pt in plain]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("an exact solve was made")
+
+    monkeypatch.setattr(fields, "_solve_exact", refuse)
+    assert [attack_decrypt_detailed(pk, ct, broken=broken).plaintext for ct in cts] == plain
+
+
 def test_broken_key_of_another_key_is_refused():
     rng = random.Random(38)
     a, b = (random_signature_key(rng, 3, 4, 2, delta=Fraction(1, 2)) for _ in range(2))

@@ -392,9 +392,11 @@ class TestModularCvp:
             assert len(solves) == before + 1
             assert got.distance.is_zero and got.vector.identity == t.identity
 
-    def test_a_member_takes_one_level(self, monkeypatch):
-        # the first level reads distance zero and sends a member on to the
-        # exact solve; a non-member that level certifies takes no exact solve
+    def test_a_zero_reading_jumps_to_the_last_level(self, monkeypatch):
+        # a level that reads distance zero goes on at once to the last one:
+        # a member reads zero there too and takes the exact solve, and a
+        # target whose completion coordinate vanishes only mod p^8 (as
+        # ciphertext noise scaled by p^8 does) is certified there
         from padiclat.reduction import orthogonalize
 
         rng = random.Random("modular-cvp:one-level")
@@ -411,11 +413,15 @@ class TestModularCvp:
         monkeypatch.setattr(lattices, "_coordinates_mod", recorded)
         solves = _count_exact_solves(monkeypatch)
         member = basis[0] * 5 - basis[1] * Fraction(4, 7) + basis[2] * 3 ** 9
-        for t, exact in ((member, 1), (member + completion[0], 0)):
+        first, last = lattices._CVP_DIGITS, lattices._CVP_DIGITS_CAP
+        for t, exact, want in ((member, 1, [first, last]),
+                               (member + completion[0], 0, [first]),
+                               (member + completion[0] * 3 ** 8, 0, [first, last]),
+                               (member + completion[0] * 3 ** 40, 0, [first, last])):
             before = len(solves)
             levels.clear()
             got = cvp_orthogonal(ctx, ortho, completion, t)
-            assert levels == [lattices._CVP_DIGITS]
+            assert levels == want
             assert len(solves) == before + exact
             assert _cvp_record(got) == \
                 _cvp_record(_exact_cvp(monkeypatch, ctx, ortho, completion, t))
