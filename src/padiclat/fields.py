@@ -17,24 +17,28 @@ which is what keeps the attack loops cheap at large degree.
 
 Every determinant valuation comes from one kernel: ``_det_valuation``,
 one numpy elimination over a stack of matrices (a single matrix is a
-stack of one), over int64 residues while p^(2M) * n < 2^61 and over
-Python ints beyond.  Per matrix it returns the valuation (a lower bound
-where flagged deeper) and the determinant's certified unit digits.
-One escalation loop, ``_escalate``, doubles the digits of the items no
+stack of one), over int32 residues while p^(2M) * n < 2^30, int64 below
+2^61 and Python ints beyond (``_kernel_dtype``).  Per matrix it returns
+the valuation (a lower bound where flagged deeper) and the determinant's
+certified unit digits.  One escalation loop, ``_escalate``, doubles the digits of the items no
 level has certified yet, up to PRECISION_CAP.  ``_norm_valuations`` runs
 it on determinants of integer rows over one denominator, in stacks of at
 most _STACK_ENTRIES matrix entries: ``NormEngine.norm_valuations`` once
 per denominator scale for a batch of elements (a basis's absolute values;
 a single query is a batch of one), the brute-force lattice oracle for a
 whole chunk of digit sums at once; ``NormEngine`` remembers only exact
-valuations.  The one query that needs a single digit, "is N(x) a
-unit?", is answered over GF(p) instead:
+valuations.  A fresh monomial c z^i needs no elimination: the
+multiplication-by-z matrix is F's companion matrix, so v(N(c z^i)) =
+n v_p(c) + i v_p(F0), F0 F's constant term (``_monomial_valuation``;
+when F0 = 0 monomials take the determinant path).  The one query that
+needs a single digit, "is N(x) a unit?", is answered over GF(p) instead:
 N(x) mod p = +-Res(F mod p, x mod p), so it is a unit exactly when the
 two residue polynomials are coprime (``_gf_coprime``, an O(n^2) Euclid).
 Only threshold tests (``NormEngine.norm_exceeds``) and the hash's unit
-test reach that path; on an engine without a uniformizer an exact
-valuation is always a determinant, so the brute-force oracle keeps
-refereeing the gcd.
+test reach that path; on an engine without a uniformizer every other
+exact valuation is a determinant, and the brute-force oracle calls
+``_norm_valuations`` directly, so it keeps refereeing both the gcd and
+the monomial rule.
 
 Once the break holds a uniformizer gamma it hands it to its engine
 (``NormEngine.adopt_uniformizer``), which certifies it (v(N(gamma)) = 1
@@ -51,13 +55,13 @@ come from one exact kernel,
 block of right-hand sides shares one pass.  The system has a unique
 exact solution, so the pivot rule only affects speed, never an output.
 Its modular twin ``_solve_mod`` (Gauss-Jordan over Z/p^digits on unit
-pivots, GF(p) at one digit) is one numpy elimination, over int64
-residues while p^(2*digits) < 2^61 and over Python ints beyond.  It
-serves the mixing matrix, ``decrypt``, the left kernel of a public basis
-mod p, the uniformizer frame, the inverse mod p^K (K the largest int64
-level, ``_int64_level``) from which ``bench`` lifts its instances'
-minimal polynomials and, through ``_coordinates_mod`` (the basis made
-primitive over Z_p), the attack's CVP coordinates.
+pivots, GF(p) at one digit) is one numpy elimination, over int32
+residues while p^(2*digits) < 2^30, int64 below 2^61 and Python ints
+beyond.  It serves the mixing matrix, ``decrypt``, the left kernel of a
+public basis mod p, the uniformizer frame, the inverse mod p^K (K the
+largest int64 level, ``_int64_level``) from which ``bench`` lifts its
+instances' minimal polynomials and, through ``_coordinates_mod`` (the
+basis made primitive over Z_p), the attack's CVP coordinates.
 """
 
 from __future__ import annotations
@@ -78,6 +82,7 @@ from .errors import (
 )
 from .scalars import PRECISION_CAP, PadicScalar, _format_fraction, int_valuation
 
+_INT32_SAFE = 2 ** 30
 _INT64_SAFE = 2 ** 61
 # up to this many row and column swaps per step, basic indexing (one matrix
 # at a time) beats a fancy-indexed gather and scatter
@@ -521,9 +526,13 @@ def _element_residues(x: FieldElement, digits: int):
 
 
 def _kernel_dtype(p: int, n: int, digits: int):
-    """int64 while n products of two residues mod p^digits fit below 2^61,
-    Python ints (object dtype) beyond."""
-    return np.int64 if p ** (2 * digits) * n < _INT64_SAFE else object
+    """The narrowest dtype in which n products of two residues mod
+    p^digits stay exact: int32 while they fit below 2^30, int64 below
+    2^61, Python ints (object dtype) beyond."""
+    bound = p ** (2 * digits) * n
+    if bound < _INT32_SAFE:
+        return np.int32
+    return np.int64 if bound < _INT64_SAFE else object
 
 
 def _mult_rows_mod(ctx: FieldContext, residues, digits: int):
@@ -752,14 +761,29 @@ def _scaled_norm_is_unit(x: FieldElement) -> bool:
     return _gf_coprime(_element_residues(x, 1), ctx._modulus_residues(1) + [1], ctx.p)
 
 
+def _monomial_valuation(x: FieldElement):
+    """v(N(x)) read off F's constant term F0 when x = c z^i has one nonzero
+    coefficient: multiplication by z has F's companion matrix, so N(c z^i)
+    = c^n ((-1)^n F0)^i and v(N(x)) = n v_p(c) + i v_p(F0).  None for any
+    other element, and for every monomial when F0 = 0 (F reducible)."""
+    terms = [(i, a) for i, a in enumerate(x.ints) if a]
+    fbar, fden = x.ctx._int_modulus
+    if len(terms) != 1 or not fbar[0]:
+        return None
+    (i, a), = terms
+    p = x.ctx.p
+    f0 = int_valuation(fbar[0], p) - int_valuation(fden, p)
+    return x.ctx.n * (int_valuation(a, p) - _element_scale(x)) + i * f0
+
+
 def _int64_level(p: int, n: int) -> int:
     """The most digits whose product of two residue vectors of length n
-    stays int64 (``_kernel_dtype``), and at least two: a uniformizer
-    frame's first level (two digits certify the constant term of gamma's
-    characteristic polynomial) and the lifting modulus of
-    ``bench._minimal_poly_mod``."""
+    stays in a machine dtype (``_kernel_dtype``, int64 at that level), and
+    at least two: a uniformizer frame's first level (two digits certify the
+    constant term of gamma's characteristic polynomial) and the lifting
+    modulus of ``bench._minimal_poly_mod``."""
     digits = 2
-    while _kernel_dtype(p, n, digits + 1) is np.int64:
+    while _kernel_dtype(p, n, digits + 1) is not object:
         digits += 1
     return digits
 
@@ -852,12 +876,13 @@ class NormEngine:
     The engine remembers one fact per distinct element: its exact norm
     valuation, once some query has resolved it; no lower bound is carried.
     Exact queries come in batches (``norm_valuations``, ``abs_values``; a
-    single query is a batch of one) whose uncached elements escalate
-    together from two digits, so on a fresh engine every exact valuation
-    is a determinant, at the digit levels it would take alone.  There a
-    threshold test evaluates only the digits its bound needs, one level: a
-    single digit is a GF(p) gcd, and a level that comes back deeper
-    answers the test and is forgotten.
+    single query is a batch of one).  On a fresh engine an uncached
+    monomial c z^i is read off F's constant term (``_monomial_valuation``),
+    and the other uncached elements escalate together from two digits:
+    each exact valuation is a determinant, at the digit levels it would
+    take alone.  There a threshold test evaluates only the digits its
+    bound needs, one level: a single digit is a GF(p) gcd, and a level
+    that comes back deeper answers the test and is forgotten.
 
     An engine that has adopted a uniformizer (``adopt_uniformizer``, which
     the break calls once it has one) answers every uncached query in its
@@ -896,9 +921,10 @@ class NormEngine:
     def norm_valuations(self, xs) -> list:
         """Valuations of N(x) for each element (None for zero), as a list.
         The distinct uncached elements are one frame product when a
-        uniformizer is adopted; otherwise they are grouped by scale, and
-        each group is one escalation: every matrix runs at the digit levels
-        it would run at alone."""
+        uniformizer is adopted.  Otherwise a monomial is read off F's
+        constant term, and the rest are grouped by scale, each group one
+        escalation: every matrix runs at the digit levels it would run at
+        alone."""
         xs = list(xs)
         fresh = {x.identity: x for x in xs if not x.is_zero and x.identity not in self._states}
         if self._frame is not None:
@@ -906,7 +932,11 @@ class NormEngine:
         else:
             groups: dict = {}  # scale -> {identity: element}
             for key, x in fresh.items():
-                groups.setdefault(_element_scale(x), {})[key] = x
+                v = _monomial_valuation(x)
+                if v is None:
+                    groups.setdefault(_element_scale(x), {})[key] = x
+                else:
+                    self._states[key] = v
             for group in groups.values():
                 rows, den = _integer_rows(list(group.values()))
                 self._states.update(zip(group, _norm_valuations(
@@ -1045,10 +1075,11 @@ def _solve_mod(rows, p: int, digits: int, width: int | None = None):
 
     One numpy elimination: each step scales the pivot row and clears its
     column from every other row by one rank-one update.  An entry takes
-    one product of two residues per step, so the residues are int64 while
-    p^(2*digits) < 2^61 (``_kernel_dtype`` with one term) and Python ints
-    (object dtype) beyond.  Rows of Python ints go in and lists of Python
-    ints come out, whatever the dtype.
+    one product of two residues per step, so the residues take
+    ``_kernel_dtype`` with one term: int32 while p^(2*digits) < 2^30,
+    int64 below 2^61 and Python ints (object dtype) beyond.  Rows of
+    Python ints go in and lists of Python ints come out, whatever the
+    dtype.
 
     A tall A (more rows than its ``width`` columns) is eliminated the same
     way, with None when it has no unit pivot in some column.  The rows

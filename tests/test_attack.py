@@ -470,7 +470,7 @@ def test_break_determinant_work_is_pinned(monkeypatch):
     monkeypatch.setattr(fields, "_det_valuation", counted_det)
     monkeypatch.setattr(fields, "_gf_coprime", counted_coprime)
     BrokenKey.from_public(kp.public)
-    assert dict(levels) == {2: 59}
+    assert dict(levels) == {2: 29}
     assert len(gcds) == 44
 
 
@@ -499,6 +499,6 @@ def test_recover_stacks_its_exact_queries(monkeypatch):
     monkeypatch.setattr(fields, "_gf_coprime", counted_coprime)
     res = recover_uniformizer(ctx)
     assert res.abs_count == 223
-    assert dict(levels) == {2: 127}
+    assert dict(levels) == {2: 63}
     assert len(gcds) == 159
-    assert len(stacks) == 16
+    assert len(stacks) == 8

@@ -16,6 +16,7 @@ from padiclat.errors import (
     NotInSpan,
     NotIntegral,
     NotMonic,
+    PrecisionExhausted,
     SingularSystem,
 )
 from padiclat.fields import (
@@ -34,7 +35,7 @@ from padiclat.fields import (
 )
 from padiclat.lattices import Lattice, _IntegerSums, lvp_oracle
 from padiclat.reduction import AbsCounter, orthogonalize
-from padiclat.scalars import PadicScalar
+from padiclat.scalars import PRECISION_CAP, PadicScalar, int_valuation
 from solve_reference import solve_mod_reference
 
 
@@ -651,6 +652,97 @@ class TestBatchedNormQueries:
         assert NormEngine(ctx).abs_values(xs) == [NormEngine(ctx).abs_value(x) for x in xs]
 
 
+class TestMonomialNorms:
+    """A fresh engine reads the norm of a monomial c z^i off F's constant
+    term F0, with no determinant; every answer must be the determinant's
+    (``_norm_valuations`` on the same element)."""
+
+    # v_p(F0) = 1 (Eisenstein), 0, 2, and a benchmark instance's modulus
+    CTXS = [make_context(3, 64, random_eisenstein(random.Random(5), 3, 7)),
+            make_context(5, 64, [2, 5, 0, 1, 1]),
+            make_context(3, 64, [18, 3, 0, 6, 2, 1]),
+            bench.make_instance(9, 2, random.Random(2), 64)]
+
+    @staticmethod
+    def _coefficients(p):
+        # units, p in the numerator, p in the denominator (with and
+        # without a unit part)
+        u, w = p + 1, 2 * p + 1
+        return [1, -u, p * u, -(p ** 3) * w, Fraction(u, p), Fraction(-w, p ** 2 * u),
+                Fraction(p ** 2, w)]
+
+    @staticmethod
+    def _determinant(x):
+        rows, den = fields._integer_rows([x])
+        return fields._norm_valuations(x.ctx, np.array(rows, dtype=object), den, 2,
+                                       PRECISION_CAP)[0]
+
+    @staticmethod
+    def _count_kernel(monkeypatch):
+        calls = []
+        det = fields._det_valuation
+
+        def counted(stack, p, digits):
+            calls.append(len(stack))
+            return det(stack, p, digits)
+
+        monkeypatch.setattr(fields, "_det_valuation", counted)
+        return calls
+
+    def test_fields_cover_three_constant_valuations(self):
+        found = {int_valuation(ctx._int_modulus[0][0], ctx.p) for ctx in self.CTXS}
+        assert found == {0, 1, 2}
+
+    @pytest.mark.parametrize("which", range(len(CTXS)))
+    def test_monomials_match_determinants(self, which, monkeypatch):
+        ctx = self.CTXS[which]
+        xs = [ctx.monomial(i, c) for i in range(ctx.n) for c in self._coefficients(ctx.p)]
+        calls = self._count_kernel(monkeypatch)
+        got = [NormEngine(ctx).norm_valuation(x) for x in xs]
+        assert NormEngine(ctx).norm_valuations(xs) == got
+        assert not calls
+        assert got == [self._determinant(x) for x in xs]
+        assert calls
+
+    @pytest.mark.parametrize("p", [3, 5])
+    def test_zero_constant_term_keeps_the_determinant(self, p, monkeypatch):
+        # F = z(z - 1)(z - 2): z is a zero divisor, so N(c z^i) = 0 for
+        # i > 0 and the escalation exhausts its digits, as it always has
+        ctx = make_context(p, 64, [0, 2, -3, 1])
+        calls = self._count_kernel(monkeypatch)
+        for i in (1, 2):
+            x = ctx.monomial(i, Fraction(p + 1, p))
+            with pytest.raises(PrecisionExhausted) as engine_error:
+                NormEngine(ctx).norm_valuation(x)
+            assert calls
+            with pytest.raises(PrecisionExhausted) as kernel_error:
+                self._determinant(x)
+            assert str(engine_error.value) == str(kernel_error.value)
+            calls.clear()
+        x = ctx.monomial(0, p)
+        assert NormEngine(ctx).norm_valuation(x) == 3 == self._determinant(x)
+        assert calls
+
+    def test_recovery_first_exponents_run_no_determinant(self, monkeypatch):
+        ctx = bench.make_instance(16, 5, random.Random(1))
+        calls = self._count_kernel(monkeypatch)
+        batches = []
+        batch = NormEngine.norm_valuations
+
+        def recorded(engine, xs):
+            xs, before = list(xs), len(calls)
+            out = batch(engine, xs)
+            batches.append(([x.identity for x in xs], len(calls) - before))
+            return out
+
+        monkeypatch.setattr(NormEngine, "norm_valuations", recorded)
+        recover_uniformizer(ctx)
+        first, kernel_calls = batches[0]
+        assert first == [ctx.monomial(i).identity for i in range(ctx.n)]
+        assert kernel_calls == 0
+        assert calls  # the reduced vectors still take determinants
+
+
 class TestUniformizerFrameRefusals:
     """An element that is not certified as a uniformizer leaves the engine
     on determinants, with the same kernel calls and answers as a fresh
@@ -1120,9 +1212,10 @@ class TestStackedDeterminant:
         return self._matmul(self._matmul(u, d), w)
 
     @pytest.mark.parametrize("p, digits, dtype", [
-        (2, 4, np.int64),
-        (3, 3, np.int64),
-        (5, 3, np.int64),
+        (2, 4, np.int32),
+        (3, 3, np.int32),
+        (5, 3, np.int32),
+        (2, 29, np.int64),
         (2, 40, object),
         (3, 30, object),
     ])
@@ -1188,8 +1281,9 @@ class TestStackedDeterminant:
             assert _det_valuation([red], p, digits) == ([0], [False], [det % mod])
 
     @pytest.mark.parametrize("p, digits, dtype", [
-        (3, 3, np.int64),
-        (5, 3, np.int64),
+        (3, 3, np.int32),
+        (5, 3, np.int32),
+        (3, 18, np.int64),
         (2, 40, object),
         (3, 30, object),
     ])
@@ -1236,3 +1330,104 @@ class TestStackedDeterminant:
                 seen.add((deeper[b], b in swapped))
         # deeper matrices, and resolved ones with and without swaps
         assert any(d for d, _ in seen) and {(False, True), (False, False)} <= seen
+
+
+class TestInt32Boundary:
+    """Every kernel on both sides of the int32 bound p^(2 digits) * n <
+    2^30 (n = 1 for ``_solve_mod``, n = 4 elsewhere), against exact
+    arithmetic; residues next to the modulus give the largest products."""
+
+    @staticmethod
+    def _near(rng, p, mod):
+        # -1 - r and -p * r mod p^digits, or any residue
+        r = rng.random()
+        if r < 0.5:
+            return mod - 1 - rng.randrange(p)
+        return mod - p * rng.randrange(1, p + 1) if r < 0.8 else rng.randrange(mod)
+
+    @pytest.mark.parametrize("p, digits", [(2, 14), (2, 15), (3, 9), (3, 10)])
+    def test_solve_mod(self, p, digits):
+        # int32 up to p^(2 digits) = 2^28 and 3^18, int64 from 2^30 and 3^20
+        assert fields._kernel_dtype(p, 1, digits) is (np.int32 if digits in (14, 9)
+                                                      else np.int64)
+        rng = random.Random(f"int32-solve:{p}:{digits}")
+        mod = p ** digits
+        seen = {True: 0, False: 0}
+        for _ in range(60):
+            n, k = rng.randrange(1, 9), rng.randrange(4)
+            A, B = TestModularSolve._system(rng, p, n, k, digits)
+            if rng.random() < 0.5:
+                A = [[self._near(rng, p, mod) for _ in row] for row in A]
+                B = [[mod - 1 for _ in row] for row in B]
+            rows = [a + b for a, b in zip(A, B)]
+            got = _solve_mod(rows, p, digits)
+            assert got == solve_mod_reference(rows, p, digits)
+            seen[got is None] += 1
+        assert min(seen.values()) >= 5
+
+    # at n = 4: int32 up to p^(2 digits) = 2^26 and 3^16, int64 from 2^28
+    # and 3^18
+    SIDES = [(2, 13), (2, 14), (3, 8), (3, 9)]
+
+    @staticmethod
+    def _dtype(p, digits):
+        return np.int32 if digits in (13, 8) else np.int64
+
+    @pytest.mark.parametrize("p, digits", SIDES)
+    def test_det_valuation(self, p, digits):
+        n = 4
+        assert fields._kernel_dtype(p, n, digits) is self._dtype(p, digits)
+        rng = random.Random(f"int32-det:{p}:{digits}")
+        mod = p ** digits
+        mats = [[[self._near(rng, p, mod) for _ in range(n)] for _ in range(n)]
+                for _ in range(80)]
+        v, deeper, unit = fields._det_valuation(mats, p, digits)
+        seen = set()
+        for m, got, deep, u in zip(mats, v, deeper, unit):
+            det = TestDeterminantEngine._exact_det(m)
+            if deep:
+                assert det == 0 or int_valuation(det, p) >= max(got, digits)
+                continue
+            want = int_valuation(det, p)
+            assert got == want
+            assert u == (det // p ** want % p ** (digits - want) if want < digits else 1)
+            seen.add(want > 0)
+        assert seen == {True, False}
+
+    @pytest.mark.parametrize("p, digits", SIDES)
+    def test_mult_rows(self, p, digits):
+        n = 4
+        rng = random.Random(f"int32-rows:{p}:{digits}")
+        mod = p ** digits
+        ctx = make_context(p, 64, [mod - 1 - rng.randrange(p) for _ in range(n)] + [1])
+        fbar, _ = ctx._int_modulus
+        xs = [[self._near(rng, p, mod) for _ in range(n)] for _ in range(20)]
+        rows = fields._mult_rows_mod(ctx, xs, digits)
+        assert rows.dtype == self._dtype(p, digits)
+        z = [0, 1] + [0] * (n - 2)
+        for x, got in zip(xs, rows.tolist()):
+            want = [x]
+            while len(want) < n:
+                want.append([a % mod for a in fields._int_mul_mod(want[-1], z, fbar)])
+            assert got == want
+
+    @pytest.mark.parametrize("p, digits", SIDES)
+    def test_frame_product(self, p, digits):
+        # a frame whose first level is ``digits``: gamma = z (1 + a z + b z^2)
+        # is a uniformizer of the Eisenstein F
+        n = 4
+        rng = random.Random(f"int32-frame:{p}:{digits}")
+        mod = p ** digits
+        ctx = make_context(p, 64, [mod - p] + [mod - p * rng.randrange(1, p * p)
+                                               for _ in range(n - 1)] + [1])
+        gamma = ctx.element([0, 1] + [mod - 1 - rng.randrange(p) for _ in range(n - 2)])
+        assert fields._UniformizerFrame.certify(ctx, gamma) is not None
+        powers = fields._powers(gamma, n + 1)
+        solved = _solve_mod(fields._UniformizerFrame._system(powers, digits), p, digits)
+        frame = fields._UniformizerFrame(ctx, powers[:n], digits, solved)
+        assert frame._matrix(digits).dtype == self._dtype(p, digits)
+        xs = [ctx.element([self._near(rng, p, mod) for _ in range(n)]) * p ** rng.choice((0, 0, 1))
+              for _ in range(30)]
+        rows, den = fields._integer_rows(xs)
+        assert frame.valuations(xs) == fields._norm_valuations(
+            ctx, np.array(rows, dtype=object), den, 2, PRECISION_CAP)
