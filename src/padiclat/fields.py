@@ -5,7 +5,7 @@ canonical form (no common factor), and one precision; no other module
 reads that pair.  An immutable context holds F once, in that format.
 Sums and scalar multiples are integer work plus one content gcd, a
 product multiplies and reduces by F over Python ints (``_int_mul_mod``,
-the one polynomial multiplier, which ``bench`` shares), and a whole
+the one multiplier mod F, which ``bench`` shares), and a whole
 combination sum c_k v_k (``_linear_combination``: public vectors, CVP
 outputs, ciphertexts) is one integer dot product per coordinate.  A result carries the smallest precision among its operands;
 its Fractions and :class:`PadicScalar` coefficients are built only when
@@ -32,8 +32,12 @@ multiplication-by-z matrix is F's companion matrix, so v(N(c z^i)) =
 n v_p(c) + i v_p(F0), F0 F's constant term (``_monomial_valuation``;
 when F0 = 0 monomials take the determinant path).  The one query that
 needs a single digit, "is N(x) a unit?", is answered over GF(p) instead:
-N(x) mod p = +-Res(F mod p, x mod p), so it is a unit exactly when the
-two residue polynomials are coprime (``_gf_coprime``, an O(n^2) Euclid).
+N(x) mod p = +-Res(F mod p, x mod p), so it is a unit exactly when x mod
+p is coprime to F mod p, that is to its radical R, which the context
+computes once (``_gf_radical``) with a table of z^i mod R.  A query
+reduces x mod R by deg R dot products and takes one ``_gf_coprime``
+against R; a totally ramified F has F mod p = (z - a)^n and R = z - a,
+so the test costs O(n) instead of a Euclid's O(n^2) against F mod p.
 Only threshold tests (``NormEngine.norm_exceeds``) and the hash's unit
 test reach that path; on an engine without a uniformizer every other
 exact valuation is a determinant, and the brute-force oracle calls
@@ -149,14 +153,18 @@ class FieldContext:
 
     F's non-leading coefficients are held once, in the element format
     (``_int_modulus``: one integer vector over one denominator), and every
-    view of F is built from them on demand.  ``ramification`` and
-    ``residue_degree`` are caller-declared metadata; the context never
-    computes them.  Nothing is mutated after construction, so instances
-    are safe to share between threads, and two contexts are equal when p,
-    the precision, F and the metadata are.
+    view of F is built from them on demand.  Construction also computes,
+    once, what the one-digit unit test reads (``_radical``): the radical R
+    of F mod p and the table of z^i mod R for deg R <= i < n.
+    ``ramification`` and ``residue_degree`` are caller-declared metadata;
+    the context never computes them.  Nothing is mutated after
+    construction, so instances are safe to share between threads, and two
+    contexts are equal when p, the precision, F and the metadata are (R
+    follows from p and F).
     """
 
-    __slots__ = ("p", "n", "precision", "ramification", "residue_degree", "_int_modulus")
+    __slots__ = ("p", "n", "precision", "ramification", "residue_degree", "_int_modulus",
+                 "_radical")
 
     def __init__(self, p, precision, low, ramification=None, residue_degree=None):
         # ``low``: F's non-leading coefficients (rationals or scalars of the
@@ -167,6 +175,7 @@ class FieldContext:
         self.ramification = ramification
         self.residue_degree = residue_degree
         self._int_modulus = self.element(low).identity
+        self._radical = _radical_table(self)
 
     @property
     def modulus(self) -> tuple:
@@ -205,7 +214,7 @@ class FieldContext:
         return _canonical(self, x.ints, x.den, min(self.precision, x.precision))
 
     def zero(self) -> "FieldElement":
-        return self.element([])
+        return self.monomial(0, 0)
 
     def one(self) -> "FieldElement":
         return self.monomial(0)
@@ -216,7 +225,10 @@ class FieldContext:
     def monomial(self, k: int, coefficient=1) -> "FieldElement":
         if not 0 <= k < self.n:
             raise ValueError("monomial degree out of range")
-        return self.element([0] * k + [coefficient])
+        b, precision = self._exact(coefficient)
+        ints = [0] * self.n
+        ints[k] = b.numerator
+        return _canonical(self, ints, b.denominator, precision)
 
     # -- plumbing --------------------------------------------------------
 
@@ -730,35 +742,117 @@ def _norm_valuations(ctx: FieldContext, rows, den: int, digits: int, cap: int):
     return _escalate(len(rows), digits, cap, level)
 
 
-def _gf_coprime(a, b, p: int) -> bool:
-    """Whether two polynomials over GF(p) (coefficient lists, constant
-    term first, entries in [0, p)) are coprime.  Euclid's algorithm."""
-    a, b = list(a), list(b)
+def _gf_trim(a) -> list:
+    """A polynomial over GF(p) (coefficient list, constant term first)
+    without its zero top coefficients: [] for zero."""
+    a = list(a)
     while a and a[-1] == 0:
         a.pop()
-    while b and b[-1] == 0:
-        b.pop()
+    return a
+
+
+def _gf_divmod(a, b, p: int):
+    """(q, r) with a = q b + r and deg r < deg b over GF(p), for coefficient
+    lists (constant term first, entries in [0, p)) and b with a nonzero top
+    coefficient; r comes trimmed."""
+    a = list(a)
+    inv = pow(b[-1], -1, p)
+    db = len(b) - 1
+    q = [0] * max(0, len(a) - db)
+    # clear the top coefficient of a each step
+    for top in range(len(a) - 1, db - 1, -1):
+        off = top - db
+        c = q[off] = a.pop() * inv % p
+        if c:
+            a[off:top] = [(u - c * w) % p for u, w in zip(a[off:top], b)]
+    return q, _gf_trim(a)
+
+
+def _gf_gcd(a, b, p: int) -> list:
+    """The monic gcd of two polynomials over GF(p) ([] when both are
+    zero): Euclid's algorithm."""
+    a, b = _gf_trim(a), _gf_trim(b)
     while b:
-        inv = pow(b[-1], -1, p)
-        db = len(b) - 1
-        # a <- a mod b, clearing the top coefficient of a each step
-        for top in range(len(a) - 1, db - 1, -1):
-            q = a.pop() * inv % p
-            if q:
-                off = top - db
-                a[off:top] = [(u - q * w) % p for u, w in zip(a[off:top], b)]
-        while a and a[-1] == 0:
-            a.pop()
-        a, b = b, a
-    return len(a) == 1
+        a, b = b, _gf_divmod(a, b, p)[1]
+    inv = pow(a[-1], -1, p) if a else 1
+    return [u * inv % p for u in a]
+
+
+def _gf_coprime(a, b, p: int) -> bool:
+    """Whether two polynomials over GF(p) (coefficient lists, constant
+    term first, entries in [0, p)) are coprime."""
+    return len(_gf_gcd(a, b, p)) == 1
+
+
+def _gf_mul(a, b, p: int) -> list:
+    """The product of two nonzero polynomials over GF(p)."""
+    out = [0] * (len(a) + len(b) - 1)
+    for i, u in enumerate(a):
+        if u:
+            out[i:i + len(b)] = [(s + u * w) % p for s, w in zip(out[i:i + len(b)], b)]
+    return out
+
+
+def _gf_radical(f, p: int) -> list:
+    """The radical of a monic polynomial f over GF(p): the product of its
+    distinct monic irreducible factors (von zur Gathen and Gerhard,
+    *Modern Computer Algebra*, ch. 14).
+
+    With f = prod P^e, gcd(f, f') keeps P^(e-1) where p does not divide e
+    and all of P^e where it does, so w = f / gcd(f, f') is the product of
+    the first kind of factor, once each.  Dividing them out of the gcd
+    (by powers that double while they divide) leaves the second kind, a
+    p-th power g(z^p) = g(z)^p, whose radical is g's."""
+    if len(f) == 1:
+        return f
+    d = _gf_trim([i * a % p for i, a in enumerate(f)][1:])
+    if not d:
+        return _gf_radical(f[::p], p)
+    c = _gf_gcd(f, d, p)
+    w = _gf_divmod(f, c, p)[0]
+    # y holds every factor of w left in c, so c has none when y = 1
+    y = _gf_gcd(c, w, p)
+    while len(y) > 1:
+        q, r = _gf_divmod(c, y, p)
+        if r:
+            y = _gf_gcd(c, y, p)
+        else:
+            c, y = q, _gf_mul(y, y, p)
+    return w if len(c) == 1 else _gf_mul(w, _gf_radical(c, p), p)
+
+
+def _radical_table(ctx: FieldContext):
+    """(R, columns): R the radical of F mod p (monic, constant term first)
+    and, for j < d = deg R, column j of the table whose rows hold z^i mod
+    R for d <= i < n (below d, z^i mod R is z^i itself), so that the
+    residues of x mod R are d dot products of length n - d."""
+    p = ctx.p
+    radical = _gf_radical(ctx._modulus_residues(1) + [1], p)
+    d = len(radical) - 1
+    rows, row = [], [0] * (d - 1) + [1]
+    while len(rows) < ctx.n - d:
+        # z * row, with z^d folded back by R
+        top = row[-1]
+        row = [(u - top * r) % p for u, r in zip([0] + row[:-1], radical)]
+        rows.append(row)
+    return radical, [[row[j] for row in rows] for j in range(d)]
 
 
 def _scaled_norm_is_unit(x: FieldElement) -> bool:
     """Whether N(p^s x) is a unit, s the scale of x, for nonzero x: as
     N(p^s x) mod p = +-Res(F mod p, p^s x mod p), exactly when the two
-    residue polynomials are coprime."""
-    ctx = x.ctx
-    return _gf_coprime(_element_residues(x, 1), ctx._modulus_residues(1) + [1], ctx.p)
+    residue polynomials are coprime, that is when p^s x mod p is coprime
+    to R, the radical of F mod p.  The residues are reduced mod R with the
+    context's table of z^i mod R (deg R dot products of length n - deg R)
+    and meet R in one ``_gf_coprime``; a totally ramified F has R = z - a,
+    so the test is whether p^s x mod p vanishes at a, and a squarefree
+    F mod p is its own radical, with no reduction."""
+    p = x.ctx.p
+    radical, columns = x.ctx._radical
+    xbar = _element_residues(x, 1)
+    high = xbar[len(radical) - 1:]
+    return _gf_coprime([(a + sum(u * w for u, w in zip(high, column))) % p
+                        for a, column in zip(xbar, columns)], radical, p)
 
 
 def _monomial_valuation(x: FieldElement):
@@ -881,8 +975,9 @@ class NormEngine:
     and the other uncached elements escalate together from two digits:
     each exact valuation is a determinant, at the digit levels it would
     take alone.  There a threshold test evaluates only the digits its
-    bound needs, one level: a single digit is a GF(p) gcd, and a level
-    that comes back deeper answers the test and is forgotten.
+    bound needs, one level: a single digit is one GF(p) gcd against the
+    radical of F mod p, and a level that comes back deeper answers the
+    test and is forgotten.
 
     An engine that has adopted a uniformizer (``adopt_uniformizer``, which
     the break calls once it has one) answers every uncached query in its

@@ -1,9 +1,10 @@
 """Slow paths kept only as references for differential tests: the
 list-based modular Gauss-Jordan that ``fields._solve_mod`` does in numpy
 (rows of Python ints, the first unit pivot of each column, every other
-row cleared entry by entry), and a bench instance's minimal polynomial by
+row cleared entry by entry), a bench instance's minimal polynomial by
 one such elimination mod p^digits, which ``bench._minimal_poly_mod``
-lifts instead.
+lifts instead, and the plain Euclid over GF(p) against F mod p itself,
+which ``fields._scaled_norm_is_unit`` replaces by one against F's radical.
 """
 
 from padiclat.fields import _int_mul_mod
@@ -44,3 +45,26 @@ def minimal_poly_reference(p, digits, fcoeffs, zeta):
     x = solve_mod_reference([[powers[k][i] for k in range(n + 1)] for i in range(n)],
                             p, digits)
     return None if x is None else [(-xi) % mod for xi, in x] + [1]
+
+
+def gf_coprime_reference(a, b, p):
+    """Whether two polynomials over GF(p) (coefficient lists, constant term
+    first, entries in [0, p)) are coprime, by Euclid's algorithm on lists."""
+    a, b = list(a), list(b)
+    while a and a[-1] == 0:
+        a.pop()
+    while b and b[-1] == 0:
+        b.pop()
+    while b:
+        inv = pow(b[-1], -1, p)
+        db = len(b) - 1
+        # a <- a mod b, clearing the top coefficient of a each step
+        for top in range(len(a) - 1, db - 1, -1):
+            q = a.pop() * inv % p
+            if q:
+                off = top - db
+                a[off:top] = [(u - q * w) % p for u, w in zip(a[off:top], b)]
+        while a and a[-1] == 0:
+            a.pop()
+        a, b = b, a
+    return len(a) == 1

@@ -36,7 +36,7 @@ from padiclat.fields import (
 from padiclat.lattices import Lattice, _IntegerSums, lvp_oracle
 from padiclat.reduction import AbsCounter, orthogonalize
 from padiclat.scalars import PRECISION_CAP, PadicScalar, int_valuation
-from solve_reference import solve_mod_reference
+from solve_reference import gf_coprime_reference, solve_mod_reference
 
 
 class TestMakeContext:
@@ -371,6 +371,27 @@ class TestOneElementRepresentation:
         with pytest.raises(ValueError):
             ctx.element([1, PadicScalar.from_fraction(Fraction(1), p=3, precision=32)])
 
+    def test_monomial_is_the_padded_element(self):
+        # monomial (and zero, one, gen) builds the canonical pair directly:
+        # the same pair and precision as the zero-padded element
+        ctx = make_context(3, 32, random_eisenstein(random.Random(3), 3, 7))
+        n, p = ctx.n, ctx.p
+        coefficients = [1, 12, -5, 0, Fraction(-6, 9), Fraction(7, 27),
+                        PadicScalar.from_fraction(Fraction(2, 3), p=p, precision=8),
+                        PadicScalar.from_fraction(Fraction(-18), p=p, precision=64),
+                        PadicScalar.zero(p, 4)]
+        for k in (0, n // 2, n - 1):
+            for c in coefficients:
+                got, want = ctx.monomial(k, c), ctx.element([0] * k + [c])
+                assert (got.identity, got.precision) == (want.identity, want.precision)
+        for got, want in ((ctx.zero(), []), (ctx.one(), [1]), (ctx.gen(), [0, 1])):
+            want = ctx.element(want)
+            assert (got.identity, got.precision) == (want.identity, want.precision)
+        with pytest.raises(ValueError):
+            ctx.monomial(1, PadicScalar.from_fraction(Fraction(1), p=5, precision=8))
+        with pytest.raises(ValueError):
+            ctx.monomial(n)
+
     def test_break_builds_no_scalar(self, monkeypatch):
         # recovery, orthogonalization and the oracle run on the rationals
         # alone: each answer is unchanged when building a scalar raises
@@ -581,6 +602,149 @@ class TestThresholdQueries:
         with pytest.raises(AssertionError):
             NormEngine(ctx).norm_exceeds(ctx.one(), 0)  # the patch is live
         assert answers() == want
+
+
+class TestUnitRadical:
+    """The one-digit unit test reads p^s x mod p against R, the radical of
+    F mod p, which the context builds once; every answer must be the plain
+    Euclid's against F mod p itself (``gf_coprime_reference``)."""
+
+    @staticmethod
+    def _exponents(p):
+        return [1, 2, p, 2 * p, p * p, p + 1]
+
+    @staticmethod
+    def _mul(a, b, p):
+        out = [0] * (len(a) + len(b) - 1)
+        for i, u in enumerate(a):
+            for j, w in enumerate(b):
+                out[i + j] = (out[i + j] + u * w) % p
+        return out
+
+    @staticmethod
+    def _irreducible(rng, p):
+        # monic of degree 1 to 3: irreducible when degree 1 or without a
+        # root in GF(p)
+        while True:
+            g = [rng.randrange(p) for _ in range(rng.choice([1, 1, 2, 3]))] + [1]
+            if len(g) == 2 or all(sum(c * r ** i for i, c in enumerate(g)) % p
+                                  for r in range(p)):
+                return g
+
+    def _fields(self, rng, p, count):
+        # F mod p = prod g_i^e_i over distinct irreducibles g_i, degree 2
+        # to 100, with the radical prod g_i it must have
+        while count:
+            gs = []
+            for _ in range(rng.choice([1, 1, 2, 3])):
+                g = self._irreducible(rng, p)
+                if g not in gs:
+                    gs.append(g)
+            es = [rng.choice(self._exponents(p)) for _ in gs]
+            fbar, radical = [1], [1]
+            for g, e in zip(gs, es):
+                radical = self._mul(radical, g, p)
+                for _ in range(e):
+                    fbar = self._mul(fbar, g, p)
+            if 2 <= len(fbar) - 1 <= 100:
+                count -= 1
+                yield gs, es, fbar, radical
+
+    @pytest.mark.parametrize("p", [2, 3, 5, 7])
+    def test_unit_test_matches_euclid_against_f(self, p):
+        from padiclat.fields import _element_residues, _scaled_norm_is_unit
+
+        rng = random.Random(p)
+        seen, cases = set(), Counter()
+        for gs, es, fbar, radical in self._fields(rng, p, 60):
+            ctx = make_context(p, 64, fbar)
+            assert ctx._radical[0] == radical
+            seen.update(es)
+            n = ctx.n
+            for i in range(16):
+                xbar = [rng.randrange(p) for _ in range(n)]
+                if i % 2:  # a multiple of one of F's factors
+                    g = rng.choice(gs)
+                    xbar = self._mul(g, xbar[:n - len(g) + 1], p)
+                # a scale and a unit denominator leave the residues' factors
+                x = ctx.element(xbar) * Fraction(1, rng.choice([1, p]) * (p + 1))
+                if x.is_zero:
+                    continue
+                want = gf_coprime_reference(_element_residues(x, 1),
+                                            ctx._modulus_residues(1) + [1], p)
+                assert _scaled_norm_is_unit(x) == want
+                cases[want] += 1
+        # every multiplicity kind, a unit and a non-unit answer
+        assert seen == set(self._exponents(p))
+        assert cases[True] and cases[False]
+
+    @pytest.mark.parametrize("p, n, m", [(3, 12, 6), (5, 14, 6)])
+    def test_keygen_and_bench_fields_have_a_linear_radical(self, p, n, m, monkeypatch):
+        # keygen's Eisenstein field has F = z^n mod p and its public field
+        # F = (z - a)^n mod p; at p | n F' = 0 mod p, and the radical needs
+        # the p-th root
+        from padiclat import schemes
+
+        built = []
+        make = schemes.make_context
+
+        def recorded(*args, **kwargs):
+            built.append(make(*args, **kwargs))
+            return built[-1]
+
+        monkeypatch.setattr(schemes, "make_context", recorded)
+        rng = random.Random(n)
+        schemes.keygen(p, n, m, range(n), random_eisenstein(rng, p, n),
+                       schemes.random_zeta(rng, p, n), rng=rng)
+        assert len(built) == 2
+        assert built[0]._radical[0] == [0, 1]
+        instance = bench.make_instance(64, p, random.Random(p))
+        for ctx in built + [instance]:
+            assert len(ctx._radical[0]) == 2
+            assert len(ctx._radical[1]) == 1 and len(ctx._radical[1][0]) == ctx.n - 1
+
+    def test_unit_queries_rebuild_nothing(self, monkeypatch):
+        # once a context is built, no one-digit threshold test and no hash
+        # target reads F's residues or builds the radical again; each takes
+        # one GF(p) gcd
+        from padiclat.fields import FieldContext, _element_residues
+        from padiclat.schemes import hash_to_target, keygen, random_zeta
+
+        rng = random.Random(23)
+        kp = keygen(3, 12, 6, range(12), random_eisenstein(rng, 3, 12),
+                    random_zeta(rng, 3, 12), rng=rng)
+        queries = []
+        for ctx in THRESHOLD_CTXS + [kp.public.ctx]:
+            p, n = ctx.p, ctx.n
+            for _ in range(20):
+                x = ctx.element([Fraction(rng.randrange(-2 * p, 2 * p), p ** rng.choice([0, 1]))
+                                 for _ in range(n)])
+                if not x.is_zero:
+                    unit = gf_coprime_reference(_element_residues(x, 1),
+                                                ctx._modulus_residues(1) + [1], p)
+                    queries.append((x, -n * _element_scale(x), unit))
+        targets = [hash_to_target(kp.public, bytes([i]), b"salt") for i in range(5)]
+
+        def forbidden(*args):
+            raise AssertionError("a unit query rebuilt F's residues or radical")
+
+        gcds = []
+        coprime = fields._gf_coprime
+
+        def counted(*args):
+            gcds.append(1)
+            return coprime(*args)
+
+        monkeypatch.setattr(FieldContext, "_modulus_residues", forbidden)
+        monkeypatch.setattr(fields, "_radical_table", forbidden)
+        monkeypatch.setattr(fields, "_gf_radical", forbidden)
+        monkeypatch.setattr(fields, "_gf_coprime", counted)
+        for x, bound, unit in queries:
+            assert NormEngine(x.ctx).norm_exceeds(x, bound) == (not unit)
+        assert len(gcds) == len(queries)
+        assert [hash_to_target(kp.public, bytes([i]), b"salt")
+                for i in range(5)] == targets
+        assert len(gcds) > len(queries)
 
 
 class TestBatchedNormQueries:
