@@ -92,7 +92,8 @@ _INT64_SAFE = 2 ** 61
 # at a time) beats a fancy-indexed gather and scatter
 _FEW_SWAPS = 4
 # matrix entries per elimination stack: bounds a batch's memory (8 matrices
-# at n = 64, 167 at n = 14, a whole oracle chunk at n <= 6)
+# at n = 64, 167 at n = 14, 910 at n = 6); the lattice oracle enumerates in
+# chunks of one such stack
 _STACK_ENTRIES = 2 ** 15
 
 

@@ -4,22 +4,26 @@ The oracle here is deliberately independent of the reduction algorithms:
 it enumerates every digit combination and resolves each sum's exact norm
 valuation from determinants alone (no norm engine, no cache and never the
 GF(p) gcd), so it can referee them.  The enumeration is vectorized: the
-vectors are cleared of denominators once, each chunk of digit tuples
-(taken in product order) becomes integer rows by one product with that
-integer basis, and one batched escalation (``fields._norm_valuations``)
-eliminates the chunk's multiplication matrices as one stack.  Only the
-first witness of each norm class becomes a field element.
+vectors are cleared of denominators once, the digit tuples are taken in
+product order in chunks of one first-level elimination stack (at most
+``fields._STACK_ENTRIES`` matrix entries), each chunk becomes integer
+rows by one product with that integer basis, and one batched escalation
+(``fields._norm_valuations``) eliminates the chunk's multiplication
+matrices.  The vectors p*b_i follow in the same stream as the m unit
+tuples: N(p x) = p^n N(x), so v(N(p b_i)) = n + v(N(b_i)) comes from
+b_i's own determinant.  Only the first witness of each norm class becomes a field
+element.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import ceil
 
 import numpy as np
 
+from . import fields
 from .errors import BudgetExceeded, ClassCollision, OracleInconclusive
 from .fields import (
     _INT64_SAFE,
@@ -44,10 +48,6 @@ DEFAULT_BUDGET = 10 ** 7
 # the last one before the exact solve
 _CVP_DIGITS = 8
 _CVP_DIGITS_CAP = 64
-
-# digit tuples per batch: bounds the enumeration's memory (its stacks take
-# about 1.3 KB per tuple at n = 6)
-_CHUNK = 64
 
 
 @dataclass(frozen=True)
@@ -98,7 +98,7 @@ def is_orthogonal(ctx: FieldContext, vectors, *, budget: int = DEFAULT_BUDGET,
     sums = _IntegerSums(ctx, vectors, ctx.p - 1)
     # expected v(N(sum)): the least valuation among its nonzero terms
     want = np.array([int(e.exponent * ctx.n) for e in exps])
-    for tuples in _digit_tuples(ctx.p, m):
+    for tuples, _ in _digit_tuples(ctx.p, m, ctx.n):
         tuples = tuples[(tuples == 1).any(axis=1)]
         rows = sums.rows(tuples)
         if not np.count_nonzero(rows, axis=1).all():
@@ -109,14 +109,21 @@ def is_orthogonal(ctx: FieldContext, vectors, *, budget: int = DEFAULT_BUDGET,
     return True
 
 
-def _digit_tuples(span: int, m: int):
-    """Every tuple of range(span)^m in ``itertools.product`` order, as
-    int64 arrays of at most _CHUNK rows."""
+def _digit_tuples(span: int, m: int, n: int, units: bool = False):
+    """Every tuple of range(span)^m in ``itertools.product`` order, then
+    with ``units`` the m unit tuples, as (tuples, mask) chunks: int64
+    arrays of as many rows as one elimination stack holds n x n matrices,
+    and a mask marking the unit tuples."""
+    size = max(1, fields._STACK_ENTRIES // (n * n))
     weights = span ** np.arange(m - 1, -1, -1, dtype=np.int64)
     total = span ** m
-    for start in range(0, total, _CHUNK):
-        index = np.arange(start, min(start + _CHUNK, total), dtype=np.int64)
-        yield index[:, None] // weights % span
+    end = total + m if units else total
+    for start in range(0, end, size):
+        index = np.arange(start, min(start + size, end), dtype=np.int64)
+        unit = index >= total
+        tuples = index[:, None] // weights % span
+        tuples[unit] = np.eye(m, dtype=np.int64)[index[unit] - total]
+        yield tuples, unit
 
 
 class _IntegerSums:
@@ -173,16 +180,19 @@ def lvp_oracle(ctx: FieldContext, lattice: Lattice, depth: int = 2, *,
         raise BudgetExceeded(
             f"enumeration p^{depth * m} exceeds budget {budget}")
     span = p ** depth
-    sums = _IntegerSums(ctx, lattice.basis, max(span - 1, p))
+    sums = _IntegerSums(ctx, lattice.basis, max(span - 1, p))  # p: witnesses p*b_i
     best: dict = {}
-    # every digit tuple in product order, then the vectors p*b_i
-    for tuples in itertools.chain(_digit_tuples(span, m), [p * np.eye(m, dtype=np.int64)]):
+    # every digit tuple in product order, then the vectors p*b_i as the unit
+    # tuples: their rows are b_i, and v(N(p b_i)) = n + v(N(b_i))
+    for tuples, unit in _digit_tuples(span, m, ctx.n, units=True):
         rows = sums.rows(tuples)
-        rows = rows[np.count_nonzero(rows, axis=1) > 0]
-        for v, i in zip(*np.unique(sums.valuations(rows), return_index=True)):
+        nonzero = np.count_nonzero(rows, axis=1) > 0
+        rows, unit = rows[nonzero], unit[nonzero]
+        values = np.array(sums.valuations(rows), dtype=np.int64) + ctx.n * unit
+        for v, i in zip(*np.unique(values, return_index=True)):
             e = Fraction(int(v), ctx.n)
             if e not in best:
-                best[e] = sums.element(rows[i])
+                best[e] = sums.element(p * rows[i] if unit[i] else rows[i])
     order = sorted(best)  # ascending exponent = decreasing magnitude
     if len(order) < 2:
         raise OracleInconclusive(

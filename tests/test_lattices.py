@@ -135,8 +135,9 @@ class TestOracleDifferential:
         (3, 3, 2, 2, Fraction(5, 9)),
         (3, 4, 2, 2, Fraction(1, 7)),    # p-free denominators
         (5, 3, 1, 3, Fraction(2, 11)),
-        (3, 4, 3, 2, 1),                 # 729 tuples: several chunks
+        (3, 4, 3, 2, 1),                 # 729 tuples and 3 unit tuples
         (2, 5, 3, 3, Fraction(3, 2)),    # 512 tuples, p-power denominators
+        (2, 6, 5, 2, 1),                 # 1024 tuples: two chunks of <= 910
     ])
     def test_matches_per_sum_loop(self, p, n, m, depth, scale):
         rng = random.Random(f"oracle-diff:{p}:{n}:{m}:{depth}")
@@ -159,13 +160,59 @@ class TestOracleDifferential:
             got = lvp_oracle(ctx, Lattice(ctx, dependent))
             assert _outputs(got) == _reference_outputs(ctx, dependent)
 
+    @pytest.mark.parametrize("p, n, m", [(2, 4, 2), (3, 5, 3), (5, 3, 2)])
+    def test_depth_zero_sees_only_p_multiples(self, p, n, m):
+        # span 1: the zero tuple is the only digit tuple, so every class
+        # comes from a vector p*b_i, read as n + v(N(b_i))
+        rng = random.Random(f"oracle-depth0:{p}:{n}:{m}")
+        ctx, basis, j = scheme_shaped_lattice(rng, p, n, m)
+        hidden = [ctx.monomial(k) for k in j]
+        got = lvp_oracle(ctx, Lattice(ctx, hidden), 0)
+        assert _outputs(got) == _reference_outputs(ctx, hidden, 0)
+        assert got.classes == tuple(AbsValue.of(n + k, n) for k in j)
+        assert got.witness == hidden[1] * p
+        scaled = [hidden[0] * Fraction(1, p)] + basis[1:]
+        got = lvp_oracle(ctx, Lattice(ctx, scaled), 0)
+        assert _outputs(got) == _reference_outputs(ctx, scaled, 0)
+
+    @pytest.mark.parametrize("depth", [0, 2])
+    def test_dependent_basis_p_multiples(self, depth):
+        # p*(-p b) = -p^2 b: two unit tuples' classes differ by exactly 1,
+        # and at depth 2 the sums p*b + (-p b) vanish among the digit tuples
+        rng = random.Random(f"oracle-dependent-units:{depth}")
+        ctx, basis, _ = scheme_shaped_lattice(rng, 3, 4, 2)
+        b, c = basis
+        dependent = [b, -b * 3, c]
+        got = lvp_oracle(ctx, Lattice(ctx, dependent), depth)
+        assert _outputs(got) == _reference_outputs(ctx, dependent, depth)
+
     def test_chunk_boundaries_do_not_matter(self, monkeypatch):
+        # 729 digit tuples, then the 3 unit tuples (rows 729..731); at n = 4
+        # a stack bound of 16 * c entries makes chunks of c tuples, and c =
+        # 730 puts a boundary inside the unit tuples
         rng = random.Random("oracle-chunks")
         ctx, basis, _ = scheme_shaped_lattice(rng, 3, 4, 3)
         want = _outputs(lvp_oracle(ctx, Lattice(ctx, basis)))
-        for chunk in (1, 7, 100):
-            monkeypatch.setattr(lattices, "_CHUNK", chunk)
+        for chunk in (1, 7, 100, 730):
+            monkeypatch.setattr(fields, "_STACK_ENTRIES", 16 * chunk)
             assert _outputs(lvp_oracle(ctx, Lattice(ctx, basis))) == want
+
+    def test_one_stack_per_escalation_level(self, monkeypatch):
+        # 3^6 digit tuples and 3 unit tuples at n = 6 fit one chunk of 910:
+        # the oracle eliminates the 731 nonzero rows as one stack, then the
+        # open ones once per deeper level
+        rng = random.Random("oracle-det-calls")
+        ctx, basis, _ = scheme_shaped_lattice(rng, 3, 6, 3)
+        calls = []
+        det = fields._det_valuation
+
+        def recorded(stack, p, digits):
+            calls.append((len(stack), digits))
+            return det(stack, p, digits)
+
+        monkeypatch.setattr(fields, "_det_valuation", recorded)
+        lvp_oracle(ctx, Lattice(ctx, basis))
+        assert calls == [(731, 2), (8, 4)]
 
     def test_is_orthogonal_matches_per_sum_loop(self):
         rng = random.Random(41)
@@ -184,6 +231,7 @@ class TestOracleDifferential:
     def test_memory_stays_bounded(self):
         # 5^6 = 15625 tuples at n = 6: their multiplication matrices alone
         # take 4.5 MB, the chunked enumeration never holds more than a chunk
+        # (one elimination stack: 910 tuples)
         rng = random.Random("oracle-memory")
         ctx, basis, _ = scheme_shaped_lattice(rng, 5, 6, 3)
         lattice = Lattice(ctx, basis)
