@@ -7,7 +7,7 @@ breaks both.
 """
 
 from .errors import PadicError, PrecisionExhausted
-from .fields import AbsValue, FieldContext, FieldElement, NormEngine, abs_value, coordinates_in, field_norm, is_eisenstein, make_context
+from .fields import AbsValue, FieldContext, FieldElement, NormEngine, abs_value, coordinates_in, is_eisenstein, make_context
 from .lattices import Lattice, complete_orthogonal, cvp_orthogonal, is_orthogonal, lvp_oracle, successive_maxima
 from .reduction import find_second_longest, find_second_longest_general, orthogonalize
 from .scalars import DEFAULT_PRECISION, PRECISION_CAP, PadicScalar
@@ -22,7 +22,7 @@ __all__ = [
     "PadicError", "PadicScalar", "PrecisionExhausted", "PrivateKey",
     "PublicKey", "Signature", "abs_value", "attack_decrypt",
     "complete_orthogonal", "coordinates_in", "cvp_orthogonal", "decrypt",
-    "encrypt", "field_norm", "find_second_longest",
+    "encrypt", "find_second_longest",
     "find_second_longest_general", "find_uniformizer", "forge_signature",
     "hash_to_target", "is_eisenstein", "is_orthogonal", "keygen",
     "lvp_oracle", "make_context", "orthogonalize", "recover_uniformizer",

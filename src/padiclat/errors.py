@@ -10,9 +10,9 @@ class InputError(PadicError):
 
 
 class PrecisionExhausted(PadicError):
-    """A norm valuation, or the unit digits of a ``field_norm``, cannot be
-    certified within ``PRECISION_CAP`` digits.  The norm escalation already
-    doubles its digits up to that cap."""
+    """A norm valuation cannot be certified within ``PRECISION_CAP``
+    digits.  The norm escalation already doubles its digits up to that
+    cap."""
 
 
 class DivisionByZero(PadicError):

@@ -18,10 +18,11 @@ which is what keeps the attack loops cheap at large degree.
 Every determinant valuation comes from one kernel: ``_det_valuation``,
 one numpy elimination over a stack of matrices (a single matrix is a
 stack of one), over int32 residues while p^(2M) * n < 2^30, int64 below
-2^61 and Python ints beyond (``_kernel_dtype``).  Per matrix it returns
-the valuation (a lower bound where flagged deeper) and the determinant's
-certified unit digits.  One escalation loop, ``_escalate``, doubles the digits of the items no
-level has certified yet, up to PRECISION_CAP.  ``_norm_valuations`` runs
+2^61 and Python ints beyond (``_kernel_dtype``), which eliminates its
+caller's reduced stack in place.  Per matrix it returns the valuation, a
+lower bound where flagged deeper.  One escalation loop, ``_escalate``,
+doubles the digits of the items no level has certified yet, up to
+PRECISION_CAP.  ``_norm_valuations`` runs
 it on determinants of integer rows over one denominator, in stacks of at
 most _STACK_ENTRIES matrix entries: ``NormEngine.norm_valuations`` once
 per denominator scale for a batch of elements (a basis's absolute values;
@@ -73,7 +74,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import total_ordering
-from math import gcd, lcm, prod
+from math import gcd, lcm
 
 import numpy as np
 
@@ -617,7 +618,9 @@ def _swap(A, k: int, rows, cols):
 
 def _det_valuation(stack, p: int, digits: int):
     """Valuations of the determinants of a B x n x n stack of integer
-    matrices (array or nested lists), computed mod p^digits.
+    matrices with entries in [0, p^digits), computed mod p^digits.  An
+    array of the kernel's dtype is eliminated in place (the stack is
+    consumed); any other input, nested lists included, is copied once.
 
     Each step pivots every matrix on its diagonal entry when that is a unit
     (in place, with no search and no swap when the whole stack has one)
@@ -629,16 +632,14 @@ def _det_valuation(stack, p: int, digits: int):
     column are reduced each step: the block takes at most n products of
     two residues, which ``_kernel_dtype`` keeps in range.
 
-    Returns lists (v, deeper, unit), one entry per matrix: the valuation,
-    or where ``deeper`` is set a lower bound for it; and the determinant's
-    unit digits mod p^(digits - v), or 1 when no digit is certified.
+    Returns lists (v, deeper), one entry per matrix: the valuation, or
+    where ``deeper`` is set a lower bound for it.
     """
     n = len(stack[0])
     mod = p ** digits
-    A = np.asarray(stack, dtype=_kernel_dtype(p, n, digits)) % mod  # its own copy
+    A = np.asarray(stack, dtype=_kernel_dtype(p, n, digits))
     vsum = [0] * len(A)
     deeper = [False] * len(A)
-    sign = [1] * len(A)
     for k in range(n):
         units = A[:, k, k].tolist()  # not reduced: only their residues matter
         shift = None
@@ -659,8 +660,6 @@ def _det_valuation(stack, p: int, digits: int):
             row_swaps = [(b, k + w // r) for b, w in zip(sel, where) if w >= r]
             col_swaps = [(b, k + w % r) for b, w in zip(sel, where) if w % r]
             _swap(A, k, row_swaps, col_swaps)
-            for b, _ in row_swaps + col_swaps:
-                sign[b] = -sign[b]
             units = A[:, k, k].tolist()
             if pv is not None and any(pv):
                 shift = [1] * len(A)
@@ -681,12 +680,7 @@ def _det_valuation(stack, p: int, digits: int):
             # so each product is exact mod p^digits
             f = col * inv % mod
             A[:, k + 1:, k + 1:] -= f[:, :, None] * (A[:, k, None, k + 1:] % mod)
-    # mod p^digits the pivots left on the diagonal multiply to +-p^v times
-    # the unit digits, the sign that of the swaps
-    pivots = A.diagonal(axis1=1, axis2=2).tolist()
-    unit = [1 if d or v >= digits else s * prod(row) % mod // p ** v
-            for row, v, d, s in zip(pivots, vsum, deeper, sign)]
-    return vsum, deeper, unit
+    return vsum, deeper
 
 
 def _escalate(count: int, digits: int, cap: int, level):
@@ -735,7 +729,7 @@ def _norm_valuations(ctx: FieldContext, rows, den: int, digits: int, cap: int):
             open_rows = rows[todo[start:start + size]]
             if wide:
                 open_rows = open_rows.astype(object)  # mod may pass int64
-            v, deeper, _ = _det_valuation(
+            v, deeper = _det_valuation(
                 _mult_rows_mod(ctx, open_rows % mod * inv % mod, total), p, total)
             out += [None if d else vi - shift for vi, d in zip(v, deeper)]
         return out
@@ -1062,7 +1056,7 @@ class NormEngine:
             v, deeper = 0, not _scaled_norm_is_unit(x)
         else:
             rows = _mult_rows_mod(ctx, [_element_residues(x, total)], total)
-            (v,), (deeper,), _ = _det_valuation(rows, ctx.p, total)
+            (v,), (deeper,) = _det_valuation(rows, ctx.p, total)
         if deeper:
             return True
         v = self._states[x.identity] = v - shift
@@ -1087,28 +1081,6 @@ class NormEngine:
 def abs_value(ctx: FieldContext, x: FieldElement, engine: NormEngine | None = None) -> AbsValue:
     """Extended absolute value |x| = |N(x)|^(1/n) as an exact exponent."""
     return (engine or NormEngine(ctx)).abs_value(x)
-
-
-def field_norm(ctx: FieldContext, x: FieldElement) -> PadicScalar:
-    """Norm N(x) = det of the multiplication-by-x matrix, with the unit
-    part carried to the context precision.
-
-    The result is the rational unit * p^v, v = v(N(x)), with ``unit`` the
-    determinant's unit digits mod p^precision: its digits up to
-    v + precision are N(x)'s, those past it the representative's."""
-    if x.is_zero:
-        return PadicScalar.zero(ctx.p, ctx.precision)
-    v = NormEngine(ctx).norm_valuation(x)
-    # the determinant of p^s * x has valuation v + n*s; these digits leave
-    # exactly ``precision`` unit digits
-    s = _element_scale(x)
-    digits = v + ctx.n * s + ctx.precision
-    if digits > PRECISION_CAP:
-        raise PrecisionExhausted("norm unit not certified at the precision cap")
-    rows = _mult_rows_mod(ctx, [_element_residues(x, digits)], digits)
-    _, _, (unit,) = _det_valuation(rows, ctx.p, digits)
-    return PadicScalar.from_fraction(unit * Fraction(ctx.p) ** v, p=ctx.p,
-                                     precision=ctx.precision)
 
 
 # ---------------------------------------------------------------------------
@@ -1244,11 +1216,3 @@ def is_eisenstein(p: int, coeffs) -> bool:
         raise NotMonic("Eisenstein test requires a monic polynomial")
     return frac_valuation(fr[0], p) == 1 and all(
         not c or frac_valuation(c, p) >= 1 for c in fr[1:-1])
-
-
-def evaluate_poly(ctx: FieldContext, coeffs, x: FieldElement) -> FieldElement:
-    """Evaluate a polynomial (constant first, scalar coefficients) at x."""
-    acc = ctx.zero()
-    for c in reversed(list(coeffs)):
-        acc = acc * x + ctx.element([c])
-    return acc

@@ -44,6 +44,66 @@ def test_unused_import_check_sees_one():
     assert _unused_imports(src) == [(1, "os")]
 
 
+def _module_names(tree, modules):
+    """The names under which a module binds the package modules ``modules``
+    (``from . import fields``, ``from padiclat import bench as bench_mod``)."""
+    return {alias.asname or alias.name for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom) and node.module in (None, "padiclat")
+            for alias in node.names if alias.name in modules}
+
+
+def _reads(node, bound):
+    """Names read under ``node``: bare names, and attributes of the module
+    names ``bound`` (``fields.x``)."""
+    return {sub.id if isinstance(sub, ast.Name) else sub.attr
+            for sub in ast.walk(node)
+            if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load)
+            or isinstance(sub, ast.Attribute) and isinstance(sub.value, ast.Name)
+            and sub.value.id in bound}
+
+
+def _dead_definitions(sources, modules, public=(), outside=()):
+    """Top-level functions and classes of ``sources`` (name -> text) that no
+    source reads outside their own definition, that ``public`` does not
+    name and that no ``outside`` text reads."""
+    defined, read = [], set(public)
+    for name, source in sources.items():
+        tree = ast.parse(source)
+        bound = _module_names(tree, modules)
+        for stmt in tree.body:
+            own = getattr(stmt, "name", None)
+            if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+                defined.append((name, own))
+            read |= _reads(stmt, bound) - {own}
+    for source in outside:
+        tree = ast.parse(source)
+        read |= _reads(tree, _module_names(tree, modules))
+    return [(name, own) for name, own in defined if own not in read]
+
+
+def test_no_dead_definitions():
+    # every top-level function and class is read by the package, exported,
+    # or read by the benchmark harness (which reaches package internals)
+    package = Path(padiclat.__file__).parent
+    sources = {path.stem: path.read_text() for path in sorted(package.glob("*.py"))
+               if path.name != "__init__.py"}
+    perfbench = Path(__file__).parent.parent / "perfbench"
+    outside = [path.read_text() for path in sorted(perfbench.glob("*.py"))]
+    assert _dead_definitions(sources, set(sources), padiclat.__all__, outside) == []
+
+
+def test_dead_definition_check_sees_one():
+    src = ("from . import util as u\n"
+           "def used(): return helper()\n"
+           "def helper(): return u.thing\n"
+           "def dead(): return dead()\n"
+           "class Kept: pass\n"
+           "def reached(): pass\n")
+    sources = {"m": src, "util": "def thing(): pass\n"}
+    outside = ["from padiclat import m\nKept, m.reached"]
+    assert _dead_definitions(sources, set(sources), ["used"], outside) == [("m", "dead")]
+
+
 def test_import_leaves_hashlib_unloaded():
     # hashlib loads OpenSSL, several MB of RSS in every process; only
     # hashing (signing, verifying, fixture digests) needs it

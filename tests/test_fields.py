@@ -29,7 +29,6 @@ from padiclat.fields import (
     _solve_mod,
     abs_value,
     coordinates_in,
-    field_norm,
     is_eisenstein,
     make_context,
 )
@@ -423,17 +422,15 @@ class TestOneElementRepresentation:
 
 class TestNormAndAbs:
     def test_norm_of_one(self, toy_ctx):
-        n = field_norm(toy_ctx, toy_ctx.one())
-        assert n == PadicScalar.from_rational(1, 1, p=2, precision=128)
+        assert NormEngine(toy_ctx).norm_valuation(toy_ctx.one()) == 0
 
     def test_norm_of_sqrt2(self, sqrt2_ctx):
-        n = field_norm(sqrt2_ctx, sqrt2_ctx.gen())
-        assert n == PadicScalar.from_rational(-2, 1, p=2, precision=64)
-        assert n.valuation == 1
+        # N(sqrt2) = -2
+        assert NormEngine(sqrt2_ctx).norm_valuation(sqrt2_ctx.gen()) == 1
 
     def test_toy_generator_minus_one(self, toy_ctx):
         gamma = toy_ctx.gen() - toy_ctx.one()
-        assert field_norm(toy_ctx, gamma).valuation == 1
+        assert NormEngine(toy_ctx).norm_valuation(gamma) == 1
         assert abs_value(toy_ctx, gamma) == AbsValue.of(1, 20)
 
     def test_toy_norm_table_spot(self, toy_ctx):
@@ -476,13 +473,6 @@ class TestNormAndAbs:
             assert es >= min(ex, ey)
             if ex != ey:
                 assert es == min(ex, ey)
-
-    def test_norm_unit_multiplicative_window(self, sqrt2_ctx):
-        x = sqrt2_ctx.element([3, 1])
-        y = sqrt2_ctx.element([1, 2])
-        lhs = field_norm(sqrt2_ctx, x * y)
-        rhs = field_norm(sqrt2_ctx, x) * field_norm(sqrt2_ctx, y)
-        assert lhs == rhs
 
 
 # Eisenstein fields of degree <= 4, the first is Q_2[z]/(z^3 - 2); then
@@ -540,7 +530,7 @@ class TestThresholdQueries:
                 shift = n * _element_scale(x)
                 exceeds = eng.norm_exceeds(x, -shift)
                 rows = _mult_rows_mod(ctx, [_element_residues(x, 1)], 1)
-                (v,), (deeper,), _ = _det_valuation(rows, p, 1)
+                (v,), (deeper,) = _det_valuation(rows, p, 1)
                 want_exact = None if deeper else v - shift
                 assert eng._states.get(x.identity) == want_exact
                 assert exceeds == deeper
@@ -590,7 +580,6 @@ class TestThresholdQueries:
         def answers():
             oracle = lvp_oracle(ctx, Lattice(ctx, basis))
             return (NormEngine(ctx).abs_value(x),
-                    field_norm(ctx, x),
                     (oracle.lambda1, oracle.lambda2, oracle.witness, oracle.classes))
 
         want = answers()
@@ -1146,16 +1135,13 @@ class TestDeterminantEngine:
             digits = v + 3
             mod = p ** digits
             reduced = [[x % mod for x in r] for r in rows]
-            (got_v,), (deeper,), (got_u,) = _det_valuation([reduced], p, digits)
-            uprec = digits - got_v
+            (got_v,), (deeper,) = _det_valuation([reduced], p, digits)
             assert got_v == v and not deeper
-            unit = det // p ** v
-            assert got_u % p ** uprec == unit % p ** uprec
             checked += 1
 
     def test_valuation_agrees_with_exact_beyond_int64(self):
         # digit counts past the int64 bound run the same elimination on
-        # Python ints; every unit digit must still match the exact value
+        # Python ints; every valuation must still match the exact value
         from padiclat.fields import _det_valuation, _kernel_dtype
         from padiclat.scalars import int_valuation
 
@@ -1173,31 +1159,28 @@ class TestDeterminantEngine:
             digits = v + 40
             assert _kernel_dtype(p, n, digits) is object
             mod = p ** digits
-            (got_v,), (deeper,), (got_u,) = _det_valuation(
+            (got_v,), (deeper,) = _det_valuation(
                 [[[x % mod for x in r] for r in rows]], p, digits)
-            uprec = digits - got_v
-            assert (got_v, uprec) == (v, 40) and not deeper
-            assert got_u == det // p ** v % p ** 40
+            assert got_v == v and not deeper
             checked += 1
 
     def test_vanishing_block_signals_deeper(self):
         from padiclat.fields import _det_valuation
 
         rows = [[4, 8], [12, 4]]  # det = -80, valuation 4 at p=2
-        _, deeper, _ = _det_valuation([[[x % 4 for x in r] for r in rows]], 2, 2)
+        _, deeper = _det_valuation([[[x % 4 for x in r] for r in rows]], 2, 2)
         assert deeper == [True]
 
     def test_norm_matches_exact_determinant(self, sqrt2_ctx):
         # N(a + b*sqrt2) = a^2 - 2 b^2 exactly
         rng = random.Random(7)
+        eng = NormEngine(sqrt2_ctx)
         for _ in range(50):
             a, b = rng.randrange(-99, 99), rng.randrange(-99, 99)
             if a == 0 and b == 0:
                 continue
             x = sqrt2_ctx.element([a, b])
-            got = field_norm(sqrt2_ctx, x)
-            want = PadicScalar.from_rational(a * a - 2 * b * b, 1, p=2, precision=64)
-            assert got == want
+            assert eng.norm_valuation(x) == int_valuation(a * a - 2 * b * b, 2)
 
 
 class TestModularSolve:
@@ -1399,19 +1382,17 @@ class TestStackedDeterminant:
             mats.append(self._scaled(rng, p, e))
             exps.append(e)
         reduced = [[[x % mod for x in r] for r in m] for m in mats]
-        v, deeper, _ = _det_valuation(np.array(reduced, dtype=object), p, digits)
+        v, deeper = _det_valuation(np.array(reduced, dtype=object), p, digits)
         outcomes = set()
         for m, red, e, got, deep in zip(mats, reduced, exps, v, deeper):
             det = TestDeterminantEngine._exact_det(m)
             want = int_valuation(det, p)
             assert want == sum(e)
-            (single,), (single_deep,), (unit,) = _det_valuation([red], p, digits)
+            (single,), (single_deep,) = _det_valuation([red], p, digits)
             if single_deep:
                 assert deep and got == single <= want and want >= digits
             else:
-                uprec = digits - single
                 assert not deep and got == single == want
-                assert unit == (det // p ** want % p ** uprec if uprec > 0 else 1)
             outcomes.add((deep, max(e) > 0))
         # resolved and deeper matrices in one stack, with unit pivots and
         # with pivots of higher valuation among the resolved ones
@@ -1438,11 +1419,28 @@ class TestStackedDeterminant:
                       for k in range(n)] for i in range(n)]
             mats.append(self._matmul(lower, upper))
         reduced = [[[x % mod for x in r] for r in m] for m in mats]
-        v, deeper, _ = _det_valuation(np.array(reduced, dtype=object), p, digits)
+        v, deeper = _det_valuation(np.array(reduced, dtype=object), p, digits)
         assert not any(deeper) and not any(v)
-        for m, red in zip(mats, reduced):
-            det = TestDeterminantEngine._exact_det(m)
-            assert _det_valuation([red], p, digits) == ([0], [False], [det % mod])
+        for red in reduced:
+            assert _det_valuation([red], p, digits) == ([0], [False])
+
+    def test_reduced_array_is_eliminated_in_place(self):
+        # a reduced stack in the kernel's dtype is consumed, not copied: the
+        # caller's ``_mult_rows_mod`` stack must not be held twice
+        from padiclat.fields import _det_valuation, _kernel_dtype
+
+        p, digits, n = 3, 3, 4
+        assert _kernel_dtype(p, n, digits) is np.int32
+        rng = random.Random("in-place")
+        mod = p ** digits
+        mats = [self._scaled(rng, p, e) for e in ([1, 0, 0, 0], [0, 1, 0, 1], [0, 0, 0, 0])]
+        # a p-divisible top-left entry: the first step searches for a pivot
+        mats[0][0] = [p * x for x in mats[0][0]]
+        stack = np.array([[[x % mod for x in r] for r in m] for m in mats], dtype=np.int32)
+        before = stack.copy()
+        want = [int_valuation(TestDeterminantEngine._exact_det(m), p) for m in mats]
+        assert _det_valuation(stack, p, digits) == (want, [False] * 3)
+        assert not np.array_equal(stack, before)
 
     @pytest.mark.parametrize("p, digits, dtype", [
         (3, 3, np.int32),
@@ -1451,19 +1449,22 @@ class TestStackedDeterminant:
         (2, 40, object),
         (3, 30, object),
     ])
-    def test_stack_units_match_exact(self, p, digits, dtype, monkeypatch):
-        # every resolved matrix of a mixed stack returns its determinant's
-        # unit digits, the sign of its row and column swaps included
+    def test_stack_valuations_match_exact(self, p, digits, dtype, monkeypatch):
+        # every matrix of a mixed stack returns its determinant's valuation
+        # (a lower bound where deeper), whether and however it was swapped
         from padiclat.fields import _det_valuation, _kernel_dtype
         from padiclat.scalars import int_valuation
 
         n = 4
         assert _kernel_dtype(p, n, digits) is dtype
-        swapped = set()
+        paths = {}
         swap = fields._swap
 
         def spy(A, k, rows, cols):
-            swapped.update(b for b, _ in rows + cols)
+            # True: one matrix at a time; False: one gather and scatter
+            few = len(rows) + len(cols) <= fields._FEW_SWAPS
+            for b, _ in rows + cols:
+                paths.setdefault(b, set()).add(few)
             swap(A, k, rows, cols)
 
         monkeypatch.setattr(fields, "_swap", spy)
@@ -1479,21 +1480,17 @@ class TestStackedDeterminant:
                     self._scaled(rng, p, [rng.choice((0, 0, 1, rng.randrange(digits), digits))
                                           for _ in range(n)])
                     for b in range(size)]
-            swapped.clear()
-            v, deeper, unit = _det_valuation([[[x % mod for x in r] for r in m] for m in mats],
-                                             p, digits)
+            paths.clear()
+            v, deeper = _det_valuation([[[x % mod for x in r] for r in m] for m in mats],
+                                       p, digits)
             for b, m in enumerate(mats):
-                det = TestDeterminantEngine._exact_det(m)
-                want = int_valuation(det, p)
-                if deeper[b]:
-                    assert v[b] <= want and unit[b] == 1
-                else:
-                    assert v[b] == want
-                    assert unit[b] == (det // p ** want % p ** (digits - want)
-                                       if want < digits else 1)
-                seen.add((deeper[b], b in swapped))
-        # deeper matrices, and resolved ones with and without swaps
-        assert any(d for d, _ in seen) and {(False, True), (False, False)} <= seen
+                want = int_valuation(TestDeterminantEngine._exact_det(m), p)
+                assert v[b] <= want if deeper[b] else v[b] == want
+                seen.update((deeper[b], few) for few in paths.get(b, {None}))
+        # deeper matrices through both swap paths, and resolved ones through
+        # the gather and scatter and without swaps (single-matrix stacks
+        # take the one-by-one path on resolved matrices)
+        assert {(True, True), (True, False), (False, False), (False, None)} <= seen
 
 
 class TestInt32Boundary:
@@ -1545,16 +1542,15 @@ class TestInt32Boundary:
         mod = p ** digits
         mats = [[[self._near(rng, p, mod) for _ in range(n)] for _ in range(n)]
                 for _ in range(80)]
-        v, deeper, unit = fields._det_valuation(mats, p, digits)
+        v, deeper = fields._det_valuation(mats, p, digits)
         seen = set()
-        for m, got, deep, u in zip(mats, v, deeper, unit):
+        for m, got, deep in zip(mats, v, deeper):
             det = TestDeterminantEngine._exact_det(m)
             if deep:
                 assert det == 0 or int_valuation(det, p) >= max(got, digits)
                 continue
             want = int_valuation(det, p)
             assert got == want
-            assert u == (det // p ** want % p ** (digits - want) if want < digits else 1)
             seen.add(want > 0)
         assert seen == {True, False}
 
