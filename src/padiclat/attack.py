@@ -131,7 +131,7 @@ def attack_decrypt_detailed(pk: PublicKey, ciphertext,
     kept = [c.to_fraction() for c in res.lattice_coords]
     coords = [pk.ctx.scalar(sum(c * u for c, u in zip(kept, column)))
               for column in zip(*broken.transform)]
-    plain = tuple(c.residue_digit() for c in coords)
+    plain = tuple(c.residue(1) for c in coords)
     return AttackDecryption(plain, res.vector, tuple(coords))
 
 

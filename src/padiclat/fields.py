@@ -1,15 +1,16 @@
 """Arithmetic in K = Q_p[x]/(F(x)).
 
 An element is one integer vector over one positive denominator, in
-canonical form (no common factor), and one precision; no other module
-reads that pair.  An immutable context holds F once, in that format.
+canonical form (no common factor); no other module reads that pair.  An
+immutable context holds F once, in that format, and the one precision
+every element of the field is read to.
 Sums and scalar multiples are integer work plus one content gcd, a
 product multiplies and reduces by F over Python ints (``_int_mul_mod``,
 the one multiplier mod F, which ``bench`` shares), and a whole
 combination sum c_k v_k (``_linear_combination``: public vectors, CVP
-outputs, ciphertexts) is one integer dot product per coordinate.  A result carries the smallest precision among its operands;
-its Fractions and :class:`PadicScalar` coefficients are built only when
-read.  The extended absolute value |x| = |N(x)|^(1/n) is computed
+outputs, ciphertexts) is one integer dot product per coordinate.  An
+element's Fractions and :class:`PadicScalar` coefficients are built only
+when read.  The extended absolute value |x| = |N(x)|^(1/n) is computed
 from the valuation of the determinant of the multiplication matrix,
 evaluated modulo p^M with full valuation pivoting.  M escalates
 adaptively: a query only pays for as many digits as the answer needs,
@@ -182,38 +183,35 @@ class FieldContext:
     @property
     def modulus(self) -> tuple:
         """F's coefficients as scalars, constant term first, leading 1 last."""
-        return _canonical(self, *self._int_modulus, self.precision).coeffs + (self.scalar(1),)
+        return _canonical(self, *self._int_modulus).coeffs + (self.scalar(1),)
 
     # -- element constructors ------------------------------------------
 
     def scalar(self, value) -> PadicScalar:
-        if isinstance(value, PadicScalar):
-            return value
-        return PadicScalar.from_fraction(Fraction(value), p=self.p, precision=self.precision)
+        """A rational or a scalar of this prime, read to this precision."""
+        return PadicScalar.from_fraction(self._exact(value), p=self.p, precision=self.precision)
 
-    def _exact(self, value):
-        """(rational, precision) of a rational or a scalar of this prime."""
+    def _exact(self, value) -> Fraction:
+        """The rational of a rational or of a scalar of this prime."""
         if not isinstance(value, PadicScalar):
-            return Fraction(value), self.precision
+            return Fraction(value)
         if value.p != self.p:
             raise ValueError("mixed primes")
-        return value.to_fraction(), min(value.precision, self.precision)
+        return value.to_fraction()
 
     def element(self, coeffs) -> "FieldElement":
-        """Zero-padded coefficients, read to the smallest precision among
-        the context and the scalar inputs."""
-        exact = [self._exact(c) for c in coeffs]
-        if len(exact) > self.n:
+        """Zero-padded coefficients: rationals or scalars of this prime."""
+        fracs = [self._exact(c) for c in coeffs]
+        if len(fracs) > self.n:
             raise ValueError(f"at most {self.n} coefficients expected")
-        fracs = [f for f, _ in exact] + [Fraction(0)] * (self.n - len(exact))
-        return FieldElement(self, fracs, min([self.precision] + [prec for _, prec in exact]))
+        return FieldElement(self, fracs + [Fraction(0)] * (self.n - len(fracs)))
 
     def cast(self, x: "FieldElement") -> "FieldElement":
-        """x's exact value as an element of this context, at the smaller
-        precision; ValueError for another prime or degree."""
+        """x's exact value as an element of this context; ValueError for
+        another prime or degree."""
         if x.ctx.p != self.p or len(x.ints) != self.n:
             raise ValueError("mixed primes or degrees")
-        return _canonical(self, x.ints, x.den, min(self.precision, x.precision))
+        return _canonical(self, x.ints, x.den)
 
     def zero(self) -> "FieldElement":
         return self.monomial(0, 0)
@@ -227,10 +225,10 @@ class FieldContext:
     def monomial(self, k: int, coefficient=1) -> "FieldElement":
         if not 0 <= k < self.n:
             raise ValueError("monomial degree out of range")
-        b, precision = self._exact(coefficient)
+        b = self._exact(coefficient)
         ints = [0] * self.n
         ints[k] = b.numerator
-        return _canonical(self, ints, b.denominator, precision)
+        return _canonical(self, ints, b.denominator)
 
     # -- plumbing --------------------------------------------------------
 
@@ -252,7 +250,7 @@ class FieldContext:
 
     def _modulus_residues(self, digits: int):
         """Residues mod p^digits of the non-leading modulus coefficients."""
-        return _element_residues(_canonical(self, *self._int_modulus, self.precision), digits)
+        return _element_residues(_canonical(self, *self._int_modulus), digits)
 
     def __repr__(self):
         return f"FieldContext(p={self.p}, n={self.n}, N={self.precision})"
@@ -313,7 +311,7 @@ def make_context(p: int, precision: int, coeffs, ramification=None,
     check_degree(len(coeffs) - 1)
     ctx = FieldContext(p, precision, coeffs[:-1], ramification, residue_degree)
     last = coeffs[-1]
-    lead, _ = ctx._exact(last)
+    lead = ctx._exact(last)
     # monic to the precision of the leading coefficient itself
     digits = last.precision if isinstance(last, PadicScalar) else precision
     if lead != 1 and frac_valuation(lead - 1, p) < digits:
@@ -326,19 +324,19 @@ def make_context(p: int, precision: int, coeffs, ramification=None,
 class FieldElement:
     """Element of K: its power-basis coefficients as one integer vector
     ``ints`` over one positive denominator ``den``, in canonical form
-    (gcd(*ints, den) = 1; zero is (0, ..., 0) over 1), and the
-    ``precision`` its scalar view ``coeffs`` and ``==`` read them to.
-    Equal rationals give one pair, ``identity``, which caches key on;
-    ``fracs``, ``coeffs`` and ``key()`` are views built on each read."""
+    (gcd(*ints, den) = 1; zero is (0, ..., 0) over 1).  Its scalar view
+    ``coeffs`` and ``==`` read them to the context's precision.  Equal
+    rationals give one pair, ``identity``, which caches key on; ``fracs``,
+    ``coeffs`` and ``key()`` are views built on each read."""
 
-    __slots__ = ("ctx", "ints", "den", "precision")
+    __slots__ = ("ctx", "ints", "den")
 
-    def __init__(self, ctx: FieldContext, rationals, precision: int):
+    def __init__(self, ctx: FieldContext, rationals):
         # reduced rationals over the lcm of their denominators are canonical
         rationals = list(rationals)
         self.den = lcm(*(f.denominator for f in rationals))
         self.ints = tuple(f.numerator * (self.den // f.denominator) for f in rationals)
-        self.ctx, self.precision = ctx, precision
+        self.ctx = ctx
 
     @property
     def fracs(self) -> tuple:
@@ -348,9 +346,7 @@ class FieldElement:
     @property
     def coeffs(self) -> tuple:
         """The coefficients as scalars."""
-        p, precision = self.ctx.p, self.precision
-        return tuple(PadicScalar.from_fraction(f, p=p, precision=precision)
-                     for f in self.fracs)
+        return tuple(self.ctx.scalar(f) for f in self.fracs)
 
     @property
     def identity(self):
@@ -364,14 +360,6 @@ class FieldElement:
     def key(self):
         return tuple((f.numerator, f.denominator) for f in self.fracs)
 
-    def fractions(self) -> list[Fraction]:
-        """Exact coefficient vector."""
-        return list(self.fracs)
-
-    def _with(self, ints, den: int, other_precision: int) -> "FieldElement":
-        """ints/den in this context, at the smaller of the two precisions."""
-        return _canonical(self.ctx, ints, den, min(self.precision, other_precision))
-
     def _check(self, other: "FieldElement"):
         if not self.ctx.same_structure(other.ctx):
             raise ValueError("elements from different contexts")
@@ -383,8 +371,8 @@ class FieldElement:
         self._check(other)
         g = gcd(self.den, other.den)
         a, b = other.den // g, sign * (self.den // g)
-        return self._with([x * a + y * b for x, y in zip(self.ints, other.ints)],
-                          self.den * a, other.precision)
+        return _canonical(self.ctx, [x * a + y * b for x, y in zip(self.ints, other.ints)],
+                          self.den * a)
 
     def __add__(self, other):
         return self._sum(other, 1)
@@ -393,16 +381,16 @@ class FieldElement:
         return self._sum(other, -1)
 
     def __neg__(self):
-        return self._with([-a for a in self.ints], self.den, self.precision)
+        return _canonical(self.ctx, [-a for a in self.ints], self.den)
 
     def __mul__(self, other):
         if isinstance(other, FieldElement):
             self._check(other)
             return _elem_mul(self, other)
         if isinstance(other, (int, Fraction, PadicScalar)):
-            b, precision = self.ctx._exact(other)
-            return self._with([a * b.numerator for a in self.ints],
-                              self.den * b.denominator, precision)
+            b = self.ctx._exact(other)
+            return _canonical(self.ctx, [a * b.numerator for a in self.ints],
+                              self.den * b.denominator)
         return NotImplemented
 
     __rmul__ = __mul__
@@ -421,14 +409,14 @@ class FieldElement:
 
     def __eq__(self, other):
         """Coefficientwise, as scalars compare: equal zeros, or equal
-        valuations v with v(a - b) >= v + the smaller precision."""
+        valuations v with v(a - b) >= v + the smaller context precision."""
         if not isinstance(other, FieldElement):
             return NotImplemented
         if not self.ctx.same_structure(other.ctx):
             return False
         if self.identity == other.identity:
             return True
-        p, digits = self.ctx.p, min(self.precision, other.precision)
+        p, digits = self.ctx.p, min(self.ctx.precision, other.ctx.precision)
         # over den * other.den both coefficients shift by one valuation
         for a, b in zip(self.ints, other.ints):
             a, b = a * other.den, b * self.den
@@ -446,14 +434,14 @@ class FieldElement:
         return "FieldElement(" + (" + ".join(parts) if parts else "0") + ")"
 
 
-def _canonical(ctx: FieldContext, ints, den: int, precision: int) -> FieldElement:
+def _canonical(ctx: FieldContext, ints, den: int) -> FieldElement:
     """The element ints/den (den > 0), divided by its content gcd: the one
     constructor of kernel results."""
     g = gcd(den, *ints)
     if g != 1:
         ints, den = [a // g for a in ints], den // g
     x = FieldElement.__new__(FieldElement)
-    x.ctx, x.ints, x.den, x.precision = ctx, tuple(ints), den, precision
+    x.ctx, x.ints, x.den = ctx, tuple(ints), den
     return x
 
 
@@ -490,8 +478,8 @@ def _int_mul_mod(a, b, fbar, fden=1):
 
 def _elem_mul(x: FieldElement, y: FieldElement) -> FieldElement:
     fbar, fden = x.ctx._int_modulus
-    return x._with(_int_mul_mod(x.ints, y.ints, fbar, fden),
-                   x.den * y.den * fden ** (x.ctx.n - 1), y.precision)
+    return _canonical(x.ctx, _int_mul_mod(x.ints, y.ints, fbar, fden),
+                      x.den * y.den * fden ** (x.ctx.n - 1))
 
 
 def _powers(x: FieldElement, count: int):
@@ -504,20 +492,15 @@ def _powers(x: FieldElement, count: int):
 
 def _linear_combination(ctx: FieldContext, coeffs, vectors) -> FieldElement:
     """sum c_k v_k for ints, Fractions or scalars c_k, as one integer dot
-    product per coordinate over the lcm of the terms' denominators.  The
-    result carries the smallest precision among the context, every
-    coefficient and every vector whose coefficient is nonzero (what the
-    term-by-term sum gives)."""
-    exact = [ctx._exact(c) for c in coeffs]
-    precision = min([ctx.precision] + [prec for _, prec in exact])
-    terms = [(c, v) for (c, _), v in zip(exact, vectors) if c]
+    product per coordinate over the lcm of the terms' denominators."""
+    terms = [(c, v) for c, v in zip(map(ctx._exact, coeffs), vectors) if c]
     if any(not ctx.same_structure(v.ctx) for _, v in terms):
         raise ValueError("elements from different contexts")
     den = lcm(*(c.denominator * v.den for c, v in terms))
     scales = [c.numerator * (den // (c.denominator * v.den)) for c, v in terms]
     ints = [sum(s * a for s, a in zip(scales, column))
             for column in zip(*(v.ints for _, v in terms))] or [0] * ctx.n
-    return _canonical(ctx, ints, den, min([precision] + [v.precision for _, v in terms]))
+    return _canonical(ctx, ints, den)
 
 
 # ---------------------------------------------------------------------------
@@ -1000,11 +983,11 @@ class NormEngine:
 
     def powers(self, gamma: FieldElement) -> list:
         """gamma^0 .. gamma^(n-1): the adopted frame's own when gamma is the
-        adopted uniformizer (same value and precision), else ``_powers``."""
+        adopted uniformizer (same value and context), else ``_powers``."""
         frame = self._frame
         if frame is not None:
             own = frame.powers[1]
-            if own.identity == gamma.identity and own.precision == gamma.precision:
+            if own.identity == gamma.identity and own.ctx == gamma.ctx:
                 return list(frame.powers)
         return _powers(gamma, self.ctx.n)
 
@@ -1198,14 +1181,10 @@ def _coordinates_mod(columns, target: FieldElement, digits: int):
     return None if solved is None else (scales, [x for x, in solved])
 
 
-def coordinates_in(ctx: FieldContext, target: FieldElement, vectors,
-                   as_fractions: bool = False):
-    """Coordinates of ``target`` in the Q_p-span of ``vectors``: a
+def coordinates_in(ctx: FieldContext, target: FieldElement, vectors) -> list[Fraction]:
+    """Exact coordinates of ``target`` in the Q_p-span of ``vectors``: a
     one-target ``_solve_exact``, with its errors."""
-    coords = _solve_exact(vectors, [target])[0]
-    if as_fractions:
-        return coords
-    return [PadicScalar.from_fraction(c, p=ctx.p, precision=ctx.precision) for c in coords]
+    return _solve_exact(vectors, [target])[0]
 
 
 def is_eisenstein(p: int, coeffs) -> bool:

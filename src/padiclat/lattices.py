@@ -40,7 +40,7 @@ from .fields import (
     coordinates_in,
     frac_valuation,
 )
-from .scalars import PRECISION_CAP, PadicScalar, int_valuation
+from .scalars import PRECISION_CAP, int_valuation
 
 DEFAULT_BUDGET = 10 ** 7
 
@@ -148,7 +148,7 @@ class _IntegerSums:
         return _norm_valuations(self.ctx, rows, self.den, 2, PRECISION_CAP)
 
     def element(self, row) -> FieldElement:
-        return _canonical(self.ctx, [int(c) for c in row], self.den, self.ctx.precision)
+        return _canonical(self.ctx, [int(c) for c in row], self.den)
 
 
 @dataclass(frozen=True)
@@ -235,7 +235,8 @@ def complete_orthogonal(ctx: FieldContext, partial, gamma: FieldElement, *,
 
 @dataclass(frozen=True)
 class CvpResult:
-    """Closest vector, its distance, and its coordinates in the lattice part."""
+    """Closest vector, its distance, and its coordinates in the lattice part
+    (scalars at the context's precision)."""
 
     vector: FieldElement
     distance: AbsValue
@@ -294,7 +295,7 @@ def cvp_orthogonal(ctx: FieldContext, lattice_basis, completion, target: FieldEl
             digits = _CVP_DIGITS_CAP
         else:
             digits *= 2
-    coords = coordinates_in(ctx, target, basis + completion, as_fractions=True)
+    coords = coordinates_in(ctx, target, basis + completion)
     return _cvp_from_coordinates(ctx, basis, coords, _exponents(engine, basis, completion, coords))
 
 
@@ -370,6 +371,4 @@ def _cvp_from_coordinates(ctx: FieldContext, lattice_basis, coords, exponents) -
         mod = ctx.p ** digits
         kept.append(Fraction(a.numerator * pow(a.denominator, -1, mod) % mod))
     vec = _linear_combination(ctx, kept, lattice_basis)
-    coords_out = tuple(PadicScalar.from_fraction(a, p=ctx.p, precision=ctx.precision)
-                       for a in kept)
-    return CvpResult(vec, dist, coords_out)
+    return CvpResult(vec, dist, tuple(ctx.scalar(a) for a in kept))

@@ -5,7 +5,7 @@ valuation and a precision N.  Arithmetic combines the rationals, so every
 valuation is certified under arbitrarily deep cancellation.  The unit
 digits (the rational divided by p**valuation, modulo p**N; a modular
 inverse) are computed on demand, the first time they are read, and kept:
-only equality, hashing, residue digits and repr read them.  Two scalars compare
+only equality, hashing and repr read them.  Two scalars compare
 equal when their units agree to the smaller of their precisions, and a
 result carries the smaller precision of its operands.
 """
@@ -101,14 +101,6 @@ class PadicScalar:
         return cls(p, precision, None, Fraction(0))
 
     @classmethod
-    def from_rational(cls, num, den=1, *, p: int, precision: int = DEFAULT_PRECISION) -> "PadicScalar":
-        """Scalar for num/den."""
-        if den == 0:
-            raise ZeroDivisionError("denominator must be nonzero")
-        frac = Fraction(num, den)
-        return cls.from_fraction(frac, p=p, precision=precision)
-
-    @classmethod
     def from_fraction(cls, frac: Fraction, *, p: int, precision: int = DEFAULT_PRECISION) -> "PadicScalar":
         num = frac.numerator
         if num == 0:
@@ -134,16 +126,6 @@ class PadicScalar:
             raise NotIntegral("negative valuation")
         mod = self.p ** digits
         return self._frac.numerator * pow(self._frac.denominator, -1, mod) % mod
-
-    def residue_digit(self) -> int:
-        """Image in the residue field Z/p; requires valuation >= 0."""
-        if self.is_zero:
-            return 0
-        if self.valuation < 0:
-            raise NotIntegral(f"valuation {self.valuation} < 0")
-        if self.valuation > 0:
-            return 0
-        return self.unit % self.p
 
     # -- arithmetic -----------------------------------------------------
 

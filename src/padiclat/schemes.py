@@ -241,7 +241,7 @@ def _make_matrix(p, m, matrix, rng, precision):
             raise BadMatrix(f"matrix must be {m}x{m}")
         if any(x.p != p for row in rows for x in row):
             raise ValueError("mixed primes")
-        res = [[x.residue_digit() if x.is_zero or x.valuation >= 0 else None
+        res = [[x.residue(1) if x.is_zero or x.valuation >= 0 else None
                 for x in row] for row in rows]
         if any(x is None for row in res for x in row):
             raise BadMatrix("matrix entries must lie in Z_p")
@@ -302,7 +302,7 @@ def _hash_seed(message: bytes, salt: bytes) -> bytes:
 def in_lattice(pk: PublicKey, x: FieldElement) -> bool:
     """Whether x is a Z_p-combination of the public basis."""
     try:
-        coords = coordinates_in(pk.ctx, x, pk.basis, as_fractions=True)
+        coords = coordinates_in(pk.ctx, x, pk.basis)
     except NotInSpan:
         return False
     # a reduced rational lies in Z_p exactly when p does not divide its denominator
@@ -433,8 +433,8 @@ def decrypt(sk: PrivateKey, ct: Ciphertext):
         raise DecryptionAmbiguous(
             "residual noise is at least |alpha_m|; outside the design bound")
     # the plaintext a has a*A = bbar mod p: solve A^T x = bbar
-    bbar = [c.residue_digit() for c in res.lattice_coords]
-    rows = [[row[k].residue_digit() for row in sk.matrix] + [bbar[k]]
+    bbar = [c.residue(1) for c in res.lattice_coords]
+    rows = [[row[k].residue(1) for row in sk.matrix] + [bbar[k]]
             for k in range(sk.m)]
     x = _solve_mod(rows, sk.ctx.p, 1)
     if x is None:

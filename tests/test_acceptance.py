@@ -153,8 +153,7 @@ def test_criterion_05_general_variant():
     xi = quart.gen()
     w = quart.element(coordinates_in(
         quart, xi * xi - quart.element([3]),
-        [(xi * 2 + quart.one()) * quart.monomial(k) for k in range(4)],
-        as_fractions=True))
+        [(xi * 2 + quart.one()) * quart.monomial(k) for k in range(4)]))
     sqrt2 = xi - w
     basis = [quart.one(), w, sqrt2, w * sqrt2]
     res_q = find_second_longest_general(quart, basis, 2)

@@ -2,6 +2,7 @@ import ast
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import padiclat
@@ -62,28 +63,50 @@ def _reads(node, bound):
             and sub.value.id in bound}
 
 
+def _attributes(node) -> Counter:
+    """Attribute names read under ``node`` (``x.name``), with their counts."""
+    return Counter(sub.attr for sub in ast.walk(node)
+                   if isinstance(sub, ast.Attribute) and isinstance(sub.ctx, ast.Load))
+
+
 def _dead_definitions(sources, modules, public=(), outside=()):
     """Top-level functions and classes of ``sources`` (name -> text) that no
     source reads outside their own definition, that ``public`` does not
-    name and that no ``outside`` text reads."""
+    name and that no ``outside`` text reads; then the methods and
+    properties of top-level classes (dunders aside, as ``Class.name``)
+    whose name no source reads as an attribute outside their own
+    definition and no ``outside`` text reads."""
     defined, read = [], set(public)
+    methods, attributes = [], Counter()
     for name, source in sources.items():
         tree = ast.parse(source)
         bound = _module_names(tree, modules)
+        attributes += _attributes(tree)
         for stmt in tree.body:
             own = getattr(stmt, "name", None)
             if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
                 defined.append((name, own))
             read |= _reads(stmt, bound) - {own}
+            if isinstance(stmt, ast.ClassDef):
+                methods += [(name, stmt.name, sub) for sub in stmt.body
+                            if isinstance(sub, ast.FunctionDef)
+                            and not (sub.name.startswith("__") and sub.name.endswith("__"))]
+    outside_attributes = set()
     for source in outside:
         tree = ast.parse(source)
         read |= _reads(tree, _module_names(tree, modules))
-    return [(name, own) for name, own in defined if own not in read]
+        outside_attributes |= set(_attributes(tree))
+    dead = [(name, own) for name, own in defined if own not in read]
+    return dead + [(name, f"{cls}.{fn.name}") for name, cls, fn in methods
+                   if fn.name not in outside_attributes
+                   and attributes[fn.name] == _attributes(fn)[fn.name]]
 
 
 def test_no_dead_definitions():
     # every top-level function and class is read by the package, exported,
-    # or read by the benchmark harness (which reaches package internals)
+    # or read by the benchmark harness (which reaches package internals);
+    # every method and property is read as an attribute by the package or
+    # the harness
     package = Path(padiclat.__file__).parent
     sources = {path.stem: path.read_text() for path in sorted(package.glob("*.py"))
                if path.name != "__init__.py"}
@@ -97,11 +120,17 @@ def test_dead_definition_check_sees_one():
            "def used(): return helper()\n"
            "def helper(): return u.thing\n"
            "def dead(): return dead()\n"
-           "class Kept: pass\n"
+           "class Kept:\n"
+           "    def __init__(self): self.size\n"
+           "    @property\n"
+           "    def size(self): return 0\n"
+           "    def loop(self): return self.loop()\n"
+           "    def timed(self): pass\n"
            "def reached(): pass\n")
     sources = {"m": src, "util": "def thing(): pass\n"}
-    outside = ["from padiclat import m\nKept, m.reached"]
-    assert _dead_definitions(sources, set(sources), ["used"], outside) == [("m", "dead")]
+    outside = ["from padiclat import m\nKept().timed, m.reached"]
+    assert _dead_definitions(sources, set(sources), ["used"], outside) == [
+        ("m", "dead"), ("m", "Kept.loop")]
 
 
 def test_import_leaves_hashlib_unloaded():

@@ -21,7 +21,6 @@ from padiclat.errors import (
 )
 from padiclat.fields import (
     AbsValue,
-    FieldElement,
     NormEngine,
     _element_scale,
     _linear_combination,
@@ -164,10 +163,10 @@ class TestExactElementArithmetic:
                     "x*s": x * s,
                 }
                 for scalar in (s.numerator if s.denominator == 1 else s, ctx.scalar(s)):
-                    assert (x * scalar).fractions() == want["x*s"]
-                    assert (scalar * x).fractions() == want["x*s"]
+                    assert list((x * scalar).fracs) == want["x*s"]
+                    assert list((scalar * x).fracs) == want["x*s"]
                 for op, z in got.items():
-                    assert z.fractions() == want[op], op
+                    assert list(z.fracs) == want[op], op
                     ref = ctx.element(want[op])
                     assert z == ref and z.key() == ref.key()
                     assert all(c.p == p and c.precision == ctx.precision
@@ -203,13 +202,10 @@ class TestExactElementArithmetic:
 
     @staticmethod
     def _term_by_term(ctx, coeffs, vectors):
-        """Reference sum c_k v_k by element arithmetic; a zero coefficient
-        multiplies the zero element, so it keeps its own precision but not
-        its vector's."""
+        """Reference sum c_k v_k by element arithmetic."""
         acc = ctx.zero()
         for c, v in zip(coeffs, vectors):
-            exact = c.to_fraction() if isinstance(c, PadicScalar) else c
-            acc = acc + (v if exact else ctx.zero()) * c
+            acc = acc + v * c
         return acc
 
     def test_linear_combination_matches_term_by_term(self):
@@ -218,10 +214,12 @@ class TestExactElementArithmetic:
         for ctx in self._contexts(rng, 60):
             p, n, top = ctx.p, ctx.n, ctx.precision
             low = top // 2
+            # the same field read to fewer digits: its vectors are accepted
+            twin = make_context(p, low, [c.to_fraction() for c in ctx.modulus])
 
             def vector():
                 v = ctx.element([_random_coefficient(rng, p) for _ in range(n)])
-                return FieldElement(ctx, v.fracs, low) if rng.random() < 0.3 else v
+                return twin.cast(v) if rng.random() < 0.3 else v
 
             def coefficient(zero_rate):
                 c = _random_coefficient(rng, p, zero_rate)
@@ -240,8 +238,7 @@ class TestExactElementArithmetic:
                 if m:
                     # a low-precision vector behind a zero coefficient, then a
                     # low-precision coefficient on full-precision vectors
-                    cases.append(([0] + coeffs[1:],
-                                  [FieldElement(ctx, vectors[0].fracs, low)] + vectors[1:]))
+                    cases.append(([0] + coeffs[1:], [twin.cast(vectors[0])] + vectors[1:]))
                     cases.append(([PadicScalar.from_fraction(Fraction(1), p=p, precision=low)]
                                   + coeffs[1:], [ctx.element(v.fracs) for v in vectors]))
                 for cs, vs in cases:
@@ -249,16 +246,14 @@ class TestExactElementArithmetic:
                     want = self._term_by_term(ctx, cs, vs)
                     assert got.ctx is ctx
                     assert got.fracs == want.fracs
-                    assert got.precision == want.precision
                     checked += 1
         assert checked > 500
-        # the two boundary cases, spelled out
+        # a low-precision coefficient beside a zero one, spelled out
         ctx = make_context(3, 32, [3, 0, 1])
         x = ctx.element([1, Fraction(1, 3)])
-        assert _linear_combination(ctx, [0, 2], [FieldElement(ctx, x.fracs, 8), x]).precision == 32
         half = PadicScalar.from_fraction(Fraction(1, 2), p=3, precision=8)
         z = _linear_combination(ctx, [half, 0], [x, x])
-        assert (z.fracs, z.precision) == ((Fraction(1, 2), Fraction(1, 6)), 8)
+        assert z.fracs == (Fraction(1, 2), Fraction(1, 6))
 
     def test_mixed_primes_and_contexts_raise(self):
         ctx3 = make_context(3, 32, [3, 0, 1])
@@ -274,17 +269,8 @@ class TestExactElementArithmetic:
             with pytest.raises(ValueError):
                 op()
 
-    def test_other_precision_keeps_the_smaller(self):
-        # the product carries the smaller precision of its operands
-        ctx = make_context(3, 32, [3, 0, 1])
-        x = ctx.element([1, Fraction(1, 3)])
-        z = x * PadicScalar.from_fraction(Fraction(2), p=3, precision=8)
-        assert z.fractions() == [2, Fraction(2, 3)]
-        assert [c.precision for c in z.coeffs] == [8, 8]
-
-    def test_mixed_precision_elements_keep_the_smallest(self):
-        # one coefficient at 8 digits sets the precision of every result
-        # coefficient; the rationals stay exact
+    def test_mixed_precision_inputs_stay_exact(self):
+        # a coefficient given at 8 digits changes no rational of a result
         ctx = make_context(3, 32, [3, 0, 1])
         a, b = [1, Fraction(1, 3)], [Fraction(2, 5), 7]
         x = ctx.element(a)
@@ -293,15 +279,14 @@ class TestExactElementArithmetic:
         for z, want in ((x + y, [u + v for u, v in zip(a, b)]),
                         (y - x, [v - u for u, v in zip(a, b)]),
                         (x * y, _schoolbook_mul(a, b, modulus))):
-            assert z.fractions() == want
-            assert [c.precision for c in z.coeffs] == [8, 8]
-        assert [c.precision for c in (x * x).coeffs] == [32, 32]
+            assert list(z.fracs) == want
 
 
 
 class TestOneElementRepresentation:
-    """An element holds its exact rationals and one precision; the scalar
-    view ``coeffs`` must agree with everything digests and caches read."""
+    """An element holds its exact rationals, read to its context's
+    precision; the scalar view ``coeffs`` must agree with everything digests
+    and caches read."""
 
     @staticmethod
     def _elements(seed=41):
@@ -316,8 +301,8 @@ class TestOneElementRepresentation:
     def test_key_and_fractions_read_the_scalars(self):
         for ctx, x in self._elements():
             assert x.key() == tuple(c.key() for c in x.coeffs)
-            assert x.fractions() == [c.to_fraction() for c in x.coeffs]
-            assert all(c.p == ctx.p and c.precision == x.precision for c in x.coeffs)
+            assert list(x.fracs) == [c.to_fraction() for c in x.coeffs]
+            assert all(c.p == ctx.p and c.precision == ctx.precision for c in x.coeffs)
             assert x.is_zero == all(c.is_zero for c in x.coeffs)
 
     def test_repr_past_the_string_limit(self, sqrt2_ctx):
@@ -336,17 +321,14 @@ class TestOneElementRepresentation:
         rng = random.Random(42)
         close = 0
         for ctx, x in self._elements():
-            p, low = ctx.p, rng.randrange(1, ctx.precision)
-            # y moves one coefficient by p^low times its own size and holds a
-            # scalar at ``low`` digits, so it agrees with x to ``low`` digits
+            p, top = ctx.p, ctx.precision
+            # y moves one coefficient by p^precision times its own size, so it
+            # agrees with x to the context's precision; far moves it by
+            # p^(precision - 1) times its size
             i = rng.randrange(ctx.n)
-            fracs = x.fractions()
-            if fracs[i]:
-                fracs[i] += fracs[i] * p ** low * rng.randrange(1, 9)
-            j = (i + 1) % ctx.n
-            fracs[j] = PadicScalar.from_fraction(fracs[j], p=p, precision=low)
-            y = ctx.element(fracs)
-            for a, b in ((x, y), (y, x), (x, x), (x, -x), (x, x + ctx.one())):
+            shift = x.fracs[i] * rng.randrange(1, 9)
+            y, far = (x + ctx.monomial(i, shift * p ** k) for k in (top, top - 1))
+            for a, b in ((x, y), (y, x), (x, far), (x, x), (x, -x), (x, x + ctx.one())):
                 same = all(c == d for c, d in zip(a.coeffs, b.coeffs))
                 assert (a == b) == same
                 if same:
@@ -355,24 +337,44 @@ class TestOneElementRepresentation:
         assert close >= 10
 
     def test_agreement_to_the_smaller_precision(self):
-        ctx = make_context(3, 32, [3, 0, 1])
+        # elements of one field read to 32 and to 8 digits compare to 8
+        ctx, ctx8 = make_context(3, 32, [3, 0, 1]), make_context(3, 8, [3, 0, 1])
         x = ctx.element([1, 2])
-        y = ctx.element([1 + 3 ** 8, PadicScalar.from_fraction(Fraction(2), p=3, precision=8)])
-        assert x == y and hash(x) == hash(y) and x.key() != y.key()
+        y = ctx8.element([1 + 3 ** 8, 2])
+        assert x == y and y == x and hash(x) == hash(y) and x.key() != y.key()
         assert x != ctx.element([1 + 3 ** 8, 2])
 
-    def test_element_takes_the_lowest_scalar_precision(self):
-        ctx = make_context(5, 32, [5, 0, 1])
-        x = ctx.element([PadicScalar.from_fraction(Fraction(1, 5), p=5, precision=8), 3])
-        assert x.precision == 8
-        assert [c.precision for c in x.coeffs] == [8, 8]
-        assert ctx.element([PadicScalar.from_fraction(Fraction(2), p=5, precision=64)]).precision == 32
+    def test_scalar_inputs_take_the_context_precision(self):
+        # an element is read to its context's precision, whatever the
+        # precision of the scalars it was built from; the rationals stay exact
+        ctx = make_context(3, 32, [3, 0, 1])
+        x = ctx.element([1, Fraction(1, 3)])
+        for digits in (8, 64):
+            two = PadicScalar.from_fraction(Fraction(2), p=3, precision=digits)
+            built = {"element": ctx.element([two, 3]), "monomial": ctx.monomial(1, two),
+                     "x*c": x * two, "c*x": two * x,
+                     "combination": _linear_combination(ctx, [two, 1], [x, ctx.one()])}
+            assert {op: z.fracs for op, z in built.items()} == {
+                "element": (2, 3), "monomial": (0, 2), "x*c": (2, Fraction(2, 3)),
+                "c*x": (2, Fraction(2, 3)), "combination": (3, Fraction(2, 3))}
+            for op, z in built.items():
+                assert [a.precision for a in z.coeffs] == [32, 32], op
         with pytest.raises(ValueError):
-            ctx.element([1, PadicScalar.from_fraction(Fraction(1), p=3, precision=32)])
+            ctx.element([1, PadicScalar.from_fraction(Fraction(1), p=5, precision=32)])
+
+    def test_context_scalar_reads_its_own_prime(self):
+        # ctx.scalar reads a scalar as ctx.element does: of this prime only,
+        # to the context's precision
+        ctx = make_context(3, 32, [3, 0, 1])
+        with pytest.raises(ValueError, match="mixed primes"):
+            ctx.scalar(PadicScalar.from_fraction(Fraction(2), p=5, precision=8))
+        for digits in (8, 64):
+            got = ctx.scalar(PadicScalar.from_fraction(Fraction(2, 9), p=3, precision=digits))
+            assert (got.to_fraction(), got.precision) == (Fraction(2, 9), 32)
 
     def test_monomial_is_the_padded_element(self):
         # monomial (and zero, one, gen) builds the canonical pair directly:
-        # the same pair and precision as the zero-padded element
+        # the same pair as the zero-padded element
         ctx = make_context(3, 32, random_eisenstein(random.Random(3), 3, 7))
         n, p = ctx.n, ctx.p
         coefficients = [1, 12, -5, 0, Fraction(-6, 9), Fraction(7, 27),
@@ -382,10 +384,10 @@ class TestOneElementRepresentation:
         for k in (0, n // 2, n - 1):
             for c in coefficients:
                 got, want = ctx.monomial(k, c), ctx.element([0] * k + [c])
-                assert (got.identity, got.precision) == (want.identity, want.precision)
+                assert got.identity == want.identity
         for got, want in ((ctx.zero(), []), (ctx.one(), [1]), (ctx.gen(), [0, 1])):
             want = ctx.element(want)
-            assert (got.identity, got.precision) == (want.identity, want.precision)
+            assert got.identity == want.identity
         with pytest.raises(ValueError):
             ctx.monomial(1, PadicScalar.from_fraction(Fraction(1), p=5, precision=8))
         with pytest.raises(ValueError):
@@ -417,7 +419,7 @@ class TestOneElementRepresentation:
         twin = gamma + ctx16.one() - ctx16.one()
         assert gamma == twin and hash(gamma) == hash(twin) and gamma.key() == twin.key()
         assert gamma != gamma + ctx16.one()
-        assert FieldElement(ctx16, [1 + 5 ** 8], 8) == ctx16.one()
+        assert ctx16.element([1 + 5 ** ctx16.precision]) == ctx16.one()
 
 
 class TestNormAndAbs:
@@ -975,13 +977,13 @@ class TestEisenstein:
 class TestCoordinates:
     def test_identity_coordinates(self, toy_ctx):
         basis = [toy_ctx.monomial(i) for i in range(4)]
-        coords = coordinates_in(toy_ctx, basis[0], basis)
+        coords = [toy_ctx.scalar(c) for c in coordinates_in(toy_ctx, basis[0], basis)]
         assert [c.to_fraction() for c in coords] == [1, 0, 0, 0]
 
     def test_affine_combination(self, toy_ctx):
         one = toy_ctx.one()
         z = toy_ctx.gen()
-        coords = coordinates_in(toy_ctx, z, [one, z - one])
+        coords = [toy_ctx.scalar(c) for c in coordinates_in(toy_ctx, z, [one, z - one])]
         assert [c.to_fraction() for c in coords] == [1, 1]
 
     def test_not_in_span(self, toy_ctx):
@@ -1002,14 +1004,14 @@ class TestCoordinates:
                    for _ in range(6)]
         for w, v in zip(weights, vectors):
             target = target + v * w
-        coords = coordinates_in(toy_ctx, target, vectors, as_fractions=True)
+        coords = coordinates_in(toy_ctx, target, vectors)
         assert coords == weights
 
     def test_negative_valuation_coordinates(self, sqrt2_ctx):
         # target = (1/2) * sqrt2 has a coordinate outside Z_p
         z = sqrt2_ctx.gen()
         target = z * Fraction(1, 2)
-        coords = coordinates_in(sqrt2_ctx, target, [z], as_fractions=True)
+        coords = coordinates_in(sqrt2_ctx, target, [z])
         assert coords == [Fraction(1, 2)]
 
     @staticmethod
@@ -1049,15 +1051,14 @@ class TestCoordinates:
             ctx, cols, coords, _ = self._random_system(rng)
             vectors = [ctx.element(v) for v in cols]
             targets = [self._combine(ctx, cols, c) for c in coords]
-            one_by_one = [coordinates_in(ctx, t, vectors, as_fractions=True)
-                          for t in targets]
+            one_by_one = [coordinates_in(ctx, t, vectors) for t in targets]
             # the vectors are independent (no SingularSystem), so the exact
             # recombination pins the unique answer
             for t, got in zip(targets, one_by_one):
                 assert self._combine(ctx, cols, got) == t
             assert one_by_one == coords
             assert _solve_exact(vectors, targets) == one_by_one
-            scalars = coordinates_in(ctx, targets[0], vectors)
+            scalars = [ctx.scalar(c) for c in coordinates_in(ctx, targets[0], vectors)]
             assert [c.to_fraction() for c in scalars] == one_by_one[0]
 
     def test_random_dependent_vector_is_named(self):

@@ -114,12 +114,12 @@ class TestOracle:
 
 
 def _outputs(res):
-    return (res.lambda1, res.lambda2, res.witness.fractions(), res.classes)
+    return (res.lambda1, res.lambda2, list(res.witness.fracs), res.classes)
 
 
 def _reference_outputs(ctx, basis, depth=2):
     lam1, lam2, witness, classes = lvp_oracle_reference(ctx, basis, depth)
-    return (lam1, lam2, witness.fractions(), classes)
+    return (lam1, lam2, list(witness.fracs), classes)
 
 
 class TestOracleDifferential:
@@ -374,8 +374,7 @@ def _exact_cvp(monkeypatch, *args):
 
 
 def _cvp_record(res):
-    return (res.vector.identity, res.vector.precision, res.distance,
-            [c.key() for c in res.lattice_coords])
+    return (res.vector.identity, res.distance, [c.key() for c in res.lattice_coords])
 
 
 class TestModularCvp:

@@ -23,7 +23,7 @@ from padiclat.reduction import (
 
 
 def in_lattice(ctx, x, basis):
-    coords = coordinates_in(ctx, x, basis, as_fractions=True)
+    coords = coordinates_in(ctx, x, basis)
     return all(c.denominator % ctx.p != 0 for c in coords)
 
 
@@ -36,8 +36,7 @@ def mixed_quartic():
     # w = (xi^2 - 3) / (2 xi + 1)
     w_coords = coordinates_in(
         ctx, xi * xi - ctx.element([3]),
-        [(xi * 2 + ctx.one()) * ctx.monomial(k) for k in range(4)],
-        as_fractions=True)
+        [(xi * 2 + ctx.one()) * ctx.monomial(k) for k in range(4)])
     w = ctx.element(w_coords)
     assert (w * w + w + ctx.one()).is_zero
     sqrt2 = xi - w

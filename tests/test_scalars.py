@@ -15,26 +15,26 @@ APPENDIX_C = 755873885678037304696930874820307
 
 class TestConstruction:
     def test_zero_marker(self):
-        z = PadicScalar.from_rational(0, 1, p=2, precision=8)
+        z = PadicScalar.from_fraction(Fraction(0), p=2, precision=8)
         assert z.is_zero and z.valuation is None
 
     def test_one_third_dyadic(self):
-        x = PadicScalar.from_rational(1, 3, p=2, precision=4)
+        x = PadicScalar.from_fraction(Fraction(1, 3), p=2, precision=4)
         assert x.valuation == 0
         assert x.unit == 11  # 3 * 11 = 33 = 1 mod 16
 
     def test_big_constant_is_unit(self):
-        x = PadicScalar.from_rational(APPENDIX_C, 1, p=2, precision=128)
+        x = PadicScalar.from_fraction(Fraction(APPENDIX_C), p=2, precision=128)
         assert x.valuation == 0
 
     def test_valuation_examples(self):
-        assert PadicScalar.from_rational(8, 1, p=2).valuation == 3
-        assert PadicScalar.from_rational(1, 3, p=2).valuation == 0
-        assert PadicScalar.from_rational(0, 5, p=2).valuation is None
+        assert PadicScalar.from_fraction(Fraction(8), p=2).valuation == 3
+        assert PadicScalar.from_fraction(Fraction(1, 3), p=2).valuation == 0
+        assert PadicScalar.from_fraction(Fraction(0, 5), p=2).valuation is None
 
     def test_denominator_zero_rejected(self):
         with pytest.raises(ZeroDivisionError):
-            PadicScalar.from_rational(1, 0, p=2)
+            PadicScalar.from_fraction(Fraction(1, 0), p=2)
 
     @pytest.mark.parametrize("p", [1, 0, -3])
     def test_p_below_two_rejected(self, p):
@@ -48,51 +48,51 @@ class TestConstruction:
 
 class TestResidueDigit:
     def test_even_integer(self):
-        assert PadicScalar.from_rational(6, 1, p=2).residue_digit() == 0
+        assert PadicScalar.from_fraction(Fraction(6), p=2).residue(1) == 0
 
     def test_one_third(self):
-        assert PadicScalar.from_rational(1, 3, p=2).residue_digit() == 1
+        assert PadicScalar.from_fraction(Fraction(1, 3), p=2).residue(1) == 1
 
     def test_negative_valuation_rejected(self):
         with pytest.raises(NotIntegral):
-            PadicScalar.from_rational(1, 2, p=2).residue_digit()
+            PadicScalar.from_fraction(Fraction(1, 2), p=2).residue(1)
 
     def test_zero(self):
-        assert PadicScalar.zero(3).residue_digit() == 0
+        assert PadicScalar.zero(3).residue(1) == 0
 
 
 class TestArithmetic:
     def test_inverse_pair(self):
-        third = PadicScalar.from_rational(1, 3, p=2)
-        three = PadicScalar.from_rational(3, 1, p=2)
+        third = PadicScalar.from_fraction(Fraction(1, 3), p=2)
+        three = PadicScalar.from_fraction(Fraction(3), p=2)
         prod = third * three
         assert prod.valuation == 0 and prod.unit == 1
 
     def test_strict_ultrametric_jump(self):
-        two = PadicScalar.from_rational(2, 1, p=2)
+        two = PadicScalar.from_fraction(Fraction(2), p=2)
         assert (two + two).valuation == 2
 
     def test_self_cancellation_exact(self):
-        x = PadicScalar.from_rational(7, 5, p=3)
+        x = PadicScalar.from_fraction(Fraction(7, 5), p=3)
         assert (x - x).is_zero
 
     def test_division(self):
-        x = PadicScalar.from_rational(10, 1, p=5)
-        y = PadicScalar.from_rational(2, 1, p=5)
-        assert (x / y) == PadicScalar.from_rational(5, 1, p=5)
+        x = PadicScalar.from_fraction(Fraction(10), p=5)
+        y = PadicScalar.from_fraction(Fraction(2), p=5)
+        assert (x / y) == PadicScalar.from_fraction(Fraction(5), p=5)
 
     def test_division_by_zero_marker(self):
         with pytest.raises(DivisionByZero):
-            PadicScalar.from_rational(1, 1, p=5) / PadicScalar.zero(5)
+            PadicScalar.from_fraction(Fraction(1), p=5) / PadicScalar.zero(5)
 
     def test_mixed_primes_rejected(self):
         with pytest.raises(ValueError):
-            PadicScalar.from_rational(1, 1, p=5) + PadicScalar.from_rational(1, 1, p=3)
+            PadicScalar.from_fraction(Fraction(1), p=5) + PadicScalar.from_fraction(Fraction(1), p=3)
 
     def test_int_coercion(self):
-        x = PadicScalar.from_rational(5, 1, p=3)
-        assert (x + 1) == PadicScalar.from_rational(6, 1, p=3)
-        assert (2 * x) == PadicScalar.from_rational(10, 1, p=3)
+        x = PadicScalar.from_fraction(Fraction(5), p=3)
+        assert (x + 1) == PadicScalar.from_fraction(Fraction(6), p=3)
+        assert (2 * x) == PadicScalar.from_fraction(Fraction(10), p=3)
 
 
 rationals = st.fractions(
@@ -147,10 +147,10 @@ class TestProperties:
            st.integers(min_value=-10 ** 6, max_value=10 ** 6), primes)
     @settings(max_examples=200, deadline=None)
     def test_residue_digit_is_ring_hom(self, a, b, p):
-        x = PadicScalar.from_rational(a, 1, p=p)
-        y = PadicScalar.from_rational(b, 1, p=p)
-        assert (x + y).residue_digit() == (x.residue_digit() + y.residue_digit()) % p
-        assert (x * y).residue_digit() == (x.residue_digit() * y.residue_digit()) % p
+        x = PadicScalar.from_fraction(Fraction(a), p=p)
+        y = PadicScalar.from_fraction(Fraction(b), p=p)
+        assert (x + y).residue(1) == (x.residue(1) + y.residue(1)) % p
+        assert (x * y).residue(1) == (x.residue(1) * y.residue(1)) % p
 
 
 class TestPrecisionPolicy:
@@ -162,8 +162,8 @@ class TestPrecisionPolicy:
 
     def test_equality_window(self):
         # same value at different precisions compares equal on the overlap
-        a = PadicScalar.from_rational(7, 3, p=2, precision=16)
-        b = PadicScalar.from_rational(7, 3, p=2, precision=64)
+        a = PadicScalar.from_fraction(Fraction(7, 3), p=2, precision=16)
+        b = PadicScalar.from_fraction(Fraction(7, 3), p=2, precision=64)
         assert a == b
 
     def test_canonical_unit_reduction(self):
@@ -171,7 +171,7 @@ class TestPrecisionPolicy:
         for _ in range(50):
             n = rng.randrange(-500, 500)
             d = rng.randrange(1, 500)
-            x = PadicScalar.from_rational(n, d, p=5, precision=12)
+            x = PadicScalar.from_fraction(Fraction(n, d), p=5, precision=12)
             if not x.is_zero:
                 assert 1 <= x.unit < 5 ** 12 and x.unit % 5 != 0
 
@@ -231,7 +231,7 @@ class TestUnitsOnDemand:
                 return PadicScalar.from_fraction(frac, p=p, precision=prec)
             lines += [repr(fresh()), repr(fresh().key()), repr(-fresh()),
                       repr((-fresh()).key()), repr(-(-fresh())),
-                      _outcome(lambda: fresh().residue_digit())]
+                      _outcome(lambda: fresh().residue(1))]
             lines += [_outcome(lambda d=d: fresh().residue(d)) for d in (1, 3, precision + 2)]
             lines += [repr(fresh() == fresh(prec=2 * precision)),
                       repr(fresh() == fresh(frac=f + 1)),
