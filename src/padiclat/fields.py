@@ -58,8 +58,11 @@ Coordinates in a basis (lattice membership, the key generator's change
 of generator, and the attack's CVP where no modular level certifies it)
 come from one exact kernel,
 ``_solve_exact``, Gauss-Jordan on the elements' primitive integer rows; a
-block of right-hand sides shares one pass.  The system has a unique
-exact solution, so the pivot rule only affects speed, never an output.
+block of right-hand sides shares one pass.  A tall system (membership:
+m < n vectors) eliminates only m rows independent modulo the prime
+2^61 - 1 and checks every other row by one exact dot product.  The
+system has a unique exact solution, so neither the rows picked nor the
+pivot rule can change an output.
 Its modular twin ``_solve_mod`` (Gauss-Jordan over Z/p^digits on unit
 pivots, GF(p) at one digit) is one numpy elimination, over int32
 residues while p^(2*digits) < 2^30, int64 below 2^61 and Python ints
@@ -90,6 +93,8 @@ from .scalars import PRECISION_CAP, PadicScalar, _format_fraction, int_valuation
 
 _INT32_SAFE = 2 ** 30
 _INT64_SAFE = 2 ** 61
+# the Mersenne prime modulo which a tall exact solve picks its rows
+_SELECT_PRIME = 2 ** 61 - 1
 # up to this many row and column swaps per step, basic indexing (one matrix
 # at a time) beats a fancy-indexed gather and scatter
 _FEW_SWAPS = 4
@@ -310,11 +315,9 @@ def make_context(p: int, precision: int, coeffs, ramification=None,
     coeffs = list(coeffs)
     check_degree(len(coeffs) - 1)
     ctx = FieldContext(p, precision, coeffs[:-1], ramification, residue_degree)
-    last = coeffs[-1]
-    lead = ctx._exact(last)
-    # monic to the precision of the leading coefficient itself
-    digits = last.precision if isinstance(last, PadicScalar) else precision
-    if lead != 1 and frac_valuation(lead - 1, p) < digits:
+    lead = ctx._exact(coeffs[-1])
+    # monic to the precision every element of the field is read to
+    if lead != 1 and frac_valuation(lead - 1, p) < precision:
         raise NotMonic("leading coefficient must be 1")
     if ctx._int_modulus[1] % p == 0:
         raise NotIntegral("modulus coefficients must lie in Z_p")
@@ -1079,23 +1082,62 @@ def _primitive(row):
     return row if g <= 1 else [x // g for x in row]
 
 
+def _independent_rows(rows, m: int):
+    """Indices of m rows whose first m entries are independent modulo
+    ``_SELECT_PRIME``, by one greedy echelon in row order; None when there
+    are fewer.  A nonzero m x m minor mod q is nonzero over Z, so rows
+    independent mod q are independent over Q."""
+    q = _SELECT_PRIME
+    echelon = {}  # pivot column -> reduced row mod q with a 1 there
+    picked = []
+    for i, row in enumerate(rows):
+        r = [x % q for x in row[:m]]
+        for col, e in echelon.items():
+            if r[col]:
+                f = r[col]
+                r = [(x - f * y) % q for x, y in zip(r, e)]
+        col = next((c for c, x in enumerate(r) if x), None)
+        if col is None:
+            continue
+        inv = pow(r[col], -1, q)
+        echelon[col] = [x * inv % q for x in r]
+        picked.append(i)
+        if len(picked) == m:
+            return picked
+    return None
+
+
 def _solve_exact(columns, targets):
     """Exact coordinates of each target element in the span of the
     ``columns`` elements: one list of Fractions per target.
 
-    Each coordinate row (one per power-basis position) of the elements'
-    integer vectors is made primitive and eliminated by Gauss-Jordan with
-    the update row * (a/g) - pivot_row * (b/g), g = gcd(a, b), then
-    division by the gcd of the row, so no Fraction is formed until the
-    coordinates are read off.  The pivot (the nonzero entry of least
-    magnitude, which keeps the multipliers small) cannot change the unique
-    solution.  Raises SingularSystem at the first column dependent on the
-    earlier ones and NotInSpan when some target lies outside their span.
+    The system has one row per power-basis position.  A tall one (more
+    rows than columns) is solved on m rows whose column part is
+    independent modulo a large prime (``_independent_rows``); each other
+    row t is then one exact check, sum_k row_k N_k == D row_t with D the
+    lcm of the pivots and N_k = D c_k, and a nonzero residual raises
+    NotInSpan.  A square system, or a tall one without m such rows,
+    eliminates every row.
+
+    The eliminated coordinate rows of the elements' integer vectors are
+    made primitive and reduced by Gauss-Jordan with the update
+    row * (a/g) - pivot_row * (b/g), g = gcd(a, b), then division by the
+    gcd of the row, so no Fraction is formed until the coordinates are
+    read off.  The pivot (the nonzero entry of least magnitude, which
+    keeps the multipliers small) cannot change the unique solution.
+    Raises SingularSystem at the first column dependent on the earlier
+    ones and NotInSpan when some target lies outside their span.
     """
     columns = list(columns)
     cols = columns + list(targets)
     m = len(columns)
-    rows = [_primitive(list(entries)) for entries in zip(*_integer_rows(cols)[0])]
+    rows = [list(entries) for entries in zip(*_integer_rows(cols)[0])]
+    picked = _independent_rows(rows, m) if len(rows) > m else None
+    rest = []
+    if picked is not None:
+        rest = [row for i, row in enumerate(rows) if i not in picked]
+        rows = [rows[i] for i in picked]
+    rows = [_primitive(row) for row in rows]
     n = len(rows)
     for col in range(m):
         pivot = min((r for r in range(col, n) if rows[r][col]),
@@ -1115,6 +1157,13 @@ def _solve_exact(columns, targets):
             rows[r] = _primitive([sa * x - sb * y for x, y in zip(row, prow)])
     if any(any(row[m:]) for row in rows[m:]):
         raise NotInSpan("target lies outside the span of the vectors")
+    if rest:
+        d = lcm(*(rows[i][i] for i in range(m)))
+        scales = [d // rows[i][i] for i in range(m)]
+        for t in range(m, len(cols)):
+            nums = [rows[i][t] * s for i, s in enumerate(scales)]
+            if any(sum(a * b for a, b in zip(row, nums)) != d * row[t] for row in rest):
+                raise NotInSpan("target lies outside the span of the vectors")
     return [[Fraction(rows[i][t], rows[i][i]) for i in range(m)]
             for t in range(m, len(cols))]
 

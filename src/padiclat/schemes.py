@@ -214,7 +214,9 @@ def keygen(p: int, n: int, m: int, exponents, eisenstein_coeffs, zeta_over_theta
 
     A = _make_matrix(p, m, matrix, rng, precision)
     beta = [_linear_combination(ctx, row, alpha) for row in A]
-    if any(v != 0 for v in NormEngine(ctx).norm_valuations(beta)):
+    # zeta generates O_K, so a unit-norm vector has scale 0 and a unit
+    # norm mod p: one GF(p) gcd each, no determinant
+    if any(_element_scale(b) or not _scaled_norm_is_unit(b) for b in beta):
         raise BadMatrix("public basis vector is not unit-norm")
 
     public = PublicKey(ctx, tuple(beta), delta)
@@ -415,12 +417,13 @@ def encrypt(pk: PublicKey, plaintext, *, rng=None, noise: FieldElement | None = 
     else:
         rng = rng or random.SystemRandom()
         bound = pk.ctx.p ** pk.ctx.precision
-        scale = Fraction(pk.ctx.p) ** k
-        r = pk.ctx.element([Fraction(rng.randrange(bound)) * scale
-                            for _ in range(pk.ctx.n)])
-        exp = engine.abs_value(r)
-        if not exp.is_zero and not exp.exponent > pk.delta:
+        draws = [rng.randrange(bound) for _ in range(pk.ctx.n)]
+        # |p^k u| < p^-delta exactly when |u| < p^(k - delta), which an
+        # integral draw u meets with no determinant, as k > delta
+        if not engine.abs_less_than(pk.ctx.element(draws), AbsValue(pk.delta - k)):
             raise NoiseOutOfRange("sampled noise failed its own bound")
+        scale = pk.ctx.p ** k
+        r = pk.ctx.element([d * scale for d in draws])
     return Ciphertext(_linear_combination(pk.ctx, [1] + digits, [r, *pk.basis]))
 
 

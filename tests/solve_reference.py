@@ -3,11 +3,37 @@ list-based modular Gauss-Jordan that ``fields._solve_mod`` does in numpy
 (rows of Python ints, the first unit pivot of each column, every other
 row cleared entry by entry), a bench instance's minimal polynomial by
 one such elimination mod p^digits, which ``bench._minimal_poly_mod``
-lifts instead, and the plain Euclid over GF(p) against F mod p itself,
-which ``fields._scaled_norm_is_unit`` replaces by one against F's radical.
+lifts instead, the plain Euclid over GF(p) against F mod p itself,
+which ``fields._scaled_norm_is_unit`` replaces by one against F's radical,
+and a Fraction Gaussian elimination over every row of a system, which
+``fields._solve_exact`` replaces on tall systems by m selected rows.
 """
 
+from fractions import Fraction
+
+from padiclat.errors import NotInSpan, SingularSystem
 from padiclat.fields import _int_mul_mod
+
+
+def solve_exact_reference(columns, targets):
+    """Coordinates of each target in the span of the columns (vectors of
+    Fractions, one entry per row), by Gaussian elimination on Fractions over
+    every row: SingularSystem naming the first column dependent on the
+    earlier ones, NotInSpan when a target lies outside their span."""
+    m = len(columns)
+    rows = [[Fraction(x) for x in row] for row in zip(*columns, *targets)]
+    for col in range(m):
+        piv = next((r for r in range(col, len(rows)) if rows[r][col]), None)
+        if piv is None:
+            raise SingularSystem(f"vector {col} is dependent on the earlier ones")
+        rows[col], rows[piv] = rows[piv], rows[col]
+        prow = rows[col] = [x / rows[col][col] for x in rows[col]]
+        for r, row in enumerate(rows):
+            if r != col and row[col]:
+                rows[r] = [x - row[col] * y for x, y in zip(row, prow)]
+    if any(any(row[m:]) for row in rows[m:]):
+        raise NotInSpan("target lies outside the span of the vectors")
+    return [[rows[i][m + t] for i in range(m)] for t in range(len(targets))]
 
 
 def solve_mod_reference(rows, p, digits, width=None):

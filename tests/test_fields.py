@@ -34,7 +34,8 @@ from padiclat.fields import (
 from padiclat.lattices import Lattice, _IntegerSums, lvp_oracle
 from padiclat.reduction import AbsCounter, orthogonalize
 from padiclat.scalars import PRECISION_CAP, PadicScalar, int_valuation
-from solve_reference import gf_coprime_reference, solve_mod_reference
+from padiclat.schemes import PublicKey, in_lattice
+from solve_reference import gf_coprime_reference, solve_exact_reference, solve_mod_reference
 
 
 class TestMakeContext:
@@ -974,6 +975,17 @@ class TestEisenstein:
     def test_x2_minus_2(self):
         assert is_eisenstein(2, [-2, 0, 1])
 
+    def test_monic_to_the_context_precision(self):
+        # z^2 + 3 at p = 3 and N = 8: the leading coefficient is read to the
+        # context's 8 digits, whatever precision its scalar carries
+        def lead(value, digits):
+            return PadicScalar.from_fraction(Fraction(value), p=3, precision=digits)
+
+        ctx = make_context(3, 8, [3, 0, lead(1 + 3 ** 10, 64)])
+        assert ctx.same_structure(make_context(3, 8, [3, 0, 1]))
+        with pytest.raises(NotMonic):
+            make_context(3, 8, [3, 0, lead(1 + 3 ** 5, 4)])
+
     def test_toy_modulus_is_not(self):
         assert not is_eisenstein(2, TOY_F)  # constant -167 is odd
 
@@ -1102,6 +1114,113 @@ class TestCoordinates:
             with pytest.raises(NotInSpan):
                 _solve_exact(vectors, [inside, outside])
             checked += 1
+
+
+class TestTallSolve:
+    """``_solve_exact`` on tall systems (fewer vectors than the degree), and
+    ``in_lattice`` through it, against a Fraction elimination over every
+    row (``solve_exact_reference``)."""
+
+    @staticmethod
+    def _outcome(solve, columns, targets):
+        try:
+            return solve(columns, targets)
+        except (SingularSystem, NotInSpan) as exc:
+            return type(exc), str(exc)
+
+    @staticmethod
+    def _combine(cols, coeffs):
+        return [sum(c * v[i] for c, v in zip(coeffs, cols)) for i in range(len(cols[0]))]
+
+    def _check(self, ctx, cols, targets):
+        """The two solvers agree on the block and on each target, and
+        ``in_lattice`` answers as the reference's coordinates say; returns
+        the reference's outcome per target."""
+        vectors = [ctx.element(v) for v in cols]
+        elems = [ctx.element(t) for t in targets]
+        assert (self._outcome(_solve_exact, vectors, elems)
+                == self._outcome(solve_exact_reference, cols, targets))
+        pk = PublicKey(ctx, tuple(vectors))
+        outcomes = []
+        for t, x in zip(targets, elems):
+            want = self._outcome(solve_exact_reference, cols, [t])
+            assert self._outcome(_solve_exact, vectors, [x]) == want
+            if want[0] is SingularSystem:
+                with pytest.raises(SingularSystem):
+                    in_lattice(pk, x)
+            else:
+                assert in_lattice(pk, x) == (
+                    want[0] is not NotInSpan
+                    and all(c.denominator % ctx.p for c in want[0]))
+            outcomes.append(want)
+        return outcomes
+
+    @staticmethod
+    def _rows(ctx, cols):
+        return [list(r) for r in zip(*fields._integer_rows([ctx.element(v) for v in cols])[0])]
+
+    def _cases(self, rng, ctx, cols):
+        """Targets that are members, in the span with p in one coordinate's
+        denominator, and outside the span (a random vector, as m < n)."""
+        p, m = ctx.p, len(cols)
+
+        def coords():
+            return [Fraction(rng.randrange(-20, 21), rng.choice([1, p + 1])) for _ in range(m)]
+
+        member = self._combine(cols, coords())
+        off = coords()
+        off[rng.randrange(m)] = Fraction(rng.choice([1, -1]) * rng.randrange(1, p) + p, p)
+        outside = [Fraction(rng.randrange(-30, 31)) for _ in cols[0]]
+        return [member, self._combine(cols, off), outside]
+
+    def test_random_tall_systems(self):
+        rng = random.Random(2028)
+        seen = Counter()
+        for _ in range(50):
+            p = rng.choice([2, 3, 5])
+            n = rng.randrange(3, 13)
+            m = rng.randrange(1, n)
+            ctx = make_context(p, 32, random_eisenstein(rng, p, n))
+            cols = [[Fraction(rng.randrange(-9, 10), p ** rng.randrange(3) * rng.choice([1, p + 1]))
+                     for _ in range(n)] for _ in range(m)]
+            if fields._independent_rows(self._rows(ctx, cols), m) is None:
+                continue
+            targets = self._cases(rng, ctx, cols)
+            member, off, outside = self._check(ctx, cols, targets)
+            assert member[0] is not NotInSpan and off[0] is not NotInSpan
+            seen["outside" if outside[0] is NotInSpan else "inside"] += 1
+            # vector k becomes a combination of the earlier ones (zero for k = 0)
+            k = rng.randrange(m)
+            weights = [Fraction(rng.randrange(-4, 5), p) for _ in range(k)]
+            cols[k] = self._combine(cols[:k], weights) if k else [Fraction(0)] * n
+            singular, = self._check(ctx, cols, targets[:1])
+            assert singular == (SingularSystem, f"vector {k} is dependent on the earlier ones")
+            seen["solved"] += 1
+        assert seen["solved"] >= 45 and seen["outside"] >= 45
+
+    def test_rows_dependent_mod_the_selection_prime_keep_every_row(self):
+        # v_k = c_k v_0 + q w_k: every row's column part is a multiple of
+        # v_0's entry mod q, so no m rows are independent there, while the
+        # columns are independent over Q
+        q = fields._SELECT_PRIME
+        rng = random.Random(2029)
+        seen = Counter()
+        for _ in range(20):
+            p = rng.choice([2, 3, 5])
+            n = rng.randrange(3, 9)
+            m = rng.randrange(2, n)
+            ctx = make_context(p, 32, random_eisenstein(rng, p, n))
+            v0 = [rng.randrange(-9, 10) for _ in range(n)]
+            cols = [v0]
+            for _ in range(m - 1):
+                c = rng.randrange(-3, 4)
+                cols.append([c * a + q * rng.randrange(-9, 10) for a in v0])
+            cols = [[Fraction(a) for a in v] for v in cols]
+            assert fields._independent_rows(self._rows(ctx, cols), m) is None
+            member, off, outside = self._check(ctx, cols, self._cases(rng, ctx, cols))
+            seen.update(o[0] if o[0] in (SingularSystem, NotInSpan) else "solved"
+                        for o in (member, off, outside))
+        assert seen["solved"] >= 20 and seen[NotInSpan] >= 10
 
 
 class TestDeterminantEngine:

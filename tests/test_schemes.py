@@ -473,6 +473,24 @@ class TestTrapdoorCvp:
         assert [_private_cvp(sk, t).vector.key() for t in targets] == want
 
 
+class TestSchemeChecksTakeNoDeterminant:
+    """keygen's unit-norm check is one GF(p) gcd per vector, and encrypt
+    tests its sampled noise on the integral draw before scaling."""
+
+    @pytest.mark.parametrize("seed, p, n, m", [(71, 3, 14, 6), (72, 2, 14, 4)])
+    def test_keygen_and_encrypt(self, seed, p, n, m, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("a determinant was taken")
+
+        monkeypatch.setattr(fields, "_det_valuation", refuse)
+        j, f, zeta, rng = _seeded_key_inputs(seed, p, n, m, 1)
+        kp = keygen(p, n, m, j, f, zeta, delta=Fraction(1, 2), rng=rng)
+        plains = [tuple(rng.randrange(p) for _ in range(m)) for _ in range(3)]
+        cts = [encrypt(kp.public, plain, rng=rng) for plain in plains]
+        monkeypatch.undo()
+        assert [decrypt(kp.private, ct) for ct in cts] == plains
+
+
 class TestKeygenDerivesOnce:
     """keygen solves for F and the lattice part of alpha only, and hands
     the private operations a trapdoor they never rebuild."""
