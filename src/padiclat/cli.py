@@ -38,7 +38,15 @@ def _rng(args):
 
 
 def _ints(text):
-    return [int(t) for t in text.replace(",", " ").split()]
+    """Integers separated by commas or whitespace; a blank text is the empty
+    list, and an empty entry (",", "4,", "4,,6") is an input error."""
+    out = []
+    if text.strip():
+        for item in text.split(","):
+            if not item.strip():
+                raise ValueError(f"empty entry in list {text!r}")
+            out += [int(t) for t in item.split()]
+    return out
 
 
 def _fraction(tok):

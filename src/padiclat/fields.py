@@ -99,9 +99,16 @@ _SELECT_PRIME = 2 ** 61 - 1
 # at a time) beats a fancy-indexed gather and scatter
 _FEW_SWAPS = 4
 # matrix entries per elimination stack: bounds a batch's memory (8 matrices
-# at n = 64, 167 at n = 14, 910 at n = 6); the lattice oracle enumerates in
-# chunks of one such stack
+# at n = 64, 167 at n = 14, 910 at n = 6); the lattice oracle enumerates,
+# and the reduction's final pick reads its exact norms, in chunks of one
+# such stack
 _STACK_ENTRIES = 2 ** 15
+
+
+def _stack_size(n: int) -> int:
+    """n x n matrices per elimination stack; reads _STACK_ENTRIES at call
+    time."""
+    return max(1, _STACK_ENTRIES // (n * n))
 
 
 def frac_valuation(f: Fraction, p: int):
@@ -703,7 +710,7 @@ def _norm_valuations(ctx: FieldContext, rows, den: int, digits: int, cap: int):
     p, n = ctx.p, ctx.n
     t = int_valuation(den, p)
     unit, shift = den // p ** t, n * t
-    size = max(1, _STACK_ENTRIES // (n * n))
+    size = _stack_size(n)
 
     def level(todo, digits):
         total = digits + shift

@@ -5,9 +5,9 @@ it enumerates every digit combination and resolves each sum's exact norm
 valuation from determinants alone (no norm engine, no cache and never the
 GF(p) gcd), so it can referee them.  The enumeration is vectorized: the
 vectors are cleared of denominators once, the digit tuples are taken in
-product order in chunks of one first-level elimination stack (at most
-``fields._STACK_ENTRIES`` matrix entries), each chunk becomes integer
-rows by one product with that integer basis, and one batched escalation
+product order in chunks of one first-level elimination stack
+(``fields._stack_size``), each chunk becomes integer rows by one product
+with that integer basis, and one batched escalation
 (``fields._norm_valuations``) eliminates the chunk's multiplication
 matrices.  The vectors p*b_i follow in the same stream as the m unit
 tuples: N(p x) = p^n N(x), so v(N(p b_i)) = n + v(N(b_i)) comes from
@@ -23,7 +23,6 @@ from math import ceil
 
 import numpy as np
 
-from . import fields
 from .errors import BudgetExceeded, ClassCollision, OracleInconclusive
 from .fields import (
     _INT64_SAFE,
@@ -37,6 +36,7 @@ from .fields import (
     _integer_rows,
     _linear_combination,
     _norm_valuations,
+    _stack_size,
     coordinates_in,
     frac_valuation,
 )
@@ -114,7 +114,7 @@ def _digit_tuples(span: int, m: int, n: int, units: bool = False):
     with ``units`` the m unit tuples, as (tuples, mask) chunks: int64
     arrays of as many rows as one elimination stack holds n x n matrices,
     and a mask marking the unit tuples."""
-    size = max(1, fields._STACK_ENTRIES // (n * n))
+    size = _stack_size(n)
     weights = span ** np.arange(m - 1, -1, -1, dtype=np.int64)
     total = span ** m
     end = total + m if units else total

@@ -475,9 +475,11 @@ def test_break_determinant_work_is_pinned(monkeypatch):
 
 
 def test_recover_stacks_its_exact_queries(monkeypatch):
-    # the reduction's exact norms (the first exponents and the final pick)
-    # go to the kernel in bounded stacks, 8 matrices at n = 64, while each
-    # matrix keeps the digit level it has alone
+    # the reduction's exact norms go to the kernel in bounded stacks, 8
+    # matrices at n = 64, while each matrix keeps the digit level it has
+    # alone; the first exponents are monomials (no determinant), and the
+    # final pick stops after its first stack, whose reduced[0] reaches
+    # lambda1 * p^(-1/n)
     from collections import Counter
 
     from padiclat import fields
@@ -499,6 +501,6 @@ def test_recover_stacks_its_exact_queries(monkeypatch):
     monkeypatch.setattr(fields, "_gf_coprime", counted_coprime)
     res = recover_uniformizer(ctx)
     assert res.abs_count == 223
-    assert dict(levels) == {2: 63}
+    assert dict(levels) == {2: 8}
     assert len(gcds) == 159
-    assert len(stacks) == 8
+    assert len(stacks) == 1

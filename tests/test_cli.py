@@ -280,6 +280,19 @@ class TestExitCodes:
                              "--reps", "-2")
         assert code == 2 and "repetitions must be nonnegative" in err and out == ""
 
+    @pytest.mark.parametrize("n_list, p_list", [
+        ("4,x", "3"), (",", "3"), ("4,,6", "3"), ("4", ","), ("4", "3,"),
+    ])
+    def test_malformed_bench_list_is_input_error(self, tmp_path, capsys, n_list, p_list):
+        # a list with an empty entry is malformed like one with a non-integer
+        # entry: nothing is computed or written
+        argv = ("bench", "--n-list", n_list, "--p-list", p_list)
+        out_file = tmp_path / "grid.csv"
+        for extra in ((), ("--out", str(out_file))):
+            code, out, err = run(capsys, *argv, *extra)
+            assert code == 2 and "input error" in err and out == ""
+        assert not out_file.exists()
+
     @pytest.mark.parametrize("argv", [
         ("verify", "--pub", "k.pub", "--message", "m", "--sig", "m.sig",
          "--precision", "7"),

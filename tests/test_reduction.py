@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import scheme_shaped_lattice
-from padiclat import reduction
+from padiclat import fields, reduction
 from padiclat.errors import BudgetExceeded, ReductionFailed, SingularSystem
 from padiclat.fields import (
     AbsValue,
@@ -225,6 +225,102 @@ class TestGeneralVariant:
             a = find_second_longest(ctx, basis)
             b = find_second_longest_general(ctx, basis, 1)
             assert a.lambda2 == b.lambda2
+
+
+def _full_pick(ctx, basis):
+    """What find_second_longest_general(ctx, basis, 1) returns when its
+    final pick reads the exact norms of every reduced vector as one batch
+    and takes the lowest-index argmax, as (lambda2, witness, reduced,
+    abs_count)."""
+    counter = reduction.AbsCounter(NormEngine(ctx))
+    exps = counter.abs_values(basis)
+    out, _, reduced, _ = reduction._reduce_pass(ctx, basis, exps, counter)
+    final = counter.abs_values(reduced)
+    idx = max(range(len(final)), key=lambda i: (final[i], -i))
+    return final[idx], reduced[idx], tuple(out), counter.count
+
+
+def _picked(ctx, basis):
+    res = find_second_longest_general(ctx, basis, 1)
+    return res.lambda2, res.witness, res.reduced, res.abs_count
+
+
+def _recorded_dets(monkeypatch):
+    """Patch fields._det_valuation to log (matrices, digits) per call."""
+    calls = []
+    det = fields._det_valuation
+
+    def recorded(stack, p, digits):
+        calls.append((len(stack), digits))
+        return det(stack, p, digits)
+
+    monkeypatch.setattr(fields, "_det_valuation", recorded)
+    return calls
+
+
+class TestFinalPick:
+    # the pick reads the reduced vectors' exact norms one stack at a time
+    # and stops after the first stack holding lambda1 * p^(-1/n); in the
+    # toy field |z - 1| = |z^3 - 1| = 2^(-1/20) reach it, while z^2 - 1,
+    # z^4 - 1 and z^6 - 1 stay at 2^(-2/20) or below.  A stack bound of
+    # 400 * c entries at n = 20 makes stacks of c matrices
+
+    def test_holder_beyond_the_first_stack(self, toy_ctx, monkeypatch):
+        one, z = toy_ctx.one(), toy_ctx.gen()
+        basis = [one, z ** 2, z, z ** 4, z ** 6]
+        want = _full_pick(toy_ctx, basis)
+        assert want[1] == z - one
+        calls = _recorded_dets(monkeypatch)
+        # the four reduced vectors need four matrices; the pick stops after
+        # the stack holding z - 1, the second of them
+        for chunk, dets in ((1, [(1, 2), (1, 2)]), (2, [(2, 2)]), (3, [(3, 2)])):
+            monkeypatch.setattr(fields, "_STACK_ENTRIES", 400 * chunk)
+            calls.clear()
+            assert _picked(toy_ctx, basis) == want
+            assert calls == dets
+
+    def test_no_holder_runs_every_stack(self, monkeypatch):
+        # with j_2 >= j_1 + 2 every reduced vector lies below the holder's
+        # norm, so every stack runs: the same matrices at the same digit
+        # levels as the full pick, and at the default bound (one stack) the
+        # same calls.  Smaller stacks split at chunk boundaries, and here
+        # reduced[0] and reduced[3] are basis vectors whose norms are
+        # cached, so the uncached ones can group differently
+        from collections import Counter
+
+        def per_level(calls):
+            levels = Counter()
+            for size, digits in calls:
+                levels[digits] += size
+            return levels
+
+        rng = random.Random("no-holder")
+        ctx, basis, j = scheme_shaped_lattice(rng, 5, 10, 5)
+        assert j[1] >= j[0] + 2
+        calls = _recorded_dets(monkeypatch)
+        for chunk in (None, 1, 2, 3):
+            if chunk is not None:
+                monkeypatch.setattr(fields, "_STACK_ENTRIES", 100 * chunk)
+            calls.clear()
+            got = _picked(ctx, basis)
+            ours = list(calls)
+            calls.clear()
+            assert got == _full_pick(ctx, basis)
+            assert per_level(ours) == per_level(calls)
+            if chunk is None:
+                assert ours == calls
+
+    def test_tie_inside_the_holding_stack(self, toy_ctx, monkeypatch):
+        # z^3 - 1 and z - 1 both hold; the lower index wins, whether the
+        # other is in the same stack (3, default) or never read (2)
+        one, z = toy_ctx.one(), toy_ctx.gen()
+        basis = [one, z ** 2, z ** 3, z, z ** 4]
+        want = _full_pick(toy_ctx, basis)
+        assert want[1] == z ** 3 - one
+        assert _picked(toy_ctx, basis) == want
+        for chunk in (2, 3):
+            monkeypatch.setattr(fields, "_STACK_ENTRIES", 400 * chunk)
+            assert _picked(toy_ctx, basis) == want
 
 
 class TestToyPublicBasis:
