@@ -37,16 +37,20 @@ def _rng(args):
     return random.Random(args.seed) if args.seed is not None else None
 
 
-def _ints(text):
-    """Integers separated by commas or whitespace; a blank text is the empty
+def _entries(text):
+    """Entries separated by commas or whitespace; a blank text is the empty
     list, and an empty entry (",", "4,", "4,,6") is an input error."""
     out = []
     if text.strip():
         for item in text.split(","):
             if not item.strip():
                 raise ValueError(f"empty entry in list {text!r}")
-            out += [int(t) for t in item.split()]
+            out += item.split()
     return out
+
+
+def _ints(text):
+    return [int(t) for t in _entries(text)]
 
 
 def _fraction(tok):
@@ -59,7 +63,7 @@ def _fraction(tok):
 
 
 def _fractions(text):
-    return [_fraction(t) for t in text.replace(",", " ").split()]
+    return [_fraction(t) for t in _entries(text)]
 
 
 def _read(path):

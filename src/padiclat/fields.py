@@ -59,10 +59,10 @@ of generator, and the attack's CVP where no modular level certifies it)
 come from one exact kernel,
 ``_solve_exact``, Gauss-Jordan on the elements' primitive integer rows; a
 block of right-hand sides shares one pass.  A tall system (membership:
-m < n vectors) eliminates only m rows independent modulo the prime
-2^61 - 1 and checks every other row by one exact dot product.  The
-system has a unique exact solution, so neither the rows picked nor the
-pivot rule can change an output.
+m < n vectors) eliminates its first m rows, or every row where those are
+dependent, and checks the solution on every coordinate with
+``_linear_combination``.  The system has a unique exact solution, so
+neither the rows eliminated nor the pivot rule can change an output.
 Its modular twin ``_solve_mod`` (Gauss-Jordan over Z/p^digits on unit
 pivots, GF(p) at one digit) is one numpy elimination, over int32
 residues while p^(2*digits) < 2^30, int64 below 2^61 and Python ints
@@ -93,8 +93,6 @@ from .scalars import PRECISION_CAP, PadicScalar, _format_fraction, int_valuation
 
 _INT32_SAFE = 2 ** 30
 _INT64_SAFE = 2 ** 61
-# the Mersenne prime modulo which a tall exact solve picks its rows
-_SELECT_PRIME = 2 ** 61 - 1
 # up to this many row and column swaps per step, basic indexing (one matrix
 # at a time) beats a fancy-indexed gather and scatter
 _FEW_SWAPS = 4
@@ -1089,68 +1087,21 @@ def _primitive(row):
     return row if g <= 1 else [x // g for x in row]
 
 
-def _independent_rows(rows, m: int):
-    """Indices of m rows whose first m entries are independent modulo
-    ``_SELECT_PRIME``, by one greedy echelon in row order; None when there
-    are fewer.  A nonzero m x m minor mod q is nonzero over Z, so rows
-    independent mod q are independent over Q."""
-    q = _SELECT_PRIME
-    echelon = {}  # pivot column -> reduced row mod q with a 1 there
-    picked = []
-    for i, row in enumerate(rows):
-        r = [x % q for x in row[:m]]
-        for col, e in echelon.items():
-            if r[col]:
-                f = r[col]
-                r = [(x - f * y) % q for x, y in zip(r, e)]
-        col = next((c for c, x in enumerate(r) if x), None)
-        if col is None:
-            continue
-        inv = pow(r[col], -1, q)
-        echelon[col] = [x * inv % q for x in r]
-        picked.append(i)
-        if len(picked) == m:
-            return picked
-    return None
+def _gauss_jordan(rows, m: int):
+    """Gauss-Jordan on the first m columns of primitive integer rows, in
+    place: row k ends as the pivot row of column k.  Returns the first
+    column without a pivot, None when every one has one.
 
-
-def _solve_exact(columns, targets):
-    """Exact coordinates of each target element in the span of the
-    ``columns`` elements: one list of Fractions per target.
-
-    The system has one row per power-basis position.  A tall one (more
-    rows than columns) is solved on m rows whose column part is
-    independent modulo a large prime (``_independent_rows``); each other
-    row t is then one exact check, sum_k row_k N_k == D row_t with D the
-    lcm of the pivots and N_k = D c_k, and a nonzero residual raises
-    NotInSpan.  A square system, or a tall one without m such rows,
-    eliminates every row.
-
-    The eliminated coordinate rows of the elements' integer vectors are
-    made primitive and reduced by Gauss-Jordan with the update
-    row * (a/g) - pivot_row * (b/g), g = gcd(a, b), then division by the
-    gcd of the row, so no Fraction is formed until the coordinates are
-    read off.  The pivot (the nonzero entry of least magnitude, which
-    keeps the multipliers small) cannot change the unique solution.
-    Raises SingularSystem at the first column dependent on the earlier
-    ones and NotInSpan when some target lies outside their span.
-    """
-    columns = list(columns)
-    cols = columns + list(targets)
-    m = len(columns)
-    rows = [list(entries) for entries in zip(*_integer_rows(cols)[0])]
-    picked = _independent_rows(rows, m) if len(rows) > m else None
-    rest = []
-    if picked is not None:
-        rest = [row for i, row in enumerate(rows) if i not in picked]
-        rows = [rows[i] for i in picked]
-    rows = [_primitive(row) for row in rows]
+    The update row * (a/g) - pivot_row * (b/g), g = gcd(a, b), then
+    division by the gcd of the row, keeps every entry an integer.  The
+    pivot is the nonzero entry of least magnitude, which keeps the
+    multipliers small."""
     n = len(rows)
     for col in range(m):
         pivot = min((r for r in range(col, n) if rows[r][col]),
                     key=lambda r: abs(rows[r][col]), default=None)
         if pivot is None:
-            raise SingularSystem(f"vector {col} is dependent on the earlier ones")
+            return col
         rows[col], rows[pivot] = rows[pivot], rows[col]
         prow = rows[col]
         a = prow[col]
@@ -1162,17 +1113,41 @@ def _solve_exact(columns, targets):
             g = gcd(a, b)
             sa, sb = a // g, b // g
             rows[r] = _primitive([sa * x - sb * y for x, y in zip(row, prow)])
-    if any(any(row[m:]) for row in rows[m:]):
+    return None
+
+
+def _solve_exact(columns, targets):
+    """Exact coordinates of each target element in the span of the
+    ``columns`` elements: one list of Fractions per target.
+
+    The system has one integer row per power-basis position, m column
+    entries then one per target, and ``_gauss_jordan`` reduces its first
+    m rows, made primitive; no Fraction is formed until the coordinates
+    are read off.  Where those rows are dependent (some column has no
+    pivot among them) it reduces every row instead.  A tall system (more rows
+    than columns) then checks each solution on every coordinate,
+    sum c_k v_k == target by ``_linear_combination``, and raises NotInSpan
+    where they differ.  The solution is unique, so neither the rows
+    eliminated nor the pivot rule can change it.
+    Raises SingularSystem at the first column dependent on the earlier
+    ones and NotInSpan when some target lies outside their span.
+    """
+    columns, targets = list(columns), list(targets)
+    m = len(columns)
+    rows = list(zip(*_integer_rows(columns + targets)[0]))
+    head = [_primitive(row) for row in rows[:m]]
+    col = _gauss_jordan(head, m)
+    if col is not None and len(rows) > m:
+        head = [_primitive(row) for row in rows]
+        col = _gauss_jordan(head, m)
+    if col is not None:
+        raise SingularSystem(f"vector {col} is dependent on the earlier ones")
+    solutions = [[Fraction(head[i][m + t], head[i][i]) for i in range(m)]
+                 for t in range(len(targets))]
+    if len(rows) > m and any(_linear_combination(x.ctx, c, columns).identity != x.identity
+                             for c, x in zip(solutions, targets)):
         raise NotInSpan("target lies outside the span of the vectors")
-    if rest:
-        d = lcm(*(rows[i][i] for i in range(m)))
-        scales = [d // rows[i][i] for i in range(m)]
-        for t in range(m, len(cols)):
-            nums = [rows[i][t] * s for i, s in enumerate(scales)]
-            if any(sum(a * b for a, b in zip(row, nums)) != d * row[t] for row in rest):
-                raise NotInSpan("target lies outside the span of the vectors")
-    return [[Fraction(rows[i][t], rows[i][i]) for i in range(m)]
-            for t in range(m, len(cols))]
+    return solutions
 
 
 def _solve_mod(rows, p: int, digits: int, width: int | None = None):
@@ -1239,7 +1214,11 @@ def _coordinates_mod(columns, target: FieldElement, digits: int):
 
 def coordinates_in(ctx: FieldContext, target: FieldElement, vectors) -> list[Fraction]:
     """Exact coordinates of ``target`` in the Q_p-span of ``vectors``: a
-    one-target ``_solve_exact``, with its errors."""
+    one-target ``_solve_exact``, with its errors.  ValueError when the
+    target or a vector belongs to a field other than ``ctx``'s."""
+    vectors = list(vectors)
+    if any(not ctx.same_structure(v.ctx) for v in [target, *vectors]):
+        raise ValueError("elements from different contexts")
     return _solve_exact(vectors, [target])[0]
 
 

@@ -1,9 +1,10 @@
 import random
+from fractions import Fraction
 
 import pytest
 
 from padiclat.fields import _solve_mod, make_context
-from padiclat.schemes import random_eisenstein
+from padiclat.schemes import keygen, random_eisenstein
 
 
 TOY_F = [-167, 3548, -21942, 79034, -200173, 370306, -502444, 504970, -378052,
@@ -34,6 +35,21 @@ def random_unimodular(rng: random.Random, p: int, m: int, spread: int = 3):
         rows = [[rng.randrange(p ** spread) for _ in range(m)] for _ in range(m)]
         if _solve_mod(rows, p, 1) is not None:
             return rows
+
+
+def random_signature_key(rng: random.Random, p: int, n: int, m: int, delta=None):
+    """A key pair from random keygen inputs: an Eisenstein f, a generator
+    zeta whose theta-coefficient is a unit, and exponents whose first m
+    fit delta * n when delta is given."""
+    f = random_eisenstein(rng, p, n)
+    while True:
+        zeta = [rng.randrange(p) for _ in range(n)]
+        if zeta[1] % p:
+            break
+    top = n - 1 if delta is None else min(n - 1, int(Fraction(delta) * n))
+    first = [0] + sorted(rng.sample(range(1, top + 1), m - 1)) if m > 1 else [0]
+    rest = sorted(set(range(n)) - set(first))
+    return keygen(p, n, m, first + rest, f, zeta, delta=delta, rng=rng)
 
 
 def scheme_shaped_lattice(rng: random.Random, p: int, n: int, m: int,

@@ -6,7 +6,7 @@ one such elimination mod p^digits, which ``bench._minimal_poly_mod``
 lifts instead, the plain Euclid over GF(p) against F mod p itself,
 which ``fields._scaled_norm_is_unit`` replaces by one against F's radical,
 and a Fraction Gaussian elimination over every row of a system, which
-``fields._solve_exact`` replaces on tall systems by m selected rows.
+``fields._solve_exact`` replaces on tall systems by its first m rows.
 """
 
 from fractions import Fraction

@@ -69,13 +69,29 @@ def _attributes(node) -> Counter:
                    if isinstance(sub, ast.Attribute) and isinstance(sub.ctx, ast.Load))
 
 
+def _dunder(name: str) -> bool:
+    return name.startswith("__") and name.endswith("__")
+
+
+def _own_names(stmt):
+    """The names a top-level statement defines: a function's or a class's,
+    or a module-level assignment's targets (dunders aside)."""
+    if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+        return {stmt.name}
+    targets = (stmt.targets if isinstance(stmt, ast.Assign)
+               else [stmt.target] if isinstance(stmt, ast.AnnAssign) else [])
+    return {sub.id for target in targets for sub in ast.walk(target)
+            if isinstance(sub, ast.Name) and not _dunder(sub.id)}
+
+
 def _dead_definitions(sources, modules, public=(), outside=()):
-    """Top-level functions and classes of ``sources`` (name -> text) that no
-    source reads outside their own definition, that ``public`` does not
-    name and that no ``outside`` text reads; then the methods and
-    properties of top-level classes (dunders aside, as ``Class.name``)
-    whose name no source reads as an attribute outside their own
-    definition and no ``outside`` text reads."""
+    """Top-level functions, classes and constants (module-level assignments,
+    dunders aside) of ``sources`` (name -> text) that no source reads
+    outside their own definition, that ``public`` does not name and that
+    no ``outside`` text reads; then the methods and properties of top-level
+    classes (dunders aside, as ``Class.name``) whose name no source reads
+    as an attribute outside their own definition and no ``outside`` text
+    reads."""
     defined, read = [], set(public)
     methods, attributes = [], Counter()
     for name, source in sources.items():
@@ -83,14 +99,12 @@ def _dead_definitions(sources, modules, public=(), outside=()):
         bound = _module_names(tree, modules)
         attributes += _attributes(tree)
         for stmt in tree.body:
-            own = getattr(stmt, "name", None)
-            if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
-                defined.append((name, own))
-            read |= _reads(stmt, bound) - {own}
+            own = _own_names(stmt)
+            defined += [(name, o) for o in sorted(own)]
+            read |= _reads(stmt, bound) - own
             if isinstance(stmt, ast.ClassDef):
                 methods += [(name, stmt.name, sub) for sub in stmt.body
-                            if isinstance(sub, ast.FunctionDef)
-                            and not (sub.name.startswith("__") and sub.name.endswith("__"))]
+                            if isinstance(sub, ast.FunctionDef) and not _dunder(sub.name)]
     outside_attributes = set()
     for source in outside:
         tree = ast.parse(source)
@@ -117,8 +131,12 @@ def test_no_dead_definitions():
 
 def test_dead_definition_check_sees_one():
     src = ("from . import util as u\n"
+           "__version__ = '1'\n"
+           "_LIMIT = 3\n"
+           "_UNREAD = 2 ** 61 - 1\n"
+           "_SPAN: int = _LIMIT + 1\n"
            "def used(): return helper()\n"
-           "def helper(): return u.thing\n"
+           "def helper(): return u.thing + u.SIZE + _SPAN\n"
            "def dead(): return dead()\n"
            "class Kept:\n"
            "    def __init__(self): self.size\n"
@@ -126,11 +144,13 @@ def test_dead_definition_check_sees_one():
            "    def size(self): return 0\n"
            "    def loop(self): return self.loop()\n"
            "    def timed(self): pass\n"
-           "def reached(): pass\n")
-    sources = {"m": src, "util": "def thing(): pass\n"}
-    outside = ["from padiclat import m\nKept().timed, m.reached"]
-    assert _dead_definitions(sources, set(sources), ["used"], outside) == [
-        ("m", "dead"), ("m", "Kept.loop")]
+           "def reached(): pass\n"
+           "TABLE = {}\n"
+           "EXPORTED = 1\n")
+    sources = {"m": src, "util": "def thing(): pass\nSIZE = 2\n"}
+    outside = ["from padiclat import m\nKept().timed, m.reached, m.TABLE"]
+    assert _dead_definitions(sources, set(sources), ["used", "EXPORTED"], outside) == [
+        ("m", "_UNREAD"), ("m", "dead"), ("m", "Kept.loop")]
 
 
 def test_import_leaves_hashlib_unloaded():

@@ -6,7 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from conftest import random_eisenstein
+from conftest import random_eisenstein, random_signature_key
 from padiclat import bench, fields, fixtures
 from padiclat.attack import (
     BrokenKey,
@@ -21,18 +21,6 @@ from padiclat.errors import NotCoprime, ReductionFailed
 from padiclat.fields import AbsValue, NormEngine, coordinates_in, make_context
 from padiclat.schemes import Ciphertext, decrypt, encrypt, keygen, random_zeta, verify, in_lattice
 from solve_reference import minimal_poly_reference
-
-
-def random_signature_key(rng, p, n, m, delta=None):
-    f = random_eisenstein(rng, p, n)
-    while True:
-        zeta = [rng.randrange(p) for _ in range(n)]
-        if zeta[1] % p:
-            break
-    top = n - 1 if delta is None else min(n - 1, int(Fraction(delta) * n))
-    first = [0] + sorted(rng.sample(range(1, top + 1), m - 1)) if m > 1 else [0]
-    rest = sorted(set(range(n)) - set(first))
-    return keygen(p, n, m, first + rest, f, zeta, delta=delta, rng=rng)
 
 
 class TestRecoverUniformizer:

@@ -1,4 +1,5 @@
 import hashlib
+from fractions import Fraction
 
 import pytest
 
@@ -220,6 +221,24 @@ class TestExitCodes:
                            flag, value, "--seed", "5",
                            "--out", str(tmp_path / "k.pair"))
         assert code == 2 and "input error" in err
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--f", "3,,0,1"), ("--f", ","), ("--f", "3,0,3,3,1,"),
+        ("--zeta", ","), ("--zeta", "0,1,,1,0"),
+    ])
+    def test_empty_polynomial_entry_is_input_error(self, tmp_path, capsys, flag, value):
+        # "3,,0,1" is not the polynomial [3, 0, 1]: an empty entry is
+        # malformed, as in the integer lists, and no key file is written
+        pair = tmp_path / "k.pair"
+        code, out, err = run(capsys, "keygen", "--p", "3", "--n", "4", "--m", "2",
+                             flag, value, "--seed", "5", "--out", str(pair))
+        assert code == 2 and "empty entry" in err and out == ""
+        assert not pair.exists()
+
+    def test_polynomial_lists_split_like_integer_lists(self):
+        assert cli._fractions("3, 0,1/2 -3/4") == [3, 0, Fraction(1, 2), Fraction(-3, 4)]
+        assert cli._ints("3, 0,1 -3") == [3, 0, 1, -3]
+        assert cli._fractions(" ") == cli._ints(" ") == []
 
     @pytest.mark.parametrize("key, value", [
         ("p", "1"), ("p", "0"), ("p", "6"), ("precision", "-5"),

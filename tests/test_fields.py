@@ -9,7 +9,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import TOY_F, random_eisenstein, random_unimodular, scheme_shaped_lattice
+from conftest import (
+    TOY_F,
+    random_eisenstein,
+    random_signature_key,
+    random_unimodular,
+    scheme_shaped_lattice,
+)
 from padiclat import bench, fields
 from padiclat.attack import recover_uniformizer
 from padiclat.errors import (
@@ -34,7 +40,7 @@ from padiclat.fields import (
 from padiclat.lattices import Lattice, _IntegerSums, lvp_oracle
 from padiclat.reduction import AbsCounter, orthogonalize
 from padiclat.scalars import PRECISION_CAP, PadicScalar, int_valuation
-from padiclat.schemes import PublicKey, in_lattice
+from padiclat.schemes import PublicKey, in_lattice, sign, verify
 from solve_reference import gf_coprime_reference, solve_exact_reference, solve_mod_reference
 
 
@@ -1030,6 +1036,19 @@ class TestCoordinates:
         coords = coordinates_in(toy_ctx, target, vectors)
         assert coords == weights
 
+    def test_elements_of_another_field_are_refused(self):
+        # same degree and precision, another prime and modulus: element
+        # arithmetic and combinations refuse the mix, and so do coordinates
+        ctx3, ctx5 = make_context(3, 32, [3, 0, 1]), make_context(5, 32, [5, 0, 1])
+        basis = [ctx3.one(), ctx3.gen()]
+        for target, vectors in [(ctx5.gen(), basis), (ctx3.gen(), [ctx3.one(), ctx5.gen()]),
+                                (ctx3.gen(), [ctx5.one(), ctx3.gen()])]:
+            with pytest.raises(ValueError, match="elements from different contexts"):
+                coordinates_in(ctx3, target, vectors)
+        with pytest.raises(ValueError, match="elements from different contexts"):
+            coordinates_in(ctx5, ctx3.gen(), basis)
+        assert coordinates_in(ctx3, ctx3.gen(), basis) == [0, 1]
+
     def test_negative_valuation_coordinates(self, sqrt2_ctx):
         # target = (1/2) * sqrt2 has a coordinate outside Z_p
         z = sqrt2_ctx.gen()
@@ -1155,10 +1174,6 @@ class TestTallSolve:
             outcomes.append(want)
         return outcomes
 
-    @staticmethod
-    def _rows(ctx, cols):
-        return [list(r) for r in zip(*fields._integer_rows([ctx.element(v) for v in cols])[0])]
-
     def _cases(self, rng, ctx, cols):
         """Targets that are members, in the span with p in one coordinate's
         denominator, and outside the span (a random vector, as m < n)."""
@@ -1183,8 +1198,6 @@ class TestTallSolve:
             ctx = make_context(p, 32, random_eisenstein(rng, p, n))
             cols = [[Fraction(rng.randrange(-9, 10), p ** rng.randrange(3) * rng.choice([1, p + 1]))
                      for _ in range(n)] for _ in range(m)]
-            if fields._independent_rows(self._rows(ctx, cols), m) is None:
-                continue
             targets = self._cases(rng, ctx, cols)
             member, off, outside = self._check(ctx, cols, targets)
             assert member[0] is not NotInSpan and off[0] is not NotInSpan
@@ -1199,10 +1212,11 @@ class TestTallSolve:
         assert seen["solved"] >= 45 and seen["outside"] >= 45
 
     def test_rows_dependent_mod_the_selection_prime_keep_every_row(self):
-        # v_k = c_k v_0 + q w_k: every row's column part is a multiple of
-        # v_0's entry mod q, so no m rows are independent there, while the
-        # columns are independent over Q
-        q = fields._SELECT_PRIME
+        # v_k = c_k v_0 + q w_k, q = 2^61 - 1: every row's column part is a
+        # multiple of v_0's entry mod q, so no m rows are independent there,
+        # while the columns are independent over Q; no modular selection of
+        # rows stands between these and the exact answer
+        q = 2 ** 61 - 1
         rng = random.Random(2029)
         seen = Counter()
         for _ in range(20):
@@ -1216,11 +1230,63 @@ class TestTallSolve:
                 c = rng.randrange(-3, 4)
                 cols.append([c * a + q * rng.randrange(-9, 10) for a in v0])
             cols = [[Fraction(a) for a in v] for v in cols]
-            assert fields._independent_rows(self._rows(ctx, cols), m) is None
             member, off, outside = self._check(ctx, cols, self._cases(rng, ctx, cols))
             seen.update(o[0] if isinstance(o, tuple) else "solved"
                         for o in (member, off, outside))
         assert seen["solved"] >= 20 and seen[NotInSpan] >= 10
+
+    @staticmethod
+    def _spy(monkeypatch):
+        """Each later ``_gauss_jordan`` call, as (rows, m, the first column
+        without a pivot)."""
+        calls, run = [], fields._gauss_jordan
+
+        def spy(rows, m):
+            calls.append((len(rows), m, run(rows, m)))
+            return calls[-1][2]
+
+        monkeypatch.setattr(fields, "_gauss_jordan", spy)
+        return calls
+
+    def test_dependent_first_rows_eliminate_every_row(self, monkeypatch):
+        # every vector has a zero z^0 coordinate, so the first m rows lack
+        # a pivot while the vectors are independent: each solve eliminates
+        # those m rows, then every row
+        rng = random.Random(2030)
+        calls = self._spy(monkeypatch)
+        seen = Counter()
+        for _ in range(20):
+            p = rng.choice([2, 3, 5])
+            n = rng.randrange(3, 10)
+            m = rng.randrange(1, n)
+            ctx = make_context(p, 32, random_eisenstein(rng, p, n))
+            cols = [[Fraction(0)] + [Fraction(rng.randrange(-9, 10), rng.choice([1, p, p + 1]))
+                                     for _ in range(n - 1)] for _ in range(m)]
+            targets = self._cases(rng, ctx, cols)
+            calls.clear()
+            member, off, outside = self._check(ctx, cols, targets)
+            assert [(rows, col is None) for rows, _, col in calls] == [(m, False), (n, True)] * 7
+            assert member[0] is not NotInSpan and off[0] is not NotInSpan
+            seen["outside" if outside[0] is NotInSpan else "inside"] += 1
+            k = rng.randrange(m)
+            cols[k] = self._combine(cols[:k], [Fraction(rng.randrange(-4, 5), p)
+                                               for _ in range(k)]) if k else [Fraction(0)] * n
+            singular, = self._check(ctx, cols, targets[:1])
+            assert singular == (SingularSystem, f"vector {k} is dependent on the earlier ones")
+        assert seen["outside"] >= 18
+
+    @pytest.mark.parametrize("p, n, m", [(3, 14, 6), (2, 14, 4)])
+    def test_scheme_membership_solves_eliminate_m_rows(self, monkeypatch, p, n, m):
+        # at the benchmark's lifecycle shapes every membership solve of
+        # sign and verify finds its pivots in the first m rows
+        rng = random.Random(f"tall:{p}:{n}:{m}")
+        keys = [random_signature_key(rng, p, n, m, delta=Fraction(1, 2)) for _ in range(3)]
+        calls = self._spy(monkeypatch)
+        for k, kp in enumerate(keys):
+            for i in range(2):
+                message = b"tall-%d-%d" % (k, i)
+                assert verify(kp.public, message, sign(kp.private, kp.public, message, rng=rng))
+        assert len(calls) >= 6 and set(calls) == {(m, m, None)}
 
 
 class TestDeterminantEngine:

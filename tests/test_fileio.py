@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from padiclat.errors import FixtureTampered, InconsistentHeader, ParseError
-from padiclat.fields import make_context
+from padiclat.fields import NormEngine, coordinates_in, make_context
 from padiclat.fileio import (
     emit_ciphertext,
     emit_key_pair,
@@ -38,6 +38,27 @@ class TestKeyFiles:
                               (b"x" * 40, b"\x7f" * 32)]:
             assert (hash_to_target(pk, message, salt).key()
                     == hash_to_target(pair.public, message, salt).key())
+
+    def test_public_roundtrip_with_uniformizer_block(self, pair):
+        # zeta = a_0 + a_1 theta + ..., a_1 a unit, so gamma = zeta - a_0 is a
+        # uniformizer; in the public field zeta is the generator z
+        ctx, n = pair.public.ctx, pair.public.ctx.n
+        gamma = ctx.gen() - ctx.one() * pair.private.zeta_over_theta[0]
+        assert NormEngine(ctx).norm_valuation(gamma) == 1
+        powers = [gamma ** k for k in range(n)]
+        coords = [coordinates_in(ctx, b, powers) for b in pair.public.basis]
+        text = emit_public_key(pair.public, gamma, coords)
+        assert text.startswith(emit_public_key(pair.public))
+        assert f"gamma= {' '.join(str(f) for f in gamma.fracs)}\n" in text
+        pk = parse_key_file(text)
+        assert [b.identity for b in pk.basis] == [b.identity for b in pair.public.basis]
+        lines = text.splitlines()
+        row = next(i for i, line in enumerate(lines) if line.startswith("beta_gamma.2= "))
+        parts = lines[row].split()
+        parts[1] = str(Fraction(parts[1]) + 1)
+        lines[row] = " ".join(parts)
+        with pytest.raises(ParseError, match="beta_gamma.2 disagrees with beta.2"):
+            parse_key_file("\n".join(lines) + "\n")
 
     def test_pair_roundtrip(self, pair):
         text = emit_key_pair(pair)
