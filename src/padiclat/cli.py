@@ -18,6 +18,7 @@ from .attack import attack_decrypt_detailed, forge_signature, recover_uniformize
 from .errors import InputError, PadicError, ParseError, PrecisionExhausted
 from .fields import check_degree, check_parameters
 from .lattices import Lattice, lvp_oracle
+from .reduction import DEFAULT_BUDGET
 from .schemes import (KeyPair, decrypt, encrypt, keygen, random_eisenstein, random_zeta,
                       sign, verify)
 from .scalars import DEFAULT_PRECISION
@@ -274,7 +275,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = orc_sub.add_parser("lvp", help="exhaustive second-maximum search")
     sp.add_argument("--pub", required=True)
     sp.add_argument("--depth", type=int, default=2)
-    sp.add_argument("--budget", type=int, default=10 ** 7,
+    sp.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
                     help="largest number of digit tuples to enumerate")
     sp.set_defaults(func=cmd_oracle_lvp)
 

@@ -10,11 +10,20 @@ the one multiplier mod F, which ``bench`` shares), and a whole
 combination sum c_k v_k (``_linear_combination``: public vectors, CVP
 outputs, ciphertexts) is one integer dot product per coordinate.  An
 element's Fractions and :class:`PadicScalar` coefficients are built only
-when read.  The extended absolute value |x| = |N(x)|^(1/n) is computed
-from the valuation of the determinant of the multiplication matrix,
-evaluated modulo p^M with full valuation pivoting.  M escalates
+when read.  The extended absolute value |x| = |N(x)|^(1/n) is read in
+the power basis of a uniformizer where the field has one at hand, and
+otherwise from the valuation of the determinant of the multiplication
+matrix, evaluated modulo p^M with full valuation pivoting.  M escalates
 adaptively: a query only pays for as many digits as the answer needs,
 which is what keeps the attack loops cheap at large degree.
+
+Most contexts hold such a uniformizer from construction: when F is
+p-integral, F mod p = (z - a)^n and F(z + a) is Eisenstein, gamma = z - a
+is one (``_SelfFrame``: every keygen public key, every ``bench``
+instance and every Eisenstein F).  z^j = (gamma + a)^j needs no
+reduction for j < n, so the matrix to gamma's power basis has the closed
+form C(j, k) a^(j-k) mod p^K, and every engine on the context starts
+with that frame.
 
 Every determinant valuation comes from one kernel: ``_det_valuation``,
 one numpy elimination over a stack of matrices (a single matrix is a
@@ -40,19 +49,23 @@ computes once (``_gf_radical``) with a table of z^i mod R.  A query
 reduces x mod R by deg R dot products and takes one ``_gf_coprime``
 against R; a totally ramified F has F mod p = (z - a)^n and R = z - a,
 so the test costs O(n) instead of a Euclid's O(n^2) against F mod p.
-Only threshold tests (``NormEngine.norm_exceeds``) and the hash's unit
-test reach that path; on an engine without a uniformizer every other
-exact valuation is a determinant, and the brute-force oracle calls
-``_norm_valuations`` directly, so it keeps refereeing both the gcd and
-the monomial rule.
+Only the threshold tests of an engine without a frame
+(``NormEngine.norm_exceeds``), keygen's unit-norm check and the hash's
+unit test reach that path; on such an engine every other exact
+valuation is a determinant, and the brute-force oracle calls
+``_norm_valuations`` directly, so it keeps refereeing the frames, the
+gcd and the monomial rule.
 
 Once the break holds a uniformizer gamma it hands it to its engine
-(``NormEngine.adopt_uniformizer``), which certifies it (v(N(gamma)) = 1
-and an Eisenstein characteristic polynomial) and from then on reads every
-uncached valuation, threshold tests included, in gamma's power basis
+(``NormEngine.adopt_uniformizer``), which keeps the context's frame if it
+has one and otherwise certifies gamma (v(N(gamma)) = 1 and an Eisenstein
+characteristic polynomial).  A framed engine reads every uncached
+valuation, threshold tests included, in the uniformizer's power basis
 (``_UniformizerFrame``): one product of the element's residues with the
 matrix of z's powers in that basis mod p^K, K the largest int64 level,
-through the same ``_escalate``.  No determinant and no gcd is left there.
+through the same ``_escalate``; a context's own frame answers a
+threshold test from one digit where it can.  No determinant and no gcd
+is left there.
 
 Coordinates in a basis (lattice membership, the key generator's change
 of generator, and the attack's CVP where no modular level certifies it)
@@ -79,6 +92,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import total_ordering
 from math import gcd, lcm
+from operator import mul
 
 import numpy as np
 
@@ -168,16 +182,21 @@ class FieldContext:
     (``_int_modulus``: one integer vector over one denominator), and every
     view of F is built from them on demand.  Construction also computes,
     once, what the one-digit unit test reads (``_radical``): the radical R
-    of F mod p and the table of z^i mod R for deg R <= i < n.
+    of F mod p and the table of z^i mod R for deg R <= i < n.  When F is
+    p-integral, R = z - a and F(z + a) is Eisenstein, gamma = z - a is a
+    uniformizer and the context keeps its frame (``_frame``, a
+    ``_SelfFrame``), from which every ``NormEngine`` starts; otherwise
+    ``_frame`` is None.  The frame fills its matrix cache per digit level
+    on first use, the same matrices on any thread.
     ``ramification`` and ``residue_degree`` are caller-declared metadata;
-    the context never computes them.  Nothing is mutated after
+    the context never computes them.  Nothing else is mutated after
     construction, so instances are safe to share between threads, and two
     contexts are equal when p, the precision, F and the metadata are (R
-    follows from p and F).
+    and the frame follow from p and F).
     """
 
     __slots__ = ("p", "n", "precision", "ramification", "residue_degree", "_int_modulus",
-                 "_radical")
+                 "_radical", "_frame")
 
     def __init__(self, p, precision, low, ramification=None, residue_degree=None):
         # ``low``: F's non-leading coefficients (rationals or scalars of the
@@ -189,6 +208,7 @@ class FieldContext:
         self.residue_degree = residue_degree
         self._int_modulus = self.element(low).identity
         self._radical = _radical_table(self)
+        self._frame = _SelfFrame.of(self)
 
     @property
     def modulus(self) -> tuple:
@@ -500,10 +520,13 @@ def _powers(x: FieldElement, count: int):
 
 def _linear_combination(ctx: FieldContext, coeffs, vectors) -> FieldElement:
     """sum c_k v_k for ints, Fractions or scalars c_k, as one integer dot
-    product per coordinate over the lcm of the terms' denominators."""
-    terms = [(c, v) for c, v in zip(map(ctx._exact, coeffs), vectors) if c]
-    if any(not ctx.same_structure(v.ctx) for _, v in terms):
+    product per coordinate over the lcm of the terms' denominators.
+    ValueError when any vector, under a zero coefficient too, belongs to a
+    field other than ``ctx``'s."""
+    vectors = list(vectors)
+    if any(not ctx.same_structure(v.ctx) for v in vectors):
         raise ValueError("elements from different contexts")
+    terms = [(c, v) for c, v in zip(map(ctx._exact, coeffs), vectors) if c]
     den = lcm(*(c.denominator * v.den for c, v in terms))
     scales = [c.numerator * (den // (c.denominator * v.den)) for c, v in terms]
     ints = [sum(s * a for s, a in zip(scales, column))
@@ -527,6 +550,8 @@ def _element_residues(x: FieldElement, digits: int):
     x: one modular inverse per element."""
     mod = x.ctx.p ** digits
     inv = pow(x.den // x.ctx.p ** _element_scale(x), -1, mod)
+    if inv == 1:
+        return [a % mod for a in x.ints]
     return [a % mod * inv % mod for a in x.ints]
 
 
@@ -881,7 +906,7 @@ class _UniformizerFrame:
     """
 
     def __init__(self, ctx: FieldContext, powers, digits: int, solved):
-        self.ctx = ctx
+        self.p, self.n = ctx.p, ctx.n
         self.powers = powers  # gamma^0 .. gamma^(n-1)
         self._first = digits
         self._matrices = {digits: self._coordinates(solved, digits)}
@@ -918,36 +943,112 @@ class _UniformizerFrame:
 
     def _coordinates(self, solved, digits: int):
         """H from the solved rows: H[j][i] is coordinate i of z^j."""
-        p, n = self.ctx.p, self.ctx.n
+        p, n = self.p, self.n
         return np.array([row[:n] for row in solved], dtype=_kernel_dtype(p, n, digits)).T
+
+    def _build(self, digits: int):
+        solved = _solve_mod(self._system(self.powers, digits), self.p, digits)
+        return self._coordinates(solved, digits)
 
     def _matrix(self, digits: int):
         H = self._matrices.get(digits)
         if H is None:
-            solved = _solve_mod(self._system(self.powers, digits), self.ctx.p, digits)
-            H = self._matrices[digits] = self._coordinates(solved, digits)
+            H = self._matrices[digits] = self._build(digits)
         return H
 
     def valuations(self, xs) -> list:
         """Exact v(N(x)) for each nonzero element, as a list: each level of
         ``_escalate`` is one stacked product."""
-        p, n = self.ctx.p, self.ctx.n
+        p, n = self.p, self.n
         shifts = [n * _element_scale(x) for x in xs]
 
         def level(todo, digits):
             H = self._matrix(digits)
             mod = p ** digits
             y = np.array([_element_residues(xs[i], digits) for i in todo], dtype=H.dtype) @ H % mod
+            units = y % p != 0
+            first = units.argmax(axis=1)
+            found_unit = units[np.arange(len(y)), first].tolist()
             out = []
-            for i, k, row in zip(todo, (y % p != 0).argmax(axis=1).tolist(), y.tolist()):
-                if row[k] % p:
+            for i, k, unit, row in zip(todo, first.tolist(), found_unit, y):
+                if unit:
                     out.append(k - shifts[i])
                     continue
-                found = [n * int_valuation(a, p) + j for j, a in enumerate(row) if a]
+                found = [n * int_valuation(int(a), p) + j for j, a in enumerate(row) if a]
                 out.append(min(found) - shifts[i] if found else None)
             return out
 
         return _escalate(len(xs), self._first, PRECISION_CAP, level)
+
+    def valuation(self, x: FieldElement):
+        """v(N(x)) for one nonzero element."""
+        return self.valuations([x])[0]
+
+
+class _SelfFrame(_UniformizerFrame):
+    """A context's own frame, gamma = z - a, when F is p-integral, the
+    radical of F mod p is z - a and F(z + a) is Eisenstein: then gamma is
+    a uniformizer and O_K = Z_p[gamma] (Serre, *Local Fields*, ch. I,
+    section 6).  For j < n, z^j = (gamma + a)^j needs no reduction by F,
+    so the matrix of each level has the closed form H[j][k] = C(j, k)
+    a^(j-k) mod p^digits: no power of gamma and no solve, and the frame
+    carries no powers.  Coordinate k of p^s x mod p is the k-th Hasse
+    derivative of p^s x mod p at a, sum_j x_j C(j, k) a^(j-k), which a
+    single query reads first (``valuation``)."""
+
+    powers = None
+
+    def __init__(self, ctx: FieldContext, a: int):
+        # p and n, not the context: the context holds its frame, and a
+        # reference back would make a cycle only the garbage collector frees
+        self.p, self.n = ctx.p, ctx.n
+        self.shift = a
+        self._first = _int64_level(self.p, self.n)
+        self._matrices = {}
+        self._columns = None  # the columns of H mod p, as lists, on first use
+
+    @classmethod
+    def of(cls, ctx: FieldContext):
+        """The context's frame, or None when one of the three conditions
+        fails.  F mod p = (z - a)^n already puts p in every non-leading
+        coefficient of F(z + a) (its Hasse derivatives at a), so F(z + a)
+        is Eisenstein exactly when F(a) is not 0 mod p^2: one Horner
+        evaluation of F mod p^2."""
+        p = ctx.p
+        radical = ctx._radical[0]
+        if ctx._int_modulus[1] % p == 0 or len(radical) != 2:
+            return None
+        a, mod = -radical[0] % p, p * p
+        value = 0
+        for c in reversed(ctx._modulus_residues(2) + [1]):
+            value = (value * a + c) % mod
+        return cls(ctx, a) if value else None
+
+    def _build(self, digits: int):
+        """H by Pascal's rule: row j holds (gamma + a) times row j - 1."""
+        p, n = self.p, self.n
+        mod = p ** digits
+        H = np.zeros((n, n), dtype=_kernel_dtype(p, n, digits))
+        H[0, 0] = 1
+        for j in range(1, n):
+            H[j, 1:] = H[j - 1, :-1]
+            H[j] += self.shift * H[j - 1]
+            H[j] %= mod
+        return H
+
+    def valuation(self, x: FieldElement):
+        """v(N(x)) for one nonzero element, from one digit where it can:
+        the Hasse derivatives of p^s x mod p at a, one dot product each,
+        in order; the first nonzero one, the k-th, certifies k - n s.
+        Where all vanish, p^s x = 0 mod p and the levels decide."""
+        p = self.p
+        if self._columns is None:
+            self._columns = (self._matrix(self._first) % p).T.tolist()
+        residues = _element_residues(x, 1)
+        for k, column in enumerate(self._columns):
+            if sum(map(mul, residues, column)) % p:
+                return k - self.n * _element_scale(x)
+        return super().valuation(x)
 
 
 class NormEngine:
@@ -956,68 +1057,76 @@ class NormEngine:
     The engine remembers one fact per distinct element: its exact norm
     valuation, once some query has resolved it; no lower bound is carried.
     Exact queries come in batches (``norm_valuations``, ``abs_values``; a
-    single query is a batch of one).  On a fresh engine an uncached
-    monomial c z^i is read off F's constant term (``_monomial_valuation``),
-    and the other uncached elements escalate together from two digits:
-    each exact valuation is a determinant, at the digit levels it would
-    take alone.  There a threshold test evaluates only the digits its
-    bound needs, one level: a single digit is one GF(p) gcd against the
-    radical of F mod p, and a level that comes back deeper answers the
-    test and is forgotten.
+    single query is a batch of one), and an uncached monomial c z^i in one
+    is read off F's constant term (``_monomial_valuation``).
 
-    An engine that has adopted a uniformizer (``adopt_uniformizer``, which
-    the break calls once it has one) answers every uncached query in its
-    power basis instead: an exact valuation is one matrix-vector product
-    mod p^K, and a threshold test reads and caches the exact valuation.
+    An engine starts with its context's frame when it has one
+    (``FieldContext._frame``: every keygen public key, the toy fixture,
+    every ``bench`` instance and every Eisenstein F), and takes a
+    uniformizer's frame when the break adopts one
+    (``adopt_uniformizer``).  A framed engine answers every other uncached
+    query in the uniformizer's power basis: an exact batch is one matrix
+    product mod p^K per level, and a threshold test reads and caches the
+    exact valuation, on a context's own frame from one digit first.
+
+    On an engine without a frame the other uncached elements of a batch
+    escalate together from two digits: each exact valuation is a
+    determinant, at the digit levels it would take alone.  There a
+    threshold test evaluates only the digits its bound needs, one level: a
+    single digit is one GF(p) gcd against the radical of F mod p, and a
+    level that comes back deeper answers the test and is forgotten.
     """
 
     def __init__(self, ctx: FieldContext):
         self.ctx = ctx
         self._states: dict = {}  # x.identity -> v(N(x))
-        self._frame: _UniformizerFrame | None = None
+        self._frame: _UniformizerFrame | None = ctx._frame
 
     def adopt_uniformizer(self, gamma: FieldElement) -> bool:
-        """Answer later queries in gamma's power basis, when v(N(gamma)) = 1
-        and gamma's characteristic polynomial is Eisenstein; otherwise keep
-        the determinants.  Returns whether the frame was adopted.  The
+        """Answer later queries in a uniformizer's power basis, when
+        v(N(gamma)) = 1: the frame the engine already has, or else gamma's,
+        when its characteristic polynomial is Eisenstein; otherwise keep
+        the determinants.  Returns whether the engine is framed.  The
         first test (cached once gamma was recovered) turns most
         non-uniformizers away before the frame's solve."""
         if self.norm_valuation(gamma) != 1:
             return False
-        frame = _UniformizerFrame.certify(self.ctx, gamma)
-        if frame is not None:
-            self._frame = frame
-        return frame is not None
+        if self._frame is None:
+            self._frame = _UniformizerFrame.certify(self.ctx, gamma)
+        return self._frame is not None
 
     def powers(self, gamma: FieldElement) -> list:
         """gamma^0 .. gamma^(n-1): the adopted frame's own when gamma is the
         adopted uniformizer (same value and context), else ``_powers``."""
-        frame = self._frame
-        if frame is not None:
-            own = frame.powers[1]
-            if own.identity == gamma.identity and own.ctx == gamma.ctx:
-                return list(frame.powers)
+        own = self._frame and self._frame.powers
+        if own and own[1].identity == gamma.identity and own[1].ctx == gamma.ctx:
+            return list(own)
         return _powers(gamma, self.ctx.n)
 
     def norm_valuations(self, xs) -> list:
         """Valuations of N(x) for each element (None for zero), as a list.
-        The distinct uncached elements are one frame product when a
-        uniformizer is adopted.  Otherwise a monomial is read off F's
-        constant term, and the rest are grouped by scale, each group one
+        An uncached monomial is read off F's constant term.  The other
+        distinct uncached elements are one frame product on a framed
+        engine; otherwise they are grouped by scale, each group one
         escalation: every matrix runs at the digit levels it would run at
         alone."""
         xs = list(xs)
-        fresh = {x.identity: x for x in xs if not x.is_zero and x.identity not in self._states}
+        rest = {}
+        for x in xs:
+            key = x.identity
+            if x.is_zero or key in self._states:
+                continue
+            v = _monomial_valuation(x)
+            if v is None:
+                rest[key] = x
+            else:
+                self._states[key] = v
         if self._frame is not None:
-            self._states.update(zip(fresh, self._frame.valuations(list(fresh.values()))))
+            self._states.update(zip(rest, self._frame.valuations(list(rest.values()))))
         else:
             groups: dict = {}  # scale -> {identity: element}
-            for key, x in fresh.items():
-                v = _monomial_valuation(x)
-                if v is None:
-                    groups.setdefault(_element_scale(x), {})[key] = x
-                else:
-                    self._states[key] = v
+            for key, x in rest.items():
+                groups.setdefault(_element_scale(x), {})[key] = x
             for group in groups.values():
                 rows, den = _integer_rows(list(group.values()))
                 self._states.update(zip(group, _norm_valuations(
@@ -1033,8 +1142,6 @@ class NormEngine:
         if x.is_zero:
             return True
         v = self._states.get(x.identity)
-        if v is None and self._frame is not None:
-            v = self._states[x.identity] = self._frame.valuations([x])[0]
         if v is not None:
             return v > bound
         ctx = self.ctx
@@ -1043,6 +1150,9 @@ class NormEngine:
         total = bound + 1 + shift
         if total < 1:
             return True
+        if self._frame is not None:
+            v = self._states[x.identity] = self._frame.valuation(x)
+            return v > bound
         if total == 1:
             v, deeper = 0, not _scaled_norm_is_unit(x)
         else:

@@ -40,9 +40,8 @@ from .fields import (
     coordinates_in,
     frac_valuation,
 )
+from .reduction import DEFAULT_BUDGET, orthogonalize
 from .scalars import PRECISION_CAP, int_valuation
-
-DEFAULT_BUDGET = 10 ** 7
 
 # digits of the first modular coordinate solve in cvp_orthogonal, and of
 # the last one before the exact solve
@@ -205,8 +204,6 @@ def lvp_oracle(ctx: FieldContext, lattice: Lattice, depth: int = 2, *,
 def successive_maxima(ctx: FieldContext, lattice: Lattice):
     """Norm sequence of any orthogonal basis, exponents ascending
     (magnitudes descending); basis-independent."""
-    from .reduction import orthogonalize
-
     res = orthogonalize(ctx, lattice.basis)
     return sorted(res.exponents, reverse=True)
 

@@ -41,6 +41,8 @@ from fractions import Fraction
 from .errors import BudgetExceeded, ReductionFailed, SingularSystem
 from .fields import AbsValue, FieldContext, FieldElement, NormEngine, _stack_size
 
+# the most digit combinations a search or an enumeration may try
+# (here and in ``lattices``) unless its caller says otherwise
 DEFAULT_BUDGET = 10 ** 7
 
 

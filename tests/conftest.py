@@ -1,3 +1,5 @@
+import copy
+import dataclasses
 import random
 from fractions import Fraction
 
@@ -27,6 +29,22 @@ def sqrt2_ctx():
 def unram_ctx():
     # x^2 + x + 1 at p = 2: unramified quadratic
     return make_context(2, 64, [1, 1, 1], ramification=1, residue_degree=2)
+
+
+def unframed(ctx):
+    """The same field (equal, and of the same structure) without a frame of
+    its own: its engines take the routes of a field whose shifted generator
+    is no uniformizer, the determinants, the monomial rule and the radical
+    gcd, until a uniformizer is adopted."""
+    twin = copy.copy(ctx)
+    twin._frame = None
+    return twin
+
+
+def unframed_key(pk):
+    """The public key over ``unframed(pk.ctx)``: its break takes the routes
+    of a field without a frame of its own."""
+    return dataclasses.replace(pk, ctx=unframed(pk.ctx))
 
 
 def random_unimodular(rng: random.Random, p: int, m: int, spread: int = 3):

@@ -6,7 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from conftest import random_eisenstein, random_signature_key
+from conftest import random_eisenstein, random_signature_key, unframed, unframed_key
 from padiclat import bench, fields, fixtures
 from padiclat.attack import (
     BrokenKey,
@@ -275,11 +275,13 @@ def test_broken_key_of_another_key_is_refused():
 
 
 def test_break_builds_gamma_powers_once(monkeypatch):
-    # the frame's certificate builds gamma^0 .. gamma^n, and the completion
-    # takes its gamma^0 .. gamma^(n-1) from the adopted frame
+    # on a field without a frame of its own, the frame's certificate builds
+    # gamma^0 .. gamma^n, and the completion takes its gamma^0 .. gamma^(n-1)
+    # from the adopted frame
     from padiclat import lattices
 
     kp = random_signature_key(random.Random(22), 3, 14, 6, delta=Fraction(1, 2))
+    pk = unframed_key(kp.public)
     counts = []
     powers = fields._powers
 
@@ -289,11 +291,31 @@ def test_break_builds_gamma_powers_once(monkeypatch):
 
     monkeypatch.setattr(fields, "_powers", counted)
     monkeypatch.setattr(lattices, "_powers", counted, raising=False)
-    broken = BrokenKey.from_public(kp.public)
+    broken = BrokenKey.from_public(pk)
     assert counts == [15]
     assert broken.engine._frame is not None
     own = {g.identity for g in powers(broken.gamma, 14)}
     assert len(broken.completion) == 8 and all(g.identity in own for g in broken.completion)
+
+
+def test_broken_key_engine_cache_stays_flat():
+    # a break's engine caches norms of the public basis, the vectors of the
+    # reduction, the orthogonal basis and the completion; CVPs ask only the
+    # last two, so many attack decryptions and forgeries add no entry
+    # beyond them
+    rng = random.Random(39)
+    kp = random_signature_key(rng, 3, 14, 6, delta=Fraction(1, 2))
+    pk = kp.public
+    broken = BrokenKey.from_public(pk)
+    bound = set(broken.engine._states) | {v.identity for v in broken.ortho + broken.completion}
+    for i in range(120):
+        plain = tuple(rng.randrange(3) for _ in range(6))
+        assert attack_decrypt_detailed(pk, encrypt(pk, plain, rng=rng),
+                                       broken=broken).plaintext == plain
+        if i % 3 == 0:
+            forge_signature(pk, b"flat-%d" % i, rng=rng, broken=broken)
+    assert set(broken.engine._states) <= bound
+    assert len(broken.engine._states) > len(broken.ortho)
 
 
 def test_two_loads_of_one_key_share_a_break():
@@ -306,15 +328,17 @@ def test_two_loads_of_one_key_share_a_break():
 
 class TestUniformizerFrame:
     """After the break adopts its uniformizer, every norm comes from the
-    power basis of gamma; it must give what determinants give."""
+    power basis of gamma; it must give what determinants give.  The keys'
+    fields are taken without their own frames, so the break certifies
+    gamma's and a fresh engine takes determinants."""
 
     @staticmethod
     def _broken(shape):
         if shape == "toy":
-            return BrokenKey.from_public(fixtures.toy_public_key())
+            return BrokenKey.from_public(unframed_key(fixtures.toy_public_key()))
         seed, p, n, m = shape
         kp = random_signature_key(random.Random(seed), p, n, m, delta=Fraction(1, 2))
-        return BrokenKey.from_public(kp.public)
+        return BrokenKey.from_public(unframed_key(kp.public))
 
     @staticmethod
     def _elements(broken, rng):
@@ -430,11 +454,12 @@ class TestPinnedAttackOutputs:
 
 def test_break_determinant_work_is_pinned(monkeypatch):
     # the determinants (matrices per digit level) and GF(p) gcds the break
-    # of one seeded key runs; a change to the norm engine's memo or
-    # escalation shows here before it shows in wall time.  All of them come
-    # from the uniformizer recovery: once gamma is adopted, orthogonalize,
-    # complete_orthogonal and the CVP exponents read norms in its power
-    # basis
+    # of one seeded key runs on its field without a frame of its own; a
+    # change to the norm engine's memo or escalation shows here before it
+    # shows in wall time.  All of them come from the uniformizer recovery:
+    # once gamma is adopted, orthogonalize, complete_orthogonal and the CVP
+    # exponents read norms in its power basis.  The key's own field is
+    # framed from the start, and its break runs neither
     from collections import Counter
 
     from padiclat import fields
@@ -457,22 +482,31 @@ def test_break_determinant_work_is_pinned(monkeypatch):
                 delta=Fraction(1, 2), rng=rng)
     monkeypatch.setattr(fields, "_det_valuation", counted_det)
     monkeypatch.setattr(fields, "_gf_coprime", counted_coprime)
-    BrokenKey.from_public(kp.public)
+    unframed_broken = BrokenKey.from_public(unframed_key(kp.public))
     assert dict(levels) == {2: 29}
     assert len(gcds) == 44
+    levels.clear()
+    gcds.clear()
+    broken = BrokenKey.from_public(kp.public)
+    assert not levels and not gcds
+    assert broken.gamma == unframed_broken.gamma
+    assert (broken.ortho, broken.transform) == (unframed_broken.ortho, unframed_broken.transform)
 
 
 def test_recover_stacks_its_exact_queries(monkeypatch):
-    # the reduction's exact norms go to the kernel in bounded stacks, 8
-    # matrices at n = 64, while each matrix keeps the digit level it has
-    # alone; the first exponents are monomials (no determinant), and the
-    # final pick stops after its first stack, whose reduced[0] reaches
-    # lambda1 * p^(-1/n)
+    # on the instance's field without a frame of its own, the reduction's
+    # exact norms go to the kernel in bounded stacks, 8 matrices at n = 64,
+    # while each matrix keeps the digit level it has alone; the first
+    # exponents are monomials (no determinant), and the final pick stops
+    # after its first stack, whose reduced[0] reaches lambda1 * p^(-1/n).
+    # The instance's own field is framed: its recovery runs no determinant
+    # and no gcd, for the same outputs
     from collections import Counter
 
     from padiclat import fields
 
-    ctx = bench.make_instance(64, 5, random.Random("0:recover:0"))
+    framed = bench.make_instance(64, 5, random.Random("0:recover:0"))
+    ctx = unframed(framed)
     levels, stacks, gcds = Counter(), [], []
     det, coprime = fields._det_valuation, fields._gf_coprime
 
@@ -492,3 +526,7 @@ def test_recover_stacks_its_exact_queries(monkeypatch):
     assert dict(levels) == {2: 8}
     assert len(gcds) == 159
     assert len(stacks) == 1
+    stacks.clear()
+    gcds.clear()
+    assert recover_uniformizer(framed) == res
+    assert not stacks and not gcds

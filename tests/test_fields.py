@@ -15,6 +15,7 @@ from conftest import (
     random_signature_key,
     random_unimodular,
     scheme_shaped_lattice,
+    unframed,
 )
 from padiclat import bench, fields
 from padiclat.attack import recover_uniformizer
@@ -287,6 +288,15 @@ class TestExactElementArithmetic:
             with pytest.raises(ValueError):
                 op()
 
+    def test_vector_of_another_field_under_a_zero_coefficient_raises(self):
+        # every vector's context is checked, not only those of its terms
+        ctx3 = make_context(3, 32, [3, 0, 1])
+        z5 = make_context(5, 32, [5, 0, 1]).gen()
+        z = ctx3.gen()
+        for coeffs, vectors in (([0, 1], [z5, z]), ([1, 0], [z, z5]), ([0], [z5])):
+            with pytest.raises(ValueError, match="different contexts"):
+                _linear_combination(ctx3, coeffs, vectors)
+
     def test_other_precision_scalar_products_stay_exact(self):
         # a scalar at another precision multiplies an element exactly, and
         # the product is read to the element's context's precision
@@ -510,20 +520,23 @@ class TestNormAndAbs:
 # moduli whose reduction mod p is not z^n, so the one-digit threshold test
 # (a GF(p) gcd) meets nontrivial common factors: a benchmark public
 # polynomial, F = (z + 2)^4 mod 5; z^4 + 2, which is (z - 1)(z + 1)(z^2 + 1)
-# mod 3; and an Eisenstein modulus with p | n, where F' = 0 mod p
+# mod 3; and an Eisenstein modulus with p | n, where F' = 0 mod p.  All but
+# z^4 + 2 carry a frame of their own; their unframed twins keep the GF(p)
+# gcd and the determinants covered
 THRESHOLD_CTXS = [make_context(2, 64, [-2, 0, 0, 1]),
                   make_context(3, 64, [3, 0, 1]),
                   make_context(5, 64, [10, 5, 0, 5, 1]),
                   bench.make_instance(4, 5, random.Random(0), 64),
                   make_context(3, 64, [2, 0, 0, 0, 1]),
                   make_context(2, 64, [2, 2, 0, 0, 1])]
+UNFRAMED_THRESHOLD_CTXS = [unframed(ctx) for ctx in THRESHOLD_CTXS]
 
 
 class TestThresholdQueries:
     """Threshold tests must agree with exact sizes, also for elements
     outside the ring of integers (negative norm valuation)."""
 
-    @given(st.sampled_from(range(len(THRESHOLD_CTXS))),
+    @given(st.sampled_from(range(2 * len(THRESHOLD_CTXS))),
            st.lists(st.tuples(st.integers(-30, 30), st.integers(0, 2)),
                     min_size=4, max_size=4),
            st.integers(-4, 4))
@@ -531,8 +544,9 @@ class TestThresholdQueries:
     @example(0, [(1, 1), (0, 0), (0, 0), (0, 0)], 0)  # x = 1/2, v(N(x)) = -3
     def test_abs_less_than_agrees_with_abs_value(self, which, coeffs, offset):
         # coefficients a / p^k, so k > 0 makes the element non-integral;
-        # the bound sits offset/(2n) away from |x|, fresh engines each time
-        ctx = THRESHOLD_CTXS[which]
+        # the bound sits offset/(2n) away from |x|, fresh engines each time,
+        # on the fields with their own frames and without
+        ctx = (THRESHOLD_CTXS + UNFRAMED_THRESHOLD_CTXS)[which]
         x = ctx.element([Fraction(a, ctx.p ** k) for a, k in coeffs[:ctx.n]])
         if x.is_zero:
             return
@@ -549,7 +563,7 @@ class TestThresholdQueries:
 
         rng = random.Random(17)
         outcomes = set()
-        for ctx in THRESHOLD_CTXS:
+        for ctx in UNFRAMED_THRESHOLD_CTXS:
             p, n = ctx.p, ctx.n
             for _ in range(150):
                 k = rng.choice([0, 0, 1])  # k > 0: non-integral element
@@ -570,13 +584,14 @@ class TestThresholdQueries:
 
     def test_shared_engine_agrees_with_fresh_engines(self):
         # a threshold test then the exact size on one engine (and the
-        # reverse order) must give what fresh engines give; bounds above
-        # |x| send the one-level determinant deeper, which caches nothing
+        # reverse order) must give what fresh engines give; without a frame,
+        # bounds above |x| send the one-level determinant deeper, which
+        # caches nothing
         from padiclat.fields import _element_scale
 
         rng = random.Random(29)
         deeper = 0
-        for ctx in THRESHOLD_CTXS:
+        for ctx in THRESHOLD_CTXS + UNFRAMED_THRESHOLD_CTXS:
             p, n = ctx.p, ctx.n
             for _ in range(25):
                 k = rng.choice([0, 0, 1])  # k > 0: non-integral element
@@ -603,9 +618,11 @@ class TestThresholdQueries:
 
     def test_exact_queries_never_use_the_gcd(self, monkeypatch):
         # the determinant referees the gcd, so no exact valuation (and no
-        # oracle answer) may be computed by it
+        # oracle answer) may be computed by it; the field is taken without
+        # its own frame, so that its engines reach the gcd at all
         rng = random.Random(5)
         ctx, basis, _ = scheme_shaped_lattice(rng, 3, 4, 2)
+        ctx = unframed(ctx)
         x = basis[0] + basis[1]
 
         def answers():
@@ -726,7 +743,8 @@ class TestUnitRadical:
     def test_unit_queries_rebuild_nothing(self, monkeypatch):
         # once a context is built, no one-digit threshold test and no hash
         # target reads F's residues or builds the radical again; each takes
-        # one GF(p) gcd
+        # one GF(p) gcd (the threshold tests on fields taken without their
+        # own frames)
         from padiclat.fields import FieldContext, _element_residues
         from padiclat.schemes import hash_to_target, keygen, random_zeta
 
@@ -734,7 +752,7 @@ class TestUnitRadical:
         kp = keygen(3, 12, 6, range(12), random_eisenstein(rng, 3, 12),
                     random_zeta(rng, 3, 12), rng=rng)
         queries = []
-        for ctx in THRESHOLD_CTXS + [kp.public.ctx]:
+        for ctx in UNFRAMED_THRESHOLD_CTXS + [unframed(kp.public.ctx)]:
             p, n = ctx.p, ctx.n
             for _ in range(20):
                 x = ctx.element([Fraction(rng.randrange(-2 * p, 2 * p), p ** rng.choice([0, 1]))
@@ -770,7 +788,8 @@ class TestUnitRadical:
 class TestBatchedNormQueries:
     """One ``norm_valuations`` batch must give what single queries on a
     fresh engine give: the same valuations, the same cache afterwards, and
-    the same determinant matrices at the same digit levels."""
+    the same determinant matrices at the same digit levels (on the field
+    taken without its own frame)."""
 
     @staticmethod
     def _batch(ctx, rng, count, kinds):
@@ -792,6 +811,7 @@ class TestBatchedNormQueries:
         return xs
 
     def _compare(self, ctx, xs, monkeypatch):
+        ctx = unframed(ctx)
         log, stacks, escalated = [], [], []
         det = fields._det_valuation
 
@@ -908,7 +928,7 @@ class TestMonomialNorms:
         assert calls
 
     def test_recovery_first_exponents_run_no_determinant(self, monkeypatch):
-        ctx = bench.make_instance(16, 5, random.Random(1))
+        ctx = unframed(bench.make_instance(16, 5, random.Random(1)))
         calls = self._count_kernel(monkeypatch)
         batches = []
         batch = NormEngine.norm_valuations
@@ -928,9 +948,10 @@ class TestMonomialNorms:
 
 
 class TestUniformizerFrameRefusals:
-    """An element that is not certified as a uniformizer leaves the engine
-    on determinants, with the same kernel calls and answers as a fresh
-    one."""
+    """An element that is not certified as a uniformizer leaves an engine
+    without a frame on determinants, with the same kernel calls and answers
+    as a fresh one.  z^3 - 3 is Eisenstein, so its field is taken without
+    its own frame."""
 
     @pytest.mark.parametrize("p, f, roots, gamma", [
         (3, [-3, 0, 0, 1], [], [0, 0, 1]),  # z^2, v(N) = 2
@@ -942,7 +963,7 @@ class TestUniformizerFrameRefusals:
         (5, [0, 2, -3, 1], [0, 1, 2], [5, -6, 2]),
     ])
     def test_refused_frame_keeps_determinants(self, p, f, roots, gamma, monkeypatch):
-        ctx = make_context(p, 64, f)
+        ctx = unframed(make_context(p, 64, f))
         rng = random.Random(f"{p}:{f}:{gamma}")
         xs = []
         while len(xs) < 12:
@@ -966,6 +987,173 @@ class TestUniformizerFrameRefusals:
         fresh = NormEngine(ctx)
         assert got == fresh.norm_valuations(xs) + [fresh.norm_exceeds(x * p, 0) for x in xs]
         assert refused_log == log and log
+
+
+def _shifted(G, a):
+    """F(z) = G(z - a), coefficients constant term first."""
+    F = [0] * len(G)
+    power = [1]  # (z - a)^i
+    for g in G:
+        F = [f + g * c for f, c in zip(F, power + [0] * (len(F) - len(power)))]
+        power = [u - a * w for u, w in zip([0] + power, power + [0])]
+    return F
+
+
+class TestSelfFrame:
+    """A context whose F is p-integral, with F mod p = (z - a)^n and
+    F(z + a) Eisenstein, keeps the frame of gamma = z - a from the start:
+    its exact valuations and its one-digit threshold answers must be the
+    determinants' (``_norm_valuations``), and every other context keeps
+    the determinants."""
+
+    @staticmethod
+    def _determinants(xs):
+        rows, den = fields._integer_rows(xs)
+        return fields._norm_valuations(xs[0].ctx, np.array(rows, dtype=object), den, 2,
+                                       PRECISION_CAP)
+
+    @staticmethod
+    def _elements(ctx, rng, count):
+        # integral, non-integral (scale 1 to 3, with a unit part in the
+        # denominator), and p^k times integral past the first digit
+        p, n = ctx.p, ctx.n
+        xs = []
+        while len(xs) < count:
+            x = ctx.element([rng.randrange(-p ** 3, p ** 3) for _ in range(n)])
+            if x.is_zero:
+                continue
+            kind = len(xs) % 3
+            if kind == 1:
+                x = x * Fraction(1, p ** rng.randrange(1, 4) * rng.choice([1, p + 1]))
+            elif kind == 2:
+                x = x * p ** rng.randrange(1, 3)
+            xs.append(x)
+        return xs
+
+    @pytest.mark.parametrize("p", [2, 3, 5, 7])
+    def test_valuations_and_thresholds_match_determinants(self, p):
+        rng = random.Random(f"self-frame:{p}")
+        shifts, answers = set(), Counter()
+        for trial in range(8):
+            n = rng.randrange(2, 9)
+            a = 0 if trial < 2 else rng.randrange(p)
+            G = random_eisenstein(rng, p, n)
+            ctx = make_context(p, 64, _shifted(G, a + p * rng.randrange(-2, 3)))
+            frame = ctx._frame
+            assert isinstance(frame, fields._SelfFrame) and frame.shift == a
+            assert NormEngine(ctx)._frame is frame
+            shifts.add(a > 0)
+            xs = self._elements(ctx, rng, 12)
+            want = self._determinants(xs)
+            assert NormEngine(ctx).norm_valuations(xs) == want
+            for x, v in zip(xs, want):
+                assert frame.valuation(x) == v
+                for bound in (v - 1, v, v + 1):
+                    # a fresh engine: the threshold test is x's first query,
+                    # and caches the exact valuation unless the bound
+                    # answers it alone
+                    engine = NormEngine(ctx)
+                    exceeds = engine.norm_exceeds(x, bound)
+                    assert exceeds == (v > bound)
+                    assert engine._states.get(x.identity, v) == v
+                    answers[exceeds, x.identity in engine._states] += 1
+        assert shifts == {False, True}
+        assert answers[True, True] and answers[False, True]
+
+    @pytest.mark.parametrize("p", [2, 3, 5])
+    def test_closed_form_matches_the_certified_frame(self, p):
+        # H[j][k] = C(j, k) a^(j-k) is what the solve of the certificate
+        # gives for gamma = z - a, at int32, int64 and Python-int levels
+        rng = random.Random(f"closed-form:{p}")
+        for n in (2, 5, 9):
+            a = rng.randrange(1, p)
+            ctx = make_context(p, 64, _shifted(random_eisenstein(rng, p, n), a))
+            gamma = ctx.gen() - ctx.element([a])
+            certified = fields._UniformizerFrame.certify(ctx, gamma)
+            first = fields._int64_level(p, n)
+            for digits in (1, 2, first, 2 * first):
+                want = certified._matrix(digits)
+                got = ctx._frame._matrix(digits)
+                assert got.dtype == want.dtype
+                assert got.tolist() == want.tolist()
+
+    @pytest.mark.parametrize("p, low", [
+        (3, [-27, 0]),  # z^2 - 27: F(z) is not Eisenstein, v(F(0)) = 3
+        (3, [-9, 0]),  # (z - 3)(z + 3): reducible
+        (5, [0, 2, -3]),  # z(z - 1)(z - 2): reducible, radical not linear
+        (3, [1, 0]),  # z^2 + 1: unramified, radical of degree 2
+        (3, [2, 0, 0, 0]),  # z^4 + 2: radical (z - 1)(z + 1)(z^2 + 1)
+        # (z - 1)^4 + 2(z - 1)^2 + 4: a = 1, but v(F(1)) = 2
+        (2, _shifted([4, 0, 2, 0, 1], 1)[:-1]),
+    ])
+    def test_refused_fields_keep_determinants(self, p, low, monkeypatch):
+        ctx = make_context(p, 64, low + [1])
+        assert ctx._frame is None and NormEngine(ctx)._frame is None
+        rng = random.Random(f"refused:{p}:{low}")
+        roots = [r for r in range(-9, 10) if sum(c * r ** i for i, c in enumerate(low + [1])) == 0]
+        xs = []
+        while len(xs) < 9:
+            x = ctx.element([rng.randrange(-9, 10) for _ in range(ctx.n)])
+            # no zero divisor: its norm would never be certified
+            if all(sum(c * r ** i for i, c in enumerate(x.ints)) for r in roots) and not x.is_zero:
+                xs.append(x * Fraction(1, p ** (len(xs) % 3)))
+        calls = []
+        det = fields._det_valuation
+
+        def recorded(stack, p, digits):
+            calls.append(len(stack))
+            return det(stack, p, digits)
+
+        want = self._determinants(xs)
+        monkeypatch.setattr(fields, "_det_valuation", recorded)
+        assert NormEngine(ctx).norm_valuations(xs) == want
+        assert calls
+
+    def test_non_integral_field_gets_no_frame(self):
+        # 3 (F - z^2) = 4 + 2z, which with a leading 1 reads z^2 + 2z + 4 =
+        # (z - 2)^2 mod 3, and 12 at a = 2, not 0 mod 9: only the
+        # integrality check refuses this F
+        ctx = fields.FieldContext(3, 64, [Fraction(4, 3), Fraction(2, 3)])
+        assert ctx._radical[0] == [1, 1]
+        assert ctx._frame is None and NormEngine(ctx)._frame is None
+
+    def test_keygen_and_bench_fields_are_self_framed(self, monkeypatch):
+        from padiclat import schemes
+
+        built = []
+        make = schemes.make_context
+
+        def recorded(*args, **kwargs):
+            built.append(make(*args, **kwargs))
+            return built[-1]
+
+        monkeypatch.setattr(schemes, "make_context", recorded)
+        for p, n, m in [(3, 12, 6), (2, 14, 4)]:
+            kp = random_signature_key(random.Random(n), p, n, m)
+            assert isinstance(kp.public.ctx._frame, fields._SelfFrame)
+            # the hidden field's F is Eisenstein itself: a = 0
+            assert built[-2]._frame.shift == 0
+        for p, seed in [(5, 1), (7, 2), (2, 3)]:
+            assert isinstance(bench.make_instance(16, p, random.Random(seed))._frame,
+                              fields._SelfFrame)
+
+    def test_adoption_keeps_the_own_frame(self, monkeypatch):
+        # a uniformizer keeps the engine on its own frame, with no solve, and
+        # the completion's powers come from _powers; a non-uniformizer is
+        # refused
+        ctx = bench.make_instance(16, 5, random.Random(4))
+        gamma = recover_uniformizer(ctx).gamma
+
+        def refuse(*args):
+            raise AssertionError("a frame was certified")
+
+        monkeypatch.setattr(fields._UniformizerFrame, "certify", refuse)
+        engine = NormEngine(ctx)
+        assert not engine.adopt_uniformizer(gamma * gamma)
+        assert engine.adopt_uniformizer(gamma)
+        assert engine._frame is ctx._frame and ctx._frame.powers is None
+        assert [g.identity for g in engine.powers(gamma)] == [
+            g.identity for g in fields._powers(gamma, ctx.n)]
 
 
 class TestAbsValueOrdering:
