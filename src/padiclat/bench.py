@@ -1,10 +1,15 @@
-"""Uniformizer-recovery scaling harness.
+"""Scaling harnesses for the break.
 
-Generates the standard instance family (Eisenstein polynomial
-x^n + p*(x^{n-1} + ... + 1), random generator), runs the reduction-based
-recovery, and reports wall time together with the absolute-value counter.
-Wall times are hardware-dependent and never asserted; the counter is the
-quantity with a provable bound (n + p(n-1)).
+``bench_uniformizer`` generates the standard instance family (Eisenstein
+polynomial x^n + p*(x^{n-1} + ... + 1), random generator), runs the
+reduction-based recovery, and reports wall time together with the
+absolute-value counter.  ``bench_break`` breaks one seeded ``keygen`` key
+per (p, n, m) shape, the steps of ``BrokenKey.from_public`` timed one by
+one: uniformizer recovery (with the adoption of its frame),
+``orthogonalize`` and ``complete_orthogonal``.  Wall times are
+hardware-dependent and never asserted; the counters are the quantities
+with a provable bound (n + p(n-1) for a recovery, m(m-1) + p(m-1)^2 for
+orthogonalize).
 
 An instance's public polynomial is the generator's minimal polynomial to
 the full precision: its powers come from the shared integer multiplier
@@ -17,14 +22,17 @@ from __future__ import annotations
 import random
 import time
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
-from .attack import recover_uniformizer
-from .fields import (FieldContext, _int64_level, _int_mul_mod, _kernel_dtype, _solve_mod,
-                     check_degree, check_parameters, make_context)
+from .attack import find_uniformizer, recover_uniformizer
+from .fields import (FieldContext, NormEngine, _int64_level, _int_mul_mod, _kernel_dtype,
+                     _solve_mod, check_degree, check_parameters, make_context)
+from .lattices import complete_orthogonal
+from .reduction import orthogonalize
 from .scalars import DEFAULT_PRECISION
-from .schemes import random_zeta
+from .schemes import PublicKey, keygen, random_eisenstein, random_zeta
 
 
 @dataclass(frozen=True)
@@ -111,3 +119,72 @@ def bench_uniformizer(n_list, p_list, repetitions: int = 1, *, seed: int = 0,
                 wall = (time.perf_counter() - t0) * 1000.0
                 rows.append(BenchRow(n, p, rep, wall, res.abs_count))
     return rows
+
+
+@dataclass(frozen=True)
+class BreakRow:
+    p: int
+    n: int
+    m: int
+    recovery_ms: float
+    orthogonalize_ms: float
+    complete_ms: float
+    abs_count: int
+
+    @property
+    def break_ms(self) -> float:
+        return self.recovery_ms + self.orthogonalize_ms + self.complete_ms
+
+    @property
+    def abs_bound(self) -> int:
+        """orthogonalize's bound m(m-1) + p(m-1)^2."""
+        return self.m * (self.m - 1) + self.p * (self.m - 1) ** 2
+
+    def csv(self) -> str:
+        return (f"{self.p},{self.n},{self.m},{self.break_ms:.3f},{self.recovery_ms:.3f},"
+                f"{self.orthogonalize_ms:.3f},{self.complete_ms:.3f},{self.abs_count},"
+                f"{self.abs_bound}")
+
+
+BREAK_CSV_HEADER = ("p,n,m,break_ms,recovery_ms,orthogonalize_ms,complete_ms,abs_count,"
+                    "abs_bound")
+
+
+def break_key(p: int, n: int, m: int, seed: int,
+              precision: int = DEFAULT_PRECISION) -> PublicKey:
+    """The seeded key of one shape: ``Random(seed)`` draws an Eisenstein f
+    and a generator, exponents 0..n-1 and delta 1/2, as ``keygen`` takes
+    them (seed 7 gives the tests' (3, 30, 15) key)."""
+    rng = random.Random(seed)
+    return keygen(p, n, m, range(n), random_eisenstein(rng, p, n), random_zeta(rng, p, n),
+                  delta=Fraction(1, 2), rng=rng, precision=precision).public
+
+
+def time_break(pk: PublicKey) -> BreakRow:
+    """The steps of ``BrokenKey.from_public`` on one key, each timed."""
+    clock = time.perf_counter
+    t0 = clock()
+    engine = NormEngine(pk.ctx)
+    gamma = find_uniformizer(pk, engine=engine)
+    engine.adopt_uniformizer(gamma)
+    t1 = clock()
+    res = orthogonalize(pk.ctx, pk.basis, engine=engine)
+    t2 = clock()
+    complete_orthogonal(pk.ctx, res.basis, gamma, engine=engine)
+    t3 = clock()
+    ctx = pk.ctx
+    return BreakRow(ctx.p, ctx.n, len(pk.basis), (t1 - t0) * 1000.0, (t2 - t1) * 1000.0,
+                    (t3 - t2) * 1000.0, res.abs_count)
+
+
+def bench_break(shapes, *, seed: int = 0, precision: int = DEFAULT_PRECISION):
+    """One row per (p, n, m) shape, in the order given.  Every shape is
+    checked (ValueError) before any key is drawn (``break_key``), and
+    every key is drawn before any break is timed."""
+    for p, n, m in shapes:
+        check_parameters(p, precision)
+        check_degree(n)
+        if not 1 <= m <= n:
+            raise ValueError(f"need 1 <= m <= n, got m = {m} at n = {n}")
+    keys = [break_key(p, n, m, seed, precision) for p, n, m in shapes]
+    return [time_break(pk) for pk in keys]

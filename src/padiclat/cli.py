@@ -203,6 +203,33 @@ def cmd_bench(args):
     return 0
 
 
+def _shapes(text):
+    """(p, n, m) shapes separated by semicolons, each three integers as
+    ``_entries`` reads them; a blank text is the empty list, and an empty
+    shape or one of another length is an input error."""
+    shapes = []
+    if text.strip():
+        for item in text.split(";"):
+            shape = _ints(item)
+            if len(shape) != 3:
+                raise ValueError(f"shape {item.strip()!r} is not p,n,m")
+            shapes.append(tuple(shape))
+    return shapes
+
+
+def cmd_bench_break(args):
+    rows = bench_mod.bench_break(_shapes(args.shapes),
+                                 seed=args.seed if args.seed is not None else 0,
+                                 precision=args.precision)
+    text = "\n".join([bench_mod.BREAK_CSV_HEADER] + [r.csv() for r in rows]) + "\n"
+    if args.out:
+        _write(args.out, text)
+        print(f"wrote {len(rows)} rows to {args.out}")
+    else:
+        sys.stdout.write(text)
+    return 0
+
+
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="padiclat",
@@ -287,6 +314,13 @@ def build_parser() -> argparse.ArgumentParser:
     _add_precision(sp)
     _add_seed(sp)
     sp.set_defaults(func=cmd_bench)
+    bench_sub = sp.add_subparsers(dest="bench_command")
+    sp = bench_sub.add_parser("break", help="timed break of one seeded key per shape")
+    sp.add_argument("--shapes", required=True, help="p,n,m shapes, e.g. '3,30,15;5,40,20'")
+    sp.add_argument("--out")
+    _add_precision(sp)
+    _add_seed(sp)
+    sp.set_defaults(func=cmd_bench_break)
 
     return ap
 

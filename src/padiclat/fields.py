@@ -8,7 +8,8 @@ Sums and scalar multiples are integer work plus one content gcd, a
 product multiplies and reduces by F over Python ints (``_int_mul_mod``,
 the one multiplier mod F, which ``bench`` shares), and a whole
 combination sum c_k v_k (``_linear_combination``: public vectors, CVP
-outputs, ciphertexts) is one integer dot product per coordinate.  An
+outputs, ciphertexts, the reduction's outputs) is one integer vector,
+accumulated a term at a time, and one content gcd.  An
 element's Fractions and :class:`PadicScalar` coefficients are built only
 when read.  The extended absolute value |x| = |N(x)|^(1/n) is read in
 the power basis of a uniformizer where the field has one at hand, and
@@ -65,7 +66,9 @@ valuation, threshold tests included, in the uniformizer's power basis
 matrix of z's powers in that basis mod p^K, K the largest int64 level,
 through the same ``_escalate``; a context's own frame answers a
 threshold test from one digit where it can.  No determinant and no gcd
-is left there.
+is left there.  The reduction's passes read a whole basis through the
+frame at once (``NormEngine.frame_coordinates``: coordinates mod p, one
+matrix product), and build no element for the candidates they test.
 
 Coordinates in a basis (lattice membership, the key generator's change
 of generator, and the attack's CVP where no modular level certifies it)
@@ -519,8 +522,9 @@ def _powers(x: FieldElement, count: int):
 
 
 def _linear_combination(ctx: FieldContext, coeffs, vectors) -> FieldElement:
-    """sum c_k v_k for ints, Fractions or scalars c_k, as one integer dot
-    product per coordinate over the lcm of the terms' denominators.
+    """sum c_k v_k for ints, Fractions or scalars c_k, as one integer
+    vector over the lcm of the terms' denominators, accumulated a term at a
+    time (one pass over the coordinates per nonzero term) and reduced once.
     ValueError when any vector, under a zero coefficient too, belongs to a
     field other than ``ctx``'s."""
     vectors = list(vectors)
@@ -528,10 +532,12 @@ def _linear_combination(ctx: FieldContext, coeffs, vectors) -> FieldElement:
         raise ValueError("elements from different contexts")
     terms = [(c, v) for c, v in zip(map(ctx._exact, coeffs), vectors) if c]
     den = lcm(*(c.denominator * v.den for c, v in terms))
-    scales = [c.numerator * (den // (c.denominator * v.den)) for c, v in terms]
-    ints = [sum(s * a for s, a in zip(scales, column))
-            for column in zip(*(v.ints for _, v in terms))] or [0] * ctx.n
-    return _canonical(ctx, ints, den)
+    ints = None
+    for c, v in terms:
+        s = c.numerator * (den // (c.denominator * v.den))
+        ints = ([s * a for a in v.ints] if ints is None
+                else [x + s * a for x, a in zip(ints, v.ints)])
+    return _canonical(ctx, [0] * ctx.n if ints is None else ints, den)
 
 
 # ---------------------------------------------------------------------------
@@ -1043,7 +1049,7 @@ class _SelfFrame(_UniformizerFrame):
         Where all vanish, p^s x = 0 mod p and the levels decide."""
         p = self.p
         if self._columns is None:
-            self._columns = (self._matrix(self._first) % p).T.tolist()
+            self._columns = self._matrix(1).T.tolist()
         residues = _element_residues(x, 1)
         for k, column in enumerate(self._columns):
             if sum(map(mul, residues, column)) % p:
@@ -1075,6 +1081,14 @@ class NormEngine:
     threshold test evaluates only the digits its bound needs, one level: a
     single digit is one GF(p) gcd against the radical of F mod p, and a
     level that comes back deeper answers the test and is forgotten.
+
+    The reduction reads a framed engine without building its candidates:
+    ``frame_coordinates`` gives Y, a basis's frame coordinates mod p (the
+    engine holds the frame, the reduction the rows over the basis), from
+    which u Y mod p and its first nonzero entry give the norm of the
+    combination with integer row u; ``remember`` caches the norms it
+    certifies this way for its outputs, and ``known_abs_values`` reads
+    the cache without a query.
     """
 
     def __init__(self, ctx: FieldContext):
@@ -1137,6 +1151,37 @@ class NormEngine:
         """Valuation of N(x); None for the zero element."""
         return self.norm_valuations([x])[0]
 
+    def frame_coordinates(self, basis):
+        """(Y, n*S) for a basis, S its largest scale, where row j of the
+        array Y holds the frame coordinates mod p of p^S b_j; None on an
+        engine without a frame.  The coordinates of p^S sum_j u_j b_j mod p
+        are then u Y mod p for integer rows u, and where they are nonzero,
+        v(N(sum_j u_j b_j)) is the index of the first nonzero one minus
+        n*S: the other coordinates are multiples of p."""
+        if self._frame is None:
+            return None
+        n = self.ctx.n
+        scales = [_element_scale(b) for b in basis]
+        top = max(scales)
+        H = self._frame._matrix(1)
+        Y = np.array([_element_residues(b, 1) if s == top else [0] * n
+                      for b, s in zip(basis, scales)], dtype=H.dtype)
+        return Y @ H % self.ctx.p, n * top
+
+    def remember(self, xs, norms):
+        """Cache the exact norms |x| (nonzero AbsValues) that the caller has
+        certified: the reduction reads them off frame coordinates."""
+        n = self.ctx.n
+        self._states.update((x.identity, e.exponent.numerator * n // e.exponent.denominator)
+                            for x, e in zip(xs, norms))
+
+    def known_abs_values(self, xs) -> list:
+        """|x| for each element whose norm valuation the engine holds, None
+        for the others; no query is made."""
+        n = self.ctx.n
+        return [None if v is None else AbsValue(Fraction(v, n))
+                for v in map(self._states.get, (x.identity for x in xs))]
+
     def norm_exceeds(self, x: FieldElement, bound: int) -> bool:
         """Whether v(N(x)) > bound (True for the zero element)."""
         if x.is_zero:
@@ -1175,8 +1220,8 @@ class NormEngine:
         """|x| < bound, decided with as few digits as possible."""
         if bound.is_zero:
             return False
-        t = bound.exponent * self.ctx.n
-        return self.norm_exceeds(x, t.numerator // t.denominator)
+        e = bound.exponent
+        return self.norm_exceeds(x, e.numerator * self.ctx.n // e.denominator)
 
 
 def abs_value(ctx: FieldContext, x: FieldElement, engine: NormEngine | None = None) -> AbsValue:

@@ -20,16 +20,54 @@ spends refining it.
 * :func:`find_second_longest_general` - the variant for residue degree
   f >= 1, searching digit combinations of a growing maximal-norm list.
 
+A pass works on integer rows over its operation's input basis (unit rows
+for the second maximum, the rows of the transform U for
+``orthogonalize``), and the engine decides how a candidate is read:
+
+* Row route.  On a framed engine (``NormEngine.frame_coordinates``) a
+  vector keeps only its frame coordinates mod p: those of p^S x, S the
+  basis's largest scale, are u Y mod p for its row u, and where they are
+  nonzero, v(N(x)) is the index of the first nonzero one minus n S.  A
+  framed field is totally ramified, and with M the longest vector, its
+  first nonzero coordinate at k, every other vector v has zeros below k,
+  so v - d M drops below |M| exactly when coordinate k vanishes: the one
+  hit among the p candidates is d = y_v[k] / y_M[k] mod p, the maximal
+  list never grows, and the whole pass is a few array operations on the
+  k x n coordinates, whatever the size of the basis's integers.  No
+  candidate becomes an element; the outputs are built once from their
+  rows (``_linear_combination``), and their norms go into the engine's
+  cache, where the final pick, ``complete_orthogonal`` and the CVPs read
+  them.
+* Element route.  Otherwise each candidate is built on demand and the
+  engine's threshold test decides it (determinants or the GF(p) gcd).
+
+Counting.  The element route keys ``AbsCounter`` on element identities.
+The row route counts rows: once the basis is independent, distinct rows
+are distinct elements, and in the basis of a pass's inputs a candidate
+is e_v - d' e_M, a row that no earlier query of the operation touched
+(an earlier pass's rows that lie in the span of this pass's inputs are
+those inputs themselves).  So a vector reduced at digit d adds the d
+candidates d' = 1..d, the ones ``itertools.product`` order tries before
+and at its hit.  The route certifies this after the fact, from the
+coordinates it has: a pass's reduced rows are nonzero and pairwise
+distinct mod p, which any coincidence among its inputs and candidates,
+or a zero candidate, would break, and ``orthogonalize``'s outputs have
+distinct first coordinates, so Y has full rank mod p.  Where that fails
+(a basis with mixed scales, a dependent basis, a vector whose row
+vanishes mod p), the operation runs again on the element route, whose
+outputs, counts and errors are the reference.
+
 The second maximum is the largest of the reduced vectors' exact norms.
 Every reduced vector passed |r| < lambda1, and norm exponents are
 multiples of 1/n, so none exceeds top = lambda1 * p^(-1/n).  The pick
-reads the exact norms in index order, one elimination stack
-(``fields._stack_size``) at a time, and stops after the first stack
-holding a vector of norm top: that vector is the lowest-index argmax, the
-answer the full pick returns.  Every reduced vector was already counted
-by its threshold test, so ``abs_count`` is the same either way.  In
-every seeded uniformizer recovery measured, the first reduced vector
-already has norm top, so the pick reads one stack.
+scans the norms in index order and stops at the first vector of norm
+top: that vector is the lowest-index argmax, the answer the full pick
+returns.  Norms the pass or the engine already holds (all of them on the
+row route) are read from there, and the others one elimination stack
+(``fields._stack_size``) at a time as the scan reaches them.  Every
+reduced vector was already counted by its threshold test, so
+``abs_count`` is the same either way.  In every seeded uniformizer
+recovery measured, the first reduced vector already has norm top.
 """
 
 from __future__ import annotations
@@ -37,9 +75,13 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
+
+import numpy as np
 
 from .errors import BudgetExceeded, ReductionFailed, SingularSystem
-from .fields import AbsValue, FieldContext, FieldElement, NormEngine, _stack_size
+from .fields import (AbsValue, FieldContext, FieldElement, NormEngine, _linear_combination,
+                     _stack_size)
 
 # the most digit combinations a search or an enumeration may try
 # (here and in ``lattices``) unless its caller says otherwise
@@ -70,12 +112,15 @@ class OrthoResult:
 
 
 class AbsCounter:
-    """Counts distinct elements whose absolute value was queried.
+    """Counts distinct vectors whose absolute value was queried.
 
-    Re-queries of an element already inspected (for example the final
-    max-scan over reduced vectors the loop has just produced) refine the
-    cached state without incrementing the count, matching how the cost
-    bounds are accounted.
+    The element route keys a vector by its element's identity: re-queries
+    of an element already inspected (for example the final max-scan over
+    reduced vectors the loop has just produced) refine the cached state
+    without incrementing the count, matching how the cost bounds are
+    accounted.  The row route counts vectors as integer rows over an
+    independent basis, each a distinct element, and adds the rows that no
+    earlier query touched by number (``fresh``; module docstring).
     """
 
     def __init__(self, engine: NormEngine):
@@ -88,6 +133,10 @@ class AbsCounter:
         if k not in self._seen:
             self._seen.add(k)
             self.count += 1
+
+    def fresh(self, count: int):
+        """Count ``count`` queried rows that no earlier query touched."""
+        self.count += count
 
     def abs_values(self, xs) -> list:
         """|x| for each element, as one engine batch."""
@@ -104,6 +153,19 @@ class AbsCounter:
         return self.engine.abs_less_than(x, bound)
 
 
+class _Pass(NamedTuple):
+    """A pass's new vectors, in the form its inputs came in (``data``),
+    with their norms where the pass read them exactly (None elsewhere);
+    new vector k is input[src] - sum d * input[j] for steps[k] =
+    (src, ((j, d), ...)), the input vectors j being maximal ones, and
+    ``reduced`` lists the positions of the reduced vectors."""
+
+    data: list
+    exps: list
+    steps: list
+    reduced: list
+
+
 def _argmax_abs(exps) -> int:
     """Index of the largest absolute value; lowest index wins ties."""
     best = 0
@@ -113,49 +175,69 @@ def _argmax_abs(exps) -> int:
     return best
 
 
-def _multiples(x: FieldElement, count: int):
-    """0, x, 2x, ..., (count - 1) x, for count >= 2."""
-    out = [x.ctx.zero(), x]
-    while len(out) < count:
-        out.append(out[-1] + x)
-    return out
+def _check_budget(p: int, t: int, budget: int | None):
+    if budget is not None and p ** t > budget:
+        raise BudgetExceeded(f"digit search p^{t} exceeds budget {budget}")
 
 
-def _reduce_pass(ctx: FieldContext, vectors, exps, counter: AbsCounter,
+def _combine(ctx: FieldContext, v: FieldElement, maximal, digits) -> FieldElement:
+    """v - sum d * m over the maximal vectors m and their digits d: v
+    itself when every digit is 0."""
+    if not any(digits):
+        return v
+    return _linear_combination(ctx, (1, *(-d for d in digits)), (v, *maximal))
+
+
+def _coordinate_norms(coords, shift: int, n: int):
+    """|x| for each row of frame coordinates mod p (``frame_coordinates``),
+    as a list: p^(-(k - shift)/n) for k the first nonzero coordinate; None
+    when some row vanishes mod p, so that the first digit cannot say."""
+    nonzero = coords != 0
+    if not nonzero.any(axis=1).all():
+        return None
+    first = nonzero.argmax(axis=1).tolist()
+    norms = {k: AbsValue(Fraction(k - shift, n)) for k in set(first)}
+    return [norms[k] for k in first]
+
+
+def _reduce_pass(counter: AbsCounter, data, exps, shift: int | None = None,
                  residue_degree: int = 1, budget: int | None = None):
-    """The digit-search pass of the module docstring, combinations tried in
-    ``itertools.product`` order.  A vector no combination reduces joins
-    the maximal list; more than ``residue_degree`` of them is a failure.
-
-    Returns (new vectors, lambda1, the reduced vectors in order, steps):
-    new vector k is input[src] - sum d * input[j] for steps[k] =
-    (src, ((j, d), ...)), the input vectors j being maximal ones.
-    """
-    p = ctx.p
-    vectors = list(vectors)
-    exps = list(exps)
-    order = list(range(len(vectors)))
+    """The digit-search pass of the module docstring.  The longest vector
+    (lowest index among ties) swaps to the front; ``data`` holds the
+    vectors as the route reads them: their elements on the element route
+    (``shift`` None), their frame coordinates mod p on the row route
+    (``shift`` = n*S).  Returns a ``_Pass``, or None where the row route
+    cannot certify its count, and the caller takes the element route."""
+    data, exps = list(data), list(exps)
+    order = list(range(len(data)))
     i0 = _argmax_abs(exps)
     if i0:
-        for seq in (vectors, exps, order):
+        for seq in (data, exps, order):
             seq[0], seq[i0] = seq[i0], seq[0]
+    if len(data) == 1:
+        # a lone vector needs no search (p may be huge)
+        return _Pass(data, exps, [(order[0], ())], [])
+    if shift is None:
+        return _element_search(counter, data, exps, order, residue_degree, budget)
+    return _row_search(counter, data, exps, order, shift, budget)
+
+
+def _element_search(counter, data, exps, order, residue_degree, budget) -> _Pass:
+    """The element route: every candidate v - sum d * m is built, in
+    ``itertools.product`` order, until the engine's threshold test finds
+    one below lambda1.  A vector no combination reduces joins the maximal
+    list; more than ``residue_degree`` of them is a failure."""
+    ctx = counter.engine.ctx
+    p = ctx.p
     lam1 = exps[0]
-    # a lone vector needs no table (p may be huge)
-    multiples = [_multiples(vectors[0], p)] if len(vectors) > 1 else []
-    maximal = [order[0]]  # input positions of the tables' vectors
-    out = [vectors[0]]
-    steps = [(order[0], ())]
-    reduced = []
-    for src, v in zip(order[1:], vectors[1:]):
-        t = len(multiples)
-        if budget is not None and p ** t > budget:
-            raise BudgetExceeded(f"digit search p^{t} exceeds budget {budget}")
+    maximal = [(order[0], data[0])]  # (input position, element)
+    out = _Pass([data[0]], [lam1], [(order[0], ())], [])
+    for src, v, exp in zip(order[1:], data[1:], exps[1:]):
+        t = len(maximal)
+        _check_budget(p, t, budget)
         hit = None
         for combo in itertools.product(range(p), repeat=t):
-            cand = v
-            for table, d in zip(multiples, combo):
-                if d:
-                    cand = cand - table[d]
+            cand = _combine(ctx, v, [m for _, m in maximal], combo)
             if cand.is_zero:
                 raise SingularSystem("basis vectors are dependent")
             if counter.less_than(cand, lam1):
@@ -166,15 +248,69 @@ def _reduce_pass(ctx: FieldContext, vectors, exps, counter: AbsCounter,
                 raise ReductionFailed(
                     f"{t + 1} orthogonal vectors share the maximal norm, more "
                     f"than the residue degree {residue_degree}")
-            multiples.append(_multiples(v, p))
-            maximal.append(src)
-            out.append(v)
-            steps.append((src, ()))
+            maximal.append((src, v))
+            out.data.append(v)
+            out.exps.append(exp)
+            out.steps.append((src, ()))
         else:
-            out.append(hit)
-            reduced.append(hit)
-            steps.append((src, tuple((j, d) for j, d in zip(maximal, combo) if d)))
-    return out, lam1, reduced, steps
+            out.reduced.append(len(out.data))
+            out.data.append(hit)
+            out.exps.append(None)
+            out.steps.append((src, tuple((j, d) for (j, _), d in zip(maximal, combo) if d)))
+    return out
+
+
+def _row_search(counter, data, exps, order, shift, budget) -> _Pass | None:
+    """The row route: with y_M the longest vector's coordinates, first
+    nonzero at k, vector v is reduced at the one digit d = y_v[k] / y_M[k]
+    mod p, the first and only hit among its p candidates, so the maximal
+    list never grows.  The d candidates d' = 1..d are fresh rows (module
+    docstring); the count is certified when the reduced rows are nonzero
+    and pairwise distinct mod p, and None is returned otherwise."""
+    p, n = counter.engine.ctx.p, counter.engine.ctx.n
+    _check_budget(p, 1, budget)
+    coords = np.array(data)
+    top = coords[0]
+    k = int((top != 0).argmax())
+    digits = coords[1:, k] * pow(int(top[k]), -1, p) % p
+    rest = (coords[1:] - digits[:, None] * top) % p
+    norms = _coordinate_norms(rest, shift, n)
+    if norms is None or len(set(map(tuple, rest.tolist()))) < len(rest):
+        return None
+    digits = digits.tolist()
+    counter.fresh(sum(digits))
+    steps = [(src, ((order[0], d),) if d else ()) for src, d in zip(order[1:], digits)]
+    return _Pass([top, *rest], exps[:1] + norms, [(order[0], ())] + steps,
+                 list(range(1, len(data))))
+
+
+def _on_routes(engine: NormEngine, basis, run):
+    """run(frame) on the row route where there is a pass to run (two
+    vectors or more), the engine has a frame (``frame_coordinates``) and
+    the route certifies its result, else run(None) on the element
+    route."""
+    frame = engine.frame_coordinates(basis) if len(basis) > 1 else None
+    if frame is not None:
+        res = run(frame)
+        if res is not None:
+            return res
+    return run(None)
+
+
+def _start(counter: AbsCounter, basis, frame):
+    """A route's view of the basis and its norms: (data, exps, shift), or
+    None where a basis vector's coordinates vanish mod p."""
+    if frame is None:
+        exps = counter.abs_values(basis)
+        if any(e.is_zero for e in exps):
+            raise SingularSystem("zero vector in basis")
+        return list(basis), exps, None
+    coords, shift = frame
+    exps = _coordinate_norms(coords, shift, counter.engine.ctx.n)
+    if exps is None:
+        return None
+    counter.fresh(len(basis))
+    return list(coords), exps, shift
 
 
 def find_second_longest(ctx: FieldContext, basis, *,
@@ -195,7 +331,8 @@ def orthogonalize(ctx: FieldContext, basis, *, engine: NormEngine | None = None)
     Output norms are strictly decreasing and equal the successive maxima.
     Spends at most m(m-1) + p(m-1)^2 absolute-value computations.  The
     transform U is built from the digits each pass subtracts, by integer
-    row operations, so it is exact and unimodular.
+    row operations, so it is exact and unimodular; on the row route the
+    basis is built from it once, sum_j U[k][j] * basis[j].
     """
     basis = list(basis)
     m = len(basis)
@@ -208,26 +345,46 @@ def orthogonalize(ctx: FieldContext, basis, *, engine: NormEngine | None = None)
         if exp.is_zero:
             raise SingularSystem("zero vector in basis")
         return OrthoResult(tuple(basis), (exp,), 0, ((1,),))
+    return _on_routes(engine, basis, lambda frame: _orthogonalize(engine, basis, frame))
+
+
+def _orthogonalize(engine: NormEngine, basis, frame) -> OrthoResult | None:
+    """``orthogonalize`` on one route; None where the row route cannot
+    certify its result: a vanishing row, or output norms that are not
+    strictly decreasing (then Y may lack full rank mod p)."""
+    m = len(basis)
     counter = AbsCounter(engine)
-    B = basis[:]
+    start = _start(counter, basis, frame)
+    if start is None:
+        return None
+    data, exps, shift = start
     U = [[int(j == k) for j in range(m)] for k in range(m)]
     for i in range(m - 1):
-        seg = B[i:]
-        exps = counter.abs_values(seg)
-        if any(e.is_zero for e in exps):
-            raise SingularSystem("zero vector in basis")
-        B[i:], _, _, steps = _reduce_pass(ctx, seg, exps, counter)
+        if shift is None and i:
+            exps[i:] = counter.abs_values(data[i:])
+            if any(e.is_zero for e in exps[i:]):
+                raise SingularSystem("zero vector in basis")
+        res = _reduce_pass(counter, data[i:], exps[i:], shift)
+        if res is None:
+            return None
+        data[i:], exps[i:] = res.data, res.exps
         old = U[i:]
-        for k, (src, digits) in enumerate(steps, i):
+        for k, (src, digits) in enumerate(res.steps, i):
             row = old[src]
             for j, d in digits:
                 row = [a - d * b for a, b in zip(row, old[j])]
             U[k] = row
-    final = tuple(counter.abs_values(B))
-    for a, b in zip(final, final[1:]):
-        if not b < a:
-            raise ReductionFailed("output norms are not strictly decreasing")
-    return OrthoResult(tuple(B), final, counter.count, tuple(map(tuple, U)))
+    if shift is None:
+        B, final = data, counter.abs_values(data)
+    else:
+        B, final = [_linear_combination(engine.ctx, row, basis) for row in U], exps
+    if any(not b < a for a, b in zip(final, final[1:])):
+        if shift is not None:
+            return None
+        raise ReductionFailed("output norms are not strictly decreasing")
+    if shift is not None:
+        engine.remember(B, final)
+    return OrthoResult(tuple(B), tuple(final), counter.count, tuple(map(tuple, U)))
 
 
 def find_second_longest_general(ctx: FieldContext, basis, residue_degree: int, *,
@@ -240,11 +397,10 @@ def find_second_longest_general(ctx: FieldContext, basis, residue_degree: int, *
     takes O(m * p^f) absolute-value computations, and a search over more
     than ``budget`` combinations (None: no limit) raises BudgetExceeded.
     When every vector is maximal the answer degenerates to
-    lambda2 = |p*longest| with witness p*longest.  Otherwise the exact
-    norms of the reduced vectors are read a stack at a time, stopping at
-    the first stack that reaches lambda1 * p^(-1/n), which no reduced
-    vector exceeds (module docstring); when none does, every stack is
-    read.
+    lambda2 = |p*longest| with witness p*longest.  Otherwise the pick
+    reads the reduced vectors' exact norms, those the engine does not hold
+    a stack at a time, stopping once it holds lambda1 * p^(-1/n), which no
+    reduced vector exceeds (module docstring), and every norm before it.
     """
     basis = list(basis)
     m = len(basis)
@@ -254,23 +410,60 @@ def find_second_longest_general(ctx: FieldContext, basis, residue_degree: int, *
         raise ValueError("residue degree must be positive")
     if budget is not None and budget < 0:
         raise ValueError(f"budget must be nonnegative, got {budget}")
-    counter = AbsCounter(engine or NormEngine(ctx))
-    exps = counter.abs_values(basis)
-    if any(e.is_zero for e in exps):
-        raise SingularSystem("zero vector in basis")
-    out, lam1, reduced, _ = _reduce_pass(ctx, basis, exps, counter, residue_degree, budget)
-    if not reduced:
+    engine = engine or NormEngine(ctx)
+    return _on_routes(engine, basis, lambda frame: _second_longest(
+        engine, basis, frame, residue_degree, budget))
+
+
+def _second_longest(engine: NormEngine, basis, frame, residue_degree: int,
+                    budget: int | None) -> ReductionResult | None:
+    """``find_second_longest_general`` on one route; None where the row
+    route cannot certify its count."""
+    ctx = engine.ctx
+    counter = AbsCounter(engine)
+    start = _start(counter, basis, frame)
+    if start is None:
+        return None
+    data, exps, shift = start
+    res = _reduce_pass(counter, data, exps, shift, residue_degree, budget)
+    if res is None:
+        return None
+    out = res.data
+    if shift is not None:
+        out = [_combine(ctx, basis[src], [basis[j] for j, _ in digits], [d for _, d in digits])
+               for src, digits in res.steps]
+        engine.remember(out, res.exps)
+    lam1 = res.exps[0]
+    if not res.reduced:
         return ReductionResult(lam1.scaled(1), out[0] * ctx.p, tuple(out), counter.count)
-    # none exceeds top, so the first vector that reaches it is the argmax
-    top = lam1.scaled(Fraction(1, ctx.n))
-    size = _stack_size(ctx.n)
-    final = []
-    for start in range(0, len(reduced), size):
-        chunk = counter.abs_values(reduced[start:start + size])
-        final += chunk
-        if top in chunk:
-            break
-    idx = _argmax_abs(final)
-    if final[idx] < lam1.scaled(1):
+    reduced = [out[k] for k in res.reduced]
+    final = [res.exps[k] for k in res.reduced]
+    unread = [i for i, e in enumerate(final) if e is None]
+    for i, e in zip(unread, engine.known_abs_values([reduced[i] for i in unread])):
+        final[i] = e
+    idx = _pick(counter, reduced, final, lam1.scaled(Fraction(1, ctx.n)))
+    lam2 = final[idx]
+    if lam2 < lam1.scaled(1):
         raise ReductionFailed("second maximum fell below |p*longest|")
-    return ReductionResult(final[idx], reduced[idx], tuple(out), counter.count)
+    return ReductionResult(lam2, reduced[idx], tuple(out), counter.count)
+
+
+def _pick(counter: AbsCounter, reduced, final, top: AbsValue) -> int:
+    """Index of the lowest-index argmax of the reduced vectors' norms, none
+    of which exceeds ``top``; ``final`` holds the norms known so far (None
+    elsewhere) and is completed in place.  The norms are scanned in index
+    order, and the unknown ones read one elimination stack
+    (``fields._stack_size``) at a time as the scan reaches them: the first
+    holder of ``top`` is the argmax, and the scan stops there."""
+    todo = [i for i, e in enumerate(final) if e is None]
+    size = _stack_size(counter.engine.ctx.n)
+    read = 0
+    for i, e in enumerate(final):
+        if e is None:
+            chunk = todo[read:read + size]
+            read += size
+            for j, v in zip(chunk, counter.abs_values([reduced[j] for j in chunk])):
+                final[j] = v
+        if final[i] == top:
+            return i
+    return _argmax_abs(final)

@@ -452,6 +452,43 @@ class TestPinnedAttackOutputs:
         assert hashlib.sha256(repr(record).encode()).hexdigest() == digest
 
 
+def _count_reduction_builds(monkeypatch):
+    """Patch the break's reductions to count, per function, the elements
+    (``fields._canonical`` results) built while each runs, next to the
+    number of its outputs that are not basis vectors."""
+    from collections import Counter
+
+    from padiclat import attack
+
+    built, outputs, active = Counter(), Counter(), []
+    canonical = fields._canonical
+
+    def counted(*args):
+        if active:
+            built[active[-1]] += 1
+        return canonical(*args)
+
+    def spied(name, reduced):
+        fn = getattr(attack, name)
+
+        def run(ctx, basis, **kwargs):
+            active.append(name)
+            try:
+                res = fn(ctx, basis, **kwargs)
+            finally:
+                active.pop()
+            inputs = {v.identity for v in basis}
+            outputs[name] += sum(v.identity not in inputs for v in reduced(res))
+            return res
+
+        monkeypatch.setattr(attack, name, run)
+
+    monkeypatch.setattr(fields, "_canonical", counted)
+    spied("find_second_longest", lambda res: res.reduced)
+    spied("orthogonalize", lambda res: res.basis)
+    return built, outputs
+
+
 def test_break_determinant_work_is_pinned(monkeypatch):
     # the determinants (matrices per digit level) and GF(p) gcds the break
     # of one seeded key runs on its field without a frame of its own; a
@@ -487,8 +524,14 @@ def test_break_determinant_work_is_pinned(monkeypatch):
     assert len(gcds) == 44
     levels.clear()
     gcds.clear()
+    built = _count_reduction_builds(monkeypatch)
     broken = BrokenKey.from_public(kp.public)
     assert not levels and not gcds
+    # the reductions build their outputs and no candidate: the recovery
+    # each output that is not a basis vector, orthogonalize its m
+    built, outputs = built
+    assert built["find_second_longest"] == outputs["find_second_longest"] > 0
+    assert built["orthogonalize"] == m
     assert broken.gamma == unframed_broken.gamma
     assert (broken.ortho, broken.transform) == (unframed_broken.ortho, unframed_broken.transform)
 
@@ -528,5 +571,30 @@ def test_recover_stacks_its_exact_queries(monkeypatch):
     assert len(stacks) == 1
     stacks.clear()
     gcds.clear()
+    built = _count_reduction_builds(monkeypatch)
     assert recover_uniformizer(framed) == res
     assert not stacks and not gcds
+    # one element per output that is not a basis monomial, and no candidate
+    built, outputs = built
+    assert built == outputs and built["find_second_longest"] > 0
+
+
+def test_bench_break_times_the_break():
+    # bench.time_break runs the steps of BrokenKey.from_public: on its
+    # seeded key (seed 7 at (3, 14, 6)) the break it times finds the same
+    # gamma, orthogonal basis and transform, with the counted queries of
+    # orthogonalize
+    from padiclat.lattices import complete_orthogonal
+    from padiclat.reduction import orthogonalize
+
+    pk = bench.break_key(3, 14, 6, 7)
+    row = bench.time_break(pk)
+    broken = BrokenKey.from_public(pk)
+    engine = NormEngine(pk.ctx)
+    engine.adopt_uniformizer(broken.gamma)
+    res = orthogonalize(pk.ctx, pk.basis, engine=engine)
+    full = complete_orthogonal(pk.ctx, res.basis, broken.gamma, engine=engine)
+    assert (res.basis, res.transform) == (broken.ortho, broken.transform)
+    assert tuple(full[6:]) == broken.completion
+    assert (row.p, row.n, row.m, row.abs_count) == (3, 14, 6, res.abs_count)
+    assert row.break_ms == row.recovery_ms + row.orthogonalize_ms + row.complete_ms

@@ -150,7 +150,51 @@ class TestOracleAndBench:
             assert int(count) <= int(n) + int(p) * (int(n) - 1)
 
 
+    def test_bench_break_small(self, tmp_path, capsys):
+        out_file = tmp_path / "break.csv"
+        code, out, _ = run(capsys, "bench", "break", "--shapes", "3,8,3; 2,10,4",
+                           "--seed", "7", "--out", str(out_file))
+        assert code == 0 and out == f"wrote 2 rows to {out_file}\n"
+        lines = out_file.read_text().strip().splitlines()
+        assert lines[0] == ("p,n,m,break_ms,recovery_ms,orthogonalize_ms,complete_ms,"
+                            "abs_count,abs_bound")
+        shapes = []
+        for line in lines[1:]:
+            p, n, m, total, *steps, count, bound = line.split(",")
+            p, n, m = int(p), int(n), int(m)
+            shapes.append((p, n, m))
+            assert abs(float(total) - sum(map(float, steps))) < 0.01
+            assert int(bound) == m * (m - 1) + p * (m - 1) ** 2
+            assert 0 < int(count) <= int(bound)
+        assert shapes == [(3, 8, 3), (2, 10, 4)]
+
+
 class TestExitCodes:
+    @pytest.mark.parametrize("shapes", [
+        "3,8", "3,8,3,1", "3,x,3", "3,8,3;", ";", "3,8,3;;2,8,2", "3,,8,3",
+        "1,8,3", "4,8,3", "3,1,1", "3,8,0", "3,8,9",
+    ])
+    def test_malformed_break_shapes_are_input_errors(self, tmp_path, capsys, shapes):
+        # a malformed shape list, or a shape no key exists for (p not a
+        # prime, degree below 2, m outside 1..n), is refused before any key
+        # is drawn: nothing is printed or written
+        out_file = tmp_path / "break.csv"
+        for extra in ((), ("--out", str(out_file))):
+            code, out, err = run(capsys, "bench", "break", "--shapes", shapes, *extra)
+            assert code == 2 and "input error" in err and out == ""
+        assert not out_file.exists()
+
+    def test_break_shapes_are_required(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["bench", "break"])
+        assert exc.value.code == 2
+
+    def test_empty_shape_list_writes_the_header(self, capsys):
+        code, out, _ = run(capsys, "bench", "break", "--shapes", " ")
+        assert code == 0
+        assert out == ("p,n,m,break_ms,recovery_ms,orthogonalize_ms,complete_ms,abs_count,"
+                       "abs_bound\n")
+
     def test_garbage_key_file(self, tmp_path, capsys):
         bad = tmp_path / "bad.pub"
         bad.write_text("this is not a key\n")

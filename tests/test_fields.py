@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 from collections import Counter
 from fractions import Fraction
@@ -554,6 +555,20 @@ class TestThresholdQueries:
         bound = AbsValue(Fraction(2 * v + offset, 2 * ctx.n))
         exact = NormEngine(ctx).abs_value(x)
         assert NormEngine(ctx).abs_less_than(x, bound) == (exact < bound)
+
+    @pytest.mark.parametrize("exponent", [
+        Fraction(-7, 3), Fraction(-2), Fraction(-1, 6), Fraction(0), Fraction(1, 4),
+        Fraction(2, 3), Fraction(3), Fraction(17, 5)])
+    def test_abs_less_than_bound_is_the_floor(self, exponent, monkeypatch):
+        # |x| < p^(-e) is v(N(x)) > floor(e * n): the integer bound comes
+        # from the exponent's numerator and denominator, as the Fraction
+        # floor would, for negative, zero, integral and non-integral e
+        ctx = THRESHOLD_CTXS[0]
+        seen = []
+        monkeypatch.setattr(NormEngine, "norm_exceeds", lambda self, x, bound: seen.append(bound))
+        NormEngine(ctx).abs_less_than(ctx.one(), AbsValue(exponent))
+        assert seen == [math.floor(exponent * ctx.n)]
+        assert type(seen[0]) is int
 
     def test_one_digit_attempt_matches_determinant(self):
         # the GF(p) gcd must answer and cache what a one-digit determinant

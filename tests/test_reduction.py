@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import scheme_shaped_lattice, unframed
-from padiclat import fields, reduction
+from padiclat import bench, fields, reduction
 from padiclat.errors import BudgetExceeded, ReductionFailed, SingularSystem
 from padiclat.fields import (
     AbsValue,
@@ -65,14 +65,15 @@ class TestFindSecondLongest:
         assert res.witness == toy_ctx.element([2])
 
     def test_rank_one_builds_no_digit_multiples(self, toy_ctx, monkeypatch):
-        # a lone vector has nothing to reduce, so its p multiples (p may be
-        # huge) are never formed
+        # a lone vector has nothing to reduce, so no candidate among its p
+        # digit multiples (p may be huge) is ever formed, on either route
         def refuse(*args):
-            raise AssertionError("digit multiples built for a rank-one basis")
+            raise AssertionError("a candidate built for a rank-one basis")
 
-        monkeypatch.setattr(reduction, "_multiples", refuse)
-        res = find_second_longest(toy_ctx, [toy_ctx.one()])
-        assert res.lambda2 == AbsValue.of(1) and res.abs_count == 1
+        monkeypatch.setattr(reduction, "_linear_combination", refuse)
+        for ctx in (toy_ctx, unframed(toy_ctx)):
+            res = find_second_longest(ctx, [ctx.one()])
+            assert res.lambda2 == AbsValue.of(1) and res.abs_count == 1
 
     def test_unramified_fails(self, unram_ctx):
         with pytest.raises(ReductionFailed):
@@ -234,10 +235,11 @@ def _full_pick(ctx, basis):
     abs_count)."""
     counter = reduction.AbsCounter(NormEngine(ctx))
     exps = counter.abs_values(basis)
-    out, _, reduced, _ = reduction._reduce_pass(ctx, basis, exps, counter)
+    res = reduction._reduce_pass(counter, basis, exps)
+    reduced = [res.data[k] for k in res.reduced]
     final = counter.abs_values(reduced)
     idx = max(range(len(final)), key=lambda i: (final[i], -i))
-    return final[idx], reduced[idx], tuple(out), counter.count
+    return final[idx], reduced[idx], tuple(res.data), counter.count
 
 
 def _picked(ctx, basis):
@@ -284,19 +286,10 @@ class TestFinalPick:
 
     def test_no_holder_runs_every_stack(self, monkeypatch):
         # with j_2 >= j_1 + 2 every reduced vector lies below the holder's
-        # norm, so every stack runs: the same matrices at the same digit
-        # levels as the full pick, and at the default bound (one stack) the
-        # same calls.  Smaller stacks split at chunk boundaries, and here
-        # reduced[0] and reduced[3] are basis vectors whose norms are
-        # cached, so the uncached ones can group differently
-        from collections import Counter
-
-        def per_level(calls):
-            levels = Counter()
-            for size, digits in calls:
-                levels[digits] += size
-            return levels
-
+        # norm, so every stack runs: the same calls as the full pick at
+        # every stack size.  reduced[0] and reduced[3] are basis vectors
+        # whose norms the engine holds, and the pick's stacks hold only the
+        # others, as the full pick's batch does
         rng = random.Random("no-holder")
         ctx, basis, j = scheme_shaped_lattice(rng, 5, 10, 5)
         ctx = unframed(ctx)
@@ -310,9 +303,7 @@ class TestFinalPick:
             ours = list(calls)
             calls.clear()
             assert got == _full_pick(ctx, basis)
-            assert ours and per_level(ours) == per_level(calls)
-            if chunk is None:
-                assert ours == calls
+            assert ours and ours == calls
 
     def test_tie_inside_the_holding_stack(self, toy_ctx, monkeypatch):
         # z^3 - 1 and z - 1 both hold; the lower index wins, whether the
@@ -412,3 +403,151 @@ class TestPinnedReductionOutputs:
         ]
         record = [_reduction_record(ctx, basis) for ctx, basis in instances]
         assert hashlib.sha256(repr(record).encode()).hexdigest() == self.DIGEST
+
+
+def _identities(ctx, basis):
+    """Every output of the reductions on one basis, elements by identity:
+    witnesses, reduced vectors, second maxima and counts of both second-
+    maximum searches (residue degrees 1 and 2), and orthogonalize's basis,
+    exponents, transform and count; a reduction error by its class name."""
+
+    def second(res):
+        return (res.lambda2, res.witness.identity, [v.identity for v in res.reduced],
+                res.abs_count)
+
+    def ortho():
+        res = orthogonalize(ctx, basis)
+        return ([v.identity for v in res.basis], res.exponents, res.transform, res.abs_count)
+
+    return (_outcome(lambda: second(find_second_longest(ctx, basis))),
+            _outcome(ortho),
+            _outcome(lambda: second(find_second_longest_general(ctx, basis, 1))),
+            _outcome(lambda: second(find_second_longest_general(ctx, basis, 2))))
+
+
+class TestRowRoute:
+    # the row route (framed engines: coordinates mod p, no candidate
+    # element) against the element route on the same field taken without
+    # its frame: the same outputs, transforms and counts, and the same
+    # errors.  ``searches`` counts the operations run on the element
+    # route; on a framed field, those whose basis the row route could not
+    # certify
+
+    @pytest.fixture
+    def searches(self, monkeypatch):
+        calls = []
+        start = reduction._start
+
+        def counted(counter, basis, frame):
+            if frame is None:
+                calls.append(1)
+            return start(counter, basis, frame)
+
+        monkeypatch.setattr(reduction, "_start", counted)
+        return calls
+
+    def _agree(self, ctx, basis, searches):
+        """The two routes' records, asserted equal; returns how many
+        operations the framed side ran on the element route."""
+        searches.clear()
+        framed = _identities(ctx, basis)
+        fallbacks = len(searches)
+        assert framed == _identities(unframed(ctx), basis)
+        return fallbacks
+
+    def test_scheme_shaped_lattices(self, searches, unram_ctx):
+        rng = random.Random("row-route")
+        row_only = total = 0
+        for p in (2, 3, 5, 7):
+            for _ in range(8):
+                n = rng.randrange(2, 15)
+                m = rng.randrange(1, min(5, n) + 1)
+                ctx, basis, _ = scheme_shaped_lattice(rng, p, n, m)
+                assert ctx._frame is not None
+                fallbacks = self._agree(ctx, basis, searches)
+                if m > 1:  # a lone vector has no pass to run on rows
+                    row_only += fallbacks == 0
+                    total += 1
+        assert row_only >= total * 3 // 4
+        # residue degree 2 on fields that have no frame: one route only
+        for ctx, basis in (mixed_quartic(), (unram_ctx, [unram_ctx.one(), unram_ctx.gen()])):
+            assert ctx._frame is None
+            self._agree(ctx, basis, searches)
+
+    def test_non_integral_inputs(self, searches):
+        # one scale for every vector (S > 0) stays on the row route; mixed
+        # scales leave the lower-scale rows zero mod p, and the element
+        # route takes over
+        rng = random.Random("row-route-scales")
+        uniform = 0
+        for p in (2, 3, 5, 7):
+            for _ in range(4):
+                n = rng.randrange(3, 12)
+                m = rng.randrange(2, min(4, n) + 1)
+                ctx, basis, _ = scheme_shaped_lattice(rng, p, n, m)
+                k = rng.randrange(1, 4)
+                uniform += self._agree(ctx, [v * Fraction(1, p ** k) for v in basis],
+                                       searches) == 0
+                mixed = [v * Fraction(1, p ** rng.randrange(0, 3)) for v in basis]
+                mixed[0] = mixed[0] * Fraction(1, p ** 3)
+                assert self._agree(ctx, mixed, searches) > 0
+        assert uniform >= 12
+
+    def test_vanishing_row_takes_the_element_route(self, searches, toy_ctx, sqrt2_ctx):
+        # z + p reduces against z at d = 1 to p, whose coordinates vanish
+        # mod p: its exact norm needs the frame's deeper levels
+        for ctx in (toy_ctx, sqrt2_ctx):
+            z, p = ctx.gen(), ctx.element([ctx.p])
+            basis = [z, z + p]
+            assert self._agree(ctx, basis, searches) > 0
+            assert find_second_longest(ctx, basis).witness == p
+
+    def test_dependent_bases_raise_on_both_routes(self, searches):
+        rng = random.Random("row-route-dependent")
+        for p in (3, 5, 7):
+            ctx, basis, _ = scheme_shaped_lattice(rng, p, 6, 2)
+            b, c = basis
+            # a repeated longest vector or a zero vector stops all four; a
+            # repeated vector below the longest, only the recursion, where
+            # the repeat meets itself
+            for dependent, every in (([b, b], True), ([c, b, c], False),
+                                     ([b, c, c], False), ([b, ctx.zero()], True)):
+                searches.clear()
+                record = _identities(ctx, dependent)
+                assert searches  # the row route certified none of them
+                assert record == _identities(unframed(ctx), dependent)
+                assert record[1] == "SingularSystem"
+                if every:
+                    assert record == ("SingularSystem",) * 4
+
+    def test_framed_pass_builds_only_its_outputs(self, monkeypatch):
+        # on the row route no candidate becomes an element: the second-
+        # maximum search builds each output that is not a basis vector once,
+        # orthogonalize its m outputs, and no determinant or gcd runs
+        def forbidden(*args):
+            raise AssertionError("a determinant or GF(p) gcd on a framed engine")
+
+        built = []
+        canonical = fields._canonical
+
+        def counted(*args):
+            built.append(1)
+            return canonical(*args)
+
+        rng = random.Random("row-route-work")
+        cases = [scheme_shaped_lattice(rng, p, n, m)[:2]
+                 for p, n, m in ((2, 12, 5), (3, 10, 4), (5, 8, 4), (7, 14, 5))]
+        ctx64 = bench.make_instance(64, 5, random.Random("0:recover:0"))
+        cases.append((ctx64, [ctx64.monomial(i) for i in range(64)]))
+        monkeypatch.setattr(fields, "_det_valuation", forbidden)
+        monkeypatch.setattr(fields, "_gf_coprime", forbidden)
+        monkeypatch.setattr(fields, "_canonical", counted)
+        for ctx, basis in cases:
+            inputs = {v.identity for v in basis}
+            built.clear()
+            res = find_second_longest(ctx, basis)
+            assert len(built) == sum(v.identity not in inputs for v in res.reduced)
+            built.clear()
+            ortho = orthogonalize(ctx, basis)
+            assert len(built) == len(basis)
+            assert NormEngine(ctx).abs_values(ortho.basis) == list(ortho.exponents)
