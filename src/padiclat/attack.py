@@ -90,17 +90,27 @@ class BrokenKey:
 
     @classmethod
     def from_public(cls, pk: PublicKey) -> "BrokenKey":
-        engine = NormEngine(pk.ctx)
-        gamma = find_uniformizer(pk, engine=engine)
-        # the rest of the break reads norms in gamma's power basis
-        engine.adopt_uniformizer(gamma)
-        res = orthogonalize(pk.ctx, pk.basis, engine=engine)
-        full = complete_orthogonal(pk.ctx, res.basis, gamma, engine=engine)
-        return cls(pk, gamma, res.basis, res.transform, tuple(full[len(res.basis):]), engine)
+        *_, broken = break_steps(pk)
+        return broken
 
     def closest(self, target: FieldElement):
         return cvp_orthogonal(self.pk.ctx, self.ortho, self.completion, target,
                               engine=self.engine)
+
+
+def break_steps(pk: PublicKey):
+    """The break one step at a time, for callers that time its steps
+    (``bench.time_break``): yields the uniformizer once the engine has
+    adopted it, then orthogonalize's result, then the ``BrokenKey``."""
+    engine = NormEngine(pk.ctx)
+    gamma = find_uniformizer(pk, engine=engine)
+    # the rest of the break reads norms in gamma's power basis
+    engine.adopt_uniformizer(gamma)
+    yield gamma
+    res = orthogonalize(pk.ctx, pk.basis, engine=engine)
+    yield res
+    full = complete_orthogonal(pk.ctx, res.basis, gamma, engine=engine)
+    yield BrokenKey(pk, gamma, res.basis, res.transform, tuple(full[len(res.basis):]), engine)
 
 
 def _broken_key(pk: PublicKey, broken: BrokenKey | None) -> BrokenKey:

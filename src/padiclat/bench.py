@@ -4,8 +4,8 @@
 polynomial x^n + p*(x^{n-1} + ... + 1), random generator), runs the
 reduction-based recovery, and reports wall time together with the
 absolute-value counter.  ``bench_break`` breaks one seeded ``keygen`` key
-per (p, n, m) shape, the steps of ``BrokenKey.from_public`` timed one by
-one: uniformizer recovery (with the adoption of its frame),
+per (p, n, m) shape, the steps of the break (``attack.break_steps``,
+which ``BrokenKey.from_public`` runs) timed one by one: uniformizer recovery (with the adoption of its frame),
 ``orthogonalize`` and ``complete_orthogonal``.  Wall times are
 hardware-dependent and never asserted; the counters are the quantities
 with a provable bound (n + p(n-1) for a recovery, m(m-1) + p(m-1)^2 for
@@ -26,11 +26,9 @@ from fractions import Fraction
 
 import numpy as np
 
-from .attack import find_uniformizer, recover_uniformizer
-from .fields import (FieldContext, NormEngine, _int64_level, _int_mul_mod, _kernel_dtype,
-                     _solve_mod, check_degree, check_parameters, make_context)
-from .lattices import complete_orthogonal
-from .reduction import orthogonalize
+from .attack import break_steps, recover_uniformizer
+from .fields import (FieldContext, _int64_level, _int_mul_mod, _kernel_dtype, _solve_mod,
+                     check_degree, check_parameters, make_context)
 from .scalars import DEFAULT_PRECISION
 from .schemes import PublicKey, keygen, random_eisenstein, random_zeta
 
@@ -161,16 +159,16 @@ def break_key(p: int, n: int, m: int, seed: int,
 
 
 def time_break(pk: PublicKey) -> BreakRow:
-    """The steps of ``BrokenKey.from_public`` on one key, each timed."""
+    """The steps of the break (``attack.break_steps``) on one key, each
+    timed."""
     clock = time.perf_counter
+    steps = break_steps(pk)
     t0 = clock()
-    engine = NormEngine(pk.ctx)
-    gamma = find_uniformizer(pk, engine=engine)
-    engine.adopt_uniformizer(gamma)
+    next(steps)
     t1 = clock()
-    res = orthogonalize(pk.ctx, pk.basis, engine=engine)
+    res = next(steps)
     t2 = clock()
-    complete_orthogonal(pk.ctx, res.basis, gamma, engine=engine)
+    next(steps)
     t3 = clock()
     ctx = pk.ctx
     return BreakRow(ctx.p, ctx.n, len(pk.basis), (t1 - t0) * 1000.0, (t2 - t1) * 1000.0,

@@ -24,13 +24,13 @@ from .schemes import (KeyPair, decrypt, encrypt, keygen, random_eisenstein, rand
 from .scalars import DEFAULT_PRECISION
 
 
-def _add_precision(sp):
-    sp.add_argument("--precision", type=int, default=DEFAULT_PRECISION,
+def _add_precision(sp, default=DEFAULT_PRECISION, dest="precision"):
+    sp.add_argument("--precision", type=int, default=default, dest=dest,
                     help="base-p digits carried per scalar")
 
 
-def _add_seed(sp):
-    sp.add_argument("--seed", type=int, default=None,
+def _add_seed(sp, default=None, dest="seed"):
+    sp.add_argument("--seed", type=int, default=default, dest=dest,
                     help="deterministic randomness seed")
 
 
@@ -188,19 +188,29 @@ def cmd_oracle_lvp(args):
     return 0
 
 
-def cmd_bench(args):
-    rows = bench_mod.bench_uniformizer(
-        _ints(args.n_list), _ints(args.p_list), args.reps,
-        seed=args.seed if args.seed is not None else 0,
-        precision=args.precision)
-    lines = [bench_mod.CSV_HEADER] + [r.csv() for r in rows]
-    text = "\n".join(lines) + "\n"
-    if args.out:
-        _write(args.out, text)
-        print(f"wrote {len(rows)} rows to {args.out}")
+# The report's options.  The bench parser stores one only when it is
+# given (argparse.SUPPRESS), and 'bench break' keeps its own options under
+# dests of their own, so an option given before 'break' stays visible.
+_REPORT_DEFAULTS = {"n_list": "50,100,200", "p_list": "5,7", "reps": 1, "out": None,
+                    "precision": DEFAULT_PRECISION, "seed": 0}
+
+
+def _emit(out, header, rows):
+    text = "\n".join([header] + [r.csv() for r in rows]) + "\n"
+    if out:
+        _write(out, text)
+        print(f"wrote {len(rows)} rows to {out}")
     else:
         sys.stdout.write(text)
     return 0
+
+
+def cmd_bench(args):
+    opts = {**_REPORT_DEFAULTS, **vars(args)}
+    rows = bench_mod.bench_uniformizer(_ints(opts["n_list"]), _ints(opts["p_list"]),
+                                       opts["reps"], seed=opts["seed"],
+                                       precision=opts["precision"])
+    return _emit(opts["out"], bench_mod.CSV_HEADER, rows)
 
 
 def _shapes(text):
@@ -218,16 +228,14 @@ def _shapes(text):
 
 
 def cmd_bench_break(args):
-    rows = bench_mod.bench_break(_shapes(args.shapes),
-                                 seed=args.seed if args.seed is not None else 0,
-                                 precision=args.precision)
-    text = "\n".join([bench_mod.BREAK_CSV_HEADER] + [r.csv() for r in rows]) + "\n"
-    if args.out:
-        _write(args.out, text)
-        print(f"wrote {len(rows)} rows to {args.out}")
-    else:
-        sys.stdout.write(text)
-    return 0
+    given = [name for name in _REPORT_DEFAULTS if name in vars(args)]
+    if given:
+        flags = ", ".join("--" + name.replace("_", "-") for name in given)
+        raise InputError(f"{flags} given before 'break'; 'bench break' takes its "
+                         "options after its name")
+    rows = bench_mod.bench_break(_shapes(args.shapes), seed=args.break_seed,
+                                 precision=args.break_precision)
+    return _emit(args.break_out, bench_mod.BREAK_CSV_HEADER, rows)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -307,19 +315,20 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=cmd_oracle_lvp)
 
     sp = sub.add_parser("bench", help="uniformizer-recovery scaling report")
-    sp.add_argument("--n-list", default="50,100,200")
-    sp.add_argument("--p-list", default="5,7")
-    sp.add_argument("--reps", type=int, default=1)
-    sp.add_argument("--out")
-    _add_precision(sp)
-    _add_seed(sp)
+    # defaults in _REPORT_DEFAULTS
+    sp.add_argument("--n-list", default=argparse.SUPPRESS)
+    sp.add_argument("--p-list", default=argparse.SUPPRESS)
+    sp.add_argument("--reps", type=int, default=argparse.SUPPRESS)
+    sp.add_argument("--out", default=argparse.SUPPRESS)
+    _add_precision(sp, argparse.SUPPRESS)
+    _add_seed(sp, argparse.SUPPRESS)
     sp.set_defaults(func=cmd_bench)
     bench_sub = sp.add_subparsers(dest="bench_command")
     sp = bench_sub.add_parser("break", help="timed break of one seeded key per shape")
     sp.add_argument("--shapes", required=True, help="p,n,m shapes, e.g. '3,30,15;5,40,20'")
-    sp.add_argument("--out")
-    _add_precision(sp)
-    _add_seed(sp)
+    sp.add_argument("--out", dest="break_out")
+    _add_precision(sp, dest="break_precision")
+    _add_seed(sp, 0, dest="break_seed")
     sp.set_defaults(func=cmd_bench_break)
 
     return ap

@@ -68,7 +68,8 @@ through the same ``_escalate``; a context's own frame answers a
 threshold test from one digit where it can.  No determinant and no gcd
 is left there.  The reduction's passes read a whole basis through the
 frame at once (``NormEngine.frame_coordinates``: coordinates mod p, one
-matrix product), and build no element for the candidates they test.
+rank test and one matrix product), and build no element for the
+candidates they test.
 
 Coordinates in a basis (lattice membership, the key generator's change
 of generator, and the attack's CVP where no modular level certifies it)
@@ -1084,9 +1085,10 @@ class NormEngine:
 
     The reduction reads a framed engine without building its candidates:
     ``frame_coordinates`` gives Y, a basis's frame coordinates mod p (the
-    engine holds the frame, the reduction the rows over the basis), from
-    which u Y mod p and its first nonzero entry give the norm of the
-    combination with integer row u; ``remember`` caches the norms it
+    engine holds the frame, the reduction the rows over the basis), for a
+    basis whose Y has full rank mod p, from which u Y mod p and its first
+    nonzero entry give the norm of the combination with integer row u,
+    u nonzero mod p; ``remember`` caches the norms it
     certifies this way for its outputs, and ``known_abs_values`` reads
     the cache without a query.
     """
@@ -1154,19 +1156,26 @@ class NormEngine:
     def frame_coordinates(self, basis):
         """(Y, n*S) for a basis, S its largest scale, where row j of the
         array Y holds the frame coordinates mod p of p^S b_j; None on an
-        engine without a frame.  The coordinates of p^S sum_j u_j b_j mod p
-        are then u Y mod p for integer rows u, and where they are nonzero,
+        engine without a frame, or where the rows of Y are dependent mod
+        p.  The coordinates of p^S sum_j u_j b_j mod p are then u Y mod p
+        for integer rows u, and where they are nonzero,
         v(N(sum_j u_j b_j)) is the index of the first nonzero one minus
-        n*S: the other coordinates are multiples of p."""
+        n*S: the other coordinates are multiples of p.  Y is R H for R
+        the residues of p^S b_j (zero rows below the top scale), and the
+        frame's H is invertible mod p (unitriangular on a context's own
+        frame, the inverse of gamma's powers on an adopted one), so the
+        rank test is one elimination of R (``_independent_mod``)."""
         if self._frame is None:
             return None
-        n = self.ctx.n
+        n, p = self.ctx.n, self.ctx.p
         scales = [_element_scale(b) for b in basis]
         top = max(scales)
         H = self._frame._matrix(1)
-        Y = np.array([_element_residues(b, 1) if s == top else [0] * n
+        R = np.array([_element_residues(b, 1) if s == top else [0] * n
                       for b, s in zip(basis, scales)], dtype=H.dtype)
-        return Y @ H % self.ctx.p, n * top
+        if not _independent_mod(R, p):
+            return None
+        return R @ H % p, n * top
 
     def remember(self, xs, norms):
         """Cache the exact norms |x| (nonzero AbsValues) that the caller has
@@ -1341,6 +1350,26 @@ def _solve_mod(rows, p: int, digits: int, width: int | None = None):
         block[col] = prow
         block %= mod
     return A[:, width:].tolist()
+
+
+def _independent_mod(A, p: int) -> bool:
+    """Whether the rows of the integer array A, entries in [0, p), are
+    independent mod p, by one elimination.  Each step looks at the rows
+    left: one that vanishes means dependence, and rows whose first
+    nonzero columns all differ are an echelon form up to order, so
+    independent (the residues of distinct monomials are, and stop at
+    once); otherwise the first row's first nonzero column is cleared from
+    the others, and that row is done.  A row's entries take products of
+    two residues, as in ``frame_coordinates``' dtype."""
+    while True:
+        nonzero = A != 0
+        if not nonzero.any(axis=1).all():
+            return False
+        first = nonzero.argmax(axis=1)
+        if len(set(first.tolist())) == len(A):
+            return True
+        k = int(first[0])
+        A = (A[1:] - (A[1:, k] * pow(int(A[0, k]), -1, p) % p)[:, None] * A[0]) % p
 
 
 def _coordinates_mod(columns, target: FieldElement, digits: int):

@@ -24,8 +24,9 @@ A pass works on integer rows over its operation's input basis (unit rows
 for the second maximum, the rows of the transform U for
 ``orthogonalize``), and the engine decides how a candidate is read:
 
-* Row route.  On a framed engine (``NormEngine.frame_coordinates``) a
-  vector keeps only its frame coordinates mod p: those of p^S x, S the
+* Row route.  On a framed engine, for a basis whose frame coordinates
+  have full rank mod p (``NormEngine.frame_coordinates``), a vector
+  keeps only its frame coordinates mod p: those of p^S x, S the
   basis's largest scale, are u Y mod p for its row u, and where they are
   nonzero, v(N(x)) is the index of the first nonzero one minus n S.  A
   framed field is totally ramified, and with M the longest vector, its
@@ -40,22 +41,26 @@ for the second maximum, the rows of the transform U for
   them.
 * Element route.  Otherwise each candidate is built on demand and the
   engine's threshold test decides it (determinants or the GF(p) gcd).
+  Its outputs, counts and errors are the reference.
+
+The route is chosen once per operation, before it runs: the row route
+takes a basis of two vectors or more whose Y has full rank mod p.  That
+basis is independent, and every row the route reads is nonzero mod p: a
+pass's rows come from the previous ones by unimodular steps mod p, so
+they stay independent, each norm is read from the first digit, and
+``orthogonalize``'s outputs, whose first nonzero coordinates rise pass by
+pass, have strictly decreasing norms.  A basis with mixed scales (the
+lower-scale rows vanish mod p), a dependent basis or one whose vectors
+coincide mod p takes the element route.
 
 Counting.  The element route keys ``AbsCounter`` on element identities.
-The row route counts rows: once the basis is independent, distinct rows
-are distinct elements, and in the basis of a pass's inputs a candidate
-is e_v - d' e_M, a row that no earlier query of the operation touched
-(an earlier pass's rows that lie in the span of this pass's inputs are
-those inputs themselves).  So a vector reduced at digit d adds the d
+The row route counts rows: over an independent basis distinct rows are
+distinct elements, and in the basis of a pass's inputs a candidate is
+e_v - d' e_M, a row that no earlier query of the operation touched (an
+earlier pass's rows that lie in the span of this pass's inputs are those
+inputs themselves).  So a vector reduced at digit d adds the d
 candidates d' = 1..d, the ones ``itertools.product`` order tries before
-and at its hit.  The route certifies this after the fact, from the
-coordinates it has: a pass's reduced rows are nonzero and pairwise
-distinct mod p, which any coincidence among its inputs and candidates,
-or a zero candidate, would break, and ``orthogonalize``'s outputs have
-distinct first coordinates, so Y has full rank mod p.  Where that fails
-(a basis with mixed scales, a dependent basis, a vector whose row
-vanishes mod p), the operation runs again on the element route, whose
-outputs, counts and errors are the reference.
+and at its hit.
 
 The second maximum is the largest of the reduced vectors' exact norms.
 Every reduced vector passed |r| < lambda1, and norm exponents are
@@ -190,12 +195,9 @@ def _combine(ctx: FieldContext, v: FieldElement, maximal, digits) -> FieldElemen
 
 def _coordinate_norms(coords, shift: int, n: int):
     """|x| for each row of frame coordinates mod p (``frame_coordinates``),
-    as a list: p^(-(k - shift)/n) for k the first nonzero coordinate; None
-    when some row vanishes mod p, so that the first digit cannot say."""
-    nonzero = coords != 0
-    if not nonzero.any(axis=1).all():
-        return None
-    first = nonzero.argmax(axis=1).tolist()
+    none of them zero, as a list: p^(-(k - shift)/n) for k the first
+    nonzero coordinate."""
+    first = (coords != 0).argmax(axis=1).tolist()
     norms = {k: AbsValue(Fraction(k - shift, n)) for k in set(first)}
     return [norms[k] for k in first]
 
@@ -206,8 +208,7 @@ def _reduce_pass(counter: AbsCounter, data, exps, shift: int | None = None,
     (lowest index among ties) swaps to the front; ``data`` holds the
     vectors as the route reads them: their elements on the element route
     (``shift`` None), their frame coordinates mod p on the row route
-    (``shift`` = n*S).  Returns a ``_Pass``, or None where the row route
-    cannot certify its count, and the caller takes the element route."""
+    (``shift`` = n*S).  Returns a ``_Pass``."""
     data, exps = list(data), list(exps)
     order = list(range(len(data)))
     i0 = _argmax_abs(exps)
@@ -260,13 +261,12 @@ def _element_search(counter, data, exps, order, residue_degree, budget) -> _Pass
     return out
 
 
-def _row_search(counter, data, exps, order, shift, budget) -> _Pass | None:
+def _row_search(counter, data, exps, order, shift, budget) -> _Pass:
     """The row route: with y_M the longest vector's coordinates, first
     nonzero at k, vector v is reduced at the one digit d = y_v[k] / y_M[k]
     mod p, the first and only hit among its p candidates, so the maximal
     list never grows.  The d candidates d' = 1..d are fresh rows (module
-    docstring); the count is certified when the reduced rows are nonzero
-    and pairwise distinct mod p, and None is returned otherwise."""
+    docstring)."""
     p, n = counter.engine.ctx.p, counter.engine.ctx.n
     _check_budget(p, 1, budget)
     coords = np.array(data)
@@ -274,43 +274,25 @@ def _row_search(counter, data, exps, order, shift, budget) -> _Pass | None:
     k = int((top != 0).argmax())
     digits = coords[1:, k] * pow(int(top[k]), -1, p) % p
     rest = (coords[1:] - digits[:, None] * top) % p
-    norms = _coordinate_norms(rest, shift, n)
-    if norms is None or len(set(map(tuple, rest.tolist()))) < len(rest):
-        return None
     digits = digits.tolist()
     counter.fresh(sum(digits))
     steps = [(src, ((order[0], d),) if d else ()) for src, d in zip(order[1:], digits)]
-    return _Pass([top, *rest], exps[:1] + norms, [(order[0], ())] + steps,
-                 list(range(1, len(data))))
-
-
-def _on_routes(engine: NormEngine, basis, run):
-    """run(frame) on the row route where there is a pass to run (two
-    vectors or more), the engine has a frame (``frame_coordinates``) and
-    the route certifies its result, else run(None) on the element
-    route."""
-    frame = engine.frame_coordinates(basis) if len(basis) > 1 else None
-    if frame is not None:
-        res = run(frame)
-        if res is not None:
-            return res
-    return run(None)
+    return _Pass([top, *rest], exps[:1] + _coordinate_norms(rest, shift, n),
+                 [(order[0], ())] + steps, list(range(1, len(data))))
 
 
 def _start(counter: AbsCounter, basis, frame):
-    """A route's view of the basis and its norms: (data, exps, shift), or
-    None where a basis vector's coordinates vanish mod p."""
+    """A route's view of the basis and its norms: (data, exps, shift), on
+    the row route where ``frame`` is the basis's full-rank coordinates
+    (``frame_coordinates``), else on the element route."""
     if frame is None:
         exps = counter.abs_values(basis)
         if any(e.is_zero for e in exps):
             raise SingularSystem("zero vector in basis")
         return list(basis), exps, None
     coords, shift = frame
-    exps = _coordinate_norms(coords, shift, counter.engine.ctx.n)
-    if exps is None:
-        return None
     counter.fresh(len(basis))
-    return list(coords), exps, shift
+    return list(coords), _coordinate_norms(coords, shift, counter.engine.ctx.n), shift
 
 
 def find_second_longest(ctx: FieldContext, basis, *,
@@ -345,19 +327,8 @@ def orthogonalize(ctx: FieldContext, basis, *, engine: NormEngine | None = None)
         if exp.is_zero:
             raise SingularSystem("zero vector in basis")
         return OrthoResult(tuple(basis), (exp,), 0, ((1,),))
-    return _on_routes(engine, basis, lambda frame: _orthogonalize(engine, basis, frame))
-
-
-def _orthogonalize(engine: NormEngine, basis, frame) -> OrthoResult | None:
-    """``orthogonalize`` on one route; None where the row route cannot
-    certify its result: a vanishing row, or output norms that are not
-    strictly decreasing (then Y may lack full rank mod p)."""
-    m = len(basis)
     counter = AbsCounter(engine)
-    start = _start(counter, basis, frame)
-    if start is None:
-        return None
-    data, exps, shift = start
+    data, exps, shift = _start(counter, basis, engine.frame_coordinates(basis))
     U = [[int(j == k) for j in range(m)] for k in range(m)]
     for i in range(m - 1):
         if shift is None and i:
@@ -365,8 +336,6 @@ def _orthogonalize(engine: NormEngine, basis, frame) -> OrthoResult | None:
             if any(e.is_zero for e in exps[i:]):
                 raise SingularSystem("zero vector in basis")
         res = _reduce_pass(counter, data[i:], exps[i:], shift)
-        if res is None:
-            return None
         data[i:], exps[i:] = res.data, res.exps
         old = U[i:]
         for k, (src, digits) in enumerate(res.steps, i):
@@ -379,8 +348,6 @@ def _orthogonalize(engine: NormEngine, basis, frame) -> OrthoResult | None:
     else:
         B, final = [_linear_combination(engine.ctx, row, basis) for row in U], exps
     if any(not b < a for a, b in zip(final, final[1:])):
-        if shift is not None:
-            return None
         raise ReductionFailed("output norms are not strictly decreasing")
     if shift is not None:
         engine.remember(B, final)
@@ -411,23 +378,10 @@ def find_second_longest_general(ctx: FieldContext, basis, residue_degree: int, *
     if budget is not None and budget < 0:
         raise ValueError(f"budget must be nonnegative, got {budget}")
     engine = engine or NormEngine(ctx)
-    return _on_routes(engine, basis, lambda frame: _second_longest(
-        engine, basis, frame, residue_degree, budget))
-
-
-def _second_longest(engine: NormEngine, basis, frame, residue_degree: int,
-                    budget: int | None) -> ReductionResult | None:
-    """``find_second_longest_general`` on one route; None where the row
-    route cannot certify its count."""
-    ctx = engine.ctx
     counter = AbsCounter(engine)
-    start = _start(counter, basis, frame)
-    if start is None:
-        return None
-    data, exps, shift = start
+    # a lone vector has no pass to run on rows
+    data, exps, shift = _start(counter, basis, engine.frame_coordinates(basis) if m > 1 else None)
     res = _reduce_pass(counter, data, exps, shift, residue_degree, budget)
-    if res is None:
-        return None
     out = res.data
     if shift is not None:
         out = [_combine(ctx, basis[src], [basis[j] for j, _ in digits], [d for _, d in digits])

@@ -580,10 +580,10 @@ def test_recover_stacks_its_exact_queries(monkeypatch):
 
 
 def test_bench_break_times_the_break():
-    # bench.time_break runs the steps of BrokenKey.from_public: on its
-    # seeded key (seed 7 at (3, 14, 6)) the break it times finds the same
-    # gamma, orthogonal basis and transform, with the counted queries of
-    # orthogonalize
+    # bench.time_break times attack.break_steps, the steps that
+    # BrokenKey.from_public runs: on its seeded key (seed 7 at (3, 14, 6))
+    # they find the same gamma, orthogonal basis and transform as the steps
+    # run by hand, with the counted queries of orthogonalize
     from padiclat.lattices import complete_orthogonal
     from padiclat.reduction import orthogonalize
 

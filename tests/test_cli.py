@@ -184,6 +184,20 @@ class TestExitCodes:
             assert code == 2 and "input error" in err and out == ""
         assert not out_file.exists()
 
+    @pytest.mark.parametrize("before", [
+        ("--seed", "5"), ("--n-list", "5"), ("--n-list", "5", "--reps", "3"),
+        ("--p-list", "3"), ("--precision", "40"), ("--out", "OUT"),
+    ])
+    def test_report_options_before_break_are_input_errors(self, tmp_path, capsys, before):
+        # the report's options belong to 'bench'; given before 'break' they
+        # would be dropped (or overridden by the break's own defaults), so
+        # the command is refused: nothing is printed or written
+        out_file = tmp_path / "break.csv"
+        before = [str(out_file) if a == "OUT" else a for a in before]
+        code, out, err = run(capsys, "bench", *before, "break", "--shapes", "3,8,3")
+        assert code == 2 and "given before 'break'" in err and out == ""
+        assert not out_file.exists()
+
     def test_break_shapes_are_required(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["bench", "break"])

@@ -1583,6 +1583,69 @@ class TestDeterminantEngine:
             assert eng.norm_valuation(x) == int_valuation(a * a - 2 * b * b, 2)
 
 
+def _rank_mod(rows, p):
+    """Rank mod p by a plain Gauss-Jordan on lists."""
+    rows = [[x % p for x in row] for row in rows]
+    rank = 0
+    for col in range(len(rows[0]) if rows else 0):
+        piv = next((r for r in range(rank, len(rows)) if rows[r][col]), None)
+        if piv is None:
+            continue
+        rows[rank], rows[piv] = rows[piv], rows[rank]
+        inv = pow(rows[rank][col], -1, p)
+        for r in range(len(rows)):
+            if r != rank and rows[r][col]:
+                f = rows[r][col] * inv % p
+                rows[r] = [(a - f * b) % p for a, b in zip(rows[r], rows[rank])]
+        rank += 1
+    return rank
+
+
+class TestIndependentMod:
+    """``fields._independent_mod``, the rank test behind
+    ``NormEngine.frame_coordinates``, against a plain elimination."""
+
+    def test_random_rows_match_a_plain_rank(self):
+        rng = random.Random("independent-mod")
+        seen = Counter()
+        for _ in range(400):
+            p = rng.choice([2, 3, 5, 7, 2 ** 31 - 1])
+            n = rng.randrange(1, 9)
+            m = rng.randrange(1, n + 1)
+            kind = rng.choice(["random", "dependent", "echelon"])
+            A = [[rng.randrange(p) for _ in range(n)] for _ in range(m)]
+            if kind == "dependent" and m > 1:
+                # one row a combination of the others: a repeat, a zero row
+                # or a random mix
+                i = rng.randrange(m)
+                c = [rng.randrange(p) for _ in range(m)]
+                A[i] = [sum(c[r] * A[r][col] for r in range(m) if r != i) % p
+                        for col in range(n)]
+            elif kind == "echelon":
+                # distinct first nonzero columns, in shuffled order
+                for row, k in zip(A, rng.sample(range(n), m)):
+                    row[:k + 1] = [0] * k + [rng.randrange(1, p)]
+                rng.shuffle(A)
+            dtype = fields._kernel_dtype(p, n, 1)
+            got = fields._independent_mod(np.array(A, dtype=dtype), p)
+            assert got == (_rank_mod(A, p) == m), (p, A)
+            seen[kind, got] += 1
+        assert seen["dependent", False] > 50 and seen["random", True] > 50
+        assert seen["echelon", True] > 50 and not seen["echelon", False]
+
+    def test_frame_coordinates_refuse_dependent_rows(self, toy_ctx):
+        # vectors that coincide mod p, and a vector below the basis's top
+        # scale, leave Y short of full rank: no coordinates
+        engine = NormEngine(toy_ctx)
+        one, z, two = toy_ctx.one(), toy_ctx.gen(), toy_ctx.element([2])
+        half = Fraction(1, 2)
+        Y, shift = engine.frame_coordinates([one * half, z * half])
+        assert Y.shape == (2, toy_ctx.n) and shift == toy_ctx.n
+        assert engine.frame_coordinates([z, z + two]) is None
+        assert engine.frame_coordinates([z * half, one]) is None
+        assert NormEngine(unframed(toy_ctx)).frame_coordinates([one, z]) is None
+
+
 class TestModularSolve:
     """The one modular Gauss-Jordan (``_solve_mod``) against exact integer
     determinants: a solution mod p^digits exactly when det A is a unit."""
