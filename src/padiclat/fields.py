@@ -1171,11 +1171,10 @@ class NormEngine:
         scales = [_element_scale(b) for b in basis]
         top = max(scales)
         H = self._frame._matrix(1)
-        R = np.array([_element_residues(b, 1) if s == top else [0] * n
-                      for b, s in zip(basis, scales)], dtype=H.dtype)
+        R = [_element_residues(b, 1) if s == top else [0] * n for b, s in zip(basis, scales)]
         if not _independent_mod(R, p):
             return None
-        return R @ H % p, n * top
+        return np.array(R, dtype=H.dtype) @ H % p, n * top
 
     def remember(self, xs, norms):
         """Cache the exact norms |x| (nonzero AbsValues) that the caller has
@@ -1352,24 +1351,29 @@ def _solve_mod(rows, p: int, digits: int, width: int | None = None):
     return A[:, width:].tolist()
 
 
-def _independent_mod(A, p: int) -> bool:
-    """Whether the rows of the integer array A, entries in [0, p), are
-    independent mod p, by one elimination.  Each step looks at the rows
-    left: one that vanishes means dependence, and rows whose first
-    nonzero columns all differ are an echelon form up to order, so
-    independent (the residues of distinct monomials are, and stop at
-    once); otherwise the first row's first nonzero column is cleared from
-    the others, and that row is done.  A row's entries take products of
-    two residues, as in ``frame_coordinates``' dtype."""
-    while True:
-        nonzero = A != 0
-        if not nonzero.any(axis=1).all():
-            return False
-        first = nonzero.argmax(axis=1)
-        if len(set(first.tolist())) == len(A):
-            return True
-        k = int(first[0])
-        A = (A[1:] - (A[1:, k] * pow(int(A[0, k]), -1, p) % p)[:, None] * A[0]) % p
+def _independent_mod(rows, p: int) -> bool:
+    """Whether integer rows, entries in [0, p), are independent mod p, by
+    one elimination on lists: each row in turn is reduced by the rows kept
+    so far, by the one whose first nonzero column is its own, until its
+    first nonzero column is new (it is kept) or it vanishes (dependence).
+    Rows whose first nonzero columns all differ, as the residues of
+    distinct monomials do, are kept at once.  Lists, not numpy: most bases
+    tested are a few rows, or rows kept at once, where an array step's
+    fixed cost exceeds the whole elimination."""
+    pivots = {}  # first nonzero column -> row
+    for row in rows:
+        while True:
+            lead = next(filter(None, row), 0)
+            if not lead:
+                return False
+            k = row.index(lead)
+            pivot = pivots.get(k)
+            if pivot is None:
+                pivots[k] = row
+                break
+            f = lead * pow(pivot[k], -1, p) % p
+            row = [(a - f * b) % p for a, b in zip(row, pivot)]
+    return True
 
 
 def _coordinates_mod(columns, target: FieldElement, digits: int):
