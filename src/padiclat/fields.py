@@ -62,14 +62,13 @@ Once the break holds a uniformizer gamma it hands it to its engine
 has one and otherwise certifies gamma (v(N(gamma)) = 1 and an Eisenstein
 characteristic polynomial).  A framed engine reads every uncached
 valuation, threshold tests included, in the uniformizer's power basis
-(``_UniformizerFrame``): one product of the element's residues with the
-matrix of z's powers in that basis mod p^K, K the largest int64 level,
-through the same ``_escalate``; a context's own frame answers a
-threshold test from one digit where it can.  No determinant and no gcd
-is left there.  The reduction's passes read a whole basis through the
-frame at once (``NormEngine.frame_coordinates``: coordinates mod p, one
-rank test and one matrix product), and build no element for the
-candidates they test.
+(``_UniformizerFrame``): one product of the elements' residues with the
+matrix of z's powers in that basis mod p^K, K the largest int64 level
+(``_UniformizerFrame.coordinates``, the one framed read), through the
+same ``_escalate``.  No determinant and no gcd is left there.  The
+reduction's passes read a whole basis through the frame at once
+(``NormEngine.frame_coordinates``: one rank test, then the same product
+mod p), and build no element for the candidates they test.
 
 Coordinates in a basis (lattice membership, the key generator's change
 of generator, and the attack's CVP where no modular level certifies it)
@@ -96,7 +95,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import total_ordering
 from math import gcd, lcm
-from operator import mul
 
 import numpy as np
 
@@ -909,7 +907,8 @@ class _UniformizerFrame:
     integral p^s x (s the scale of x) with coordinates y in that basis,
     v(N(x)) = min_i (n v_p(y_i) + i) - n s.  Row j of ``_matrix(digits)``
     holds z^j in that basis mod p^digits, so y = (p^s x mod p^digits) H
-    is one matrix product, and a nonzero y certifies the minimum.
+    is one matrix product (``coordinates``), and a nonzero y certifies
+    the minimum.
     """
 
     def __init__(self, ctx: FieldContext, powers, digits: int, solved):
@@ -963,16 +962,22 @@ class _UniformizerFrame:
             H = self._matrices[digits] = self._build(digits)
         return H
 
+    def coordinates(self, rows, digits: int):
+        """The coordinates mod p^digits in gamma's power basis of the
+        integral elements whose residue rows mod p^digits are ``rows``: R H
+        mod p^digits, one product, as one array.  Every framed read is
+        this product."""
+        H = self._matrix(digits)
+        return np.array(rows, dtype=H.dtype) @ H % self.p ** digits
+
     def valuations(self, xs) -> list:
         """Exact v(N(x)) for each nonzero element, as a list: each level of
-        ``_escalate`` is one stacked product."""
+        ``_escalate`` is one stacked ``coordinates`` product."""
         p, n = self.p, self.n
         shifts = [n * _element_scale(x) for x in xs]
 
         def level(todo, digits):
-            H = self._matrix(digits)
-            mod = p ** digits
-            y = np.array([_element_residues(xs[i], digits) for i in todo], dtype=H.dtype) @ H % mod
+            y = self.coordinates([_element_residues(xs[i], digits) for i in todo], digits)
             units = y % p != 0
             first = units.argmax(axis=1)
             found_unit = units[np.arange(len(y)), first].tolist()
@@ -987,10 +992,6 @@ class _UniformizerFrame:
 
         return _escalate(len(xs), self._first, PRECISION_CAP, level)
 
-    def valuation(self, x: FieldElement):
-        """v(N(x)) for one nonzero element."""
-        return self.valuations([x])[0]
-
 
 class _SelfFrame(_UniformizerFrame):
     """A context's own frame, gamma = z - a, when F is p-integral, the
@@ -999,9 +1000,7 @@ class _SelfFrame(_UniformizerFrame):
     section 6).  For j < n, z^j = (gamma + a)^j needs no reduction by F,
     so the matrix of each level has the closed form H[j][k] = C(j, k)
     a^(j-k) mod p^digits: no power of gamma and no solve, and the frame
-    carries no powers.  Coordinate k of p^s x mod p is the k-th Hasse
-    derivative of p^s x mod p at a, sum_j x_j C(j, k) a^(j-k), which a
-    single query reads first (``valuation``)."""
+    carries no powers."""
 
     powers = None
 
@@ -1012,7 +1011,6 @@ class _SelfFrame(_UniformizerFrame):
         self.shift = a
         self._first = _int64_level(self.p, self.n)
         self._matrices = {}
-        self._columns = None  # the columns of H mod p, as lists, on first use
 
     @classmethod
     def of(cls, ctx: FieldContext):
@@ -1043,20 +1041,6 @@ class _SelfFrame(_UniformizerFrame):
             H[j] %= mod
         return H
 
-    def valuation(self, x: FieldElement):
-        """v(N(x)) for one nonzero element, from one digit where it can:
-        the Hasse derivatives of p^s x mod p at a, one dot product each,
-        in order; the first nonzero one, the k-th, certifies k - n s.
-        Where all vanish, p^s x = 0 mod p and the levels decide."""
-        p = self.p
-        if self._columns is None:
-            self._columns = self._matrix(1).T.tolist()
-        residues = _element_residues(x, 1)
-        for k, column in enumerate(self._columns):
-            if sum(map(mul, residues, column)) % p:
-                return k - self.n * _element_scale(x)
-        return super().valuation(x)
-
 
 class NormEngine:
     """Memoized absolute-value queries against one context.
@@ -1072,9 +1056,10 @@ class NormEngine:
     every ``bench`` instance and every Eisenstein F), and takes a
     uniformizer's frame when the break adopts one
     (``adopt_uniformizer``).  A framed engine answers every other uncached
-    query in the uniformizer's power basis: an exact batch is one matrix
+    query in the uniformizer's power basis, through the frame's one
+    product (``_UniformizerFrame.coordinates``): an exact batch is one
     product mod p^K per level, and a threshold test reads and caches the
-    exact valuation, on a context's own frame from one digit first.
+    exact valuation, a batch of one.
 
     On an engine without a frame the other uncached elements of a batch
     escalate together from two digits: each exact valuation is a
@@ -1170,11 +1155,10 @@ class NormEngine:
         n, p = self.ctx.n, self.ctx.p
         scales = [_element_scale(b) for b in basis]
         top = max(scales)
-        H = self._frame._matrix(1)
         R = [_element_residues(b, 1) if s == top else [0] * n for b, s in zip(basis, scales)]
         if not _independent_mod(R, p):
             return None
-        return np.array(R, dtype=H.dtype) @ H % p, n * top
+        return self._frame.coordinates(R, 1), n * top
 
     def remember(self, xs, norms):
         """Cache the exact norms |x| (nonzero AbsValues) that the caller has
@@ -1204,8 +1188,7 @@ class NormEngine:
         if total < 1:
             return True
         if self._frame is not None:
-            v = self._states[x.identity] = self._frame.valuation(x)
-            return v > bound
+            return self.norm_valuation(x) > bound
         if total == 1:
             v, deeper = 0, not _scaled_norm_is_unit(x)
         else:

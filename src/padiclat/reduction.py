@@ -85,8 +85,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import BudgetExceeded, ReductionFailed, SingularSystem
-from .fields import (AbsValue, FieldContext, FieldElement, NormEngine, _linear_combination,
-                     _stack_size)
+from .fields import (AbsValue, FieldContext, FieldElement, NormEngine, _independent_mod,
+                     _integer_rows, _linear_combination, _solve_exact, _stack_size)
 
 # the most digit combinations a search or an enumeration may try
 # (here and in ``lattices``) unless its caller says otherwise
@@ -149,9 +149,6 @@ class AbsCounter:
         for x in xs:
             self._touch(x)
         return self.engine.abs_values(xs)
-
-    def abs_value(self, x: FieldElement) -> AbsValue:
-        return self.abs_values([x])[0]
 
     def less_than(self, x: FieldElement, bound: AbsValue) -> bool:
         self._touch(x)
@@ -314,7 +311,10 @@ def orthogonalize(ctx: FieldContext, basis, *, engine: NormEngine | None = None)
     Spends at most m(m-1) + p(m-1)^2 absolute-value computations.  The
     transform U is built from the digits each pass subtracts, by integer
     row operations, so it is exact and unimodular; on the row route the
-    basis is built from it once, sum_j U[k][j] * basis[j].
+    basis is built from it once, sum_j U[k][j] * basis[j].  A dependent
+    basis raises SingularSystem on either route: the row route's rank test
+    certifies independence, and before the element route runs,
+    ``_check_independent`` does.
     """
     basis = list(basis)
     m = len(basis)
@@ -328,13 +328,14 @@ def orthogonalize(ctx: FieldContext, basis, *, engine: NormEngine | None = None)
             raise SingularSystem("zero vector in basis")
         return OrthoResult(tuple(basis), (exp,), 0, ((1,),))
     counter = AbsCounter(engine)
-    data, exps, shift = _start(counter, basis, engine.frame_coordinates(basis))
+    frame = engine.frame_coordinates(basis)
+    if frame is None:
+        _check_independent(basis)
+    data, exps, shift = _start(counter, basis, frame)
     U = [[int(j == k) for j in range(m)] for k in range(m)]
     for i in range(m - 1):
         if shift is None and i:
             exps[i:] = counter.abs_values(data[i:])
-            if any(e.is_zero for e in exps[i:]):
-                raise SingularSystem("zero vector in basis")
         res = _reduce_pass(counter, data[i:], exps[i:], shift)
         data[i:], exps[i:] = res.data, res.exps
         old = U[i:]
@@ -352,6 +353,18 @@ def orthogonalize(ctx: FieldContext, basis, *, engine: NormEngine | None = None)
     if shift is not None:
         engine.remember(B, final)
     return OrthoResult(tuple(B), tuple(final), counter.count, tuple(map(tuple, U)))
+
+
+def _check_independent(basis):
+    """Raise SingularSystem on a dependent basis, which the element
+    route's search refuses only where it meets a zero candidate.  Integer
+    rows independent modulo a prime are independent, so one
+    ``_independent_mod`` modulo q = 2^61 - 1 certifies almost every basis,
+    and the exact solve decides the rest."""
+    q = 2 ** 61 - 1
+    rows, _ = _integer_rows(basis)
+    if not _independent_mod([[a % q for a in row] for row in rows], q):
+        _solve_exact(basis, [])
 
 
 def find_second_longest_general(ctx: FieldContext, basis, residue_degree: int, *,

@@ -217,7 +217,7 @@ class TestExactElementArithmetic:
             engine = NormEngine(ctx)
             counter = AbsCounter(engine)
             for twin in (x, x + y - y, x * 3 * Fraction(1, 3), sums.element(rows[1])):
-                counter.abs_value(twin)
+                counter.abs_values([twin])
             assert counter.count == 1 and len(engine._states) == 1
 
     @staticmethod
@@ -1017,7 +1017,7 @@ def _shifted(G, a):
 class TestSelfFrame:
     """A context whose F is p-integral, with F mod p = (z - a)^n and
     F(z + a) Eisenstein, keeps the frame of gamma = z - a from the start:
-    its exact valuations and its one-digit threshold answers must be the
+    its exact valuations and its threshold answers must be the
     determinants' (``_norm_valuations``), and every other context keeps
     the determinants."""
 
@@ -1062,7 +1062,7 @@ class TestSelfFrame:
             want = self._determinants(xs)
             assert NormEngine(ctx).norm_valuations(xs) == want
             for x, v in zip(xs, want):
-                assert frame.valuation(x) == v
+                assert frame.valuations([x]) == [v]
                 for bound in (v - 1, v, v + 1):
                     # a fresh engine: the threshold test is x's first query,
                     # and caches the exact valuation unless the bound
@@ -1169,6 +1169,58 @@ class TestSelfFrame:
         assert engine._frame is ctx._frame and ctx._frame.powers is None
         assert [g.identity for g in engine.powers(gamma)] == [
             g.identity for g in fields._powers(gamma, ctx.n)]
+
+    @pytest.mark.parametrize("p", [2, 3, 5])
+    def test_every_framed_read_is_one_product(self, p, monkeypatch):
+        # on a context's own frame and on an adopted one, a threshold test
+        # that the bound alone answers makes no product and caches nothing;
+        # any other makes one product per level and caches the exact
+        # valuation; an exact batch is one product; frame_coordinates is
+        # one product at one digit; no determinant and no gcd runs
+        rng = random.Random(f"framed-read:{p}")
+        n, a = rng.randrange(3, 9), rng.randrange(1, p) if p > 2 else 1
+        ctx = make_context(p, 64, _shifted(random_eisenstein(rng, p, n), a))
+        twin = unframed(ctx)
+        adopted = NormEngine(twin)
+        assert adopted.adopt_uniformizer(twin.gen() - twin.element([a]))
+        assert type(adopted._frame) is fields._UniformizerFrame
+        xs = [x for x in self._elements(ctx, rng, 12) if fields._monomial_valuation(x) is None]
+        want = self._determinants(xs)
+        basis = [ctx.monomial(k) + ctx.monomial(k + 1) * rng.randrange(p) for k in range(n - 1)]
+
+        calls = []
+        coordinates = fields._UniformizerFrame.coordinates
+
+        def spy(frame, rows, digits):
+            calls.append((digits, len(rows)))
+            return coordinates(frame, rows, digits)
+
+        def forbidden(*args):
+            raise AssertionError("a determinant or GF(p) gcd on a framed engine")
+
+        monkeypatch.setattr(fields._UniformizerFrame, "coordinates", spy)
+        monkeypatch.setattr(fields, "_det_valuation", forbidden)
+        monkeypatch.setattr(fields, "_gf_coprime", forbidden)
+        for engine in (NormEngine(ctx), adopted):
+            first = engine._frame._first
+            for x, v in zip(xs, want):
+                shift = n * _element_scale(x)
+                for bound in (-shift - 1, v - 1, v, v + 1):
+                    engine._states.pop(x.identity, None)
+                    calls.clear()
+                    assert engine.norm_exceeds(x, bound) == (v > bound)
+                    if bound < -shift:
+                        assert calls == [] and x.identity not in engine._states
+                    else:
+                        assert calls == [(first, 1)] and engine._states[x.identity] == v
+            for x in xs:
+                engine._states.pop(x.identity, None)
+            calls.clear()
+            assert engine.norm_valuations(xs) == want
+            assert calls == [(first, len(xs))]
+            calls.clear()
+            assert engine.frame_coordinates(basis) is not None
+            assert calls == [(1, len(basis))]
 
 
 class TestAbsValueOrdering:

@@ -502,7 +502,7 @@ class TestRowRoute:
             assert self._agree(ctx, basis, searches) > 0
             assert find_second_longest(ctx, basis).witness == p
 
-    def test_dependent_bases_raise_on_both_routes(self, searches):
+    def test_dependent_bases_raise_on_both_routes(self, searches, toy_ctx):
         rng = random.Random("row-route-dependent")
         for p in (3, 5, 7):
             ctx, basis, _ = scheme_shaped_lattice(rng, p, 6, 2)
@@ -519,6 +519,16 @@ class TestRowRoute:
                 assert record[1] == "SingularSystem"
                 if every:
                     assert record == ("SingularSystem",) * 4
+        # dependent bases whose search meets no zero candidate: orthogonalize
+        # refuses them before its passes on both routes
+        b, z = toy_ctx.element([1, 2, 3]), toy_ctx.gen()
+        for dependent in ([b, b * 2], [toy_ctx.one(), z, toy_ctx.one() + z],
+                          [toy_ctx.monomial(i) for i in range(toy_ctx.n)] + [b]):
+            searches.clear()
+            record = _identities(toy_ctx, dependent)
+            assert searches
+            assert record == _identities(unframed(toy_ctx), dependent)
+            assert record[1] == "SingularSystem"
 
     def test_framed_pass_builds_only_its_outputs(self, monkeypatch):
         # on the row route no candidate becomes an element: the second-
