@@ -30,7 +30,7 @@ from .attack import break_steps, recover_uniformizer
 from .fields import (FieldContext, _int64_level, _int_mul_mod, _kernel_dtype, _solve_mod,
                      check_degree, check_parameters, make_context)
 from .scalars import DEFAULT_PRECISION
-from .schemes import PublicKey, keygen, random_eisenstein, random_zeta
+from .schemes import PublicKey, check_delta, keygen, random_eisenstein, random_zeta
 
 
 @dataclass(frozen=True)
@@ -103,19 +103,24 @@ def make_instance(n: int, p: int, rng: random.Random,
 
 def bench_uniformizer(n_list, p_list, repetitions: int = 1, *, seed: int = 0,
                       precision: int = DEFAULT_PRECISION):
-    """One row per (n, p, rep), ordered by (n, p, rep)."""
+    """One row per (n, p, rep), ordered by (n, p, rep).  Every cell is
+    checked (ValueError), as ``make_instance`` checks it, before any
+    instance is built."""
     if repetitions < 0:
         raise ValueError(f"repetitions must be nonnegative, got {repetitions}")
+    cells = [(n, p) for n in sorted(n_list) for p in sorted(p_list)]
+    for n, p in cells:
+        check_parameters(p, precision)
+        check_degree(n)
     rows = []
-    for n in sorted(n_list):
-        for p in sorted(p_list):
-            for rep in range(repetitions):
-                rng = random.Random(f"{seed}:{n}:{p}:{rep}")
-                ctx = make_instance(n, p, rng, precision)
-                t0 = time.perf_counter()
-                res = recover_uniformizer(ctx)
-                wall = (time.perf_counter() - t0) * 1000.0
-                rows.append(BenchRow(n, p, rep, wall, res.abs_count))
+    for n, p in cells:
+        for rep in range(repetitions):
+            rng = random.Random(f"{seed}:{n}:{p}:{rep}")
+            ctx = make_instance(n, p, rng, precision)
+            t0 = time.perf_counter()
+            res = recover_uniformizer(ctx)
+            wall = (time.perf_counter() - t0) * 1000.0
+            rows.append(BenchRow(n, p, rep, wall, res.abs_count))
     return rows
 
 
@@ -148,14 +153,18 @@ BREAK_CSV_HEADER = ("p,n,m,break_ms,recovery_ms,orthogonalize_ms,complete_ms,abs
                     "abs_bound")
 
 
+# the noise bound of every ``break_key`` key
+BREAK_DELTA = Fraction(1, 2)
+
+
 def break_key(p: int, n: int, m: int, seed: int,
               precision: int = DEFAULT_PRECISION) -> PublicKey:
     """The seeded key of one shape: ``Random(seed)`` draws an Eisenstein f
-    and a generator, exponents 0..n-1 and delta 1/2, as ``keygen`` takes
-    them (seed 7 gives the tests' (3, 30, 15) key)."""
+    and a generator, exponents 0..n-1 and delta ``BREAK_DELTA``, as
+    ``keygen`` takes them (seed 7 gives the tests' (3, 30, 15) key)."""
     rng = random.Random(seed)
     return keygen(p, n, m, range(n), random_eisenstein(rng, p, n), random_zeta(rng, p, n),
-                  delta=Fraction(1, 2), rng=rng, precision=precision).public
+                  delta=BREAK_DELTA, rng=rng, precision=precision).public
 
 
 def time_break(pk: PublicKey) -> BreakRow:
@@ -177,12 +186,15 @@ def time_break(pk: PublicKey) -> BreakRow:
 
 def bench_break(shapes, *, seed: int = 0, precision: int = DEFAULT_PRECISION):
     """One row per (p, n, m) shape, in the order given.  Every shape is
-    checked (ValueError) before any key is drawn (``break_key``), and
-    every key is drawn before any break is timed."""
+    checked before any key is drawn (``break_key``): ValueError for a p
+    that is not a prime, a degree below 2 or m outside 1..n, and
+    DeltaTooSmall, as ``keygen`` raises it, for exponents 0..m-1 above
+    ``BREAK_DELTA`` * n.  Every key is drawn before any break is timed."""
     for p, n, m in shapes:
         check_parameters(p, precision)
         check_degree(n)
         if not 1 <= m <= n:
             raise ValueError(f"need 1 <= m <= n, got m = {m} at n = {n}")
+        check_delta(range(m), BREAK_DELTA, n)
     keys = [break_key(p, n, m, seed, precision) for p, n, m in shapes]
     return [time_break(pk) for pk in keys]

@@ -35,10 +35,13 @@ for the second maximum, the rows of the transform U for
   hit among the p candidates is d = y_v[k] / y_M[k] mod p, the maximal
   list never grows, and the whole pass is a few array operations on the
   k x n coordinates, whatever the size of the basis's integers.  No
-  candidate becomes an element; the outputs are built once from their
-  rows (``_linear_combination``), and their norms go into the engine's
-  cache, where the final pick, ``complete_orthogonal`` and the CVPs read
-  them.
+  candidate becomes an element.  ``orthogonalize`` builds its outputs
+  once from their rows (``_linear_combination``) and puts their norms
+  into the engine's cache, where ``complete_orthogonal`` and the CVPs
+  read them.  The second maximum reads its pick off the pass's norms and
+  builds one element, the witness, whose norm it caches; the other
+  outputs are built from the pass's steps when ``reduced`` is first
+  read.
 * Element route.  Otherwise each candidate is built on demand and the
   engine's threshold test decides it (determinants or the GF(p) gcd).
   Its outputs, counts and errors are the reference.
@@ -62,13 +65,14 @@ inputs themselves).  So a vector reduced at digit d adds the d
 candidates d' = 1..d, the ones ``itertools.product`` order tries before
 and at its hit.
 
-The second maximum is the largest of the reduced vectors' exact norms.
-Every reduced vector passed |r| < lambda1, and norm exponents are
+The second maximum is the largest of the reduced vectors' exact norms,
+the lowest-index one among ties.  On the row route the pass holds every
+norm, and the pick is their argmax.  On the element route it reads
+fewer: every reduced vector passed |r| < lambda1, and norm exponents are
 multiples of 1/n, so none exceeds top = lambda1 * p^(-1/n).  The pick
 scans the norms in index order and stops at the first vector of norm
-top: that vector is the lowest-index argmax, the answer the full pick
-returns.  Norms the pass or the engine already holds (all of them on the
-row route) are read from there, and the others one elimination stack
+top, the lowest-index argmax.  Norms the pass or the engine already
+holds are read from there, and the others one elimination stack
 (``fields._stack_size``) at a time as the scan reaches them.  Every
 reduced vector was already counted by its threshold test, so
 ``abs_count`` is the same either way.  In every seeded uniformizer
@@ -78,9 +82,10 @@ recovery measured, the first reduced vector already has norm top.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import NamedTuple
+from functools import cached_property
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -95,13 +100,19 @@ DEFAULT_BUDGET = 10 ** 7
 
 @dataclass(frozen=True)
 class ReductionResult:
-    """Second maximum, a vector attaining it, the reduced basis, and the
-    number of absolute-value computations spent."""
+    """Second maximum, a vector attaining it, the number of absolute-value
+    computations spent, and the reduced basis.  ``reduced`` is built on
+    first read (on the row route, from the pass's steps) and then kept;
+    equality compares the other three."""
 
     lambda2: AbsValue
     witness: FieldElement
-    reduced: tuple
     abs_count: int
+    _build_reduced: Callable[[], tuple] = field(repr=False, compare=False)
+
+    @cached_property
+    def reduced(self) -> tuple:
+        return self._build_reduced()
 
 
 @dataclass(frozen=True)
@@ -377,10 +388,13 @@ def find_second_longest_general(ctx: FieldContext, basis, residue_degree: int, *
     takes O(m * p^f) absolute-value computations, and a search over more
     than ``budget`` combinations (None: no limit) raises BudgetExceeded.
     When every vector is maximal the answer degenerates to
-    lambda2 = |p*longest| with witness p*longest.  Otherwise the pick
-    reads the reduced vectors' exact norms, those the engine does not hold
-    a stack at a time, stopping once it holds lambda1 * p^(-1/n), which no
-    reduced vector exceeds (module docstring), and every norm before it.
+    lambda2 = |p*longest| with witness p*longest.  Otherwise the pick is
+    the lowest-index argmax of the reduced vectors' exact norms.  On the
+    row route the pass holds them all; it builds one element, the witness,
+    and the other outputs when ``reduced`` is first read.  On the element
+    route the pick reads the norms the engine does not hold a stack at a
+    time, stopping once it holds lambda1 * p^(-1/n), which no reduced
+    vector exceeds (module docstring), and every norm before it.
     """
     basis = list(basis)
     m = len(basis)
@@ -395,24 +409,38 @@ def find_second_longest_general(ctx: FieldContext, basis, residue_degree: int, *
     # a lone vector has no pass to run on rows
     data, exps, shift = _start(counter, basis, engine.frame_coordinates(basis) if m > 1 else None)
     res = _reduce_pass(counter, data, exps, shift, residue_degree, budget)
-    out = res.data
-    if shift is not None:
-        out = [_combine(ctx, basis[src], [basis[j] for j, _ in digits], [d for _, d in digits])
-               for src, digits in res.steps]
-        engine.remember(out, res.exps)
     lam1 = res.exps[0]
-    if not res.reduced:
-        return ReductionResult(lam1.scaled(1), out[0] * ctx.p, tuple(out), counter.count)
-    reduced = [out[k] for k in res.reduced]
     final = [res.exps[k] for k in res.reduced]
-    unread = [i for i, e in enumerate(final) if e is None]
-    for i, e in zip(unread, engine.known_abs_values([reduced[i] for i in unread])):
-        final[i] = e
-    idx = _pick(counter, reduced, final, lam1.scaled(Fraction(1, ctx.n)))
+    if shift is None:
+        out = tuple(res.data)
+        if not res.reduced:
+            return ReductionResult(lam1.scaled(1), out[0] * ctx.p, counter.count, lambda: out)
+        reduced = [out[k] for k in res.reduced]
+        unread = [i for i, e in enumerate(final) if e is None]
+        for i, e in zip(unread, engine.known_abs_values([reduced[i] for i in unread])):
+            final[i] = e
+        idx = _pick(counter, reduced, final, lam1.scaled(Fraction(1, ctx.n)))
+        witness = reduced[idx]
+        build = lambda: out
+    else:
+        # the pass read every norm, and it reduced every vector but the first
+        idx = _argmax_abs(final)
+        k = res.reduced[idx]
+        witness = _output(ctx, basis, res.steps[k])
+        engine.remember([witness], [final[idx]])
+        build = lambda: tuple(witness if j == k else _output(ctx, basis, step)
+                              for j, step in enumerate(res.steps))
     lam2 = final[idx]
     if lam2 < lam1.scaled(1):
         raise ReductionFailed("second maximum fell below |p*longest|")
-    return ReductionResult(lam2, reduced[idx], tuple(out), counter.count)
+    return ReductionResult(lam2, witness, counter.count, build)
+
+
+def _output(ctx: FieldContext, basis, step) -> FieldElement:
+    """The pass output that ``step`` = (src, ((j, d), ...)) describes,
+    basis[src] - sum d * basis[j]: basis[src] itself when it has no digit."""
+    src, digits = step
+    return _combine(ctx, basis[src], [basis[j] for j, _ in digits], [d for _, d in digits])
 
 
 def _pick(counter: AbsCounter, reduced, final, top: AbsValue) -> int:

@@ -154,6 +154,16 @@ def random_zeta(rng, p: int, n: int):
             return z
 
 
+def check_delta(first, delta: Fraction, n: int):
+    """DeltaTooSmall unless each of a key's first m exponents is at most
+    delta * n, which correct decryption needs."""
+    bad = [x for x in first if x > delta * n]
+    if bad:
+        raise DeltaTooSmall(
+            f"exponent {bad[0]} exceeds delta*n = {delta * n}; decryption "
+            "would be incorrect")
+
+
 def keygen(p: int, n: int, m: int, exponents, eisenstein_coeffs, zeta_over_theta,
            *, delta=None, matrix=None, rng=None,
            precision: int = DEFAULT_PRECISION) -> KeyPair:
@@ -179,11 +189,7 @@ def keygen(p: int, n: int, m: int, exponents, eisenstein_coeffs, zeta_over_theta
         delta = Fraction(delta)
         if delta < 0:
             raise ValueError("delta must be nonnegative")
-        bad = [x for x in j[:m] if x > delta * n]
-        if bad:
-            raise DeltaTooSmall(
-                f"exponent {bad[0]} exceeds delta*n = {delta * n}; decryption "
-                "would be incorrect")
+        check_delta(j[:m], delta, n)
 
     theta_ctx = make_context(p, precision, eisenstein_coeffs,
                              ramification=n, residue_degree=1)

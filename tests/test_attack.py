@@ -454,8 +454,11 @@ class TestPinnedAttackOutputs:
 
 def _count_reduction_builds(monkeypatch):
     """Patch the break's reductions to count, per function, the elements
-    (``fields._canonical`` results) built while each runs, next to the
-    number of its outputs that are not basis vectors."""
+    (``fields._canonical`` results) built while each runs (key ``name``),
+    while its outputs are read once (``name.read``) and read again
+    (``name.reread``), next to the number of its outputs that are not
+    basis vectors (``outputs[name]``) and of the second maximum's
+    witnesses that are not (``outputs["witness"]``)."""
     from collections import Counter
 
     from padiclat import attack
@@ -472,13 +475,20 @@ def _count_reduction_builds(monkeypatch):
         fn = getattr(attack, name)
 
         def run(ctx, basis, **kwargs):
-            active.append(name)
-            try:
-                res = fn(ctx, basis, **kwargs)
-            finally:
-                active.pop()
+            def during(key, call):
+                active.append(key)
+                try:
+                    return call()
+                finally:
+                    active.pop()
+
+            res = during(name, lambda: fn(ctx, basis, **kwargs))
+            out = during(name + ".read", lambda: reduced(res))
+            during(name + ".reread", lambda: reduced(res))
             inputs = {v.identity for v in basis}
-            outputs[name] += sum(v.identity not in inputs for v in reduced(res))
+            outputs[name] += sum(v.identity not in inputs for v in out)
+            if name == "find_second_longest":
+                outputs["witness"] += res.witness.identity not in inputs
             return res
 
         monkeypatch.setattr(attack, name, run)
@@ -527,11 +537,16 @@ def test_break_determinant_work_is_pinned(monkeypatch):
     built = _count_reduction_builds(monkeypatch)
     broken = BrokenKey.from_public(kp.public)
     assert not levels and not gcds
-    # the reductions build their outputs and no candidate: the recovery
-    # each output that is not a basis vector, orthogonalize its m
+    # the reductions build no candidate.  The recovery builds its witness
+    # (none when it is a basis vector), and a read of its reduced basis
+    # each other output that is not a basis vector, once; orthogonalize
+    # builds its m outputs
     built, outputs = built
-    assert built["find_second_longest"] == outputs["find_second_longest"] > 0
+    assert built["find_second_longest"] == outputs["witness"] == 1
+    assert built["find_second_longest.read"] == outputs["find_second_longest"] - 1 > 0
+    assert not built["find_second_longest.reread"]
     assert built["orthogonalize"] == m
+    assert not built["orthogonalize.read"] and not built["orthogonalize.reread"]
     assert broken.gamma == unframed_broken.gamma
     assert (broken.ortho, broken.transform) == (unframed_broken.ortho, unframed_broken.transform)
 
@@ -574,9 +589,13 @@ def test_recover_stacks_its_exact_queries(monkeypatch):
     built = _count_reduction_builds(monkeypatch)
     assert recover_uniformizer(framed) == res
     assert not stacks and not gcds
-    # one element per output that is not a basis monomial, and no candidate
+    # no candidate becomes an element: the call builds its witness, and a
+    # read of its reduced basis each other output that is not a basis
+    # monomial, once
     built, outputs = built
-    assert built == outputs and built["find_second_longest"] > 0
+    assert built["find_second_longest"] == outputs["witness"] == 1
+    assert built["find_second_longest.read"] == outputs["find_second_longest"] - 1 > 0
+    assert not built["find_second_longest.reread"]
 
 
 def test_bench_break_times_the_break():

@@ -398,6 +398,44 @@ class TestExitCodes:
 
 
 class TestBenchEdges:
+    @pytest.fixture
+    def drawn(self, monkeypatch):
+        """The (p, n, m) of each key ``bench`` draws and the (n, p) of each
+        instance it builds, logged as they start."""
+        from padiclat import bench
+
+        calls = []
+        keygen, make_instance = bench.keygen, bench.make_instance
+
+        def logged_keygen(p, n, m, *args, **kwargs):
+            calls.append((p, n, m))
+            return keygen(p, n, m, *args, **kwargs)
+
+        def logged_instance(n, p, *args, **kwargs):
+            calls.append((n, p))
+            return make_instance(n, p, *args, **kwargs)
+
+        monkeypatch.setattr(bench, "keygen", logged_keygen)
+        monkeypatch.setattr(bench, "make_instance", logged_instance)
+        return calls
+
+    def test_every_cell_is_checked_before_any_runs(self, capsys, drawn):
+        # a shape or a cell that is refused stops the harness before it
+        # draws a key or builds an instance for the valid ones before it:
+        # (2, 4, 4) has exponent 3 above delta*n = 2, and 9 is not a prime
+        from padiclat import bench
+
+        with pytest.raises(errors.DeltaTooSmall, match="exponent 3 exceeds delta"):
+            bench.bench_break([(3, 30, 15), (2, 4, 4)])
+        with pytest.raises(ValueError, match="p = 9 is not a prime"):
+            bench.bench_uniformizer([200], [5, 9])
+        assert drawn == []
+        for argv in (("bench", "break", "--shapes", "3,30,15; 2,4,4"),
+                     ("bench", "--n-list", "200", "--p-list", "5,9")):
+            code, out, err = run(capsys, *argv)
+            assert code == 2 and "input error" in err and out == ""
+        assert drawn == []
+
     def test_empty_grid(self, tmp_path, capsys):
         out_file = tmp_path / "empty.csv"
         code, _, _ = run(capsys, "bench", "--n-list", "", "--p-list", "3",

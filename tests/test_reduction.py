@@ -530,10 +530,44 @@ class TestRowRoute:
             assert record == _identities(unframed(toy_ctx), dependent)
             assert record[1] == "SingularSystem"
 
+    @staticmethod
+    def _framed_cases():
+        """Framed bases the row route takes: scheme-shaped lattices, the
+        n = 64 recovery instance and the recovery basis of a (2, 14, 4)
+        ``keygen`` key, where p | n, each as (ctx, basis)."""
+        rng = random.Random("row-route-work")
+        cases = [scheme_shaped_lattice(rng, p, n, m)[:2]
+                 for p, n, m in ((2, 12, 5), (3, 10, 4), (5, 8, 4), (7, 14, 5))]
+        ctx64 = bench.make_instance(64, 5, random.Random("0:recover:0"))
+        pk = bench.break_key(2, 14, 4, 7)
+        for ctx in (ctx64, pk.ctx):
+            cases.append((ctx, [ctx.monomial(i) for i in range(ctx.n)]))
+        return cases
+
+    def test_framed_second_maximum_matches_the_element_route(self, searches):
+        # the row route reads its pick off the pass's norms and builds only
+        # the witness, whose norm it caches; the witness, second maximum,
+        # count and the reduced basis read afterwards are the element
+        # route's on the field without its frame
+        for ctx, basis in self._framed_cases():
+            engine = NormEngine(ctx)
+            searches.clear()
+            res = find_second_longest(ctx, basis, engine=engine)
+            assert not searches
+            assert engine.known_abs_values([res.witness]) == [res.lambda2]
+            ref = find_second_longest(unframed(ctx), basis)
+            assert (res.witness.identity, res.lambda2, res.abs_count) == \
+                (ref.witness.identity, ref.lambda2, ref.abs_count)
+            assert [v.identity for v in res.reduced] == [v.identity for v in ref.reduced]
+            assert res.witness in res.reduced
+
     def test_framed_pass_builds_only_its_outputs(self, monkeypatch):
-        # on the row route no candidate becomes an element: the second-
-        # maximum search builds each output that is not a basis vector once,
-        # orthogonalize its m outputs, and no determinant or gcd runs
+        # on the row route no candidate becomes an element.  The second-
+        # maximum search builds one element, its witness (none when that is
+        # a basis vector); the first read of its reduced basis builds each
+        # other output that is not a basis vector once, and a second read
+        # nothing.  orthogonalize builds its m outputs, and no determinant
+        # or gcd runs
         def forbidden(*args):
             raise AssertionError("a determinant or GF(p) gcd on a framed engine")
 
@@ -544,11 +578,7 @@ class TestRowRoute:
             built.append(1)
             return canonical(*args)
 
-        rng = random.Random("row-route-work")
-        cases = [scheme_shaped_lattice(rng, p, n, m)[:2]
-                 for p, n, m in ((2, 12, 5), (3, 10, 4), (5, 8, 4), (7, 14, 5))]
-        ctx64 = bench.make_instance(64, 5, random.Random("0:recover:0"))
-        cases.append((ctx64, [ctx64.monomial(i) for i in range(64)]))
+        cases = self._framed_cases()
         monkeypatch.setattr(fields, "_det_valuation", forbidden)
         monkeypatch.setattr(fields, "_gf_coprime", forbidden)
         monkeypatch.setattr(fields, "_canonical", counted)
@@ -556,7 +586,14 @@ class TestRowRoute:
             inputs = {v.identity for v in basis}
             built.clear()
             res = find_second_longest(ctx, basis)
-            assert len(built) == sum(v.identity not in inputs for v in res.reduced)
+            witness = res.witness.identity not in inputs
+            assert len(built) == witness
+            built.clear()
+            outputs = sum(v.identity not in inputs for v in res.reduced)
+            assert len(built) == outputs - witness
+            built.clear()
+            res.reduced
+            assert not built
             built.clear()
             ortho = orthogonalize(ctx, basis)
             assert len(built) == len(basis)
